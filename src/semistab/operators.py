@@ -16,7 +16,9 @@ computes (lam - A)^{-1} x; probe norms are reported for (lam + A)^{-1}
 because stability analysis probes the closed right half-plane.
 
 All models are immutable after construction and their operations are
-pure, so values may be evaluated from several threads at once.
+pure, so values may be evaluated from several threads at once.  The one
+memo (JordanSumModel's last fractional-power rows) is swapped whole and
+never changes a returned value.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from .errors import (
 from .numcore import LogGrid, geometric_grid, sup_on_grid
 
 _SING_TOL = 1e-11
+# branch and bound in JordanSumModel skips a block once its bound times
+# this factor is at most the best norm found
+_BOUND_MARGIN = 1.0 + 1e-10
 
 
 @dataclass(frozen=True)
@@ -437,11 +442,23 @@ class JordanSumModel(OperatorModel):
     index to a coefficient array; the direct sum is an l2 sum, so
     operator norms are block-wise suprema.
 
-    Norm suprema over the ~n_max blocks are computed by screening: the
-    coefficient rows of each block's upper-triangular Toeplitz symbol
-    give an l1 upper and an l2 lower bound that bracket the spectral norm
-    within sqrt(block size); only surviving candidates are sent to an
-    exact singular-value computation.
+    Each block operator is an upper-triangular Toeplitz matrix, so it is
+    given by its coefficient row.  Two facts avoid an SVD per block:
+
+    * Resolvent: the block of (lam + A)^{-1} at n has row w^{-(k+1)} with
+      w = lam + gamma - i n.  The unitary phase change diag(e^{ik arg w})
+      maps it to the row |w|^{-(k+1)}; that matrix is entrywise
+      non-negative and its entries fall as |w| grows.  So within a group
+      of constant m the norm is largest at the block nearest Im lam, and
+      one row per group decides the supremum.
+    * Any row set: ||T_i|| <= ||T_j|| + ||row_i - row_j||_1 for blocks of
+      one group, and ||T_i|| <= ||row_i||_1.  ``_sup_over_blocks`` runs a
+      branch and bound on these bounds: seeded with the SVD at the block
+      of largest l2 row norm, it always takes the SVD of the block with
+      the largest remaining bound, until no bound exceeds the best value.
+
+    The rows of A^sigma (1+A)^{-sigma-tau} do not depend on t; the last
+    (sigma, tau) used is kept, so a sweep over t builds them once.
     """
 
     def __init__(self, gamma, delta, n_max=10**4, n_start=None):
@@ -461,6 +478,9 @@ class JordanSumModel(OperatorModel):
             raise DomainError("n_start retains a block with m < 2")
         self.n_start = n0
         self._groups = self._build_groups()
+        # ((sigma, tau), Phi rows per group); replaced whole, never mutated,
+        # so a thread that reads it into a local sees one consistent pair
+        self._phi_cache = None
         angle = math.atan2(self.n_max, self.gamma)
         self.info = ModelInfo(
             kind="jordan-sum",
@@ -562,30 +582,35 @@ class JordanSumModel(OperatorModel):
         """Exact sup of block norms given per-group coefficient rows.
 
         rows_per_group: list of (ns, rows) where rows[i] holds the
-        Toeplitz coefficients of block ns[i].
+        Toeplitz coefficients of block ns[i].  Branch and bound: a block
+        is sent to an SVD only while its upper bound (see the class
+        docstring) could beat the best value found, with a relative
+        margin of ``_BOUND_MARGIN`` for rounding in the SVD and the bound.
         """
         lmax = 0.0
-        lmax_arg = None
-        for ns, rows in rows_per_group:
+        seed = None
+        for g, (ns, rows) in enumerate(rows_per_group):
             l2 = np.linalg.norm(rows, axis=1)
             i = int(np.argmax(l2))
             if l2[i] > lmax:
-                lmax, lmax_arg = float(l2[i]), (ns, rows, i)
+                lmax, seed = float(l2[i]), (g, i)
+        bounds = [np.abs(rows).sum(axis=1) for _, rows in rows_per_group]
+        tops = np.array([float(ub.max()) for ub in bounds])
         best = 0.0
         best_n = None
-        if lmax_arg is not None:
-            ns, rows, i = lmax_arg
-            best = _toeplitz_norm(rows[i])
-            best_n = int(ns[i])
-        for ns, rows in rows_per_group:
-            u1 = np.abs(rows).sum(axis=1)
-            order = np.argsort(u1)[::-1]
-            for i in order:
-                if u1[i] <= best:
-                    break
-                val = _toeplitz_norm(rows[i])
-                if val > best:
-                    best, best_n = val, int(ns[i])
+        g_i = seed
+        while g_i is not None:
+            g, i = g_i
+            ns, rows = rows_per_group[g]
+            val = _toeplitz_norm(rows[i])
+            if val > best:
+                best, best_n = val, int(ns[i])
+            ub = bounds[g]
+            ub[i] = -np.inf
+            np.minimum(ub, val + np.abs(rows - rows[i]).sum(axis=1), out=ub)
+            tops[g] = ub.max()
+            g = int(np.argmax(tops))
+            g_i = (g, int(np.argmax(bounds[g]))) if tops[g] * _BOUND_MARGIN > best else None
         if best_n is not None and best_n == self.n_max:
             warnings.warn(
                 f"supremum of {label} attained at the truncation block n={self.n_max}; "
@@ -595,27 +620,49 @@ class JordanSumModel(OperatorModel):
             )
         return best
 
+    @staticmethod
+    def _nearest_blocks(x, a, b):
+        """Blocks of [a, b] nearest x: one, or both neighbours on an exact tie."""
+        lo = min(max(math.floor(x), a), b)
+        hi = min(lo + 1, b)
+        if lo == hi or abs(x - lo) < abs(x - hi):
+            return np.array([lo])
+        if abs(x - hi) < abs(x - lo):
+            return np.array([hi])
+        return np.array([lo, hi])
+
     def shifted_resolvent_norm(self, lam):
-        d = min(
-            abs(-lam - self.eigenvalue(n))
-            for n in self._near_blocks(complex(-lam))
-        )
-        if d < _SING_TOL:
-            raise NearSingularityError(
-                f"-lambda={-lam} lies within {d:.3e} of the spectrum", d
-            )
+        self._check_resolvent_point(-lam)
+        x = complex(lam).imag
         rows_per_group = []
         for m, a, b in self._groups:
-            ns = np.arange(a, b + 1)
+            ns = self._nearest_blocks(x, a, b)
             w = lam - 1j * ns.astype(float) + self.gamma
             ks = np.arange(m)
-            rows = w[:, None] ** (-(ks[None, :] + 1.0))
+            # at large |w| the power overflows w^(k+1) and gives nan where
+            # the entry underflows to 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = w[:, None] ** (-(ks[None, :] + 1.0))
+            rows[np.isnan(rows) & (np.abs(w) > 1.0)[:, None]] = 0.0
             rows_per_group.append((ns, rows))
         return self._sup_over_blocks(rows_per_group, f"(lam+A)^-1 at lam={lam}")
 
-    def _near_blocks(self, lam):
-        n_near = int(np.clip(round(-lam.imag), self.n_start, self.n_max))
-        return [n for n in (n_near - 1, n_near, n_near + 1) if self.n_start <= n <= self.n_max]
+    def _phi_rows(self, sigma, tau):
+        """Per group (ns, rows of A^sigma (1+A)^{-sigma-tau}), cached for
+        the last (sigma, tau)."""
+        cache = self._phi_cache
+        if cache is None or cache[0] != (sigma, tau):
+            rows_per_group = []
+            for m, a, b in self._groups:
+                ns = np.arange(a, b + 1).astype(float)
+                rows = _shifted_power_rows(1.0 + self.gamma - 1j * ns, -(sigma + tau), m)
+                if sigma:
+                    num = _shifted_power_rows(self.gamma - 1j * ns, float(sigma), m)
+                    rows = fftconvolve(rows, num, axes=1)[:, :m]
+                rows_per_group.append((np.arange(a, b + 1), rows))
+            cache = ((sigma, tau), rows_per_group)
+            self._phi_cache = cache
+        return cache[1]
 
     def fractional_norm(self, t, sigma, tau):
         self._check_semigroup_time(t)
@@ -625,15 +672,10 @@ class JordanSumModel(OperatorModel):
             return self.semigroup_norm(t)
         scale = math.exp(-self.gamma * t)
         rows_per_group = []
-        for m, a, b in self._groups:
-            ns = np.arange(a, b + 1).astype(float)
-            rows = _shifted_power_rows(1.0 + self.gamma - 1j * ns, -(sigma + tau), m)
-            if sigma:
-                num = _shifted_power_rows(self.gamma - 1j * ns, float(sigma), m)
-                rows = fftconvolve(rows, num, axes=1)[:, :m]
+        for ns, phi in self._phi_rows(sigma, tau):
+            m = phi.shape[1]
             ecf = _exp_series_coeffs(t, m)
-            rows = fftconvolve(rows, ecf[None, :], axes=1)[:, :m]
-            rows_per_group.append((np.arange(a, b + 1), rows))
+            rows_per_group.append((ns, fftconvolve(phi, ecf[None, :], axes=1)[:, :m]))
         return scale * self._sup_over_blocks(
             rows_per_group, f"T({t})Phi^{sigma}_{tau}"
         )

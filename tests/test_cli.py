@@ -90,6 +90,31 @@ def test_analyze_outputs_and_determinism(tmp_path):
         assert len(rows) > 1
 
 
+def test_analyze_jordan_sum_thread_determinism(tmp_path):
+    # the measure stage evaluates the indices in parallel, so the threads
+    # share and keep replacing the block-sum model's cached Phi rows
+    cfg = _base_config(tmp_path / "o")
+    cfg["operator"] = {"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 500}
+    cfg["grids"] = {
+        "t_grid": {"start": 1.0, "stop": 40.0, "count": 12},
+        "xi_grid": {"start": 0.01, "stop": 400.0, "count": 24},
+    }
+    cfg["indices"] = [[0.0, 1.0], [0.5, 1.0], [0.0, 2.0]]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    codes = [
+        cli.main(
+            ["analyze", "--config", str(cfg_path), "--out-dir", str(tmp_path / f"o{n}"),
+             "--threads", str(n)]
+        )
+        for n in (1, 8)
+    ]
+    assert codes[0] == codes[1] and codes[0] in (0, 1)
+    s1 = (tmp_path / "o1" / "summary.json").read_bytes()
+    assert s1 == (tmp_path / "o8" / "summary.json").read_bytes()
+    assert len(json.loads(s1)["measurements"]) == 3
+
+
 def test_decay_subcommand(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_base_config(tmp_path / "d")))

@@ -1,10 +1,14 @@
 """Model zoo: semigroup, resolvent, and norm actions."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, toeplitz
 
 from semistab import numcore, operators
@@ -193,20 +197,180 @@ def test_jordan_orbit_norm_closed_form():
         assert model.norm(out) == pytest.approx(want, rel=1e-12)
 
 
+def _jordan_fractional_brute_force(model, t, sigma, tau):
+    """sup over every block of the T(t) Phi^sigma_tau block norm, one SVD each."""
+    best = 0.0
+    for m, a, b in model.groups:
+        for n in range(a, b + 1):
+            coeffs = operators._shifted_power_rows(
+                np.array([1.0 + model.gamma - 1j * n]), -(sigma + tau), m
+            )[0]
+            if sigma:
+                num = operators._shifted_power_rows(
+                    np.array([model.gamma - 1j * n]), float(sigma), m
+                )[0]
+                coeffs = np.convolve(coeffs, num)[:m]
+            coeffs = np.convolve(coeffs, operators._exp_series_coeffs(t, m))[:m]
+            best = max(best, operators._toeplitz_norm(coeffs))
+    return best * math.exp(-model.gamma * t)
+
+
+def _quiet_fractional_norm(model, t, sigma, tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EdgeDominatedWarning)
+        return model.fractional_norm(t, sigma, tau)
+
+
 def test_jordan_sup_matches_brute_force():
     model = operators.JordanSumModel(0.5, 0.7, 200)
-    for t, tau in ((3.0, 1.0), (7.0, 2.5)):
-        screened = model.fractional_norm(t, 0.0, tau)
-        best = 0.0
-        for m, a, b in model.groups:
-            for n in range(a, b + 1):
-                rows = operators._shifted_power_rows(
-                    np.array([1.0 + model.gamma - 1j * n]), -tau, m
-                )
-                coeffs = np.convolve(rows[0], operators._exp_series_coeffs(t, m))[:m]
-                best = max(best, operators._toeplitz_norm(coeffs))
-        best *= math.exp(-model.gamma * t)
-        assert screened == pytest.approx(best, rel=1e-12)
+    for t, sigma, tau in ((3.0, 0.0, 1.0), (7.0, 0.0, 2.5), (2.0, 0.5, 1.0), (9.0, 1.5, 0.5)):
+        got = _quiet_fractional_norm(model, t, sigma, tau)
+        want = _jordan_fractional_brute_force(model, t, sigma, tau)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    gamma=st.floats(0.05, 0.95),
+    delta=st.floats(0.5, 0.9),
+    n_max=st.integers(30, 300),
+    t=st.floats(0.0, 40.0),
+    sigma=st.floats(0.0, 2.0),
+    tau=st.floats(0.0, 5.0),
+)
+def test_jordan_sup_matches_brute_force_random_indices(gamma, delta, n_max, t, sigma, tau):
+    assume(sigma + tau > 0.0)
+    model = operators.JordanSumModel(gamma, delta, n_max)
+    got = _quiet_fractional_norm(model, t, sigma, tau)
+    want = _jordan_fractional_brute_force(model, t, sigma, tau)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), spread=st.floats(1e-3, 2.0))
+def test_jordan_branch_and_bound_on_random_rows(seed, spread):
+    # rows scattered around a common row, so the Lipschitz bound
+    # ||T_i|| <= ||T_j|| + ||row_i - row_j||_1 decides which blocks get an SVD
+    rng = np.random.default_rng(seed)
+    model = operators.JordanSumModel(0.5, 0.5, 100)
+    groups = []
+    for g, m in enumerate((3, 5)):
+        base = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        noise = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
+        groups.append((np.arange(20 * g, 20 * g + 20), base + spread * noise))
+    want = max(operators._toeplitz_norm(row) for _, rows in groups for row in rows)
+    assert model._sup_over_blocks(groups, "random rows") == want
+
+
+_CACHE_CALLS = [
+    (t, sigma, tau)
+    for sigma, tau in ((0.0, 1.0), (0.5, 1.0), (0.0, 1.0), (1.0, 0.5), (0.5, 1.0))
+    for t in (0.0, 2.5, 11.0)
+]
+
+
+def test_jordan_phi_cache_interleaved_indices():
+    shared = operators.JordanSumModel(0.5, 0.8, 300)
+    for t, sigma, tau in _CACHE_CALLS:
+        fresh = operators.JordanSumModel(0.5, 0.8, 300)
+        assert _quiet_fractional_norm(shared, t, sigma, tau) == _quiet_fractional_norm(
+            fresh, t, sigma, tau
+        )
+
+
+def test_jordan_phi_cache_shared_by_threads():
+    model = operators.JordanSumModel(0.5, 0.8, 300)
+    want = [
+        _quiet_fractional_norm(operators.JordanSumModel(0.5, 0.8, 300), *call)
+        for call in _CACHE_CALLS
+    ]
+    got = {}
+
+    def work(k):
+        # each thread walks the calls from its own offset, so threads keep
+        # replacing the cache entry under each other
+        calls = range(len(_CACHE_CALLS))
+        got[k] = [
+            (i, model.fractional_norm(*_CACHE_CALLS[i]))
+            for i in list(calls[k:]) + list(calls[:k])
+        ]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # warning filters are process-wide, so set them once, outside the threads
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EdgeDominatedWarning)
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(got) == list(range(6))
+    for pairs in got.values():
+        assert all(val == want[i] for i, val in pairs)
+
+
+def _jordan_resolvent_brute_force(model, lam):
+    """Every block's norm, one SVD each, with rows formed as in the model."""
+    norms, blocks = [], []
+    for m, a, b in model.groups:
+        ns = np.arange(a, b + 1)
+        w = lam - 1j * ns.astype(float) + model.gamma
+        rows = w[:, None] ** (-(np.arange(m)[None, :] + 1.0))
+        norms.extend(operators._toeplitz_norm(row) for row in rows)
+        blocks.extend(int(n) for n in ns)
+    return max(norms), blocks[int(np.argmax(norms))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    gamma=st.floats(0.05, 0.95),
+    delta=st.floats(0.2, 0.9),
+    n_max=st.integers(30, 300),
+    re_w=st.floats(0.02, 3.0),
+    block=st.integers(-20, 320),
+    offset=st.floats(-0.5, 0.5),
+)
+@example(gamma=0.5, delta=0.5, n_max=300, re_w=0.5, block=300, offset=-0.5)
+@example(gamma=0.3, delta=0.6, n_max=251, re_w=0.1, block=250, offset=0.5)
+@example(gamma=0.5, delta=0.5, n_max=300, re_w=0.05, block=100, offset=0.5)
+def test_jordan_resolvent_nearest_block_matches_brute_force(
+    gamma, delta, n_max, re_w, block, offset
+):
+    # Im lam = block + offset: an exact half-integer offset ties two blocks
+    model = operators.JordanSumModel(gamma, delta, n_max)
+    lam = complex(re_w - gamma, block + offset)
+    want, argmax_block = _jordan_resolvent_brute_force(model, lam)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = model.shifted_resolvent_norm(lam)
+    edge = any(issubclass(w.category, EdgeDominatedWarning) for w in caught)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert edge == (argmax_block == model.n_max)
+
+
+def test_jordan_resolvent_far_from_large_blocks_is_finite():
+    # w^(k+1) overflows for the m = 87 blocks at |w| ~ 5e3; their entries
+    # underflow to 0 and must not turn the supremum into nan
+    model = operators.JordanSumModel(0.5, 0.9, 10**4)
+    lam = 0.3 + 4352.7j
+    got = model.shifted_resolvent_norm(lam)
+    best = 0.0
+    for m, a, b in model.groups:
+        n = min(max(round(lam.imag), a), b)
+        row = np.cumprod(np.full(m, 1.0 / abs(lam + model.gamma - 1j * n)))
+        best = max(best, operators._toeplitz_norm(row))
+    assert got == pytest.approx(best, rel=1e-12)
+
+
+def test_jordan_resolvent_singular_point():
+    model = operators.JordanSumModel(0.5, 0.5, 100)
+    with pytest.raises(NearSingularityError):
+        model.shifted_resolvent_norm(-model.eigenvalue(40))
 
 
 def test_fractional_norm_is_one_at_zero_indices():
