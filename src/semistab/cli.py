@@ -4,10 +4,10 @@ Subcommands: analyze, decay, frac, mult, verify-examples.  Exit codes:
 0 all checks pass, 1 an analysis or consistency check failed, 2 the
 configuration is invalid (the diagnostic names the offending field).
 
-Identical (config, seed) pairs produce byte-identical summary.json
-regardless of --threads: workers only evaluate independent grid points,
-reductions keep a fixed order, and wall-clock timings go to a separate
-run_meta.json.
+Runs are single-threaded.  --threads, SEMISTAB_THREADS and the config
+key "threads" are accepted and validated for compatibility but have no
+effect.  Identical (config, seed) pairs produce byte-identical
+summary.json; wall-clock timings go to a separate run_meta.json.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,7 +31,20 @@ CSV_HEADER = ["case", "t_or_xi", "value", "fit_exponent", "predicted", "source",
 
 DEFAULT_TOLERANCES = {"fit_tol": 0.1, "quad_tol": 1e-6, "consistency_tol": 0.05}
 
-_OPERATOR_KINDS = ("dense-matrix", "diagonal-symbol", "jordan-sum", "operator-matrix")
+_TOP_LEVEL_KEYS = ("operator", "grids", "geometry", "indices", "tolerances", "seed", "threads", "out_dir")
+
+# typed fields of each operator kind; dense-matrix entries are checked apart
+_OPERATOR_FIELDS = {
+    "dense-matrix": {},
+    "diagonal-symbol": {"a": float, "b": float, "s_start": float, "s_max": float,
+                        "grid_count": int, "sobolev": bool},
+    "jordan-sum": {"gamma": float, "delta": float, "n_max": int, "n_start": int},
+    "operator-matrix": {"n": int, "s_count": int},
+}
+
+_GEOMETRY_FIELDS = {"hilbert": bool, "fourier_type": float, "type_p": float, "cotype_q": float,
+                    "positive_semigroup": bool, "r_resolvent_growth_asserted": bool,
+                    "zeta_negative_asserted": bool}
 
 
 def format_complex(z):
@@ -45,20 +57,32 @@ def _fail(field, msg):
     raise ConfigError(f"{field}: {msg}", field)
 
 
-def _need(cfg, field, path, types=None):
-    if field not in cfg:
-        _fail(f"{path}.{field}" if path else field, "missing")
-    val = cfg[field]
-    if types is not None and not isinstance(val, types):
-        _fail(f"{path}.{field}" if path else field, f"expected {types}, got {type(val).__name__}")
+def _check(val, field, kind, finite=True):
+    """JSON type check: str and bool match exactly, int and float take no
+    bool, float takes ints; a float must be finite unless ``finite`` is False."""
+    if kind in (str, bool):
+        ok = isinstance(val, kind)
+    else:
+        ok = isinstance(val, int if kind is int else (int, float)) and not isinstance(val, bool)
+    if not ok:
+        _fail(field, f"expected {kind.__name__}, got {type(val).__name__}")
+    if finite and isinstance(val, float) and not math.isfinite(val):
+        _fail(field, f"must be finite, got {val}")
     return val
+
+
+def _need(cfg, field, path, kind=None):
+    name = f"{path}.{field}" if path else field
+    if field not in cfg:
+        _fail(name, "missing")
+    return cfg[field] if kind is None else _check(cfg[field], name, kind)
 
 
 def _validate_grid(g, path, min_count=2):
     if not isinstance(g, dict):
         _fail(path, "expected an object with start/stop/count")
-    start = _need(g, "start", path, (int, float))
-    stop = _need(g, "stop", path, (int, float))
+    start = _need(g, "start", path, float)
+    stop = _need(g, "stop", path, float)
     count = _need(g, "count", path, int)
     if count < min_count:
         _fail(f"{path}.count", f"need at least {min_count} nodes, got {count}")
@@ -71,8 +95,15 @@ def _validate_operator(op):
     if not isinstance(op, dict):
         _fail("operator", "expected an object")
     kind = _need(op, "kind", "operator", str)
-    if kind not in _OPERATOR_KINDS:
-        _fail("operator.kind", f"unknown kind {kind!r}; expected one of {_OPERATOR_KINDS}")
+    if kind not in _OPERATOR_FIELDS:
+        _fail("operator.kind", f"unknown kind {kind!r}; expected one of {tuple(_OPERATOR_FIELDS)}")
+    # null means "not given", so the model's default applies
+    op = {key: val for key, val in op.items() if val is not None}
+    for key, field_kind in _OPERATOR_FIELDS[kind].items():
+        if key in op:
+            _check(op[key], f"operator.{key}", field_kind)
+    if "entries" in op:
+        _validate_entries(op["entries"])
     try:
         return operators.model_from_config(op)
     except KeyError as exc:
@@ -81,28 +112,36 @@ def _validate_operator(op):
         _fail("operator", str(exc))
 
 
+def _validate_entries(entries):
+    """Rows of equal length whose entries are numbers or [re, im] pairs."""
+    if not (
+        isinstance(entries, (list, tuple))
+        and entries
+        and all(isinstance(r, (list, tuple)) and len(r) == len(entries[0]) for r in entries)
+    ):
+        _fail("operator.entries", "expected a nonempty list of rows of equal length")
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            for part in e if isinstance(e, (list, tuple)) and len(e) == 2 else (e,):
+                _check(part, f"operator.entries[{i}][{j}]", float)
+
+
 def _validate_geometry(geo):
     if geo is None:
         return decaylab.GeometryDescriptor(hilbert=True)
     if not isinstance(geo, dict):
         _fail("geometry", "expected an object")
     kwargs = {}
-    for key in (
-        "hilbert",
-        "fourier_type",
-        "type_p",
-        "cotype_q",
-        "positive_semigroup",
-        "r_resolvent_growth_asserted",
-        "zeta_negative_asserted",
-    ):
-        if key in geo:
-            kwargs[key] = geo[key]
+    for key, kind in _GEOMETRY_FIELDS.items():
+        if geo.get(key) is not None:
+            kwargs[key] = _check(geo[key], f"geometry.{key}", kind, finite=False)
     if "lattice" in geo and geo["lattice"] is not None:
         lat = geo["lattice"]
         if not (isinstance(lat, (list, tuple)) and len(lat) == 2):
             _fail("geometry.lattice", "expected a [p_convex, q_concave] pair")
-        kwargs["lattice"] = (float(lat[0]), float(lat[1]))
+        kwargs["lattice"] = tuple(
+            float(_check(x, "geometry.lattice", float, finite=False)) for x in lat
+        )
     try:
         return decaylab.GeometryDescriptor(**kwargs)
     except DomainError as exc:
@@ -123,6 +162,9 @@ def load_config(path):
 def validate_config(raw):
     if not isinstance(raw, dict):
         _fail("config", "top level must be an object")
+    for key in raw:
+        if key not in _TOP_LEVEL_KEYS:
+            _fail(str(key), f"unknown key; expected one of {_TOP_LEVEL_KEYS}")
     cfg = {}
     cfg["raw"] = raw
     cfg["model"] = _validate_operator(_need(raw, "operator", ""))
@@ -140,7 +182,7 @@ def validate_config(raw):
         _fail("grids.fourier_grid", "expected an object")
     try:
         cfg["fourier_grid"] = multiplier.FourierGridSpec(
-            float(_need(fg, "period", "grids.fourier_grid", (int, float))),
+            float(_need(fg, "period", "grids.fourier_grid", float)),
             int(_need(fg, "samples", "grids.fourier_grid", int)),
         )
     except DomainError as exc:
@@ -153,46 +195,29 @@ def validate_config(raw):
     for i, pair in enumerate(indices):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             _fail(f"indices[{i}]", "expected a [sigma, tau] pair")
-        sigma, tau = float(pair[0]), float(pair[1])
+        sigma, tau = (float(_check(x, f"indices[{i}]", float)) for x in pair)
         if sigma < 0 or tau < 0:
             _fail(f"indices[{i}]", "indices must be >= 0")
         parsed.append((sigma, tau))
     cfg["indices"] = parsed
+    tolerances = raw.get("tolerances") or {}
+    if not isinstance(tolerances, dict):
+        _fail("tolerances", "expected an object")
     tols = dict(DEFAULT_TOLERANCES)
-    for key, val in (raw.get("tolerances") or {}).items():
+    for key, val in tolerances.items():
         if key not in DEFAULT_TOLERANCES:
             _fail(f"tolerances.{key}", "unknown tolerance")
-        if not isinstance(val, (int, float)) or val <= 0:
+        if _check(val, f"tolerances.{key}", float) <= 0:
             _fail(f"tolerances.{key}", "must be a positive number")
         tols[key] = float(val)
     cfg["tolerances"] = tols
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        _fail("seed", "must be an integer")
-    cfg["seed"] = seed
-    threads = raw.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
+    cfg["seed"] = _check(raw.get("seed", 0), "seed", int)
+    # accepted and validated for compatibility; runs are single-threaded
+    cfg["threads"] = _check(raw.get("threads", 1), "threads", int)
+    if cfg["threads"] < 1:
         _fail("threads", "must be a positive integer")
-    cfg["threads"] = threads
-    cfg["out_dir"] = raw.get("out_dir", "semistab-out")
+    cfg["out_dir"] = _check(raw.get("out_dir", "semistab-out"), "out_dir", str)
     return cfg
-
-
-def _pmap(fn, items, threads):
-    """Order-preserving parallel map; reduction order is fixed by items."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _probe_table_parallel(model, xi_grid, eta, threads):
-    def one(xi):
-        return resolvent.probe_resolvent_norms(model, np.array([xi]), eta).entries
-
-    pairs = _pmap(one, [float(xi) for xi in xi_grid.nodes], threads)
-    return resolvent.ProbeTable([e for pair in pairs for e in pair])
 
 
 def _digest(raw):
@@ -243,13 +268,12 @@ def _predictions_for(geometry, alpha, beta, sigma, tau, mu_hat):
     return preds
 
 
-def run_analyze(config, threads=None, measure_only=False):
+def run_analyze(config, measure_only=False):
     """probe -> fit profile -> measure per index -> predict -> check.
 
     Returns (summary dict, rows dict, timings, exit_code).
     """
     model = config["model"]
-    threads = threads or config["threads"]
     tol = config["tolerances"]["consistency_tol"]
     timings = {}
     rows = {"probes": [], "decay": [], "predictions": []}
@@ -260,7 +284,7 @@ def run_analyze(config, threads=None, measure_only=False):
     }
 
     t0 = time.perf_counter()
-    table = _probe_table_parallel(model, config["xi_grid"], 0.0, threads)
+    table = resolvent.probe_resolvent_norms(model, config["xi_grid"], 0.0)
     for e in table.entries:
         rows["probes"].append(
             {
@@ -291,26 +315,12 @@ def run_analyze(config, threads=None, measure_only=False):
 
     t0 = time.perf_counter()
     t_grid = config["t_grid"]
-    growth_norms = np.array(
-        _pmap(lambda t: model.semigroup_norm(t), t_grid.nodes, threads)
-    )
-    mu_hat = numcore.fit_power_law(t_grid, growth_norms).exponent
+    measurements = [
+        decaylab.measure_decay(model, sigma, tau, t_grid, with_growth=(i == 0))
+        for i, (sigma, tau) in enumerate(config["indices"])
+    ]
+    mu_hat = measurements[0].growth_mu_hat
     summary["growth_mu_hat"] = mu_hat
-
-    def measure(pair):
-        sigma, tau = pair
-        norms = np.array(
-            _pmap(lambda t: model.fractional_norm(t, sigma, tau), t_grid.nodes, 1)
-        )
-        fit = numcore.fit_power_law(t_grid, norms)
-        exp_fit = numcore.fit_exp_rate(t_grid.nodes, norms)
-        meas = decaylab.DecayMeasurement(
-            sigma, tau, t_grid, norms, fit, -fit.exponent, exp_fit,
-            decaylab._classify_super_polynomial(fit, exp_fit), mu_hat,
-        )
-        return meas
-
-    measurements = _pmap(measure, config["indices"], threads)
     fit_tol = config["tolerances"]["fit_tol"]
     summary["measurements"] = []
     summary["fit_warnings"] = []
@@ -398,11 +408,8 @@ def _cmd_analyze(args, measure_only=False):
         config["seed"] = args.seed
     if args.tol is not None:
         config["tolerances"]["consistency_tol"] = args.tol
-    threads = args.threads or config["threads"]
     out_dir = args.out_dir or config["out_dir"]
-    summary, rows, timings, (code, note) = run_analyze(
-        config, threads=threads, measure_only=measure_only
-    )
+    summary, rows, timings, (code, note) = run_analyze(config, measure_only=measure_only)
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "probes.csv"), rows["probes"])
     _write_csv(os.path.join(out_dir, "decay.csv"), rows["decay"])
@@ -540,7 +547,10 @@ def build_parser():
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="JSON config path")
         p.add_argument("--out-dir", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=default_threads, help="worker threads")
+        p.add_argument(
+            "--threads", type=int, default=default_threads,
+            help="accepted for compatibility; runs are single-threaded",
+        )
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--tol", type=float, default=None, help="override the consistency tolerance")
 
@@ -553,7 +563,10 @@ def build_parser():
     p_ver = sub.add_parser("verify-examples", help="run the bundled verification battery")
     p_ver.add_argument("--only", default=None, help="case-name prefix filter (e.g. 'appendix')")
     p_ver.add_argument("--out-dir", default=None)
-    p_ver.add_argument("--threads", type=int, default=default_threads)
+    p_ver.add_argument(
+        "--threads", type=int, default=default_threads,
+        help="accepted for compatibility; runs are single-threaded",
+    )
     p_ver.add_argument("--seed", type=int, default=None)
     return parser
 

@@ -60,9 +60,6 @@ class ContourSpec:
         w[-1] *= 0.5
         return r, w * r
 
-    def doubled(self):
-        return ContourSpec(self.theta, self.r_min, self.r_max, 2 * self.nodes_per_ray)
-
 
 @dataclass(frozen=True)
 class FractionalIndex:

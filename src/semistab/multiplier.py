@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedModelError,
     WindowError,
 )
+from .decaylab import conjugate_exponent
 from .numcore import fit_exp_rate
 from .operators import DenseMatrixModel
 
@@ -405,7 +406,7 @@ def upper_bound_pq_norm_fourier_type(symbol, p, q, grid, fourier_constants=None)
     if q < p:
         raise DomainError(f"1/r = 1/p - 1/q undefined for q < p (p={p}, q={q})")
     if fourier_constants is None:
-        fourier_constants = (fourier_constant(p), fourier_constant(conjugate_q(q)))
+        fourier_constants = (fourier_constant(p), fourier_constant(conjugate_exponent(q)))
     c1, c2 = fourier_constants
     inv_r = 1.0 / p - (0.0 if q == math.inf else 1.0 / q)
     norms = symbol.norms_on(grid.freqs)
@@ -416,11 +417,3 @@ def upper_bound_pq_norm_fourier_type(symbol, p, q, grid, fourier_constants=None)
         lr = float((grid.dxi * np.sum(norms**r)) ** (1.0 / r))
     bound = c1 * c2 * lr / (2.0 * math.pi)
     return PQNormEstimate(float(p), float(q), 0.0, float(bound), "fourier-type-bound")
-
-
-def conjugate_q(q):
-    if q == math.inf:
-        return 1.0
-    if q == 1.0:
-        return math.inf
-    return q / (q - 1.0)

@@ -256,11 +256,7 @@ class DenseMatrixModel(OperatorModel):
         return float(np.linalg.norm(self._expm_neg(t), 2))
 
     def shifted_resolvent_norm(self, lam):
-        d = self.spectrum_distance(-lam)
-        if d < _SING_TOL:
-            raise NearSingularityError(
-                f"-lambda={-lam} lies within {d:.3e} of the spectrum", d
-            )
+        self._check_resolvent_point(-lam)
         return 1.0 / float(svdvals(lam * np.eye(self.dim) + self.matrix)[-1])
 
     def phi_matrix(self, alpha, beta):
@@ -381,11 +377,7 @@ class DiagonalSymbolModel(OperatorModel):
         return self.fractional_norm(t, 0.0, 0.0)
 
     def shifted_resolvent_norm(self, lam):
-        d = float(np.min(np.abs(-lam - self.symbol(self.grid.nodes))))
-        if d < _SING_TOL:
-            raise NearSingularityError(
-                f"-lambda={-lam} lies within {d:.3e} of the symbol range", d
-            )
+        self._check_resolvent_point(-lam)
 
         def g(s):
             return 1.0 / (lam + self.symbol(s))
@@ -744,10 +736,6 @@ class OperatorMatrixModel(OperatorModel):
             out = out + p
         return out
 
-    def symbol_semigroup(self, t, s):
-        """T(t)(s) = exp(-t s) exp(t N) for scalar s."""
-        return math.exp(-t * s) * self._expm_tN(t)
-
     def symbol_phi(self, alpha, beta, s):
         """Phi^alpha_beta symbol at s; alpha must be a nonnegative integer."""
         if alpha < 0 or beta < 0:
@@ -803,11 +791,7 @@ class OperatorMatrixModel(OperatorModel):
         return self._sup_symbol_norm(lambda s: math.exp(-t * s) * e, seeds)
 
     def shifted_resolvent_norm(self, lam):
-        d = self.spectrum_distance(-lam)
-        if d < _SING_TOL:
-            raise NearSingularityError(
-                f"-lambda={-lam} lies within {d:.3e} of [0,1]", d
-            )
+        self._check_resolvent_point(-lam)
 
         def mat(s):
             out = np.zeros((self.n, self.n), dtype=complex)

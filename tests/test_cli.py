@@ -56,6 +56,27 @@ def test_validate_config_field_paths(tmp_path):
         cli.validate_config(cfg)
     assert err.value.field == "tolerances.consistency_tol"
 
+    # known top-level keys only; integers that are not booleans; finite
+    # numbers, never strings; objects where objects are expected
+    cases = [
+        ("gridz", {"t_grid": {"start": 1.0, "stop": 10.0, "count": 4}}, "gridz"),
+        ("seed", True, "seed"),
+        ("threads", True, "threads"),
+        ("tolerances", {"fit_tol": math.nan}, "tolerances.fit_tol"),
+        ("tolerances", {"consistency_tol": math.inf}, "tolerances.consistency_tol"),
+        ("tolerances", [0.1], "tolerances"),
+        ("indices", [[0.0, "2"]], "indices[0]"),
+        ("indices", [[math.nan, 2.0]], "indices[0]"),
+        ("grids", {"t_grid": {"start": 1.0, "stop": math.inf, "count": 4}}, "grids.t_grid.stop"),
+        ("out_dir", 5, "out_dir"),
+    ]
+    for key, value, field in cases:
+        cfg = _base_config(tmp_path)
+        cfg[key] = value
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(cfg)
+        assert err.value.field == field, (key, value)
+
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -65,6 +86,38 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     code = cli.main(["analyze", "--config", str(path)])
     assert code == 2
     assert "grids.t_grid.count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", ["hilbert", "positive_semigroup", "r_resolvent_growth_asserted", "zeta_negative_asserted"]
+)
+def test_geometry_flags_must_be_booleans(tmp_path, capsys, flag):
+    # "no" is truthy in Python; it must not be read as true
+    cfg = _base_config(tmp_path / "o")
+    cfg["geometry"] = {flag: "no"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["decay", "--config", str(path)]) == 2
+    assert f"geometry.{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "operator, field",
+    [
+        ({"kind": "dense-matrix", "entries": [[1.0, 0.0], ["0", 2.0]]}, "operator.entries[1][0]"),
+        ({"kind": "diagonal-symbol", "a": "1", "b": 0.5}, "operator.a"),
+        ({"kind": "jordan-sum", "gamma": 0.5, "delta": True}, "operator.delta"),
+        ({"kind": "operator-matrix", "n": 2.5}, "operator.n"),
+    ],
+    ids=["dense-matrix", "diagonal-symbol", "jordan-sum", "operator-matrix"],
+)
+def test_operator_fields_must_be_numbers(tmp_path, capsys, operator, field):
+    cfg = _base_config(tmp_path / "o")
+    cfg["operator"] = operator
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["decay", "--config", str(path)]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
 
 
 def test_analyze_outputs_and_determinism(tmp_path):
@@ -91,8 +144,8 @@ def test_analyze_outputs_and_determinism(tmp_path):
 
 
 def test_analyze_jordan_sum_thread_determinism(tmp_path):
-    # the measure stage evaluates the indices in parallel, so the threads
-    # share and keep replacing the block-sum model's cached Phi rows
+    # --threads is accepted for compatibility; the run is single-threaded and
+    # the indices replace the block-sum model's cached Phi rows in turn
     cfg = _base_config(tmp_path / "o")
     cfg["operator"] = {"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 500}
     cfg["grids"] = {

@@ -388,10 +388,23 @@ def test_jordan_resolvent_far_from_large_blocks_is_finite():
     assert got == pytest.approx(best, rel=1e-12)
 
 
-def test_jordan_resolvent_singular_point():
-    model = operators.JordanSumModel(0.5, 0.5, 100)
-    with pytest.raises(NearSingularityError):
-        model.shifted_resolvent_norm(-model.eigenvalue(40))
+def _spectral_point(kind, model):
+    if kind == "dense":
+        return model._eigvals[2]
+    if kind == "diagonal":
+        return model.symbol(model.grid.nodes[100])
+    if kind == "jordan":
+        return model.eigenvalue(40)
+    return 0.5  # operator-matrix: s = 0.5 in the spectrum [0, 1]
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "jordan", "opmatrix"])
+def test_resolvent_singular_point(kind):
+    # every kind shares OperatorModel._check_resolvent_point for (lam + A)^-1
+    model = _models()[kind]
+    with pytest.raises(NearSingularityError) as err:
+        model.shifted_resolvent_norm(-_spectral_point(kind, model))
+    assert err.value.distance < 1e-11
 
 
 def test_fractional_norm_is_one_at_zero_indices():
