@@ -533,6 +533,10 @@ def case_laplace_identity(seed=0):
 # criterion 8
 
 
+# the (p, q) pairs whose multiplier norms mult.norms and `semistab mult` bound
+PQ_PAIRS = ((2.0, 2.0), (1.0, 2.0), (2.0, math.inf), (1.0, math.inf))
+
+
 def _mult_battery(rng):
     model = _stable_dense(rng, 4, 0.6)
     return [
@@ -561,12 +565,11 @@ def case_mult_norms(seed=0):
     out.add("(2,2) witness search within 5% of the symbol sup", worst_gap <= 0.05,
             f"worst gap {100 * worst_gap:.2f}%")
 
-    pairs = [(2.0, 2.0), (1.0, 2.0), (2.0, math.inf), (1.0, math.inf)]
     violations = []
     for name, sym in battery:
-        for p, q in pairs:
+        lowers = multiplier.estimate_pq_norms_lower(sym, PQ_PAIRS, grid, trials=8, seed=seed)
+        for (p, q), lower in zip(PQ_PAIRS, lowers):
             upper = multiplier.upper_bound_pq_norm_fourier_type(sym, p, q, grid)
-            lower = multiplier.estimate_pq_norm_lower(sym, p, q, grid, trials=8, seed=seed)
             out.row(t_or_xi=f"{name};p={p:g};q={q:g}", value=f"{lower.lower_bound:.6f}",
                     predicted=f"{upper.upper_bound:.6f}", source="pq-bounds",
                     verdict="PASS" if lower.lower_bound <= upper.upper_bound + 1e-6 else "FAIL")

@@ -301,6 +301,7 @@ def run_analyze(config, measure_only=False):
     try:
         profile = resolvent.fit_growth_profile(table)
     except InsufficientDataError as exc:
+        summary["overall"] = "FAIL"
         return summary, rows, timings, (1, f"growth-profile fit failed: {exc}")
     summary["profile"] = {
         "alpha_hat": profile.alpha_hat,
@@ -456,10 +457,11 @@ def _cmd_mult(args):
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = []
     ok = True
+    pairs = battery_mod.PQ_PAIRS
     for name, sym in battery_mod._mult_battery(rng):
         exact2 = multiplier.exact_l2_norm(sym, grid)
-        for p, q in ((2.0, 2.0), (1.0, 2.0), (2.0, math.inf), (1.0, math.inf)):
-            lower = multiplier.estimate_pq_norm_lower(sym, p, q, grid, trials=8, seed=seed)
+        lowers = multiplier.estimate_pq_norms_lower(sym, pairs, grid, trials=8, seed=seed)
+        for (p, q), lower in zip(pairs, lowers):
             upper = multiplier.upper_bound_pq_norm_fourier_type(sym, p, q, grid)
             good = lower.lower_bound <= upper.upper_bound + 1e-6
             ok &= good
@@ -535,20 +537,38 @@ def _cmd_verify(args):
     return 0
 
 
+def _positive_int(text):
+    """Thread count from --threads or SEMISTAB_THREADS, validated like the
+    config key: a positive integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
 def build_parser():
+    """The argument parser; an invalid SEMISTAB_THREADS raises ConfigError."""
     parser = argparse.ArgumentParser(
         prog="semistab",
         description="semigroup stability laboratory: analyses, fractional powers, multipliers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     env_threads = os.environ.get("SEMISTAB_THREADS")
-    default_threads = int(env_threads) if env_threads and env_threads.isdigit() else None
+    default_threads = None
+    if env_threads:
+        try:
+            default_threads = _positive_int(env_threads)
+        except argparse.ArgumentTypeError as exc:
+            _fail("SEMISTAB_THREADS", str(exc))
 
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="JSON config path")
         p.add_argument("--out-dir", default=None, help="output directory")
         p.add_argument(
-            "--threads", type=int, default=default_threads,
+            "--threads", type=_positive_int, default=default_threads,
             help="accepted for compatibility; runs are single-threaded",
         )
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -564,7 +584,7 @@ def build_parser():
     p_ver.add_argument("--only", default=None, help="case-name prefix filter (e.g. 'appendix')")
     p_ver.add_argument("--out-dir", default=None)
     p_ver.add_argument(
-        "--threads", type=int, default=default_threads,
+        "--threads", type=_positive_int, default=default_threads,
         help="accepted for compatibility; runs are single-threaded",
     )
     p_ver.add_argument("--seed", type=int, default=None)
@@ -572,8 +592,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "analyze":
             return _cmd_analyze(args)
         if args.command == "decay":

@@ -11,14 +11,21 @@ finite-dimensional inner-product space is sqrt(2 pi) at exponent 2 and
 
 Discrete Lebesgue norms use left-endpoint Riemann weights (max for the
 sup norm).  Time-domain samples live on t_k = -L/2 + k L/N.
+
+(L^p, L^q) lower bounds come from a witness search: one call of
+``estimate_pq_norms_lower`` evaluates the symbol once on the grid and
+scores a whole list of (p, q) pairs in one streamed pass over the
+witness bank, holding only the current witness and its image.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import signal
 
 from .errors import (
     DomainError,
@@ -67,10 +74,19 @@ class FourierGridSpec:
         return 2.0 * math.pi / self.period
 
 
+@functools.lru_cache(maxsize=8)
+def _phase(grid, unit):
+    """exp(unit xi t_0) at the frequency nodes, read-only and cached per
+    grid: the witness search transforms hundreds of witnesses per grid."""
+    phase = np.exp(unit * grid.freqs * grid.times[0])
+    phase.flags.writeable = False
+    return phase
+
+
 def fourier_forward(f, grid):
     """Discretization of integral e^{-i xi t} f(t) dt on the grid."""
     f = np.asarray(f, dtype=complex)
-    phase = np.exp(-1j * grid.freqs * grid.times[0])
+    phase = _phase(grid, -1j)
     shape = (-1,) + (1,) * (f.ndim - 1)
     return grid.dt * phase.reshape(shape) * np.fft.fft(f, axis=0)
 
@@ -78,7 +94,7 @@ def fourier_forward(f, grid):
 def fourier_inverse(F, grid):
     """Inverse of fourier_forward (exact on the discrete grid)."""
     F = np.asarray(F, dtype=complex)
-    phase = np.exp(1j * grid.freqs * grid.times[0])
+    phase = _phase(grid, 1j)
     shape = (-1,) + (1,) * (F.ndim - 1)
     return np.fft.ifft(F * phase.reshape(shape), axis=0) / grid.dt
 
@@ -136,11 +152,14 @@ class Symbol:
             raise SingularSymbolError(f"{self.name} singular at xi={node:g}", node)
         return vals
 
-    def norms_on(self, xis):
-        vals = self.eval_all(xis)
+    def norms_of(self, vals):
+        """Pointwise norms of values returned by ``eval_all``."""
         if self.dim == 1:
             return np.abs(vals)
         return np.linalg.norm(vals, ord=2, axis=(1, 2))
+
+    def norms_on(self, xis):
+        return self.norms_of(self.eval_all(xis))
 
 
 def scalar_symbol(fn, at_zero="value", name="symbol"):
@@ -215,7 +234,7 @@ def semigroup_convolution(model, k, f, grid, tail_tol=1e-6):
         raise ShapeError(f"model dimension {kernels.shape[1]} vs samples dimension {d}")
     weights = np.full(len(tpos), grid.dt)
     weights[0] *= 0.5  # trapezoid across the t=0 boundary of the kernel
-    knorms = (tpos**k) * np.array([np.linalg.norm(m, 2) for m in kernels])
+    knorms = (tpos**k) * np.linalg.norm(kernels, 2, axis=(1, 2))
     window_integral = float(np.sum(weights * knorms))
     tail_start = int(0.75 * len(tpos))
     tail_fit = fit_exp_rate(tpos[tail_start:], np.maximum(knorms[tail_start:], 1e-300),
@@ -232,11 +251,9 @@ def semigroup_convolution(model, k, f, grid, tail_tol=1e-6):
             f"window integral {window_integral:.3e}; enlarge the period"
         )
     series = weights[:, None, None] * (tpos**k)[:, None, None] * kernels
-    out = np.zeros((grid.samples, d), dtype=complex)
-    for r in range(d):
-        for c in range(d):
-            conv = np.convolve(series[:, r, c], f[:, c])
-            out[:, r] += conv[: grid.samples]
+    # out[:, r] = sum_c series[:, r, c] * f[:, c], all d^2 convolutions in one
+    conv = signal.fftconvolve(series, f[:, None, :], axes=0)
+    out = conv[: grid.samples].sum(axis=2)
     return out if d > 1 else out[:, 0]
 
 
@@ -319,14 +336,20 @@ class PQNormEstimate:
             raise DomainError("lower bound exceeds upper bound")
 
 
-def _witness_bank(symbol, grid, trials, seed):
-    """The fixed witness family: bumps at 8 scales x 8 modulations, a
-    peak-frequency bump, and seeded random band-limited draws."""
+def _witness_bank(symbol, grid, trials, seed, xi_star):
+    """Yield the fixed witness family one at a time: bumps at 8 scales x
+    8 modulations (the first at the peak frequency ``xi_star``), then
+    ``trials`` seeded random band-limited draws.  A matrix symbol takes
+    each profile along the top right singular vector at ``xi_star`` and
+    along one seeded random direction.
+
+    The ``trials=k`` bank is an exact prefix of the ``trials=k+j`` bank:
+    the bumps draw no random numbers, the random direction is drawn
+    before the trials, and the trials draw in sequence from one stream.
+    """
     ts = grid.times
     L = grid.period
     xis = grid.freqs
-    norms = symbol.norms_on(xis)
-    xi_star = float(xis[int(np.argmax(norms))])
     d = symbol.dim
     directions = [None] if d == 1 else []
     if d > 1:
@@ -337,11 +360,10 @@ def _witness_bank(symbol, grid, trials, seed):
     if d > 1:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         directions.append(v / np.linalg.norm(v))
-    witnesses = []
 
     def emit(profile):
         for direction in directions:
-            witnesses.append(profile if direction is None else profile[:, None] * direction[None, :])
+            yield profile if direction is None else profile[:, None] * direction[None, :]
 
     scales = [L / 2.0** (j + 3) for j in range(8)]
     xi_max = float(np.max(np.abs(xis)))
@@ -349,32 +371,51 @@ def _witness_bank(symbol, grid, trials, seed):
     for s in scales:
         bump = np.exp(-0.5 * (ts / s) ** 2)
         for wfreq in mods:
-            emit(bump * np.exp(1j * wfreq * ts))
+            yield from emit(bump * np.exp(1j * wfreq * ts))
     band = np.abs(xis) <= xi_max / 4.0
     for _ in range(int(trials)):
         coeff = np.zeros(grid.samples, dtype=complex)
         coeff[band] = rng.standard_normal(int(band.sum())) + 1j * rng.standard_normal(int(band.sum()))
-        profile = fourier_inverse(coeff, grid)
-        emit(profile)
-    return witnesses
+        yield from emit(fourier_inverse(coeff, grid))
+
+
+def estimate_pq_norms_lower(symbol, pairs, grid, trials=16, seed=0):
+    """Witness-search lower bounds for the (L^p, L^q) multiplier norms of
+    every ``(p, q)`` in ``pairs``, one ``PQNormEstimate`` each, in order.
+
+    The symbol is evaluated once on the grid, and one streamed pass over
+    the witness bank scores every pair: each witness is transformed, hit
+    by the symbol values and transformed back once, then normed at each
+    needed p and q.  Only the current witness and its image are held,
+    never the bank.  Deterministic for a given seed; the true norm may
+    exceed the result by an unquantified gap, so each estimate is
+    labelled a lower bound.
+    """
+    pairs = [(float(p), float(q)) for p, q in pairs]
+    for p, q in pairs:
+        if q < p:
+            raise DomainError(f"need q >= p, got p={p}, q={q}")
+    vals = symbol.eval_all(grid.freqs)
+    xi_star = float(grid.freqs[int(np.argmax(symbol.norms_of(vals)))])
+    ps = {p for p, _ in pairs}
+    qs = {q for _, q in pairs}
+    best = [0.0] * len(pairs)
+    for f in _witness_bank(symbol, grid, trials, seed, xi_star):
+        F = fourier_forward(f, grid)
+        G = vals * F if symbol.dim == 1 else np.einsum("nij,nj->ni", vals, F)
+        out = fourier_inverse(G, grid)
+        denoms = {p: lebesgue_norm(f, p, grid) for p in ps}
+        nums = {q: lebesgue_norm(out, q, grid) for q in qs}
+        for i, (p, q) in enumerate(pairs):
+            if denoms[p] != 0.0:
+                best[i] = max(best[i], nums[q] / denoms[p])
+    return [PQNormEstimate(p, q, float(b), None, "witness-search") for (p, q), b in zip(pairs, best)]
 
 
 def estimate_pq_norm_lower(symbol, p, q, grid, trials=16, seed=0):
-    """Witness-search lower bound for the (L^p, L^q) multiplier norm.
-
-    Deterministic for a given seed; the true norm may exceed the result
-    by an unquantified gap, so the estimate is labelled a lower bound.
-    """
-    if q < p:
-        raise DomainError(f"need q >= p, got p={p}, q={q}")
-    best = 0.0
-    for f in _witness_bank(symbol, grid, trials, seed):
-        denom = lebesgue_norm(f, p, grid)
-        if denom == 0.0:
-            continue
-        val = lebesgue_norm(apply_multiplier(symbol, f, grid), q, grid) / denom
-        best = max(best, val)
-    return PQNormEstimate(float(p), float(q), float(best), None, "witness-search")
+    """Witness-search lower bound for one (L^p, L^q) multiplier norm; see
+    ``estimate_pq_norms_lower``."""
+    return estimate_pq_norms_lower(symbol, [(p, q)], grid, trials, seed)[0]
 
 
 def exact_l2_norm(symbol, grid):

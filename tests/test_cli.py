@@ -224,6 +224,46 @@ def test_threads_env_default(monkeypatch):
     assert args.threads is None
 
 
+@pytest.mark.parametrize("value", ["-3", "0", "x"])
+@pytest.mark.parametrize("source", ["--threads", "SEMISTAB_THREADS"])
+def test_thread_count_must_be_positive_integer(tmp_path, capsys, monkeypatch, source, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(tmp_path / "o")))
+    argv = ["decay", "--config", str(cfg_path)]
+    if source == "--threads":
+        argv += ["--threads", value]
+    else:
+        monkeypatch.setenv("SEMISTAB_THREADS", value)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag value itself
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert source in err and "must be a positive integer" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "decay"])
+def test_growth_fit_failure_exits_cleanly(tmp_path, capsys, command):
+    # 12 xi nodes on [0.01, 100] leave 6 probes on each side of |xi| = 1,
+    # too few for the growth-profile fit
+    cfg = {
+        "operator": {"kind": "operator-matrix", "n": 2, "s_count": 64},
+        "grids": {"xi_grid": {"start": 0.01, "stop": 100, "count": 12}},
+        "indices": [[0, 1]],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert "growth-profile fit failed: " in capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())["overall"] == "FAIL"
+    with open(out / "probes.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) > 1
+    assert (out / "predictions.csv").exists() == (command == "analyze")
+
+
 def test_jsonable_handles_inf():
     assert cli._jsonable(math.inf) == "inf"
     assert cli._jsonable(1.5) == 1.5

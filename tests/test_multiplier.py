@@ -1,11 +1,15 @@
 """Discrete transforms, multiplier application, and norm estimates."""
 
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semistab import multiplier, operators
+from semistab import battery, cli, multiplier, operators
 from semistab.errors import DomainError, ShapeError, SingularSymbolError, WindowError
 
 
@@ -198,3 +202,136 @@ def test_apply_multiplier_shape_errors(grid):
     rsym = multiplier.resolvent_power_symbol(model, 1)
     with pytest.raises(ShapeError):
         multiplier.apply_multiplier(rsym, np.ones(grid.samples), grid)
+
+
+# ---------------------------------------------------------------------------
+# the streamed many-pairs witness search against the one-pair brute force
+
+
+def _bank(sym, grid, trials, seed):
+    xi_star = float(grid.freqs[int(np.argmax(sym.norms_on(grid.freqs)))])
+    return list(multiplier._witness_bank(sym, grid, trials, seed, xi_star))
+
+
+def _brute_force_lower(sym, p, q, grid, trials, seed):
+    """The witness search as one loop per pair: the symbol is re-evaluated
+    by apply_multiplier for every witness."""
+    best = 0.0
+    for f in _bank(sym, grid, trials, seed):
+        denom = multiplier.lebesgue_norm(f, p, grid)
+        if denom == 0.0:
+            continue
+        val = multiplier.lebesgue_norm(multiplier.apply_multiplier(sym, f, grid), q, grid) / denom
+        best = max(best, val)
+    return best
+
+
+def _scalar_symbol(kind, a):
+    if kind == "resolvent":
+        return multiplier.scalar_symbol(lambda x: 1.0 / (1j * x + a))
+    if kind == "lorentz":
+        return multiplier.scalar_symbol(lambda x: (1.0 + np.abs(x)) ** -a)
+    return multiplier.scalar_symbol(lambda x: a * np.ones_like(np.asarray(x, dtype=complex)))
+
+
+def _dense_resolvent_symbol(dim, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((dim, dim)) / dim + 1.5 * np.eye(dim)
+    return multiplier.resolvent_power_symbol(operators.DenseMatrixModel(m), 1)
+
+
+symbols = st.one_of(
+    st.builds(_scalar_symbol, st.sampled_from(["resolvent", "lorentz", "constant"]),
+              st.floats(0.3, 3.0)),
+    st.builds(_dense_resolvent_symbol, st.integers(2, 4), st.integers(0, 2**32 - 1)),
+)
+grids = st.builds(multiplier.FourierGridSpec, st.floats(20.0, 200.0),
+                  st.sampled_from([2**7, 2**8, 2**9, 2**10]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    sym=symbols,
+    grid=grids,
+    trials=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    pairs=st.lists(st.sampled_from(battery.PQ_PAIRS), min_size=1, max_size=4, unique=True),
+)
+def test_many_pairs_search_equals_brute_force(sym, grid, trials, seed, pairs):
+    got = multiplier.estimate_pq_norms_lower(sym, pairs, grid, trials=trials, seed=seed)
+    assert [(e.p, e.q) for e in got] == pairs
+    for (p, q), est in zip(pairs, got):
+        assert est.lower_bound == _brute_force_lower(sym, p, q, grid, trials, seed)
+        assert multiplier.estimate_pq_norm_lower(sym, p, q, grid, trials, seed) == est
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(sym=symbols, grid=grids, trials=st.integers(0, 4), extra=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_witness_bank_prefix(sym, grid, trials, extra, seed):
+    short = _bank(sym, grid, trials, seed)
+    long = _bank(sym, grid, trials + extra, seed)
+    per_profile = 1 if sym.dim == 1 else 2
+    assert len(long) == len(short) + extra * per_profile
+    assert all(np.array_equal(a, b) for a, b in zip(short, long))
+
+
+@pytest.mark.parametrize("pairs", [[(2.0, 1.0)], [(1.0, 2.0), (math.inf, 2.0)]])
+def test_many_pairs_rejects_q_below_p_before_work(grid, pairs):
+    calls = []
+
+    def fn(x):
+        calls.append(1)
+        return np.ones_like(np.asarray(x, dtype=complex))
+
+    with pytest.raises(DomainError):
+        multiplier.estimate_pq_norms_lower(multiplier.scalar_symbol(fn), pairs, grid)
+    assert not calls
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, 2), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_semigroup_convolution_matches_direct(k, dim, seed):
+    rng = np.random.default_rng(seed)
+    model = operators.DenseMatrixModel(rng.standard_normal((dim, dim)) / (2 * dim) + 2.0 * np.eye(dim))
+    grid = multiplier.FourierGridSpec(80.0, 2**10)
+    f = (rng.standard_normal((grid.samples, dim)) + 1j * rng.standard_normal((grid.samples, dim)))
+    f *= np.exp(-0.5 * (grid.times / 5.0) ** 2)[:, None]
+    got = multiplier.semigroup_convolution(model, k, f, grid)
+    tpos = grid.times[grid.times >= 0.0]
+    w = np.full(len(tpos), grid.dt)
+    w[0] *= 0.5
+    series = (w * tpos**k)[:, None, None] * np.stack([model._expm_neg(t) for t in tpos])
+    want = np.zeros((grid.samples, dim), dtype=complex)
+    for r in range(dim):
+        for c in range(dim):
+            want[:, r] += np.convolve(series[:, r, c], f[:, c])[: grid.samples]
+    got = got.reshape(want.shape)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_mult_command(tmp_path, capsys):
+    seed = 3
+    cfg = {
+        "operator": {"kind": "dense-matrix", "entries": [[1.0]]},
+        "grids": {"fourier_grid": {"period": 50.0, "samples": 2**10}},
+        "seed": seed,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main(["mult", "--config", str(cfg_path), "--out-dir", str(tmp_path / "m")])
+    grid = multiplier.FourierGridSpec(50.0, 2**10)
+    want = []
+    for name, sym in battery._mult_battery(np.random.Generator(np.random.Philox(key=seed))):
+        for p, q in battery.PQ_PAIRS:
+            lower = _brute_force_lower(sym, p, q, grid, 8, seed)
+            upper = multiplier.upper_bound_pq_norm_fourier_type(sym, p, q, grid).upper_bound
+            want.append([f"{name};p={p:g};q={q:g}", "", f"{lower:.9g}", "", f"{upper:.9g}", "pq-norm",
+                         "PASS" if lower <= upper + 1e-6 else "FAIL"])
+        exact = multiplier.exact_l2_norm(sym, grid)
+        want.append([f"{name};p=2;q=2", "", f"{exact:.9g}", "", "", "plancherel-exact", ""])
+    with open(tmp_path / "m" / "mult.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [cli.CSV_HEADER] + want
+    assert code == (0 if all(r[6] != "FAIL" for r in want) else 1)
+    assert "multiplier battery:" in capsys.readouterr().out
