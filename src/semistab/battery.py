@@ -565,6 +565,8 @@ def case_mult_norms(seed=0):
     out.add("(2,2) witness search within 5% of the symbol sup", worst_gap <= 0.05,
             f"worst gap {100 * worst_gap:.2f}%")
 
+    # a separate pass: the (2,2) search above draws 12 trials, these 8, and
+    # one shared pass would change one of the two sets of lower bounds
     violations = []
     for name, sym in battery:
         lowers = multiplier.estimate_pq_norms_lower(sym, PQ_PAIRS, grid, trials=8, seed=seed)

@@ -20,7 +20,6 @@ witness bank, holding only the current witness and its image.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -74,19 +73,10 @@ class FourierGridSpec:
         return 2.0 * math.pi / self.period
 
 
-@functools.lru_cache(maxsize=8)
-def _phase(grid, unit):
-    """exp(unit xi t_0) at the frequency nodes, read-only and cached per
-    grid: the witness search transforms hundreds of witnesses per grid."""
-    phase = np.exp(unit * grid.freqs * grid.times[0])
-    phase.flags.writeable = False
-    return phase
-
-
 def fourier_forward(f, grid):
     """Discretization of integral e^{-i xi t} f(t) dt on the grid."""
     f = np.asarray(f, dtype=complex)
-    phase = _phase(grid, -1j)
+    phase = np.exp(-1j * grid.freqs * grid.times[0])
     shape = (-1,) + (1,) * (f.ndim - 1)
     return grid.dt * phase.reshape(shape) * np.fft.fft(f, axis=0)
 
@@ -94,7 +84,7 @@ def fourier_forward(f, grid):
 def fourier_inverse(F, grid):
     """Inverse of fourier_forward (exact on the discrete grid)."""
     F = np.asarray(F, dtype=complex)
-    phase = _phase(grid, 1j)
+    phase = np.exp(1j * grid.freqs * grid.times[0])
     shape = (-1,) + (1,) * (F.ndim - 1)
     return np.fft.ifft(F * phase.reshape(shape), axis=0) / grid.dt
 
@@ -193,8 +183,12 @@ def apply_multiplier(symbol, f, grid):
         raise ShapeError(f"expected {grid.samples} time samples, got {f.shape[0]}")
     if symbol.dim > 1 and (f.ndim != 2 or f.shape[1] != symbol.dim):
         raise ShapeError(f"symbol of dim {symbol.dim} needs samples of shape (N, {symbol.dim})")
+    return _apply_values(symbol, symbol.eval_all(grid.freqs), f, grid)
+
+
+def _apply_values(symbol, vals, f, grid):
+    """T_m f for symbol values ``vals`` already evaluated on the grid."""
     F = fourier_forward(f, grid)
-    vals = symbol.eval_all(grid.freqs)
     if symbol.dim == 1:
         shape = (-1,) + (1,) * (F.ndim - 1)
         G = vals.reshape(shape) * F
@@ -401,9 +395,7 @@ def estimate_pq_norms_lower(symbol, pairs, grid, trials=16, seed=0):
     qs = {q for _, q in pairs}
     best = [0.0] * len(pairs)
     for f in _witness_bank(symbol, grid, trials, seed, xi_star):
-        F = fourier_forward(f, grid)
-        G = vals * F if symbol.dim == 1 else np.einsum("nij,nj->ni", vals, F)
-        out = fourier_inverse(G, grid)
+        out = _apply_values(symbol, vals, f, grid)
         denoms = {p: lebesgue_norm(f, p, grid) for p in ps}
         nums = {q: lebesgue_norm(out, q, grid) for q in qs}
         for i, (p, q) in enumerate(pairs):

@@ -8,16 +8,19 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
 
 - the durations of the ``mult.norms`` and ``laplace.identity`` battery
   cases from direct calls of ``battery.case_mult_norms`` and
-  ``battery.case_laplace_identity``, one fresh process per seed;
+  ``battery.case_laplace_identity``, one fresh process per seed in
+  ``CASE_SEEDS``;
 - the per-layer multiplier counts and battery case times of one traced
-  ``verify-examples`` run (``perfbench/run.py --trace 1``);
+  ``verify-examples`` run (``perfbench/run.py --trace 1``, seed 0);
 - the end-to-end ``wall_s``, ``cpu_s``, ``peak_rss_mb``, ``setup_s`` and
-  ``pass_frac`` of ``--pairs`` untraced ``verify-examples`` runs
-  (``perfbench/run.py --trace 0``).
+  ``pass_frac`` of ``PAIRS`` untraced parent/change run pairs of each of
+  ``verify-examples`` and ``analyze-jordan`` (``perfbench/run.py
+  --trace 0``, seeds ``FIRST_SEED`` onwards), with the quartiles of each
+  side and the number of pairs in which the change reads lower.
 
 Parent and change runs alternate, and the side that runs first in a
 pair alternates too, so both see the host at similar times.
-A full run with the defaults takes about 15 minutes on a 2-CPU host.
+A full run takes about 25 minutes on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ import platform
 import statistics
 import subprocess
 import sys
+
+CASE_SEEDS = (0, 1, 2)
+PAIRS = 10
+FIRST_SEED = 801
+WORKLOADS = ("verify-examples", "analyze-jordan")
 
 CASE_TIMER = """
 import json, sys
@@ -67,52 +75,56 @@ def _case_times(tree, seed):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _perfbench(tree, seed, trace):
+def _perfbench(tree, workload, seed, trace):
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload",
-           "verify-examples", "--seed", str(seed), "--seconds", "20", "--trace", str(trace)]
+           workload, "--seed", str(seed), "--seconds", "20", "--trace", str(trace)]
     proc = subprocess.run(cmd, env=_env(tree), check=True, stdout=subprocess.PIPE, text=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
-        raise SystemExit(f"{tree}: perfbench reports reference mismatches on seed {seed}")
+        raise SystemExit(f"{tree}: perfbench reports reference mismatches on {workload} seed {seed}")
     return {key: metric["value"] for key, metric in result["metrics"].items()}
 
 
 def _summary(values):
-    return {"runs": values, "median": statistics.median(values)}
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"runs": values, "median": med, "q1": q1, "q3": q3}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
-                    help="battery seeds for the direct-call case timings")
-    ap.add_argument("--pairs", type=int, default=3, help="untraced parent/change run pairs")
-    ap.add_argument("--first-seed", type=int, default=801, help="seed of the first untraced pair")
     ap.add_argument("--out", default="BENCH_multiplier.json")
     args = ap.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     cases = {name: {} for name in trees}
-    for seed in args.seeds:
+    for seed in CASE_SEEDS:
         for name, tree in trees.items():
             cases[name][str(seed)] = _case_times(tree, seed)
             print(f"{name} seed {seed}: {cases[name][str(seed)]}", flush=True)
 
     traced = {}
     for name, tree in trees.items():
-        metrics = _perfbench(tree, 0, 1)
+        metrics = _perfbench(tree, "verify-examples", 0, 1)
         traced[name] = {key: metrics[key] for key in TRACED_KEYS}
         print(f"{name} traced: {traced[name]}", flush=True)
 
-    runs = {name: {key: [] for key in END_TO_END_KEYS} for name in trees}
-    for i in range(args.pairs):
-        for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            tree = trees[name]
-            metrics = _perfbench(tree, args.first_seed + i, 0)
-            for key in END_TO_END_KEYS:
-                runs[name][key].append(metrics[key])
-            print(f"{name} seed {args.first_seed + i}: {metrics}", flush=True)
+    end_to_end = {}
+    for workload in WORKLOADS:
+        runs = {name: {key: [] for key in END_TO_END_KEYS} for name in trees}
+        for i in range(PAIRS):
+            for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                metrics = _perfbench(trees[name], workload, FIRST_SEED + i, 0)
+                for key in END_TO_END_KEYS:
+                    runs[name][key].append(metrics[key])
+                print(f"{workload} {name} seed {FIRST_SEED + i}: {metrics}", flush=True)
+        record = {name: {key: _summary(vals) for key, vals in runs[name].items()} for name in trees}
+        record["change_lower_in_pairs"] = {
+            key: sum(c < p for p, c in zip(runs["parent"][key], runs["change"][key]))
+            for key in END_TO_END_KEYS
+        }
+        end_to_end[workload] = record
 
     record = {
         "what": "multiplier layer: mult.norms and laplace.identity, parent vs change",
@@ -120,9 +132,7 @@ def main(argv=None):
                  "python": platform.python_version()},
         "case_seconds_direct_calls": cases,
         "traced_verify_examples_seed0": traced,
-        "verify_examples_end_to_end": {
-            name: {key: _summary(vals) for key, vals in runs[name].items()} for name in trees
-        },
+        "end_to_end": end_to_end,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
