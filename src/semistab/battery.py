@@ -459,10 +459,9 @@ def case_jordan_rates(seed=0):
     t_grid = numcore.LogGrid(band_ts[0], band_ts[-1], len(band_ts), band_ts)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        fit_b0 = numcore.fit_power_law(band_ts, b0_vals, window=(0, len(band_ts)))
         meas_b0 = decaylab.DecayMeasurement(
-            0.0, beta0_full, t_grid, b0_vals,
-            numcore.fit_power_law(band_ts, b0_vals, window=(0, len(band_ts))),
-            -numcore.fit_power_law(band_ts, b0_vals, window=(0, len(band_ts))).exponent,
+            0.0, beta0_full, t_grid, b0_vals, fit_b0, -fit_b0.exponent,
             numcore.fit_exp_rate(band_ts, b0_vals, window=(0, len(band_ts))),
             False,
         )

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import battery as battery_mod
 from . import decaylab, multiplier, numcore, operators, resolvent
-from .errors import ConfigError, DomainError, InsufficientDataError
+from .errors import ConfigError, DomainError, InsufficientDataError, UnsupportedModelError
 
 CSV_HEADER = ["case", "t_or_xi", "value", "fit_exponent", "predicted", "source", "verdict"]
 
@@ -71,6 +71,12 @@ def _check(val, field, kind, finite=True):
     return val
 
 
+def _check_keys(obj, known, path):
+    for key in obj:
+        if key not in known:
+            _fail(f"{path}.{key}" if path else str(key), f"unknown key; expected one of {tuple(known)}")
+
+
 def _need(cfg, field, path, kind=None):
     name = f"{path}.{field}" if path else field
     if field not in cfg:
@@ -81,6 +87,7 @@ def _need(cfg, field, path, kind=None):
 def _validate_grid(g, path, min_count=2):
     if not isinstance(g, dict):
         _fail(path, "expected an object with start/stop/count")
+    _check_keys(g, ("start", "stop", "count"), path)
     start = _need(g, "start", path, float)
     stop = _need(g, "stop", path, float)
     count = _need(g, "count", path, int)
@@ -97,6 +104,8 @@ def _validate_operator(op):
     kind = _need(op, "kind", "operator", str)
     if kind not in _OPERATOR_FIELDS:
         _fail("operator.kind", f"unknown kind {kind!r}; expected one of {tuple(_OPERATOR_FIELDS)}")
+    _check_keys(op, ("kind", "entries") if kind == "dense-matrix" else ("kind", *_OPERATOR_FIELDS[kind]),
+                "operator")
     # null means "not given", so the model's default applies
     op = {key: val for key, val in op.items() if val is not None}
     for key, field_kind in _OPERATOR_FIELDS[kind].items():
@@ -131,6 +140,7 @@ def _validate_geometry(geo):
         return decaylab.GeometryDescriptor(hilbert=True)
     if not isinstance(geo, dict):
         _fail("geometry", "expected an object")
+    _check_keys(geo, (*_GEOMETRY_FIELDS, "lattice"), "geometry")
     kwargs = {}
     for key, kind in _GEOMETRY_FIELDS.items():
         if geo.get(key) is not None:
@@ -162,15 +172,14 @@ def load_config(path):
 def validate_config(raw):
     if not isinstance(raw, dict):
         _fail("config", "top level must be an object")
-    for key in raw:
-        if key not in _TOP_LEVEL_KEYS:
-            _fail(str(key), f"unknown key; expected one of {_TOP_LEVEL_KEYS}")
+    _check_keys(raw, _TOP_LEVEL_KEYS, "")
     cfg = {}
     cfg["raw"] = raw
     cfg["model"] = _validate_operator(_need(raw, "operator", ""))
     grids = raw.get("grids", {})
     if not isinstance(grids, dict):
         _fail("grids", "expected an object")
+    _check_keys(grids, ("t_grid", "xi_grid", "fourier_grid"), "grids")
     cfg["t_grid"] = _validate_grid(
         grids.get("t_grid", {"start": 10.0, "stop": 1e4, "count": 32}), "grids.t_grid"
     )
@@ -180,6 +189,7 @@ def validate_config(raw):
     fg = grids.get("fourier_grid", {"period": 200.0, "samples": 2**13})
     if not isinstance(fg, dict):
         _fail("grids.fourier_grid", "expected an object")
+    _check_keys(fg, ("period", "samples"), "grids.fourier_grid")
     try:
         cfg["fourier_grid"] = multiplier.FourierGridSpec(
             float(_need(fg, "period", "grids.fourier_grid", float)),
@@ -607,7 +617,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, InsufficientDataError) as exc:
+    except (DomainError, InsufficientDataError, UnsupportedModelError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 1
     return 2

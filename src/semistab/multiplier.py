@@ -204,7 +204,7 @@ def _apply_values(symbol, vals, f, grid):
 def _dense_semigroup_samples(model, ts):
     if not isinstance(model, DenseMatrixModel):
         raise UnsupportedModelError("time-domain convolution needs a dense model")
-    return np.stack([model._expm_neg(t) for t in ts])
+    return model._expm_neg(ts)
 
 
 def semigroup_convolution(model, k, f, grid, tail_tol=1e-6):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
-from scipy.linalg import svdvals, toeplitz
+from scipy.linalg import svdvals
 from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
@@ -118,7 +118,6 @@ class OperatorModel(ABC):
             raise NearSingularityError(
                 f"lambda={lam} lies within {d:.3e} of the spectrum", d
             )
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +125,7 @@ class OperatorModel(ABC):
 
 
 def _nilpotent(n):
-    out = np.zeros((n, n))
-    for k in range(n - 1):
-        out[k, k + 1] = 1.0
-    return out
+    return np.eye(n, k=1)
 
 
 def _exp_series_coeffs(t, m):
@@ -156,24 +152,36 @@ def _shifted_power_rows(zetas, p, m):
     return out
 
 
-def _upper_toeplitz(coeffs):
-    col = np.zeros(len(coeffs), dtype=complex)
-    col[0] = coeffs[0]
-    return toeplitz(col, coeffs)
+def _toeplitz_stack(rows):
+    """Upper-triangular Toeplitz matrices T[..., i, j] = rows[..., j - i]
+    (zero below the diagonal), one per row of a stack of rows."""
+    rows = np.asarray(rows)
+    m = rows.shape[-1]
+    # m - 1 zeros ahead of each row, gathered at m - 1 + j - i
+    padded = np.zeros(rows.shape[:-1] + (2 * m - 1,), rows.dtype)
+    padded[..., m - 1 :] = rows
+    k = np.arange(m)
+    return padded[..., m - 1 + k - k[:, None]]
+
+
+def _row_product(a, b):
+    """Row of T(a) T(b) for stacked rows: their convolution truncated to m terms."""
+    return np.einsum("...i,...ij->...j", a, _toeplitz_stack(b))
 
 
 def _toeplitz_norm(coeffs):
-    return float(svdvals(_upper_toeplitz(coeffs))[0])
+    return float(svdvals(_toeplitz_stack(np.asarray(coeffs, dtype=complex)))[0])
 
 
 def _apply_series(coeffs, x):
-    """y_i = sum_k coeffs[k] * x[i+k], i.e. (sum_k coeffs[k] B^k) x."""
-    m = len(x)
-    y = np.zeros(m, dtype=complex)
-    for k, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        y[: m - k] += c * x[k:]
+    """(sum_k coeffs[..., k] B^k) x, i.e. y[..., i] = sum_k coeffs[..., k] x[..., i+k];
+    broadcast over leading axes, so one call applies a stack of rows to a
+    stack of vectors."""
+    coeffs = np.asarray(coeffs)
+    m = x.shape[-1]
+    y = np.zeros(np.broadcast_shapes(coeffs.shape, x.shape), dtype=complex)
+    for k in range(m):
+        y[..., : m - k] += coeffs[..., k : k + 1] * x[..., k:]
     return y
 
 
@@ -224,10 +232,16 @@ class DenseMatrixModel(OperatorModel):
         return x
 
     def _expm_neg(self, t):
-        """exp(-t A); eigen route when safely diagonalizable, else Pade."""
+        """exp(-t A) for a time or an array of times (stacked on the leading
+        axes); eigen route when safely diagonalizable, else Pade."""
+        t = np.asarray(t, dtype=float)[..., None, None]
         if self._diagonalizable:
-            return (self._eigvecs * np.exp(-t * self._eigvals)) @ self._eigvecs_inv
-        return _scipy_expm(-t * self.matrix)
+            out = (self._eigvecs * np.exp(-t * self._eigvals)) @ self._eigvecs_inv
+        else:
+            out = _scipy_expm(-t * self.matrix)
+        if not np.all(np.isfinite(out)):
+            raise DomainError("exp(-t A) overflows at the requested time")
+        return out
 
     # -- operations
 
@@ -265,10 +279,13 @@ class DenseMatrixModel(OperatorModel):
             raise DomainError("fractional indices must be >= 0")
         if alpha > 0 and not self.info.injective:
             raise DomainError("positive power of a non-injective matrix")
+        if alpha + beta > 0 and self.spectrum_distance(-1.0) < _SING_TOL:
+            raise DomainError("1 + A is singular: -1 is an eigenvalue of A")
         eye = np.eye(self.dim)
         if float(alpha).is_integer() and float(alpha + beta).is_integer():
             num = np.linalg.matrix_power(self.matrix, int(alpha))
-            den = np.linalg.matrix_power(np.linalg.inv(eye + self.matrix), int(alpha + beta))
+            # a negative power inverts first; power 0 inverts nothing
+            den = np.linalg.matrix_power(eye + self.matrix, -int(alpha + beta))
             return num @ den
         if self._diagonalizable:
             mu = self._eigvals
@@ -462,12 +479,15 @@ class JordanSumModel(OperatorModel):
         self.delta = float(delta)
         self.n_max = int(n_max)
         n0 = 2 if n_start is None else int(n_start)
+        if n0 < 1:
+            raise DomainError(f"need n_start >= 1, got {n0}")
+        # m(n) is nondecreasing, so this also bounds the search for n0
+        if self.n_max < 2 or self.block_size(self.n_max) < 2:
+            raise DomainError("truncation n_max retains no block with m(n) >= 2")
         while self.block_size(n0) < 2:
             n0 += 1
         if n0 > self.n_max:
-            raise DomainError("truncation n_max retains no block with m(n) >= 2")
-        if self.block_size(n0) < 2:
-            raise DomainError("n_start retains a block with m < 2")
+            raise DomainError("n_start is beyond the truncation n_max")
         self.n_start = n0
         self._groups = self._build_groups()
         # ((sigma, tau), Phi rows per group); replaced whole, never mutated,
@@ -549,11 +569,8 @@ class JordanSumModel(OperatorModel):
         self._check_resolvent_point(lam)
         out = {}
         for n, v in x.items():
-            m = len(v)
-            w = lam - self.eigenvalue(n)
-            ks = np.arange(m)
-            coeffs = (-1.0) ** ks * w ** (-(ks + 1.0))
-            out[n] = _apply_series(coeffs, v)
+            # (lam - A_n)^{-1} = -(zeta - B)^{-1} with zeta = eigenvalue(n) - lam
+            out[n] = _apply_series(-_shifted_power_rows(self.eigenvalue(n) - lam, -1, len(v))[0], v)
         return out
 
     def spectrum_distance(self, lam):
@@ -692,13 +709,22 @@ class JordanSumModel(OperatorModel):
 # operator matrices: multiplication by s minus a nilpotent shift
 
 
+def _bump_seeds(t, count):
+    """Maximisers s* = min(1, c/t) of exp(-t s) s^c for c < count."""
+    return [min(1.0, max(1e-9, c / t)) if t > 0 else 0.5 for c in range(count)]
+
+
 class OperatorMatrixModel(OperatorModel):
     """A = (mult by s) I - N on n copies of L^2(0,1), N the unit upper shift.
 
-    The operator acts through its n x n matrix symbol M(s) = s I - N, so
-    norms are suprema over s in (0,1) of pointwise spectral norms; the
-    suprema are seeded at the analytic critical points s* = min(1, c/t) of
-    the one-bump objectives exp(-t s) s^c and refined by golden section.
+    The symbol M(s) = s I - N is one Jordan block, so at each s every
+    operator the model needs is an upper-triangular Toeplitz matrix in N,
+    given by its coefficient row: e^{-t M(s)} has row e^{-ts} t^k/k!,
+    (lam + M(s))^{-1} the Taylor row of 1/z at lam + s, and Phi^sigma_tau
+    the row product of z^sigma at s and z^{-sigma-tau} at 1 + s.  Rows are
+    built for a whole array of s at once.  Norms are suprema over s in
+    (0,1) of batched spectral norms, seeded at the critical points
+    s* = min(1, c/t) of exp(-t s) s^c and refined by golden section.
     State vectors are samples of the n components on an interior grid.
     Not sectorial: the resolvent blows up like |lam|^{-n} at the origin.
     """
@@ -728,95 +754,68 @@ class OperatorMatrixModel(OperatorModel):
             )
         return x
 
-    def _expm_tN(self, t):
-        out = np.eye(self.n)
-        p = np.eye(self.n)
-        for k in range(1, self.n):
-            p = p @ (t * self.nilp) / k
-            out = out + p
-        return out
+    def _semigroup_rows(self, t, ss):
+        return np.exp(-t * ss)[:, None] * _exp_series_coeffs(t, self.n)
 
-    def symbol_phi(self, alpha, beta, s):
-        """Phi^alpha_beta symbol at s; alpha must be a nonnegative integer."""
-        if alpha < 0 or beta < 0:
+    def _phi_rows(self, sigma, tau, ss):
+        """Rows of Phi^sigma_tau(M(s)) at each s; sigma must be a nonnegative integer."""
+        if sigma < 0 or tau < 0:
             raise DomainError("fractional indices must be >= 0")
-        if not float(alpha).is_integer():
+        if not float(sigma).is_integer():
             raise DomainError(
                 "operator-matrix models support integer smoothing powers only "
                 "(fractional powers are unbounded at the spectral origin)"
             )
-        base = np.linalg.matrix_power(s * np.eye(self.n) - self.nilp, int(alpha))
-        rows = _shifted_power_rows(np.array([1.0 + s]), -(alpha + beta), self.n)[0]
-        den = sum(c * np.linalg.matrix_power(self.nilp, k) for k, c in enumerate(rows))
-        return base @ den
+        rows = _shifted_power_rows(1.0 + ss, -(sigma + tau), self.n)
+        if sigma:
+            rows = _row_product(_shifted_power_rows(ss, float(sigma), self.n), rows)
+        return rows
 
     # -- operations
 
     def semigroup_apply(self, t, x):
         self._check_semigroup_time(t)
         x = self._check_vec(x)
-        e = self._expm_tN(t)
-        return np.exp(-t * self.s_nodes)[:, None] * (x @ e.T)
+        return _apply_series(self._semigroup_rows(t, self.s_nodes), x)
 
     def resolvent_apply(self, lam, x):
         x = self._check_vec(x)
         self._check_resolvent_point(lam)
-        # ((lam - s) I + N)^{-1} = sum_k (-N)^k (lam - s)^{-k-1}
-        out = np.zeros_like(x)
-        shifted = x.copy()
-        denom = lam - self.s_nodes
-        for k in range(self.n):
-            out += ((-1.0) ** k) * shifted * (denom ** (-(k + 1)))[:, None]
-            shifted = shifted @ self.nilp.T
-        return out
+        # (lam - M(s))^{-1} = -(zeta - N)^{-1} with zeta = s - lam
+        return _apply_series(-_shifted_power_rows(self.s_nodes - lam, -1, self.n), x)
 
     def spectrum_distance(self, lam):
         lam = complex(lam)
         dx = 0.0 if 0.0 <= lam.real <= 1.0 else min(abs(lam.real), abs(lam.real - 1.0))
         return math.hypot(dx, lam.imag)
 
-    def _sup_symbol_norm(self, mat_at, extra_nodes=()):
-        def f(ss):
-            return np.array([float(np.linalg.norm(mat_at(s), 2)) for s in np.atleast_1d(ss)])
-
-        nodes = self._sup_nodes
-        if len(extra_nodes):
-            nodes = np.unique(np.concatenate([nodes, np.asarray(extra_nodes, dtype=float)]))
-        return sup_on_grid(f, nodes, warn_edges=())
+    def _sup_symbol_norm(self, rows_at, seeds=()):
+        """sup over s of the norm of the Toeplitz matrix with row rows_at(s)."""
+        nodes = np.unique(np.concatenate([self._sup_nodes, np.asarray(seeds, dtype=float)]))
+        return sup_on_grid(
+            lambda ss: np.linalg.norm(_toeplitz_stack(rows_at(ss)), 2, axis=(1, 2)),
+            nodes,
+            warn_edges=(),
+        )
 
     def semigroup_norm(self, t):
         self._check_semigroup_time(t)
-        e = self._expm_tN(t)
-        seeds = [min(1.0, max(1e-9, c / t)) if t > 0 else 0.5 for c in range(self.n)]
-        return self._sup_symbol_norm(lambda s: math.exp(-t * s) * e, seeds)
+        return self._sup_symbol_norm(lambda ss: self._semigroup_rows(t, ss), _bump_seeds(t, self.n))
 
     def shifted_resolvent_norm(self, lam):
         self._check_resolvent_point(-lam)
-
-        def mat(s):
-            out = np.zeros((self.n, self.n), dtype=complex)
-            p = np.eye(self.n)
-            for k in range(self.n):
-                out += p * (lam + s) ** (-(k + 1))
-                p = p @ self.nilp
-            return out
-
-        return self._sup_symbol_norm(mat)
+        return self._sup_symbol_norm(lambda ss: _shifted_power_rows(lam + ss, -1, self.n))
 
     def fractional_norm(self, t, sigma, tau):
         self._check_semigroup_time(t)
-        e = self._expm_tN(t)
-        seeds = [min(1.0, max(1e-9, c / t)) if t > 0 else 0.5 for c in range(2 * self.n)]
         return self._sup_symbol_norm(
-            lambda s: math.exp(-t * s) * e @ self.symbol_phi(sigma, tau, s), seeds
+            lambda ss: _row_product(self._semigroup_rows(t, ss), self._phi_rows(sigma, tau, ss)),
+            _bump_seeds(t, 2 * self.n),
         )
 
     def phi_closed_apply(self, alpha, beta, x):
         x = self._check_vec(x)
-        out = np.empty_like(x)
-        for i, s in enumerate(self.s_nodes):
-            out[i] = self.symbol_phi(alpha, beta, float(s)) @ x[i]
-        return out
+        return _apply_series(self._phi_rows(alpha, beta, self.s_nodes), x)
 
     def spectral_abscissa_neg(self):
         return 0.0

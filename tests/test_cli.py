@@ -3,8 +3,14 @@
 import csv
 import json
 import math
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semistab import battery, cli
 from semistab.errors import ConfigError
@@ -69,6 +75,14 @@ def test_validate_config_field_paths(tmp_path):
         ("indices", [[math.nan, 2.0]], "indices[0]"),
         ("grids", {"t_grid": {"start": 1.0, "stop": math.inf, "count": 4}}, "grids.t_grid.stop"),
         ("out_dir", 5, "out_dir"),
+        # unknown keys inside the nested objects
+        ("operator", {"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "nmax": 200}, "operator.nmax"),
+        ("operator", {"kind": "operator-matrix", "n": 2, "entries": [[1.0]]}, "operator.entries"),
+        ("operator", {"kind": "dense-matrix", "entries": [[1.0]], "n": None}, "operator.n"),
+        ("grids", {"t_grid": {"start": 1.0, "stop": 40.0, "count": 8, "cnt": 3}}, "grids.t_grid.cnt"),
+        ("grids", {"tgrid": {}}, "grids.tgrid"),
+        ("grids", {"fourier_grid": {"period": 200.0, "samples": 1024, "n": 1}}, "grids.fourier_grid.n"),
+        ("geometry", {"hilbret": True}, "geometry.hilbret"),
     ]
     for key, value, field in cases:
         cfg = _base_config(tmp_path)
@@ -267,3 +281,106 @@ def test_growth_fit_failure_exits_cleanly(tmp_path, capsys, command):
 def test_jsonable_handles_inf():
     assert cli._jsonable(math.inf) == "inf"
     assert cli._jsonable(1.5) == 1.5
+
+
+def test_readme_config_is_valid():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Config reference\n\n```json\n(.*?)```", text, re.S).group(1)
+    cli.validate_config(json.loads(block))
+
+
+# random configs for the fuzz test: each field is mostly a sensible value,
+# else a special number, null or a value of the wrong JSON type, and objects
+# sometimes carry an unknown key; size fields are always given and never
+# null, which would select a model's large default size
+_SPECIAL = st.sampled_from([0, -1, 0.5, 1.5, 1e-300, 1e300, math.nan, math.inf, -math.inf])
+_WRONG = st.one_of(st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
+                   st.just({}))
+_UNKNOWN = st.dictionaries(st.text("abcnstx_", min_size=1, max_size=5), st.integers(0, 2),
+                           min_size=1, max_size=1)
+
+
+def _field(good, nullable=True):
+    bad = st.one_of(_SPECIAL, _WRONG, *([st.none()] if nullable else []))
+    return st.integers(0, 11).flatmap(lambda i: bad if i == 0 else good)
+
+
+def _size(lo, hi):
+    return _field(st.integers(lo, hi), nullable=False)
+
+
+def _obj(required, optional=None):
+    known = st.fixed_dictionaries(required, optional=optional or {})
+    return st.integers(0, 11).flatmap(
+        lambda i: st.builds(lambda a, b: {**a, **b}, known, _UNKNOWN) if i == 0 else known
+    )
+
+
+_NUM = st.floats
+_ENTRIES = st.integers(1, 3).flatmap(
+    lambda d: st.lists(
+        st.lists(_field(st.one_of(_NUM(-2, 2), st.tuples(_NUM(-2, 2), _NUM(-2, 2)).map(list))),
+                 min_size=d, max_size=d),
+        min_size=d, max_size=d,
+    )
+)
+_OPERATOR = st.one_of(
+    _obj({"kind": _field(st.just("dense-matrix")), "entries": _field(_ENTRIES)}),
+    _obj({"kind": _field(st.just("diagonal-symbol")), "a": _field(_NUM(0.1, 3)),
+          "b": _field(_NUM(0.05, 0.95)), "grid_count": _size(2, 16)},
+         {"s_start": _field(_NUM(1, 10)), "s_max": _field(_NUM(10, 1e6)),
+          "sobolev": _field(st.booleans())}),
+    _obj({"kind": _field(st.just("jordan-sum")), "gamma": _field(_NUM(0.05, 0.95)),
+          "delta": _field(_NUM(0.2, 0.8)), "n_max": _size(2, 64)},
+         {"n_start": _size(1, 16)}),
+    _obj({"kind": _field(st.just("operator-matrix")), "n": _size(2, 4), "s_count": _size(1, 16)}),
+)
+_GRIDS = _obj({}, {
+    "t_grid": _field(_obj({"start": _field(_NUM(0.5, 5)), "stop": _field(_NUM(5, 100)),
+                           "count": _size(2, 6)})),
+    "xi_grid": _field(_obj({"start": _field(_NUM(0.01, 0.5)), "stop": _field(_NUM(2, 100)),
+                            "count": _size(2, 24)})),
+    "fourier_grid": _field(_obj({"period": _field(_NUM(1, 100)), "samples": _size(2, 64)})),
+})
+_GEOMETRY = _obj({}, {
+    "hilbert": _field(st.booleans()), "fourier_type": _field(_NUM(1, 2)),
+    "type_p": _field(_NUM(1, 2)), "cotype_q": _field(_NUM(2, 10)),
+    "lattice": _field(st.tuples(_NUM(1, 2), _NUM(2, 10)).map(list)),
+    "positive_semigroup": _field(st.booleans()), "zeta_negative_asserted": _field(st.booleans()),
+    "r_resolvent_growth_asserted": _field(st.booleans()),
+})
+_CONFIG = _obj({"operator": _field(_OPERATOR)}, {
+    "grids": _field(_GRIDS),
+    "geometry": _field(_GEOMETRY),
+    "indices": _field(st.lists(_field(st.tuples(_NUM(0, 3), _NUM(0, 3)).map(list)),
+                               min_size=1, max_size=2)),
+    "tolerances": _field(_obj({}, {"fit_tol": _field(_NUM(0.01, 1)),
+                                   "consistency_tol": _field(_NUM(0.01, 1))})),
+    "seed": _field(st.integers(0, 5)),
+    "threads": _size(1, 4),
+    "out_dir": _field(st.text(max_size=3)),
+})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(config=_CONFIG)
+# exp(-tA) overflows (growing semigroup); 1 + A singular, with and without
+# a smoothing index; fractional power of a defective matrix; the block
+# search of a tiny delta; a zero n_start
+@example(config={"operator": {"kind": "dense-matrix", "entries": [[-0.5]]}})
+@example(config={"operator": {"kind": "dense-matrix", "entries": [[-1]]}})
+@example(config={"operator": {"kind": "dense-matrix", "entries": [[-1]]}, "indices": [[0, 0]],
+                 "grids": {"t_grid": {"start": 0.5, "stop": 5.0, "count": 6}}})
+@example(config={"operator": {"kind": "dense-matrix", "entries": [[1, 1], [0, 1]]},
+                 "indices": [[0.5, 1.0]]})
+@example(config={"operator": {"kind": "jordan-sum", "gamma": 0.5, "delta": 1e-300, "n_max": 64}})
+@example(config={"operator": {"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 64,
+                              "n_start": 0}})
+def test_decay_fuzz_exits_cleanly(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(["decay", "--config", str(path), "--out-dir", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)

@@ -439,6 +439,126 @@ def test_opmatrix_rejects_fractional_sigma():
         model.fractional_norm(1.0, 0.5, 0.0)
 
 
+# the upper-triangular Toeplitz row algebra behind the block models
+
+
+def _rows(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _dense_toeplitz(row):
+    return toeplitz(np.concatenate([row[:1], np.zeros(len(row) - 1)]), row)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5), m=st.integers(1, 12))
+def test_toeplitz_stack_matches_scipy(seed, count, m):
+    rows = _rows(seed, (count, m))
+    stack = operators._toeplitz_stack(rows)
+    for row, mat in zip(rows, stack):
+        assert np.array_equal(mat, _dense_toeplitz(row))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5), m=st.integers(1, 12))
+def test_row_product_matches_matrix_product(seed, count, m):
+    a, b = _rows(seed, (2, count, m))
+    got = operators._toeplitz_stack(operators._row_product(a, b))
+    for i in range(count):
+        want = _dense_toeplitz(a[i]) @ _dense_toeplitz(b[i])
+        np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5), m=st.integers(1, 12))
+def test_apply_series_on_stacked_rows(seed, count, m):
+    rows, x = _rows(seed, (2, count, m))
+    got = operators._apply_series(rows, x)
+    for i in range(count):
+        want = _dense_toeplitz(rows[i]) @ x[i]
+        np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+# the dense per-s symbols the operator-matrix model used to evaluate, kept
+# as the reference for its Toeplitz-row evaluation
+
+
+def _dense_expm_tN(model, t):
+    out = np.eye(model.n)
+    p = np.eye(model.n)
+    for k in range(1, model.n):
+        p = p @ (t * model.nilp) / k
+        out = out + p
+    return out
+
+
+def _dense_symbol_phi(model, alpha, beta, s):
+    base = np.linalg.matrix_power(s * np.eye(model.n) - model.nilp, int(alpha))
+    rows = operators._shifted_power_rows(np.array([1.0 + s]), -(alpha + beta), model.n)[0]
+    den = sum(c * np.linalg.matrix_power(model.nilp, k) for k, c in enumerate(rows))
+    return base @ den
+
+
+def _dense_symbols(model, t, sigma, tau, lam):
+    e = _dense_expm_tN(model, t)
+    return {
+        "semigroup": lambda s: math.exp(-t * s) * e,
+        "fractional": lambda s: math.exp(-t * s) * e @ _dense_symbol_phi(model, sigma, tau, s),
+        "resolvent": lambda s: sum(
+            np.linalg.matrix_power(model.nilp, k) * (lam + s) ** (-(k + 1)) for k in range(model.n)
+        ),
+    }
+
+
+def _dense_sup(model, mat, seeds=()):
+    def f(ss):
+        return np.array([float(np.linalg.norm(mat(s), 2)) for s in np.atleast_1d(ss)])
+
+    nodes = model._sup_nodes
+    if len(seeds):
+        nodes = np.unique(np.concatenate([nodes, np.asarray(seeds, dtype=float)]))
+    return numcore.sup_on_grid(f, nodes, warn_edges=())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 4),
+    t=st.floats(0.0, 1e3),
+    sigma=st.integers(0, 3),
+    tau=st.floats(0.0, 3.0),
+    lam=st.complex_numbers(max_magnitude=4.0),
+)
+@example(n=4, t=1e3, sigma=3, tau=0.0, lam=0.5j)
+@example(n=3, t=0.0, sigma=0, tau=0.0, lam=-1.5 + 0j)
+def test_opmatrix_norms_match_dense_symbols(n, t, sigma, tau, lam):
+    model = operators.OperatorMatrixModel(n, 8)
+    assume(model.spectrum_distance(-lam) > 1e-2)
+    dense = _dense_symbols(model, t, sigma, tau, lam)
+    ss = model._sup_nodes
+    rows = {
+        "semigroup": model._semigroup_rows(t, ss),
+        "fractional": operators._row_product(
+            model._semigroup_rows(t, ss), model._phi_rows(sigma, tau, ss)
+        ),
+    }
+    for kind, row in rows.items():
+        got = np.linalg.norm(operators._toeplitz_stack(row), 2, axis=(1, 2))
+        want = np.array([np.linalg.norm(dense[kind](s), 2) for s in ss])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def seeds(count):
+        return [min(1.0, max(1e-9, c / t)) if t > 0 else 0.5 for c in range(count)]
+
+    sups = [
+        (model.semigroup_norm(t), _dense_sup(model, dense["semigroup"], seeds(n))),
+        (model.fractional_norm(t, sigma, tau), _dense_sup(model, dense["fractional"], seeds(2 * n))),
+        (model.shifted_resolvent_norm(lam), _dense_sup(model, dense["resolvent"])),
+    ]
+    for got, want in sups:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_diagonal_edge_domination_flagged():
     model = operators.DiagonalSymbolModel(
         1.0, 0.5, numcore.geometric_grid(1.0 + 1e-6, 1e4, 512)
