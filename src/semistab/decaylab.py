@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numcore import ExpRateFit, LogGrid, PowerFit, fit_exp_rate, fit_power_law
+from .numcore import ExpRateFit, LogGrid, PowerFit, default_window, fit_exp_rate, fit_power_law
 
 INF = math.inf
 
@@ -333,15 +333,21 @@ def measure_decay(model, sigma, tau, t_grid, window=None, with_growth=False):
 
     ``rho_hat`` is the fitted decay exponent (positive = decay).  With
     ``with_growth`` the growth exponent of ||T(t)|| on X is fitted over
-    the same window for the growth-aware predictors.
+    the same window for the growth-aware predictors.  A norm that
+    underflows to exactly 0 lies below the smallest double, a decay no
+    power of t on the grid reaches: the fit window ends before the first
+    such norm and the measurement is classified super-polynomial.
     """
     norms = np.array([model.fractional_norm(t, sigma, tau) for t in t_grid.nodes])
-    fit = fit_power_law(t_grid, norms, window=window)
-    exp_fit = fit_exp_rate(t_grid.nodes, norms, window=window)
-    growth = None
-    if with_growth:
-        gnorms = np.array([model.semigroup_norm(t) for t in t_grid.nodes])
-        growth = fit_power_law(t_grid, gnorms, window=window).exponent
+    gnorms = np.array([model.semigroup_norm(t) for t in t_grid.nodes]) if with_growth else None
+    lo, hi = default_window(len(norms)) if window is None else window
+    zero = norms == 0.0 if gnorms is None else (norms == 0.0) | (gnorms == 0.0)
+    underflow = np.flatnonzero(zero[lo:hi])
+    if underflow.size:
+        hi = lo + int(underflow[0])
+    fit = fit_power_law(t_grid, norms, window=(lo, hi))
+    exp_fit = fit_exp_rate(t_grid.nodes, norms, window=(lo, hi))
+    growth = None if gnorms is None else fit_power_law(t_grid, gnorms, window=(lo, hi)).exponent
     return DecayMeasurement(
         float(sigma),
         float(tau),
@@ -350,7 +356,7 @@ def measure_decay(model, sigma, tau, t_grid, window=None, with_growth=False):
         fit,
         -fit.exponent,
         exp_fit,
-        _classify_super_polynomial(fit, exp_fit),
+        bool(underflow.size) or _classify_super_polynomial(fit, exp_fit),
         growth,
     )
 

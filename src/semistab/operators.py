@@ -28,6 +28,7 @@ import math
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
@@ -442,6 +443,27 @@ class DiagonalSymbolModel(OperatorModel):
 # direct sums of shifted Jordan blocks
 
 
+def _exp_convolve(rows, t):
+    """Rows of exp(t B_m) T(row): each row convolved with t^k/k!, truncated to m terms."""
+    m = rows.shape[-1]
+    return fftconvolve(rows, _exp_series_coeffs(t, m)[None, :], axes=1)[:, :m]
+
+
+class _BlockRows(NamedTuple):
+    """Coefficient rows of a set of blocks, grouped by block size.
+
+    Group g holds rows starts[g]:starts[g+1], which are zero beyond its
+    block size sizes[g]; rows[i] belongs to block ns[i] and l1[i] is its
+    l1 norm.
+    """
+
+    ns: np.ndarray
+    rows: np.ndarray
+    l1: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
 class JordanSumModel(OperatorModel):
     """Truncated direct sum over n of (-i n + gamma - B_{m(n)}).
 
@@ -452,7 +474,7 @@ class JordanSumModel(OperatorModel):
     operator norms are block-wise suprema.
 
     Each block operator is an upper-triangular Toeplitz matrix, so it is
-    given by its coefficient row.  Two facts avoid an SVD per block:
+    given by its coefficient row.  Three facts avoid an SVD per block:
 
     * Resolvent: the block of (lam + A)^{-1} at n has row w^{-(k+1)} with
       w = lam + gamma - i n.  The unitary phase change diag(e^{ik arg w})
@@ -462,12 +484,24 @@ class JordanSumModel(OperatorModel):
       one row per group decides the supremum.
     * Any row set: ||T_i|| <= ||T_j|| + ||row_i - row_j||_1 for blocks of
       one group, and ||T_i|| <= ||row_i||_1.  ``_sup_over_blocks`` runs a
-      branch and bound on these bounds: seeded with the SVD at the block
-      of largest l2 row norm, it always takes the SVD of the block with
-      the largest remaining bound, until no bound exceeds the best value.
+      branch and bound on these bounds: it always takes the SVD of the
+      block with the largest remaining bound, until no bound exceeds the
+      best value.
+    * Semigroup factor: the row of T(t) Phi_n is the truncated convolution
+      e(t) * phi_n with e_k = t^k/k! >= 0, so ||e(t) * phi||_1 <= s_m(t)
+      ||phi||_1 with s_m(t) = sum_{k<m} t^k/k!.  Hence ||T(t) Phi_n|| <=
+      s_m(t) ||phi_n||_1 and, within a group, ||T(t)(Phi_i - Phi_j)|| <=
+      s_m(t) ||phi_i - phi_j||_1.  The branch and bound starts from these
+      bounds on the cached Phi rows.  At its first visit to a group it
+      convolves one row, of the block with the largest bound, and sends
+      it to an SVD unless the row's l1 norm already rules it out.  A group
+      that stays open after that visit falls back to its exact rows (one
+      convolution for the group) and the bounds of the previous fact.  At
+      t = 0, T(0) Phi = Phi, so the Phi rows are the exact rows.
 
-    The rows of A^sigma (1+A)^{-sigma-tau} do not depend on t; the last
-    (sigma, tau) used is kept, so a sweep over t builds them once.
+    The rows of A^sigma (1+A)^{-sigma-tau} and their l1 norms do not
+    depend on t; the last (sigma, tau) used is kept, so a sweep over t
+    builds them once.
     """
 
     def __init__(self, gamma, delta, n_max=10**4, n_start=None):
@@ -490,7 +524,10 @@ class JordanSumModel(OperatorModel):
             raise DomainError("n_start is beyond the truncation n_max")
         self.n_start = n0
         self._groups = self._build_groups()
-        # ((sigma, tau), Phi rows per group); replaced whole, never mutated,
+        self._sizes = np.array([m for m, _, _ in self._groups])
+        self._firsts = np.array([a for _, a, _ in self._groups], dtype=float)
+        self._lasts = np.array([b for _, _, b in self._groups], dtype=float)
+        # ((sigma, tau), _BlockRows of Phi); replaced whole, never mutated,
         # so a thread that reads it into a local sees one consistent pair
         self._phi_cache = None
         angle = math.atan2(self.n_max, self.gamma)
@@ -587,39 +624,55 @@ class JordanSumModel(OperatorModel):
             _exp_series_coeffs(t, m).astype(complex)
         )
 
-    def _sup_over_blocks(self, rows_per_group, label):
-        """Exact sup of block norms given per-group coefficient rows.
+    def _sup_over_blocks(self, blocks, label, t=0.0):
+        """Exact sup of the block norms of ``blocks`` (a ``_BlockRows``).
 
-        rows_per_group: list of (ns, rows) where rows[i] holds the
-        Toeplitz coefficients of block ns[i].  Branch and bound: a block
-        is sent to an SVD only while its upper bound (see the class
-        docstring) could beat the best value found, with a relative
-        margin of ``_BOUND_MARGIN`` for rounding in the SVD and the bound.
+        The blocks' rows are e(t) * blocks.rows, truncated (see the class
+        docstring); at t = 0 they are blocks.rows themselves.  Branch and
+        bound: a block is sent to an SVD only while its upper bound could
+        beat the best value found, with a relative margin of
+        ``_BOUND_MARGIN`` for rounding in the SVD and the bound.
         """
-        lmax = 0.0
-        seed = None
-        for g, (ns, rows) in enumerate(rows_per_group):
-            l2 = np.linalg.norm(rows, axis=1)
-            i = int(np.argmax(l2))
-            if l2[i] > lmax:
-                lmax, seed = float(l2[i]), (g, i)
-        bounds = [np.abs(rows).sum(axis=1) for _, rows in rows_per_group]
-        tops = np.array([float(ub.max()) for ub in bounds])
+        starts, sizes, phi = blocks.starts, blocks.sizes, blocks.rows
+        ub = blocks.l1.copy()
+        if t:
+            gains = np.cumsum(_exp_series_coeffs(t, int(sizes[-1])))[sizes - 1]
+            ub *= np.repeat(gains, np.diff(starts))
+        exact = {}  # group -> its rows e(t) * phi, once it stays open
         best = 0.0
         best_n = None
-        g_i = seed
-        while g_i is not None:
-            g, i = g_i
-            ns, rows = rows_per_group[g]
-            val = _toeplitz_norm(rows[i])
-            if val > best:
-                best, best_n = val, int(ns[i])
-            ub = bounds[g]
-            ub[i] = -np.inf
-            np.minimum(ub, val + np.abs(rows - rows[i]).sum(axis=1), out=ub)
-            tops[g] = ub.max()
-            g = int(np.argmax(tops))
-            g_i = (g, int(np.argmax(bounds[g]))) if tops[g] * _BOUND_MARGIN > best else None
+        while True:
+            i = int(np.argmax(ub))
+            if not ub[i] * _BOUND_MARGIN > best:
+                break
+            g = int(np.searchsorted(starts, i, side="right")) - 1
+            lo, hi, m = starts[g], starts[g + 1], sizes[g]
+            rows = exact.get(g) if t else phi[lo:hi, :m]
+            if rows is None:
+                # first visit to the group: convolve this row alone; its l1
+                # norm may rule the block out without an SVD
+                row = _exp_convolve(phi[i : i + 1, :m], t)[0]
+                val = np.abs(row).sum()
+            else:
+                row, val = rows[i - lo], np.inf
+            if val * _BOUND_MARGIN > best:
+                val = _toeplitz_norm(row)
+                if val > best:
+                    best, best_n = val, int(blocks.ns[i])
+            # val now bounds the block's norm: its SVD, or its l1 norm
+            seg = ub[lo:hi]
+            seg[i - lo] = -np.inf
+            if rows is None:
+                diff = np.abs(phi[lo:hi, :m] - phi[i, :m]).sum(axis=1)
+                np.minimum(seg, val + gains[g] * diff, out=seg)
+                if not seg.max() * _BOUND_MARGIN > best:
+                    continue
+                # the group stays open: take its exact rows and their bounds
+                rows = exact[g] = np.ascontiguousarray(_exp_convolve(phi[lo:hi, :m], t))
+                np.minimum(seg, np.abs(rows).sum(axis=1), out=seg)
+            # a bound at most best/margin stays so, as best only grows
+            live = np.flatnonzero(seg * _BOUND_MARGIN > best)
+            seg[live] = np.minimum(seg[live], val + np.abs(rows[live] - row).sum(axis=1))
         if best_n is not None and best_n == self.n_max:
             warnings.warn(
                 f"supremum of {label} attained at the truncation block n={self.n_max}; "
@@ -629,47 +682,48 @@ class JordanSumModel(OperatorModel):
             )
         return best
 
-    @staticmethod
-    def _nearest_blocks(x, a, b):
-        """Blocks of [a, b] nearest x: one, or both neighbours on an exact tie."""
-        lo = min(max(math.floor(x), a), b)
-        hi = min(lo + 1, b)
-        if lo == hi or abs(x - lo) < abs(x - hi):
-            return np.array([lo])
-        if abs(x - hi) < abs(x - lo):
-            return np.array([hi])
-        return np.array([lo, hi])
-
     def shifted_resolvent_norm(self, lam):
         self._check_resolvent_point(-lam)
         x = complex(lam).imag
-        rows_per_group = []
-        for m, a, b in self._groups:
-            ns = self._nearest_blocks(x, a, b)
-            w = lam - 1j * ns.astype(float) + self.gamma
-            ks = np.arange(m)
-            # at large |w| the power overflows w^(k+1) and gives nan where
-            # the entry underflows to 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                rows = w[:, None] ** (-(ks[None, :] + 1.0))
-            rows[np.isnan(rows) & (np.abs(w) > 1.0)[:, None]] = 0.0
-            rows_per_group.append((ns, rows))
-        return self._sup_over_blocks(rows_per_group, f"(lam+A)^-1 at lam={lam}")
+        # the block of each group nearest x, or both neighbours on an exact tie
+        lo = np.minimum(np.maximum(np.floor(x), self._firsts), self._lasts)
+        hi = np.minimum(lo + 1.0, self._lasts)
+        d_lo, d_hi = np.abs(x - lo), np.abs(x - hi)
+        take = np.stack([(lo == hi) | (d_lo <= d_hi), (lo != hi) & (d_hi <= d_lo)], axis=1)
+        ns = np.stack([lo, hi], axis=1)[take]
+        counts = take.sum(axis=1)
+        w = lam - 1j * ns + self.gamma
+        ks = np.arange(self._sizes[-1])
+        # at large |w| the power overflows w^(k+1) and gives nan where
+        # the entry underflows to 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = w[:, None] ** (-(ks[None, :] + 1.0))
+        rows[np.isnan(rows) & (np.abs(w) > 1.0)[:, None]] = 0.0
+        rows[ks[None, :] >= np.repeat(self._sizes, counts)[:, None]] = 0.0
+        blocks = _BlockRows(ns, rows, np.abs(rows).sum(axis=1),
+                            np.concatenate([[0], np.cumsum(counts)]), self._sizes)
+        return self._sup_over_blocks(blocks, f"(lam+A)^-1 at lam={lam}")
 
     def _phi_rows(self, sigma, tau):
-        """Per group (ns, rows of A^sigma (1+A)^{-sigma-tau}), cached for
-        the last (sigma, tau)."""
+        """``_BlockRows`` of A^sigma (1+A)^{-sigma-tau} over every block,
+        cached for the last (sigma, tau)."""
         cache = self._phi_cache
         if cache is None or cache[0] != (sigma, tau):
-            rows_per_group = []
+            n0 = self.n_start
+            rows = np.zeros((self.n_max - n0 + 1, self._sizes[-1]), dtype=complex)
+            l1 = np.empty(len(rows))
             for m, a, b in self._groups:
                 ns = np.arange(a, b + 1).astype(float)
-                rows = _shifted_power_rows(1.0 + self.gamma - 1j * ns, -(sigma + tau), m)
+                phi = _shifted_power_rows(1.0 + self.gamma - 1j * ns, -(sigma + tau), m)
                 if sigma:
                     num = _shifted_power_rows(self.gamma - 1j * ns, float(sigma), m)
-                    rows = fftconvolve(rows, num, axes=1)[:, :m]
-                rows_per_group.append((np.arange(a, b + 1), rows))
-            cache = ((sigma, tau), rows_per_group)
+                    phi = fftconvolve(phi, num, axes=1)[:, :m]
+                rows[a - n0 : b - n0 + 1, :m] = phi
+                l1[a - n0 : b - n0 + 1] = np.abs(phi).sum(axis=1)
+            starts = np.append(self._firsts - n0, len(rows)).astype(int)
+            blocks = _BlockRows(np.arange(n0, self.n_max + 1), rows, l1,
+                                starts, self._sizes)
+            cache = ((sigma, tau), blocks)
             self._phi_cache = cache
         return cache[1]
 
@@ -679,14 +733,8 @@ class JordanSumModel(OperatorModel):
             raise DomainError("fractional indices must be >= 0")
         if sigma == 0 and tau == 0:
             return self.semigroup_norm(t)
-        scale = math.exp(-self.gamma * t)
-        rows_per_group = []
-        for ns, phi in self._phi_rows(sigma, tau):
-            m = phi.shape[1]
-            ecf = _exp_series_coeffs(t, m)
-            rows_per_group.append((ns, fftconvolve(phi, ecf[None, :], axes=1)[:, :m]))
-        return scale * self._sup_over_blocks(
-            rows_per_group, f"T({t})Phi^{sigma}_{tau}"
+        return math.exp(-self.gamma * t) * self._sup_over_blocks(
+            self._phi_rows(sigma, tau), f"T({t})Phi^{sigma}_{tau}", t
         )
 
     def phi_closed_apply(self, alpha, beta, x):

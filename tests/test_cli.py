@@ -182,6 +182,31 @@ def test_analyze_jordan_sum_thread_determinism(tmp_path):
     assert len(json.loads(s1)["measurements"]) == 3
 
 
+@pytest.mark.parametrize(
+    "operator",
+    [
+        {"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 500},
+        {"kind": "dense-matrix", "entries": [[1.0, 1.0], [0.0, [2.0, 0.5]]]},
+    ],
+    ids=["jordan-sum", "dense-matrix"],
+)
+def test_analyze_norms_that_underflow_are_super_polynomial(tmp_path, operator):
+    # exponentially stable models: on t in [10, 1e4] the norms underflow to
+    # exactly 0 at large t, which no power-law fit can take
+    cfg = _base_config(tmp_path / "o")
+    cfg["operator"] = operator
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main(["analyze", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+    assert code == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["overall"] == "PASS"
+    assert [m["super_polynomial"] for m in summary["measurements"]] == [True, True]
+    with open(tmp_path / "o" / "decay.csv", newline="") as fh:
+        values = [float(r["value"]) for r in csv.DictReader(fh)]
+    assert 0.0 in values and all(math.isfinite(v) for v in values)
+
+
 def test_decay_subcommand(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_base_config(tmp_path / "d")))

@@ -259,6 +259,15 @@ def test_jordan_sup_matches_brute_force():
     sigma=st.floats(0.0, 2.0),
     tau=st.floats(0.0, 5.0),
 )
+# tau = 0 with sigma > 0: block norms all close to 1, so groups stay open
+# after their first visit and fall back to their exact rows
+@example(gamma=0.5, delta=0.7, n_max=200, t=1.0, sigma=0.1, tau=0.0)
+@example(gamma=0.5, delta=0.7, n_max=200, t=20.0, sigma=2.0, tau=0.0)
+# t = 0: the Phi rows are the exact rows
+@example(gamma=0.5, delta=0.7, n_max=200, t=0.0, sigma=1.0, tau=0.5)
+@example(gamma=0.3, delta=0.6, n_max=300, t=0.0, sigma=0.0, tau=1.0)
+# a group that falls back to its exact rows with tau > 0
+@example(gamma=0.3, delta=0.6, n_max=2000, t=7.5, sigma=0.0, tau=1.0)
 def test_jordan_sup_matches_brute_force_random_indices(gamma, delta, n_max, t, sigma, tau):
     assume(sigma + tau > 0.0)
     model = operators.JordanSumModel(gamma, delta, n_max)
@@ -267,11 +276,25 @@ def test_jordan_sup_matches_brute_force_random_indices(gamma, delta, n_max, t, s
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def _block_rows(groups):
+    """_BlockRows of [(ns, rows)] groups, zero-padded to the widest row."""
+    width = max(rows.shape[1] for _, rows in groups)
+    padded = [np.pad(rows, ((0, 0), (0, width - rows.shape[1]))) for _, rows in groups]
+    rows = np.concatenate(padded)
+    starts = np.cumsum([0] + [len(r) for r in padded])
+    sizes = np.array([r.shape[1] for _, r in groups])
+    ns = np.concatenate([ns for ns, _ in groups])
+    return operators._BlockRows(ns, rows, np.abs(rows).sum(axis=1), starts, sizes)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), spread=st.floats(1e-3, 2.0))
-def test_jordan_branch_and_bound_on_random_rows(seed, spread):
+@given(seed=st.integers(0, 2**32 - 1), spread=st.floats(1e-3, 2.0), t=st.floats(0.0, 30.0))
+@example(seed=0, spread=1e-3, t=0.0)
+@example(seed=1, spread=0.5, t=0.0)
+def test_jordan_branch_and_bound_on_random_rows(seed, spread, t):
     # rows scattered around a common row, so the Lipschitz bound
-    # ||T_i|| <= ||T_j|| + ||row_i - row_j||_1 decides which blocks get an SVD
+    # ||T_i|| <= ||T_j|| + ||row_i - row_j||_1 decides which blocks get an
+    # SVD; at t > 0 the rows are Phi factors and the blocks e(t) * phi
     rng = np.random.default_rng(seed)
     model = operators.JordanSumModel(0.5, 0.5, 100)
     groups = []
@@ -279,8 +302,34 @@ def test_jordan_branch_and_bound_on_random_rows(seed, spread):
         base = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         noise = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
         groups.append((np.arange(20 * g, 20 * g + 20), base + spread * noise))
-    want = max(operators._toeplitz_norm(row) for _, rows in groups for row in rows)
-    assert model._sup_over_blocks(groups, "random rows") == want
+    blocks = [operators._exp_convolve(rows, t) if t else rows for _, rows in groups]
+    want = max(operators._toeplitz_norm(row) for rows in blocks for row in rows)
+    assert model._sup_over_blocks(_block_rows(groups), "random rows", t) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 40),
+    t=st.floats(0.0, 60.0),
+    spread=st.floats(1e-3, 2.0),
+)
+@example(seed=0, m=2, t=0.0, spread=1.0)
+@example(seed=3, m=40, t=60.0, spread=1e-3)
+def test_jordan_factored_bounds_on_random_rows(seed, m, t, spread):
+    # T(t) Phi has row e(t) * phi with e_k = t^k/k! >= 0, so its norm and
+    # the norm of a difference within a group are at most s_m(t) times the
+    # l1 norm of the Phi row(s), s_m(t) = sum_{k<m} t^k/k!
+    rng = np.random.default_rng(seed)
+    decay = np.exp(-rng.uniform(0.0, 3.0) * np.arange(m))
+    phi_i = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * decay
+    phi_j = phi_i + spread * (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * decay
+    gain = math.fsum(t**k / math.factorial(k) for k in range(m))
+    rows = operators._exp_convolve(np.stack([phi_i, phi_j]), t)
+    margin = operators._BOUND_MARGIN
+    assert operators._toeplitz_norm(rows[0]) <= margin * gain * np.abs(phi_i).sum()
+    diff_bound = margin * gain * np.abs(phi_i - phi_j).sum()
+    assert operators._toeplitz_norm(rows[0] - rows[1]) <= diff_bound
 
 
 _CACHE_CALLS = [
