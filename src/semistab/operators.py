@@ -452,13 +452,14 @@ def _exp_convolve(rows, t):
 class _BlockRows(NamedTuple):
     """Coefficient rows of a set of blocks, grouped by block size.
 
-    Group g holds rows starts[g]:starts[g+1], which are zero beyond its
-    block size sizes[g]; rows[i] belongs to block ns[i] and l1[i] is its
-    l1 norm.
+    Blocks are numbered group after group; group g owns the numbers
+    starts[g]:starts[g+1] and rows[g] holds their rows, of length
+    sizes[g].  Block number i is block ns[i] and l1[i] is the l1 norm of
+    its row.  Each group has its own array, so no array spans all blocks.
     """
 
     ns: np.ndarray
-    rows: np.ndarray
+    rows: tuple
     l1: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
@@ -633,7 +634,7 @@ class JordanSumModel(OperatorModel):
         beat the best value found, with a relative margin of
         ``_BOUND_MARGIN`` for rounding in the SVD and the bound.
         """
-        starts, sizes, phi = blocks.starts, blocks.sizes, blocks.rows
+        starts, sizes = blocks.starts, blocks.sizes
         ub = blocks.l1.copy()
         if t:
             gains = np.cumsum(_exp_series_coeffs(t, int(sizes[-1])))[sizes - 1]
@@ -646,29 +647,30 @@ class JordanSumModel(OperatorModel):
             if not ub[i] * _BOUND_MARGIN > best:
                 break
             g = int(np.searchsorted(starts, i, side="right")) - 1
-            lo, hi, m = starts[g], starts[g + 1], sizes[g]
-            rows = exact.get(g) if t else phi[lo:hi, :m]
+            lo, hi = starts[g], starts[g + 1]
+            phi, j = blocks.rows[g], i - lo
+            rows = exact.get(g) if t else phi
             if rows is None:
                 # first visit to the group: convolve this row alone; its l1
                 # norm may rule the block out without an SVD
-                row = _exp_convolve(phi[i : i + 1, :m], t)[0]
+                row = _exp_convolve(phi[j : j + 1], t)[0]
                 val = np.abs(row).sum()
             else:
-                row, val = rows[i - lo], np.inf
+                row, val = rows[j], np.inf
             if val * _BOUND_MARGIN > best:
                 val = _toeplitz_norm(row)
                 if val > best:
                     best, best_n = val, int(blocks.ns[i])
             # val now bounds the block's norm: its SVD, or its l1 norm
             seg = ub[lo:hi]
-            seg[i - lo] = -np.inf
+            seg[j] = -np.inf
             if rows is None:
-                diff = np.abs(phi[lo:hi, :m] - phi[i, :m]).sum(axis=1)
+                diff = np.abs(phi - phi[j]).sum(axis=1)
                 np.minimum(seg, val + gains[g] * diff, out=seg)
                 if not seg.max() * _BOUND_MARGIN > best:
                     continue
                 # the group stays open: take its exact rows and their bounds
-                rows = exact[g] = np.ascontiguousarray(_exp_convolve(phi[lo:hi, :m], t))
+                rows = exact[g] = np.ascontiguousarray(_exp_convolve(phi, t))
                 np.minimum(seg, np.abs(rows).sum(axis=1), out=seg)
             # a bound at most best/margin stays so, as best only grows
             live = np.flatnonzero(seg * _BOUND_MARGIN > best)
@@ -700,8 +702,9 @@ class JordanSumModel(OperatorModel):
             rows = w[:, None] ** (-(ks[None, :] + 1.0))
         rows[np.isnan(rows) & (np.abs(w) > 1.0)[:, None]] = 0.0
         rows[ks[None, :] >= np.repeat(self._sizes, counts)[:, None]] = 0.0
-        blocks = _BlockRows(ns, rows, np.abs(rows).sum(axis=1),
-                            np.concatenate([[0], np.cumsum(counts)]), self._sizes)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        per_group = tuple(rows[a:b, :m] for a, b, m in zip(starts[:-1], starts[1:], self._sizes))
+        blocks = _BlockRows(ns, per_group, np.abs(rows).sum(axis=1), starts, self._sizes)
         return self._sup_over_blocks(blocks, f"(lam+A)^-1 at lam={lam}")
 
     def _phi_rows(self, sigma, tau):
@@ -709,19 +712,21 @@ class JordanSumModel(OperatorModel):
         cached for the last (sigma, tau)."""
         cache = self._phi_cache
         if cache is None or cache[0] != (sigma, tau):
+            # drop the old rows before building the new ones, so that the
+            # model never holds two sets of rows
+            cache = self._phi_cache = None
             n0 = self.n_start
-            rows = np.zeros((self.n_max - n0 + 1, self._sizes[-1]), dtype=complex)
-            l1 = np.empty(len(rows))
+            rows = []
             for m, a, b in self._groups:
                 ns = np.arange(a, b + 1).astype(float)
                 phi = _shifted_power_rows(1.0 + self.gamma - 1j * ns, -(sigma + tau), m)
                 if sigma:
                     num = _shifted_power_rows(self.gamma - 1j * ns, float(sigma), m)
-                    phi = fftconvolve(phi, num, axes=1)[:, :m]
-                rows[a - n0 : b - n0 + 1, :m] = phi
-                l1[a - n0 : b - n0 + 1] = np.abs(phi).sum(axis=1)
-            starts = np.append(self._firsts - n0, len(rows)).astype(int)
-            blocks = _BlockRows(np.arange(n0, self.n_max + 1), rows, l1,
+                    phi = np.ascontiguousarray(fftconvolve(phi, num, axes=1)[:, :m])
+                rows.append(phi)
+            l1 = np.concatenate([np.abs(phi).sum(axis=1) for phi in rows])
+            starts = np.append(self._firsts - n0, len(l1)).astype(int)
+            blocks = _BlockRows(np.arange(n0, self.n_max + 1), tuple(rows), l1,
                                 starts, self._sizes)
             cache = ((sigma, tau), blocks)
             self._phi_cache = cache

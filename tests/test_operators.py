@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -277,14 +278,13 @@ def test_jordan_sup_matches_brute_force_random_indices(gamma, delta, n_max, t, s
 
 
 def _block_rows(groups):
-    """_BlockRows of [(ns, rows)] groups, zero-padded to the widest row."""
-    width = max(rows.shape[1] for _, rows in groups)
-    padded = [np.pad(rows, ((0, 0), (0, width - rows.shape[1]))) for _, rows in groups]
-    rows = np.concatenate(padded)
-    starts = np.cumsum([0] + [len(r) for r in padded])
-    sizes = np.array([r.shape[1] for _, r in groups])
+    """_BlockRows of [(ns, rows)] groups."""
+    rows = tuple(rows for _, rows in groups)
+    starts = np.cumsum([0] + [len(r) for r in rows])
+    sizes = np.array([r.shape[1] for r in rows])
     ns = np.concatenate([ns for ns, _ in groups])
-    return operators._BlockRows(ns, rows, np.abs(rows).sum(axis=1), starts, sizes)
+    l1 = np.concatenate([np.abs(r).sum(axis=1) for r in rows])
+    return operators._BlockRows(ns, rows, l1, starts, sizes)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -346,6 +346,21 @@ def test_jordan_phi_cache_interleaved_indices():
         assert _quiet_fractional_norm(shared, t, sigma, tau) == _quiet_fractional_norm(
             fresh, t, sigma, tau
         )
+
+
+def test_jordan_phi_cache_rebuild_holds_one_row_set():
+    # a new (sigma, tau) drops the cached rows before building new ones,
+    # so the model never holds two row sets and peak memory stays near one
+    tracemalloc.start()
+    try:
+        model = operators.JordanSumModel(0.5, 0.9, 2000)
+        _quiet_fractional_norm(model, 1.0, 0.0, 1.0)
+        size = sum(rows.nbytes for rows in model._phi_cache[1].rows)
+        _quiet_fractional_norm(model, 1.0, 0.0, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size
 
 
 def test_jordan_phi_cache_shared_by_threads():
