@@ -236,7 +236,6 @@ def case_sobolev_rates(seed=0):
             verdict="PASS" if abs(profile.beta_hat - beta_known) <= TOL_BETA else "FAIL")
 
     t_grid = numcore.geometric_grid(10.0, 1e5, 48)
-    geometry = decaylab.GeometryDescriptor(hilbert=True)
     measurements = {}
     for tau in (0.0, 1.0, 2.0, 3.0, 4.0, 6.0):
         measurements[tau] = decaylab.measure_decay(model, 0.0, tau, t_grid, with_growth=(tau == 0.0))
@@ -253,21 +252,15 @@ def case_sobolev_rates(seed=0):
                 predicted=f"{want:g}", source="decay-fit",
                 verdict="PASS" if abs(got - want) <= TOL_EXPONENT else "FAIL")
 
-    # every applicable prediction from the model's known growth pair (0, 3) must PASS
+    # every applicable prediction from the model's known growth pair (0, 3)
+    # must PASS: the general, Hilbert-branch Fourier-type and growth-aware rates
     alpha_p, beta_p = model.info.known_growth_pair
+    geometry = decaylab.GeometryDescriptor(fourier_type=2.0)
     n_checked = 0
     all_pass = True
     details = []
     for tau, meas in measurements.items():
-        preds = [
-            decaylab.predict_rate_general(alpha_p, beta_p, 0.0, tau),
-            decaylab.predict_rate_fourier_type(alpha_p, beta_p, 0.0, tau, geometry),
-        ]
-        ga = decaylab.predict_rate_growth_aware(alpha_p, beta_p, 0.0, tau, max(mu_hat, 0.0))
-        preds.append(ga.plain)
-        if ga.scaling is not None:
-            preds.append(ga.scaling)
-        for pred in preds:
+        for pred in decaylab.predictions_for(geometry, alpha_p, beta_p, 0.0, tau, mu_hat):
             if not pred.applicable:
                 continue
             rep = decaylab.check_consistency(meas, pred, TOL_EXPONENT)
@@ -536,6 +529,17 @@ def case_laplace_identity(seed=0):
 PQ_PAIRS = ((2.0, 2.0), (1.0, 2.0), (2.0, math.inf), (1.0, math.inf))
 
 
+def pq_bounds(sym, grid, seed):
+    """(p, q, lower, upper) for each ``PQ_PAIRS`` entry: the witness-search
+    lower bound (8 trials, all pairs in one pass) and the Fourier-type
+    upper bound of the symbol's (L^p, L^q) multiplier norm."""
+    lowers = multiplier.estimate_pq_norms_lower(sym, PQ_PAIRS, grid, trials=8, seed=seed)
+    return [
+        (p, q, lower.lower_bound, multiplier.upper_bound_pq_norm_fourier_type(sym, p, q, grid).upper_bound)
+        for (p, q), lower in zip(PQ_PAIRS, lowers)
+    ]
+
+
 def _mult_battery(rng):
     model = _stable_dense(rng, 4, 0.6)
     return [
@@ -568,13 +572,11 @@ def case_mult_norms(seed=0):
     # one shared pass would change one of the two sets of lower bounds
     violations = []
     for name, sym in battery:
-        lowers = multiplier.estimate_pq_norms_lower(sym, PQ_PAIRS, grid, trials=8, seed=seed)
-        for (p, q), lower in zip(PQ_PAIRS, lowers):
-            upper = multiplier.upper_bound_pq_norm_fourier_type(sym, p, q, grid)
-            out.row(t_or_xi=f"{name};p={p:g};q={q:g}", value=f"{lower.lower_bound:.6f}",
-                    predicted=f"{upper.upper_bound:.6f}", source="pq-bounds",
-                    verdict="PASS" if lower.lower_bound <= upper.upper_bound + 1e-6 else "FAIL")
-            if lower.lower_bound > upper.upper_bound + 1e-6:
+        for p, q, lower, upper in pq_bounds(sym, grid, seed):
+            out.row(t_or_xi=f"{name};p={p:g};q={q:g}", value=f"{lower:.6f}",
+                    predicted=f"{upper:.6f}", source="pq-bounds",
+                    verdict="PASS" if lower <= upper + 1e-6 else "FAIL")
+            if lower > upper + 1e-6:
                 violations.append(f"{name} (p={p:g}, q={q:g})")
     out.add("every lower bound <= its transform-bound upper", not violations,
             "; ".join(violations) if violations else "no violations")

@@ -1,8 +1,9 @@
 """Batch front door: JSON config in, CSV tables and a JSON summary out.
 
-Subcommands: analyze, decay, frac, mult, verify-examples.  Exit codes:
-0 all checks pass, 1 an analysis or consistency check failed, 2 the
-configuration is invalid (the diagnostic names the offending field).
+Subcommands: analyze, decay, frac, mult, verify-examples; each takes only
+the flags it reads.  Exit codes: 0 all checks pass, 1 an analysis or
+consistency check failed, 2 the configuration or a flag is invalid (the
+diagnostic names the offending field or flag).
 
 Runs are single-threaded.  --threads, SEMISTAB_THREADS and the config
 key "threads" are accepted and validated for compatibility but have no
@@ -30,6 +31,9 @@ from .errors import ConfigError, DomainError, InsufficientDataError, Unsupported
 CSV_HEADER = ["case", "t_or_xi", "value", "fit_exponent", "predicted", "source", "verdict"]
 
 DEFAULT_TOLERANCES = {"fit_tol": 0.1, "quad_tol": 1e-6, "consistency_tol": 0.05}
+
+# seeds key Philox streams with the stream number above bit 64 (battery._rng)
+SEED_LIMIT = 2**64
 
 _TOP_LEVEL_KEYS = ("operator", "grids", "geometry", "indices", "tolerances", "seed", "threads", "out_dir")
 
@@ -222,6 +226,8 @@ def validate_config(raw):
         tols[key] = float(val)
     cfg["tolerances"] = tols
     cfg["seed"] = _check(raw.get("seed", 0), "seed", int)
+    if not 0 <= cfg["seed"] < SEED_LIMIT:
+        _fail("seed", f"must be an integer in [0, 2**64), got {cfg['seed']}")
     # accepted and validated for compatibility; runs are single-threaded
     cfg["threads"] = _check(raw.get("threads", 1), "threads", int)
     if cfg["threads"] < 1:
@@ -244,8 +250,10 @@ def _jsonable(x):
     return x
 
 
-def _write_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_csv(out_dir, name, rows):
+    """Write ``rows`` under ``CSV_HEADER`` to out_dir/name, creating out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         writer.writeheader()
         for row in rows:
@@ -260,22 +268,6 @@ def _write_summary(out_dir, summary, timings):
     with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
         json.dump({"timings_s": timings}, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _predictions_for(geometry, alpha, beta, sigma, tau, mu_hat):
-    preds = [decaylab.predict_rate_general(alpha, beta, sigma, tau)]
-    if geometry.fourier_type is not None:
-        preds.append(decaylab.predict_rate_fourier_type(alpha, beta, sigma, tau, geometry))
-    if geometry.type_p is not None and geometry.cotype_q is not None:
-        preds.append(decaylab.predict_rate_type_cotype(alpha, beta, sigma, tau, geometry))
-    if geometry.zeta_negative_asserted:
-        preds.append(decaylab.predict_rate_asymptotically_analytic(alpha, sigma, geometry))
-    if mu_hat is not None:
-        ga = decaylab.predict_rate_growth_aware(alpha, beta, sigma, tau, max(0.0, mu_hat))
-        preds.append(ga.plain)
-        if ga.scaling is not None:
-            preds.append(ga.scaling)
-    return preds
 
 
 def run_analyze(config, measure_only=False):
@@ -373,7 +365,7 @@ def run_analyze(config, measure_only=False):
     overall = True
     any_applicable = False
     for meas in measurements:
-        for pred in _predictions_for(geometry, alpha, beta, meas.sigma, meas.tau, mu_hat):
+        for pred in decaylab.predictions_for(geometry, alpha, beta, meas.sigma, meas.tau, mu_hat):
             record = {
                 "sigma": meas.sigma,
                 "tau": meas.tau,
@@ -417,15 +409,14 @@ def _cmd_analyze(args, measure_only=False):
     config = load_config(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    if args.tol is not None:
+    if not measure_only and args.tol is not None:
         config["tolerances"]["consistency_tol"] = args.tol
     out_dir = args.out_dir or config["out_dir"]
     summary, rows, timings, (code, note) = run_analyze(config, measure_only=measure_only)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "probes.csv"), rows["probes"])
-    _write_csv(os.path.join(out_dir, "decay.csv"), rows["decay"])
+    _write_csv(out_dir, "probes.csv", rows["probes"])
+    _write_csv(out_dir, "decay.csv", rows["decay"])
     if not measure_only:
-        _write_csv(os.path.join(out_dir, "predictions.csv"), rows["predictions"])
+        _write_csv(out_dir, "predictions.csv", rows["predictions"])
     _write_summary(out_dir, summary, timings)
     if note:
         print(note, file=sys.stderr)
@@ -452,8 +443,7 @@ def _cmd_frac(args):
             }
         )
     out_dir = args.out_dir or "semistab-out"
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "frac.csv"), rows)
+    _write_csv(out_dir, "frac.csv", rows)
     ok = worst < quad_tol
     _write_summary(out_dir, {"overall": "PASS" if ok else "FAIL", "worst_rel_error": worst}, {})
     print(f"contour identity battery: worst rel error {worst:.3e} ({'PASS' if ok else 'FAIL'})")
@@ -467,19 +457,16 @@ def _cmd_mult(args):
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = []
     ok = True
-    pairs = battery_mod.PQ_PAIRS
     for name, sym in battery_mod._mult_battery(rng):
         exact2 = multiplier.exact_l2_norm(sym, grid)
-        lowers = multiplier.estimate_pq_norms_lower(sym, pairs, grid, trials=8, seed=seed)
-        for (p, q), lower in zip(pairs, lowers):
-            upper = multiplier.upper_bound_pq_norm_fourier_type(sym, p, q, grid)
-            good = lower.lower_bound <= upper.upper_bound + 1e-6
+        for p, q, lower, upper in battery_mod.pq_bounds(sym, grid, seed):
+            good = lower <= upper + 1e-6
             ok &= good
             rows.append(
                 {
                     "case": f"{name};p={p:g};q={q:g}",
-                    "value": f"{lower.lower_bound:.9g}",
-                    "predicted": f"{upper.upper_bound:.9g}",
+                    "value": f"{lower:.9g}",
+                    "predicted": f"{upper:.9g}",
                     "source": "pq-norm",
                     "verdict": "PASS" if good else "FAIL",
                 }
@@ -493,8 +480,7 @@ def _cmd_mult(args):
             }
         )
     out_dir = args.out_dir or "semistab-out"
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "mult.csv"), rows)
+    _write_csv(out_dir, "mult.csv", rows)
     _write_summary(out_dir, {"overall": "PASS" if ok else "FAIL"}, {})
     print(f"multiplier battery: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -518,8 +504,7 @@ def _cmd_verify(args):
         if not res.passed:
             failures.append(res.name)
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        _write_csv(os.path.join(args.out_dir, "verify.csv"), rows)
+        _write_csv(args.out_dir, "verify.csv", rows)
         summary = {
             "overall": "PASS" if not failures else "FAIL",
             "cases": [
@@ -547,16 +532,26 @@ def _cmd_verify(args):
     return 0
 
 
-def _positive_int(text):
-    """Thread count from --threads or SEMISTAB_THREADS, validated like the
-    config key: a positive integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return n
+def _flag_type(parse, ok, what):
+    """An argparse type: ``parse`` the text, which must satisfy ``ok``,
+    else the flag is rejected as not ``what``."""
+
+    def check(text):
+        try:
+            val = parse(text)
+        except ValueError:
+            val = None
+        if val is None or not ok(val):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return val
+
+    return check
+
+
+# each flag is validated like its config key
+_positive_int = _flag_type(int, lambda n: n >= 1, "a positive integer")
+_seed = _flag_type(int, lambda n: 0 <= n < SEED_LIMIT, "an integer in [0, 2**64)")
+_positive_float = _flag_type(float, lambda x: math.isfinite(x) and x > 0, "a positive finite number")
 
 
 def build_parser():
@@ -574,30 +569,31 @@ def build_parser():
         except argparse.ArgumentTypeError as exc:
             _fail("SEMISTAB_THREADS", str(exc))
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config path")
+    def subcommand(name, help_text, config=None, seed=None, tol=None):
+        """A subparser with --out-dir and --threads, and only the other flags
+        the subcommand reads: --config (required when ``config`` is True,
+        optional when False), and --seed and --tol with the given help."""
+        p = sub.add_parser(name, help=help_text)
+        if config is not None:
+            p.add_argument("--config", required=config, help="JSON config path")
         p.add_argument("--out-dir", default=None, help="output directory")
         p.add_argument(
             "--threads", type=_positive_int, default=default_threads,
             help="accepted for compatibility; runs are single-threaded",
         )
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--tol", type=float, default=None, help="override the consistency tolerance")
+        if seed:
+            p.add_argument("--seed", type=_seed, default=None, help=seed)
+        if tol:
+            p.add_argument("--tol", type=_positive_float, default=None, help=tol)
+        return p
 
-    common(sub.add_parser("analyze", help="full probe/fit/measure/predict pipeline"))
-    common(sub.add_parser("decay", help="decay measurements only"))
-    p_frac = sub.add_parser("frac", help="contour-identity battery")
-    common(p_frac, config_required=False)
-    p_mult = sub.add_parser("mult", help="multiplier-norm battery")
-    common(p_mult, config_required=False)
-    p_ver = sub.add_parser("verify-examples", help="run the bundled verification battery")
+    subcommand("analyze", "full probe/fit/measure/predict pipeline", config=True,
+               seed="override the config seed", tol="override the consistency tolerance")
+    subcommand("decay", "decay measurements only", config=True, seed="override the config seed")
+    subcommand("frac", "contour-identity battery", tol="override the quadrature tolerance")
+    subcommand("mult", "multiplier-norm battery", config=False, seed="override the config seed")
+    p_ver = subcommand("verify-examples", "run the bundled verification battery", seed="battery seed")
     p_ver.add_argument("--only", default=None, help="case-name prefix filter (e.g. 'appendix')")
-    p_ver.add_argument("--out-dir", default=None)
-    p_ver.add_argument(
-        "--threads", type=_positive_int, default=default_threads,
-        help="accepted for compatibility; runs are single-threaded",
-    )
-    p_ver.add_argument("--seed", type=int, default=None)
     return parser
 
 

@@ -161,7 +161,6 @@ def predict_rate_type_cotype(alpha, beta, sigma, tau, geometry):
         conds = (asserted,) + hil.conditions
         return _prediction("type-cotype-hilbert", list(conds), hil.rho, hil.strict, 0.0)
     r_index = 1.0 / p - (0.0 if q == INF else 1.0 / q)
-    best = None
     conds = [
         asserted,
         Condition("sigma > alpha - 1", sigma > alpha - 1.0),
@@ -188,11 +187,11 @@ def predict_rate_type_cotype(alpha, beta, sigma, tau, geometry):
     return best
 
 
-def predict_rate_asymptotically_analytic(alpha, sigma, geometry=None, zeta_negative_asserted=None):
+def predict_rate_asymptotically_analytic(alpha, sigma, zeta_negative_asserted):
     """tau-free rate rho < (sigma+1)/alpha - 1 for asymptotically analytic
-    semigroups (negative non-analytic growth bound, asserted)."""
-    if zeta_negative_asserted is None:
-        zeta_negative_asserted = bool(geometry and geometry.zeta_negative_asserted)
+    semigroups; ``zeta_negative_asserted`` is the user's assertion that the
+    non-analytic growth bound is negative (``GeometryDescriptor`` carries
+    it as a flag of the same name)."""
     conds = [
         Condition(
             "non-analytic growth bound < 0 asserted",
@@ -241,6 +240,25 @@ def predict_rate_growth_aware(alpha, beta, sigma, tau, mu):
         elif scaling.rho > plain.rho or (scaling.rho == plain.rho and not scaling.strict):
             stronger = "scaling"
     return GrowthAwareRates(plain, scaling, stronger)
+
+
+def predictions_for(geometry, alpha, beta, sigma, tau, mu_hat):
+    """The rates the geometry has data for, at growth pair (alpha, beta) and
+    indices (sigma, tau): general, Fourier-type, type/cotype, asymptotically
+    analytic, then (unless ``mu_hat`` is None) growth-aware at max(0, mu_hat)."""
+    preds = [predict_rate_general(alpha, beta, sigma, tau)]
+    if geometry.fourier_type is not None:
+        preds.append(predict_rate_fourier_type(alpha, beta, sigma, tau, geometry))
+    if geometry.type_p is not None and geometry.cotype_q is not None:
+        preds.append(predict_rate_type_cotype(alpha, beta, sigma, tau, geometry))
+    if geometry.zeta_negative_asserted:
+        preds.append(predict_rate_asymptotically_analytic(alpha, sigma, zeta_negative_asserted=True))
+    if mu_hat is not None:
+        ga = predict_rate_growth_aware(alpha, beta, sigma, tau, max(0.0, mu_hat))
+        preds.append(ga.plain)
+        if ga.scaling is not None:
+            preds.append(ga.scaling)
+    return preds
 
 
 def interpolate_rates(rate1, rate2, theta):
@@ -328,8 +346,9 @@ def _classify_super_polynomial(power_fit, exp_fit):
     )
 
 
-def measure_decay(model, sigma, tau, t_grid, window=None, with_growth=False):
-    """Norms of T(t) Phi^sigma_tau(A) over the grid with a power-law fit.
+def measure_decay(model, sigma, tau, t_grid, with_growth=False):
+    """Norms of T(t) Phi^sigma_tau(A) over the grid with a power-law fit
+    over ``default_window`` (the first and last 10% of nodes dropped).
 
     ``rho_hat`` is the fitted decay exponent (positive = decay).  With
     ``with_growth`` the growth exponent of ||T(t)|| on X is fitted over
@@ -340,7 +359,7 @@ def measure_decay(model, sigma, tau, t_grid, window=None, with_growth=False):
     """
     norms = np.array([model.fractional_norm(t, sigma, tau) for t in t_grid.nodes])
     gnorms = np.array([model.semigroup_norm(t) for t in t_grid.nodes]) if with_growth else None
-    lo, hi = default_window(len(norms)) if window is None else window
+    lo, hi = default_window(len(norms))
     zero = norms == 0.0 if gnorms is None else (norms == 0.0) | (gnorms == 0.0)
     underflow = np.flatnonzero(zero[lo:hi])
     if underflow.size:

@@ -76,13 +76,13 @@ class FractionalIndex:
             raise DomainError(f"need eta > 0, got {self.eta}")
 
 
-def _ray_quadrature(kernel, alpha, beta, eta, contour, chunk=256):
+def _ray_quadrature(kernel, alpha, beta, eta, contour):
     """(1/2 pi i) * contour integral of z^alpha (eta+z)^(-alpha-beta) kernel(z).
 
     ``kernel`` maps an ndarray of contour points to an (n_nodes, ...) array;
-    it is evaluated in chunks to bound memory.  Returns (value, tail_value)
-    where tail_value collects the outermost node contributions of both rays
-    (the truncation diagnostic).
+    it is evaluated on 256 nodes at a time to bound memory.  Returns
+    (value, tail_value) where tail_value collects the outermost node
+    contributions of both rays (the truncation diagnostic).
     """
     r, w = contour.radii_and_weights()
     n = len(r)
@@ -94,8 +94,8 @@ def _ray_quadrature(kernel, alpha, beta, eta, contour, chunk=256):
         z_all = r * ray
         g_all = np.exp(alpha * np.log(z_all) - (alpha + beta) * np.log(eta + z_all))
         weights = (-sgn) * w * ray * g_all  # upper ray inward, lower ray outward
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
+        for lo in range(0, n, 256):
+            hi = min(n, lo + 256)
             vals = np.asarray(kernel(z_all[lo:hi]))
             contrib = weights[lo:hi].reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
             s = contrib.sum(axis=0)

@@ -103,14 +103,15 @@ def lebesgue_norm(f, p, grid):
 class Symbol:
     """A frequency symbol xi -> scalar or matrix, with zero-node policy.
 
-    ``at_zero`` selects the treatment of a singularity at xi = 0:
-    "value" evaluates like any node, "zero" assigns the zero map (the
-    homogeneous-distribution modelling device for non-invertible
-    generators, a choice rather than a theorem), "error" raises.
+    ``at_zero`` selects the treatment of the node xi = 0: "value" (the
+    default) evaluates it like any node, so a symbol singular there raises
+    SingularSymbolError naming node 0; "zero" assigns the zero map there
+    (the homogeneous-distribution modelling device for non-invertible
+    generators, a choice rather than a theorem).
     """
 
     def __init__(self, fn, dim=1, at_zero="value", name="symbol"):
-        if at_zero not in ("value", "zero", "error"):
+        if at_zero not in ("value", "zero"):
             raise DomainError(f"unknown at_zero mode {at_zero!r}")
         self.fn = fn
         self.dim = int(dim)
@@ -152,12 +153,13 @@ class Symbol:
         return self.norms_of(self.eval_all(xis))
 
 
-def scalar_symbol(fn, at_zero="value", name="symbol"):
-    return Symbol(fn, 1, at_zero, name)
+def scalar_symbol(fn):
+    """The scalar symbol xi -> fn(xi), evaluated at every node."""
+    return Symbol(fn)
 
 
-def resolvent_power_symbol(model, power=1, at_zero="value"):
-    """(i xi + A)^{-power} for a dense model, evaluated by batched solves."""
+def resolvent_power_symbol(model, power=1):
+    """(i xi + A)^{-power} for a dense model, evaluated by batched inverses."""
     if not isinstance(model, DenseMatrixModel):
         raise UnsupportedModelError("resolvent symbols are built from dense models")
     a = model.matrix
@@ -173,7 +175,7 @@ def resolvent_power_symbol(model, power=1, at_zero="value"):
             out = out @ inv
         return out if d > 1 else out[:, 0, 0]
 
-    return Symbol(fn, d, at_zero, f"(i xi + A)^-{power}")
+    return Symbol(fn, d, name=f"(i xi + A)^-{power}")
 
 
 def apply_multiplier(symbol, f, grid):
@@ -207,12 +209,26 @@ def _dense_semigroup_samples(model, ts):
     return model._expm_neg(ts)
 
 
-def semigroup_convolution(model, k, f, grid, tail_tol=1e-6):
+def _check_window_tail(tpos, norms, integral, what):
+    """WindowError unless ``norms``, sampled at the window's times ``tpos``
+    >= 0, decay inside it: an exponential fit over the last quarter must
+    have a negative rate and put the tail beyond the window below 1e-6 of
+    the window ``integral``."""
+    start = int(0.75 * len(tpos))
+    fit = fit_exp_rate(tpos[start:], np.maximum(norms[start:], 1e-300), window=(0, len(tpos) - start))
+    if fit.rate >= -1e-12 or norms[-1] / abs(fit.rate) > 1e-6 * max(integral, 1e-300):
+        raise WindowError(
+            f"{what} is not integrable inside the window; enlarge the period "
+            f"(fitted tail rate {fit.rate:.3e}, window integral {integral:.3e})"
+        )
+
+
+def semigroup_convolution(model, k, f, grid):
     """S_k(f)(s) = integral_0^oo t^k T(t) f(s-t) dt by grid quadrature.
 
     Defined when t^k ||T(t)|| is integrable over the window; the tail
     beyond the window is estimated from an exponential fit of the sampled
-    kernel norms and must stay below ``tail_tol`` of the window integral.
+    kernel norms (``_check_window_tail``).
     """
     if k < 0 or not float(k).is_integer():
         raise DomainError(f"need integer k >= 0, got {k}")
@@ -229,21 +245,7 @@ def semigroup_convolution(model, k, f, grid, tail_tol=1e-6):
     weights = np.full(len(tpos), grid.dt)
     weights[0] *= 0.5  # trapezoid across the t=0 boundary of the kernel
     knorms = (tpos**k) * np.linalg.norm(kernels, 2, axis=(1, 2))
-    window_integral = float(np.sum(weights * knorms))
-    tail_start = int(0.75 * len(tpos))
-    tail_fit = fit_exp_rate(tpos[tail_start:], np.maximum(knorms[tail_start:], 1e-300),
-                            window=(0, len(tpos) - tail_start))
-    if tail_fit.rate >= -1e-12:
-        raise WindowError(
-            f"kernel t^{k} ||T(t)|| does not decay inside the window "
-            f"(fitted rate {tail_fit.rate:.3e}); enlarge the period"
-        )
-    tail_est = knorms[-1] / abs(tail_fit.rate)
-    if tail_est > tail_tol * max(window_integral, 1e-300):
-        raise WindowError(
-            f"window tail estimate {tail_est:.3e} exceeds {tail_tol:g} of the "
-            f"window integral {window_integral:.3e}; enlarge the period"
-        )
+    _check_window_tail(tpos, knorms, float(np.sum(weights * knorms)), f"kernel t^{k} ||T(t)||")
     series = weights[:, None, None] * (tpos**k)[:, None, None] * kernels
     # out[:, r] = sum_c series[:, r, c] * f[:, c], all d^2 convolutions in one
     conv = signal.fftconvolve(series, f[:, None, :], axes=0)
@@ -251,15 +253,16 @@ def semigroup_convolution(model, k, f, grid, tail_tol=1e-6):
     return out if d > 1 else out[:, 0]
 
 
-def verify_laplace_identity(model, n, x, grid, decay_scale=1.0, tail_tol=1e-6):
+def verify_laplace_identity(model, n, x, grid):
     """Max relative error between the transform of t -> t^n T(t) x and the
     closed-form n! (i xi + A)^{-n-1} x over the aliasing-safe band.
 
-    The sampled orbit is jump-corrected: a reference t^n e^{-ct}(x + t w)
-    with matching value and first derivative at t = 0+ is subtracted
-    before the DFT and its exact transform is added back, which removes
-    the slowly decaying aliasing tail of the raw orbit transform.
-    Frequencies above half the Nyquist band are excluded.
+    The orbit must decay inside the window (``_check_window_tail``).  The
+    sampled orbit is jump-corrected: a reference t^n e^{-t} sum_{j<4} t^j w_j matching the
+    orbit's Taylor coefficients at t = 0+ is subtracted before the DFT and
+    its exact transform is added back, which removes the slowly decaying
+    aliasing tail of the raw orbit transform.  Frequencies above half the
+    Nyquist band are excluded.
     """
     if not isinstance(model, DenseMatrixModel):
         raise UnsupportedModelError("the identity check needs a dense model")
@@ -267,7 +270,6 @@ def verify_laplace_identity(model, n, x, grid, decay_scale=1.0, tail_tol=1e-6):
         raise DomainError(f"need integer n >= 0, got {n}")
     n = int(n)
     x = np.asarray(x, dtype=complex)
-    c = float(decay_scale)
     ts = grid.times
     pos = ts >= 0.0
     tpos = ts[pos]
@@ -275,28 +277,21 @@ def verify_laplace_identity(model, n, x, grid, decay_scale=1.0, tail_tol=1e-6):
     mats = _dense_semigroup_samples(model, tpos)
     orbit[pos] = (tpos**n)[:, None] * np.einsum("kij,j->ki", mats, x)
     onorms = np.linalg.norm(orbit[pos], axis=1)
-    tail_start = int(0.75 * len(tpos))
-    tail_fit = fit_exp_rate(tpos[tail_start:], np.maximum(onorms[tail_start:], 1e-300),
-                            window=(0, len(tpos) - tail_start))
-    total = float(np.sum(onorms) * grid.dt)
-    if tail_fit.rate >= -1e-12 or onorms[-1] / abs(tail_fit.rate) > tail_tol * max(total, 1e-300):
-        raise WindowError(
-            "orbit is not integrable inside the window; enlarge the period"
-        )
-    # jump-matched reference t^n e^{-ct} sum_j t^j w_j with w_j the Taylor
-    # coefficients of e^{(c-A)t} x: the sampled difference is C^3 at t=0+,
+    _check_window_tail(tpos, onorms, float(np.sum(onorms) * grid.dt), "orbit")
+    # jump-matched reference t^n e^{-t} sum_j t^j w_j with w_j the Taylor
+    # coefficients of e^{(1-A)t} x: the sampled difference is C^3 at t=0+,
     # which kills the slowly decaying aliasing tail of the raw transform
-    shift = c * np.eye(model.dim) - model.matrix
+    shift = np.eye(model.dim) - model.matrix
     ws = [x]
     for j in range(1, 4):
         ws.append(shift @ ws[-1] / j)
     ref = np.zeros_like(orbit)
-    decay = np.exp(-c * tpos)
+    decay = np.exp(-tpos)
     for j, wj in enumerate(ws):
         ref[pos] += (tpos ** (n + j) * decay)[:, None] * wj[None, :]
     F = fourier_forward(orbit - ref, grid)
     xis = grid.freqs
-    denom = 1j * xis + c
+    denom = 1j * xis + 1.0
     F_ref = np.zeros_like(F)
     for j, wj in enumerate(ws):
         F_ref += (math.factorial(n + j) / denom ** (n + j + 1))[:, None] * wj[None, :]

@@ -71,16 +71,12 @@ def default_window(count):
     return (k, count - k)
 
 
-def fit_power_law(grid, values, window=None, with_log_factor=False):
-    """Fit values ~ C * t^exponent on a LogGrid (or node array).
-
-    ``window`` is a half-open index pair; by default the first and last
-    10% of nodes are dropped to suppress transient and truncation edges.
-    With ``with_log_factor`` an extra log(log t) regressor accommodates
-    rates carrying a logarithmic factor; it degrades conditioning and is
-    off by default.
-    """
-    nodes = grid.nodes if isinstance(grid, LogGrid) else np.asarray(grid, dtype=float)
+def _log_fit(nodes, values, window, design, what):
+    """Least squares of log(values) against the columns ``design(t)`` over
+    the half-open index ``window`` (default: ``default_window``) of a
+    LogGrid or node array.  Returns (coefficients, RMS log residual,
+    window)."""
+    nodes = nodes.nodes if isinstance(nodes, LogGrid) else np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.shape != nodes.shape:
         raise DomainError(f"values length {values.shape} does not match grid {nodes.shape}")
@@ -92,20 +88,36 @@ def fit_power_law(grid, values, window=None, with_log_factor=False):
     if len(t) < 3:
         raise InsufficientDataError(f"window {window} leaves {len(t)} points; need >= 3")
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-        raise DomainError("power-law fit requires finite positive values")
-    logt = np.log(t)
+        raise DomainError(f"{what} fit requires finite positive values")
+    cols = design(t)
     logv = np.log(v)
-    cols = [np.ones_like(logt), logt]
-    if with_log_factor:
-        if np.any(t <= 1.0):
-            raise DomainError("log-factor fit requires all window nodes > 1")
-        cols.append(np.log(logt))
-    design = np.vstack(cols).T
-    coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
-    resid = logv - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
+    coef, *_ = np.linalg.lstsq(cols, logv, rcond=None)
+    resid = logv - cols @ coef
+    return coef, float(np.sqrt(np.mean(resid**2))), (lo, hi)
+
+
+def fit_power_law(grid, values, window=None, with_log_factor=False):
+    """Fit values ~ C * t^exponent on a LogGrid (or node array).
+
+    ``window`` is a half-open index pair; by default the first and last
+    10% of nodes are dropped to suppress transient and truncation edges.
+    With ``with_log_factor`` an extra log(log t) regressor accommodates
+    rates carrying a logarithmic factor; it degrades conditioning and is
+    off by default.
+    """
+
+    def design(t):
+        logt = np.log(t)
+        cols = [np.ones_like(logt), logt]
+        if with_log_factor:
+            if np.any(t <= 1.0):
+                raise DomainError("log-factor fit requires all window nodes > 1")
+            cols.append(np.log(logt))
+        return np.vstack(cols).T
+
+    coef, rms, window = _log_fit(grid, values, window, design, "power-law")
     logc = float(coef[2]) if with_log_factor else None
-    return PowerFit(float(coef[1]), float(math.exp(coef[0])), rms, (lo, hi), logc)
+    return PowerFit(float(coef[1]), float(math.exp(coef[0])), rms, window, logc)
 
 
 @dataclass(frozen=True)
@@ -120,23 +132,9 @@ class ExpRateFit:
 
 def fit_exp_rate(nodes, values, window=None):
     """Fit values ~ C * exp(rate * t); the workhorse for growth bounds."""
-    nodes = nodes.nodes if isinstance(nodes, LogGrid) else np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.shape != nodes.shape:
-        raise DomainError("values length does not match nodes")
-    if window is None:
-        window = default_window(len(nodes))
-    lo, hi = int(window[0]), int(window[1])
-    t = nodes[lo:hi]
-    v = values[lo:hi]
-    if len(t) < 3:
-        raise InsufficientDataError(f"window {window} leaves {len(t)} points; need >= 3")
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-        raise DomainError("exponential fit requires finite positive values")
-    design = np.vstack([np.ones_like(t), t]).T
-    coef, *_ = np.linalg.lstsq(design, np.log(v), rcond=None)
-    resid = np.log(v) - design @ coef
-    return ExpRateFit(float(coef[1]), float(math.exp(coef[0])), float(np.sqrt(np.mean(resid**2))), (lo, hi))
+    coef, rms, window = _log_fit(nodes, values, window, lambda t: np.vstack([np.ones_like(t), t]).T,
+                                 "exponential")
+    return ExpRateFit(float(coef[1]), float(math.exp(coef[0])), rms, window)
 
 
 def stable_exp_sum_log(m):
@@ -162,14 +160,15 @@ def stable_exp_sum(m):
     return math.exp(stable_exp_sum_log(m)) if stable_exp_sum_log(m) < 709.0 else math.inf
 
 
-def golden_max(f, lo, hi, iters=60):
-    """Golden-section maximization of a unimodal scalar function."""
+def golden_max(f, lo, hi):
+    """Golden-section maximization of a unimodal scalar function on
+    [lo, hi]: 60 steps, the largest value seen."""
     a, b = float(lo), float(hi)
     c1 = b - _GOLDEN * (b - a)
     c2 = a + _GOLDEN * (b - a)
     f1, f2 = f(c1), f(c2)
     best = max(f1, f2)
-    for _ in range(iters):
+    for _ in range(60):
         if f1 < f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + _GOLDEN * (b - a)
@@ -182,13 +181,14 @@ def golden_max(f, lo, hi, iters=60):
     return best
 
 
-def sup_on_grid(f, nodes, refine=True, warn_edges=("right",), label=""):
+def sup_on_grid(f, nodes, warn_edges=("right",), label=""):
     """Supremum of ``f`` over grid nodes with golden-section refinement.
 
     ``f`` must accept an ndarray of nodes.  The refinement searches in
-    log-node space around the discrete argmax.  If the maximum sits in the
-    outer 10% of a flagged edge and clearly exceeds the interior values,
-    the domain truncation dominates the supremum and an
+    log-node space around the discrete argmax.  With "right" in
+    ``warn_edges`` (the default; pass () to switch it off), a maximum in
+    the outer 10% of the right edge that clearly exceeds the interior
+    values means the domain truncation dominates the supremum, and an
     EdgeDominatedWarning is emitted (the value is still returned).
     """
     nodes = np.asarray(nodes, dtype=float)
@@ -209,19 +209,7 @@ def sup_on_grid(f, nodes, refine=True, warn_edges=("right",), label=""):
             EdgeDominatedWarning,
             stacklevel=2,
         )
-    if (
-        "left" in warn_edges
-        and n >= 4
-        and i < edge
-        and best > 1.05 * float(np.max(vals[edge:]))
-    ):
-        warnings.warn(
-            f"supremum{' of ' + label if label else ''} attained at the left "
-            f"domain edge {nodes[0]:g}",
-            EdgeDominatedWarning,
-            stacklevel=2,
-        )
-    if refine and 0 < i < n - 1:
+    if 0 < i < n - 1:
         lo, hi = nodes[i - 1], nodes[i + 1]
 
         def g(u):

@@ -113,6 +113,10 @@ class OperatorModel(ABC):
         if t < 0:
             raise DomainError(f"semigroup time must be >= 0, got {t}")
 
+    def _check_fractional_indices(self, sigma, tau):
+        if sigma < 0 or tau < 0:
+            raise DomainError("fractional indices must be >= 0")
+
     def _check_resolvent_point(self, lam):
         d = self.spectrum_distance(lam)
         if d < _SING_TOL:
@@ -276,8 +280,7 @@ class DenseMatrixModel(OperatorModel):
 
     def phi_matrix(self, alpha, beta):
         """A^alpha (1+A)^{-alpha-beta} as a dense matrix."""
-        if alpha < 0 or beta < 0:
-            raise DomainError("fractional indices must be >= 0")
+        self._check_fractional_indices(alpha, beta)
         if alpha > 0 and not self.info.injective:
             raise DomainError("positive power of a non-injective matrix")
         if alpha + beta > 0 and self.spectrum_distance(-1.0) < _SING_TOL:
@@ -407,8 +410,7 @@ class DiagonalSymbolModel(OperatorModel):
 
     def fractional_norm(self, t, sigma, tau):
         self._check_semigroup_time(t)
-        if sigma < 0 or tau < 0:
-            raise DomainError("fractional indices must be >= 0")
+        self._check_fractional_indices(sigma, tau)
 
         def g(s):
             ph = self.symbol(s)
@@ -707,6 +709,16 @@ class JordanSumModel(OperatorModel):
         blocks = _BlockRows(ns, per_group, np.abs(rows).sum(axis=1), starts, self._sizes)
         return self._sup_over_blocks(blocks, f"(lam+A)^-1 at lam={lam}")
 
+    def _phi_block_rows(self, sigma, tau, ns, m):
+        """Rows of A_n^sigma (1+A_n)^{-sigma-tau} for the blocks ``ns`` (a
+        float array) of one size ``m``: the row of (1+A_n)^{-sigma-tau},
+        convolved with the row of A_n^sigma when sigma > 0."""
+        phi = _shifted_power_rows(1.0 + self.gamma - 1j * ns, -(sigma + tau), m)
+        if sigma:
+            num = _shifted_power_rows(self.gamma - 1j * ns, float(sigma), m)
+            phi = np.ascontiguousarray(fftconvolve(phi, num, axes=1)[:, :m])
+        return phi
+
     def _phi_rows(self, sigma, tau):
         """``_BlockRows`` of A^sigma (1+A)^{-sigma-tau} over every block,
         cached for the last (sigma, tau)."""
@@ -715,27 +727,17 @@ class JordanSumModel(OperatorModel):
             # drop the old rows before building the new ones, so that the
             # model never holds two sets of rows
             cache = self._phi_cache = None
-            n0 = self.n_start
-            rows = []
-            for m, a, b in self._groups:
-                ns = np.arange(a, b + 1).astype(float)
-                phi = _shifted_power_rows(1.0 + self.gamma - 1j * ns, -(sigma + tau), m)
-                if sigma:
-                    num = _shifted_power_rows(self.gamma - 1j * ns, float(sigma), m)
-                    phi = np.ascontiguousarray(fftconvolve(phi, num, axes=1)[:, :m])
-                rows.append(phi)
+            rows = [self._phi_block_rows(sigma, tau, np.arange(a, b + 1).astype(float), m)
+                    for m, a, b in self._groups]
             l1 = np.concatenate([np.abs(phi).sum(axis=1) for phi in rows])
-            starts = np.append(self._firsts - n0, len(l1)).astype(int)
-            blocks = _BlockRows(np.arange(n0, self.n_max + 1), tuple(rows), l1,
-                                starts, self._sizes)
-            cache = ((sigma, tau), blocks)
-            self._phi_cache = cache
+            starts = np.append(self._firsts - self.n_start, len(l1)).astype(int)
+            blocks = _BlockRows(np.arange(self.n_start, self.n_max + 1), tuple(rows), l1, starts, self._sizes)
+            cache = self._phi_cache = ((sigma, tau), blocks)
         return cache[1]
 
     def fractional_norm(self, t, sigma, tau):
         self._check_semigroup_time(t)
-        if sigma < 0 or tau < 0:
-            raise DomainError("fractional indices must be >= 0")
+        self._check_fractional_indices(sigma, tau)
         if sigma == 0 and tau == 0:
             return self.semigroup_norm(t)
         return math.exp(-self.gamma * t) * self._sup_over_blocks(
@@ -744,15 +746,10 @@ class JordanSumModel(OperatorModel):
 
     def phi_closed_apply(self, alpha, beta, x):
         x = self._check_vec(x)
-        out = {}
-        for n, v in x.items():
-            m = len(v)
-            coeffs = _shifted_power_rows(1.0 + self.gamma - 1j * n, -(alpha + beta), m)[0]
-            if alpha:
-                num = _shifted_power_rows(self.gamma - 1j * n, float(alpha), m)[0]
-                coeffs = np.convolve(coeffs, num)[:m]
-            out[n] = _apply_series(coeffs, v)
-        return out
+        return {
+            n: _apply_series(self._phi_block_rows(alpha, beta, np.array([float(n)]), len(v))[0], v)
+            for n, v in x.items()
+        }
 
     def spectral_abscissa_neg(self):
         return -self.gamma
@@ -812,8 +809,7 @@ class OperatorMatrixModel(OperatorModel):
 
     def _phi_rows(self, sigma, tau, ss):
         """Rows of Phi^sigma_tau(M(s)) at each s; sigma must be a nonnegative integer."""
-        if sigma < 0 or tau < 0:
-            raise DomainError("fractional indices must be >= 0")
+        self._check_fractional_indices(sigma, tau)
         if not float(sigma).is_integer():
             raise DomainError(
                 "operator-matrix models support integer smoothing powers only "

@@ -48,6 +48,15 @@ class ProbeTable:
         return [e for e in self.entries if e.norm is not None]
 
 
+def _probe(model, lam):
+    """||(lam + A)^{-1}|| and whether the model flagged its supremum as
+    edge-dominated (an ``EdgeDominatedWarning``, captured, not shown)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EdgeDominatedWarning)
+        norm = model.shifted_resolvent_norm(lam)
+    return norm, any(issubclass(w.category, EdgeDominatedWarning) for w in caught)
+
+
 def probe_resolvent_norms(model, xi_grid, eta=0.0):
     """||(lam + A)^{-1}|| at lam = eta + i xi for xi in +/- grid.
 
@@ -59,15 +68,10 @@ def probe_resolvent_norms(model, xi_grid, eta=0.0):
     entries = []
     for xi in nodes:
         for sign in (1.0, -1.0):
-            lam = complex(eta, sign * xi)
-            status = "ok"
             norm = None
             try:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always", EdgeDominatedWarning)
-                    norm = model.shifted_resolvent_norm(lam)
-                if any(issubclass(w.category, EdgeDominatedWarning) for w in caught):
-                    status = "edge"
+                norm, edge = _probe(model, complex(eta, sign * xi))
+                status = "edge" if edge else "ok"
             except NearSingularityError:
                 status = "singular"
             entries.append(ProbeEntry(float(sign * xi), float(eta), norm, status))
@@ -85,67 +89,64 @@ class ResolventGrowthProfile:
     high_fit: PowerFit | None
 
 
-def _envelope(xis, norms, bins_per_decade=6):
-    """Per-bin maxima of (|xi|, norm) pairs on a log-spaced binning."""
-    xis = np.asarray(xis)
-    norms = np.asarray(norms)
+def _mirror_max(entries, values):
+    """Sorted |xi| > 0 of the probe entries and, at each, the larger of the
+    two mirrored values (``values`` holds one value per entry)."""
+    by_abs = {}
+    for e, v in zip(entries, values):
+        key = abs(e.xi)
+        if key != 0.0:
+            by_abs[key] = max(by_abs.get(key, 0.0), v)
+    xs = np.array(sorted(by_abs))
+    return xs, np.array([by_abs[x] for x in xs])
+
+
+def _envelope_fit(xis, norms):
+    """Power-law fit through the per-bin maxima of the (|xi|, norm) pairs,
+    ``xis`` increasing, on a log-spaced binning of 6 bins per decade; with
+    fewer than 3 bins the fit keeps every bin."""
     lo, hi = xis.min(), xis.max()
-    if hi <= lo * (1.0 + 1e-12):
-        return xis, norms
-    n_bins = max(3, int(math.ceil(math.log10(hi / lo) * bins_per_decade)))
-    edges = np.geomspace(lo, hi * (1.0 + 1e-12), n_bins + 1)
-    bx, bv = [], []
-    for i in range(n_bins):
-        sel = (xis >= edges[i]) & (xis < edges[i + 1])
-        if np.any(sel):
-            j = int(np.argmax(norms[sel]))
-            bx.append(xis[sel][j])
-            bv.append(norms[sel][j])
-    return np.asarray(bx), np.asarray(bv)
+    if hi > lo * (1.0 + 1e-12):
+        n_bins = max(3, int(math.ceil(math.log10(hi / lo) * 6)))
+        edges = np.geomspace(lo, hi * (1.0 + 1e-12), n_bins + 1)
+        bx, bv = [], []
+        for i in range(n_bins):
+            sel = (xis >= edges[i]) & (xis < edges[i + 1])
+            if np.any(sel):
+                j = int(np.argmax(norms[sel]))
+                bx.append(xis[sel][j])
+                bv.append(norms[sel][j])
+        # the bins run upward, so bx stays increasing
+        xis, norms = np.asarray(bx), np.asarray(bv)
+    return fit_power_law(xis, norms, window=(0, len(xis)) if len(xis) < 3 else None)
 
 
-def _window_fit(xis, norms, bins_per_decade):
-    bx, bv = _envelope(xis, norms, bins_per_decade)
-    if len(bx) < 3:
-        # too few bins to trim; fit the raw points
-        return fit_power_law(bx, bv, window=(0, len(bx)))
-    order = np.argsort(bx)
-    return fit_power_law(bx[order], bv[order])
-
-
-def fit_growth_profile(table, split=1.0, snap_tol=_SNAP_TOL, bins_per_decade=6):
+def fit_growth_profile(table):
     """Fit the low/high-frequency growth pair from imaginary-axis probes.
 
-    alpha_hat is the clamped negative slope over |xi| <= split, beta_hat
-    the clamped slope over |xi| >= split; fitted slopes of magnitude
-    below ``snap_tol`` snap to zero (low-order resolvent growth collapses
-    to exponent zero).  Requires at least 8 usable probes on each side of
-    the split.
+    Mirrored probes are reduced by max, then to per-bin maxima (6 bins per
+    decade).  alpha_hat is the clamped negative slope over |xi| <= 1,
+    beta_hat the clamped slope over |xi| >= 1; fitted slopes of magnitude
+    below 0.05 snap to zero (low-order resolvent growth collapses to
+    exponent zero).  Requires at least 8 usable probes on each side of
+    |xi| = 1.
     """
     ok = table.ok_entries()
-    # envelope over mirrored pairs
-    by_abs = {}
-    for e in ok:
-        key = abs(e.xi)
-        if key == 0.0:
-            continue
-        by_abs[key] = max(by_abs.get(key, 0.0), e.norm)
-    xs = np.array(sorted(by_abs))
-    vs = np.array([by_abs[x] for x in xs])
-    low = xs <= split
-    high = xs >= split
+    xs, vs = _mirror_max(ok, [e.norm for e in ok])
+    low = xs <= 1.0
+    high = xs >= 1.0
     if low.sum() < 8 or high.sum() < 8:
         raise InsufficientDataError(
-            f"need >= 8 probes on each side of |xi|={split}, "
+            "need >= 8 probes on each side of |xi|=1.0, "
             f"got {int(low.sum())} low / {int(high.sum())} high"
         )
-    low_fit = _window_fit(xs[low], vs[low], bins_per_decade)
-    high_fit = _window_fit(xs[high], vs[high], bins_per_decade)
+    low_fit = _envelope_fit(xs[low], vs[low])
+    high_fit = _envelope_fit(xs[high], vs[high])
     alpha_hat = max(0.0, -low_fit.exponent)
     beta_hat = max(0.0, high_fit.exponent)
-    if alpha_hat < snap_tol:
+    if alpha_hat < _SNAP_TOL:
         alpha_hat = 0.0
-    if beta_hat < snap_tol:
+    if beta_hat < _SNAP_TOL:
         beta_hat = 0.0
     lam = np.array([complex(e.eta, e.xi) for e in ok])
     norms = np.array([e.norm for e in ok])
@@ -167,21 +168,17 @@ def sectoriality_constant(model, lambda_grid):
     nodes = lambda_grid.nodes if isinstance(lambda_grid, LogGrid) else np.asarray(lambda_grid, dtype=float)
     if np.any(nodes <= 0):
         raise DomainError("sectoriality probes must be positive reals")
-    best = 0.0
     edge = False
     vals = []
     for lam in nodes:
         if model.spectrum_distance(-lam) < 1e-11:
             raise DomainError(f"probe lam={lam} hits the spectrum of -A")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", EdgeDominatedWarning)
-            v = lam * model.shifted_resolvent_norm(complex(lam, 0.0))
-        if any(issubclass(w.category, EdgeDominatedWarning) for w in caught):
-            edge = True
-        vals.append(v)
-        best = max(best, v)
+        norm, flagged = _probe(model, complex(lam, 0.0))
+        vals.append(lam * norm)
+        edge |= flagged
     if len(vals) >= 2 and vals[-1] >= max(vals) * (1.0 - 1e-12):
         edge = True  # supremum still rising at the largest probe
+    best = max([0.0, *vals])
     m = max(best, 1.0)
     return SectorialityEstimate(float(best), math.pi - math.asin(1.0 / m), edge)
 
@@ -195,14 +192,14 @@ class SpectralBounds:
     omega0_hat: float = math.nan
 
 
-def _line_is_tame(model, eta, beta, xi_grid, margin=1.08):
+def _line_is_tame(model, eta, beta, xi_grid):
     """Probe the vertical line Re lam = eta: True when the tempered norms
     (1+|lam|)^{-beta} ||(lam+A)^{-1}|| look bounded.
 
     Untame lines show singular probes, edge-dominated suprema, or a
     tempered envelope whose outer-half maximum clearly exceeds the
     inner-half maximum (growth along the line); a saturating envelope
-    stays within the margin.
+    stays within a factor 1.08.
     """
     table = probe_resolvent_norms(model, xi_grid, eta)
     ok = table.ok_entries()
@@ -210,14 +207,7 @@ def _line_is_tame(model, eta, beta, xi_grid, margin=1.08):
         return False
     if any(e.status == "edge" for e in table.entries):
         return False
-    by_abs = {}
-    for e in ok:
-        lam = complex(e.eta, e.xi)
-        val = e.norm * (1.0 + abs(lam)) ** (-beta)
-        key = abs(e.xi)
-        by_abs[key] = max(by_abs.get(key, 0.0), val)
-    xs = np.array(sorted(by_abs))
-    vs = np.array([by_abs[x] for x in xs])
+    xs, vs = _mirror_max(ok, [e.norm * (1.0 + abs(complex(e.eta, e.xi))) ** (-beta) for e in ok])
     # compare the outermost log-quarter against the one before it: a line
     # with genuine growth keeps rising there, while bounded lines (even
     # with a saturating low-frequency transient) have flattened out
@@ -228,12 +218,19 @@ def _line_is_tame(model, eta, beta, xi_grid, margin=1.08):
     fourth = vs[logx >= q4]
     if len(third) < 2 or len(fourth) < 2:
         return bool(np.argmax(vs) < len(vs) - 1)
-    return float(fourth.max()) <= margin * float(third.max())
+    return float(fourth.max()) <= 1.08 * float(third.max())
 
 
-def spectral_bounds(model, t_grid, eta_grid, betas=(0.0, 1.0), xi_grid=None, tol=1e-2):
-    """Exact spectral abscissa s(-A), bisected tempered abscissas
-    s_beta(-A), and the fitted exponential growth rate of ||T(t)||."""
+def spectral_bounds(model, t_grid, eta_grid, betas, xi_grid):
+    """Exact spectral abscissa s(-A), the tempered abscissas s_beta(-A) for
+    each beta in ``betas``, and the fitted exponential growth rate of
+    ||T(t)|| over ``t_grid``.
+
+    s_beta is the smallest eta whose vertical line, probed at +/- xi in
+    ``xi_grid``, is tame: first the smallest tame node of ``eta_grid``,
+    then bisection down toward s(-A) to width 0.01; inf when even the
+    largest node of ``eta_grid`` is not tame.
+    """
     try:
         s = model.spectral_abscissa_neg()
     except Exception as exc:  # pragma: no cover - all bundled models are exact
@@ -242,8 +239,6 @@ def spectral_bounds(model, t_grid, eta_grid, betas=(0.0, 1.0), xi_grid=None, tol
     norms = np.array([model.semigroup_norm(t) for t in t_nodes])
     omega0 = fit_exp_rate(t_nodes, norms).rate
     eta_nodes = eta_grid.nodes if isinstance(eta_grid, LogGrid) else np.asarray(eta_grid, dtype=float)
-    if xi_grid is None:
-        xi_grid = np.geomspace(1e-2, 1e3, 48)
     s_beta = {}
     for beta in betas:
         lo = float(s)  # tame fails at/below the spectral abscissa
@@ -258,7 +253,7 @@ def spectral_bounds(model, t_grid, eta_grid, betas=(0.0, 1.0), xi_grid=None, tol
             if _line_is_tame(model, float(eta), beta, xi_grid):
                 hi = float(eta)
                 break
-        while hi - lo > tol:
+        while hi - lo > 1e-2:
             mid = 0.5 * (lo + hi)
             if _line_is_tame(model, mid, beta, xi_grid):
                 hi = mid

@@ -409,3 +409,67 @@ def test_decay_fuzz_exits_cleanly(config):
             warnings.simplefilter("ignore")
             code = cli.main(["decay", "--config", str(path), "--out-dir", str(Path(tmp) / "o")])
     assert code in (0, 1, 2)
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag itself
+        return exc.code
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**64), "x"])
+@pytest.mark.parametrize("command", ["verify-examples", "mult"])
+def test_seed_flag_out_of_range_exits_2(tmp_path, capsys, command, value):
+    # Philox keys take the seed below bit 64 and the battery's stream above it
+    assert _exit_code([command, "--seed", value, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "[0, 2**64)" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [-1, 2**64])
+@pytest.mark.parametrize("command", ["mult", "decay"])
+def test_seed_key_out_of_range_exits_2(tmp_path, capsys, command, value):
+    cfg = _base_config(tmp_path / "o")
+    cfg["seed"] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert "config error: seed: must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    seed = str(2**64 - 1)
+    assert cli.main(["verify-examples", "--only", "frac.oracle", "--seed", seed]) == 0
+    cfg = _base_config(tmp_path / "o")
+    cfg["seed"] = 2**64 - 1
+    assert cli.validate_config(cfg)["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "x"])
+@pytest.mark.parametrize("command", ["analyze", "frac"])
+def test_tol_flag_must_be_positive_finite(tmp_path, capsys, command, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(tmp_path / "o")))
+    argv = [command, "--tol", value, "--out-dir", str(tmp_path / "o")]
+    if command == "analyze":
+        argv += ["--config", str(cfg_path)]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "must be a positive finite number" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["frac", "--config", "/nonexistent.json"], ["frac", "--seed", "0"], ["mult", "--tol", "0.1"],
+     ["decay", "--tol", "0.1", "--config", "/nonexistent.json"]],
+    ids=["frac-config", "frac-seed", "mult-tol", "decay-tol"],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
+    # the unread flag comes first after the subcommand
+    assert _exit_code(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistab import decaylab, numcore, operators
 from semistab.errors import DomainError
@@ -198,3 +200,71 @@ def test_prediction_monotone_small_sweep():
         assert key(decaylab.predict_rate_fourier_type(a, b, s, t + d, geo)) >= base
         assert key(decaylab.predict_rate_fourier_type(a + d, b, s, t, geo)) <= base
         assert key(decaylab.predict_rate_fourier_type(a, b + d, s, t, geo)) <= base
+
+
+def _rate_key(pred):
+    return pred.rho if pred.applicable else -INF
+
+
+def _fourier(p):
+    geo = decaylab.GeometryDescriptor(fourier_type=p)
+    return lambda a, b, s, t: decaylab.predict_rate_fourier_type(a, b, s, t, geo)
+
+
+def _type_cotype(p, q, lattice, asserted):
+    geo = decaylab.GeometryDescriptor(type_p=p, cotype_q=q, lattice=lattice,
+                                      r_resolvent_growth_asserted=asserted)
+    return lambda a, b, s, t: decaylab.predict_rate_type_cotype(a, b, s, t, geo)
+
+
+# the general, Fourier-type and type/cotype calculators as functions of
+# (alpha, beta, sigma, tau), the Hilbert branches (p = q = 2) included
+_P = st.one_of(st.just(1.0), st.just(2.0), st.floats(1.0, 2.0))
+_Q = st.one_of(st.just(2.0), st.just(INF), st.floats(2.0, 50.0))
+_RATES = st.one_of(
+    st.just(decaylab.predict_rate_general),
+    st.builds(_fourier, _P),
+    st.builds(_type_cotype, _P, _Q, st.none() | st.tuples(_P, st.floats(2.0, 50.0)), st.booleans()),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    rate=_RATES,
+    alpha=st.floats(0.0, 3.0),
+    beta=st.floats(0.0, 3.0),
+    sigma=st.floats(0.0, 5.0),
+    tau=st.floats(0.0, 6.0),
+    d=st.floats(0.01, 1.0),
+)
+def test_rates_monotone_in_all_four_indices(rate, alpha, beta, sigma, tau, d):
+    # more smoothing never lowers a guaranteed rate, more resolvent growth
+    # never raises it; a failed hypothesis counts as the lowest rate
+    base = _rate_key(rate(alpha, beta, sigma, tau))
+    assert _rate_key(rate(alpha, beta, sigma + d, tau)) >= base
+    assert _rate_key(rate(alpha, beta, sigma, tau + d)) >= base
+    assert _rate_key(rate(alpha + d, beta, sigma, tau)) <= base
+    assert _rate_key(rate(alpha, beta + d, sigma, tau)) <= base
+
+
+@pytest.mark.parametrize(
+    "geometry, sources",
+    [
+        (decaylab.GeometryDescriptor(fourier_type=2.0),
+         ["general-banach", "fourier-type-hilbert", "growth-aware", "growth-aware-scaling"]),
+        (decaylab.GeometryDescriptor(hilbert=True, zeta_negative_asserted=True),
+         ["general-banach", "fourier-type-hilbert", "type-cotype-hilbert", "asymptotically-analytic",
+          "growth-aware", "growth-aware-scaling"]),
+        (decaylab.GeometryDescriptor(), ["general-banach", "growth-aware", "growth-aware-scaling"]),
+    ],
+    ids=["fourier-2", "hilbert-zeta", "banach"],
+)
+def test_predictions_for_geometry(geometry, sources):
+    preds = decaylab.predictions_for(geometry, 0.0, 3.0, 0.0, 4.0, -0.2)
+    assert [p.source for p in preds] == sources
+    assert preds[0] == decaylab.predict_rate_general(0.0, 3.0, 0.0, 4.0)
+    # a negative growth exponent counts as zero
+    assert preds[-2] == decaylab.predict_rate_growth_aware(0.0, 3.0, 0.0, 4.0, 0.0).plain
+    assert [p.source for p in decaylab.predictions_for(geometry, 0.0, 3.0, 0.0, 4.0, None)] == [
+        s for s in sources if not s.startswith("growth-aware")
+    ]

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistab import fraccalc, numcore, operators
 from semistab.errors import ContourError, DomainError, TruncationWarning
@@ -93,6 +95,26 @@ def test_composition_law_closed_form_route():
     )
     one = fraccalc.fractional_power_apply(model, 1.25, 0.75, x)
     assert np.linalg.norm(two - one) / np.linalg.norm(one) < 1e-8
+
+
+_INDEX = st.one_of(st.integers(0, 2).map(float), st.floats(0.0, 2.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5),
+       a1=_INDEX, b1=_INDEX, a2=_INDEX, b2=_INDEX)
+def test_composition_law_on_dense_closed_forms(seed, dim, a1, b1, a2, b2):
+    # Phi^{a1}_{b1} Phi^{a2}_{b2} = Phi^{a1+a2}_{b1+b2} on a diagonalizable
+    # matrix with well-separated eigenvalues in the right half-plane; integer
+    # exponents take the matrix-power route, the others the eigen route
+    rng = np.random.default_rng(seed)
+    mu = 0.3 + 0.6 * rng.permutation(dim) + 1j * rng.uniform(-2.0, 2.0, dim)
+    v = np.eye(dim) + 0.3 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / dim
+    model = operators.DenseMatrixModel(v @ np.diag(mu) @ np.linalg.inv(v))
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    two = fraccalc.fractional_power_apply(model, a1, b1, fraccalc.fractional_power_apply(model, a2, b2, x))
+    one = fraccalc.fractional_power_apply(model, a1 + a2, b1 + b2, x)
+    assert np.linalg.norm(two - one) <= 1e-10 * np.linalg.norm(one)
 
 
 def test_defective_dense_falls_back_to_contour():

@@ -135,7 +135,7 @@ def test_singular_symbol_modes(grid):
             return 1.0 / (1j * np.asarray(x, dtype=complex))
 
     f = _bump(grid)
-    err_sym = multiplier.Symbol(inv, at_zero="error", name="1/(i xi)")
+    err_sym = multiplier.Symbol(inv, name="1/(i xi)")  # the default "value" mode
     with pytest.raises(SingularSymbolError) as err:
         multiplier.apply_multiplier(err_sym, f, grid)
     assert err.value.node == 0.0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistab import numcore
 from semistab.errors import DomainError, EdgeDominatedWarning, InsufficientDataError
@@ -132,6 +134,38 @@ def test_fit_exp_rate():
     fit = numcore.fit_exp_rate(t, 2.0 * np.exp(-0.7 * t))
     assert fit.rate == pytest.approx(-0.7, abs=1e-10)
     assert fit.constant == pytest.approx(2.0, rel=1e-8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.floats(1e-3, 1e3),
+    p=st.floats(-8.0, 8.0),
+    start=st.floats(0.1, 10.0),
+    decades=st.floats(0.5, 4.0),
+    count=st.integers(8, 64),
+)
+def test_fit_power_law_recovers_exact_power_laws(c, p, start, decades, count):
+    g = numcore.geometric_grid(start, start * 10.0**decades, count)
+    fit = numcore.fit_power_law(g, c * g.nodes**p)
+    assert fit.exponent == pytest.approx(p, abs=1e-9)
+    assert fit.constant == pytest.approx(c, rel=1e-8)
+    assert fit.residual < 1e-10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.floats(1e-3, 1e3),
+    r=st.floats(-2.0, 2.0),
+    t0=st.floats(0.0, 50.0),
+    span=st.floats(1.0, 100.0),
+    count=st.integers(8, 64),
+)
+def test_fit_exp_rate_recovers_exact_exponentials(c, r, t0, span, count):
+    t = np.linspace(t0, t0 + span, count)
+    fit = numcore.fit_exp_rate(t, c * np.exp(r * t))
+    assert fit.rate == pytest.approx(r, abs=1e-9)
+    assert fit.constant == pytest.approx(c, rel=1e-8)
+    assert fit.residual < 1e-10
 
 
 def test_sup_on_grid_refines_peak():

@@ -660,3 +660,36 @@ def test_metadata_flags():
     assert not models["opmatrix"].info.invertible
     singular = operators.DenseMatrixModel([[1.0, 0.0], [0.0, 0.0]])
     assert not singular.info.injective
+
+
+_PARTS = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(row=st.lists(st.builds(complex, _PARTS, _PARTS), min_size=1, max_size=40))
+def test_toeplitz_norm_between_l2_and_l1(row):
+    # the last column holds the whole row, and T = sum_k row_k B^k with
+    # ||B^k|| <= 1; the l1 side is the bound the block-sum search prunes with
+    row = np.array(row)
+    l1 = float(np.abs(row).sum())
+    norm = operators._toeplitz_norm(row)
+    assert float(np.linalg.norm(row)) <= norm + 1e-12 * l1
+    assert norm <= l1 * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (0, 3), (3, 0)])
+def test_jordan_phi_closed_apply_matches_dense_blocks(alpha, beta):
+    # block n of A is (gamma - i n) I - B on C^m(n), B the unit upper shift
+    model = operators.JordanSumModel(0.5, 0.5, 200)
+    rng = np.random.default_rng(7)
+    for n in (model.n_start, 5, 37, 200):
+        m = model.block_size(n)
+        a_n = (model.gamma - 1j * n) * np.eye(m) - np.eye(m, k=1)
+        dense = np.linalg.matrix_power(a_n, alpha) @ np.linalg.matrix_power(np.eye(m) + a_n, -(alpha + beta))
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        got = model.phi_closed_apply(alpha, beta, {n: v})
+        assert list(got) == [n]
+        want = dense @ v
+        assert np.linalg.norm(got[n] - want) <= 1e-12 * np.linalg.norm(want)
+        if alpha == beta == 0:
+            assert np.array_equal(got[n], v)
