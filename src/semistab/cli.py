@@ -43,7 +43,7 @@ _OPERATOR_FIELDS = {
     "diagonal-symbol": {"a": float, "b": float, "s_start": float, "s_max": float,
                         "grid_count": int, "sobolev": bool},
     "jordan-sum": {"gamma": float, "delta": float, "n_max": int, "n_start": int},
-    "operator-matrix": {"n": int, "s_count": int},
+    "operator-matrix": {"n": int},
 }
 
 _GEOMETRY_FIELDS = {"hilbert": bool, "fourier_type": float, "type_p": float, "cotype_q": float,
@@ -162,45 +162,66 @@ def _validate_geometry(geo):
         _fail("geometry", str(exc))
 
 
-def load_config(path):
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         _fail("config", f"file not found: {path}")
     except json.JSONDecodeError as exc:
         _fail("config", f"invalid JSON: {exc}")
-    return validate_config(raw)
 
 
-def validate_config(raw):
+def load_config(path):
+    return validate_config(_read_json(path))
+
+
+def _check_top_level(raw):
+    """The top-level object and its known keys; returns its ``grids`` object
+    with known keys."""
     if not isinstance(raw, dict):
         _fail("config", "top level must be an object")
     _check_keys(raw, _TOP_LEVEL_KEYS, "")
-    cfg = {}
-    cfg["raw"] = raw
-    cfg["model"] = _validate_operator(_need(raw, "operator", ""))
     grids = raw.get("grids", {})
     if not isinstance(grids, dict):
         _fail("grids", "expected an object")
     _check_keys(grids, ("t_grid", "xi_grid", "fourier_grid"), "grids")
+    return grids
+
+
+def _validate_fourier_grid(grids):
+    fg = grids.get("fourier_grid", {"period": 200.0, "samples": 2**13})
+    if not isinstance(fg, dict):
+        _fail("grids.fourier_grid", "expected an object")
+    _check_keys(fg, ("period", "samples"), "grids.fourier_grid")
+    try:
+        return multiplier.FourierGridSpec(
+            float(_need(fg, "period", "grids.fourier_grid", float)),
+            int(_need(fg, "samples", "grids.fourier_grid", int)),
+        )
+    except DomainError as exc:
+        _fail("grids.fourier_grid", str(exc))
+
+
+def _validate_seed(raw):
+    seed = _check(raw.get("seed", 0), "seed", int)
+    if not 0 <= seed < SEED_LIMIT:
+        _fail("seed", f"must be an integer in [0, 2**64), got {seed}")
+    return seed
+
+
+def validate_config(raw):
+    grids = _check_top_level(raw)
+    cfg = {}
+    cfg["raw"] = raw
+    cfg["model"] = _validate_operator(_need(raw, "operator", ""))
     cfg["t_grid"] = _validate_grid(
         grids.get("t_grid", {"start": 10.0, "stop": 1e4, "count": 32}), "grids.t_grid"
     )
     cfg["xi_grid"] = _validate_grid(
         grids.get("xi_grid", {"start": 1e-2, "stop": 1e3, "count": 64}), "grids.xi_grid"
     )
-    fg = grids.get("fourier_grid", {"period": 200.0, "samples": 2**13})
-    if not isinstance(fg, dict):
-        _fail("grids.fourier_grid", "expected an object")
-    _check_keys(fg, ("period", "samples"), "grids.fourier_grid")
-    try:
-        cfg["fourier_grid"] = multiplier.FourierGridSpec(
-            float(_need(fg, "period", "grids.fourier_grid", float)),
-            int(_need(fg, "samples", "grids.fourier_grid", int)),
-        )
-    except DomainError as exc:
-        _fail("grids.fourier_grid", str(exc))
+    cfg["fourier_grid"] = _validate_fourier_grid(grids)
     cfg["geometry"] = _validate_geometry(raw.get("geometry"))
     indices = raw.get("indices", [[0.0, 1.0]])
     if not isinstance(indices, list) or not indices:
@@ -225,9 +246,7 @@ def validate_config(raw):
             _fail(f"tolerances.{key}", "must be a positive number")
         tols[key] = float(val)
     cfg["tolerances"] = tols
-    cfg["seed"] = _check(raw.get("seed", 0), "seed", int)
-    if not 0 <= cfg["seed"] < SEED_LIMIT:
-        _fail("seed", f"must be an integer in [0, 2**64), got {cfg['seed']}")
+    cfg["seed"] = _validate_seed(raw)
     # accepted and validated for compatibility; runs are single-threaded
     cfg["threads"] = _check(raw.get("threads", 1), "threads", int)
     if cfg["threads"] < 1:
@@ -451,9 +470,13 @@ def _cmd_frac(args):
 
 
 def _cmd_mult(args):
-    config = load_config(args.config) if args.config else None
-    seed = args.seed if args.seed is not None else (config["seed"] if config else 0)
-    grid = config["fourier_grid"] if config else multiplier.FourierGridSpec(200.0, 2**13)
+    # the battery reads only the seed and the Fourier grid, so only those
+    # are validated beyond the known-key checks
+    raw = _read_json(args.config) if args.config else {}
+    grid = _validate_fourier_grid(_check_top_level(raw))
+    seed = _validate_seed(raw)
+    if args.seed is not None:
+        seed = args.seed
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = []
     ok = True

@@ -7,9 +7,12 @@ trapezoidal weights in log-radius; for integrands that decay
 exponentially in log-radius this converges spectrally, so doubling the
 node count squares the error until the truncation floor is reached.
 
-The scalar residue identity behind the quadrature (same engine, the
-operator resolvent replaced by a scalar pole) doubles as a self-test;
-see ``verify_contour_identity``.
+The quadrature applies the model's stacked resolvent
+``resolvent_apply_many`` to an array state, so it serves the dense and
+diagonal kinds; the other kinds have no state-space action and raise
+UnsupportedModelError.  The scalar residue identity behind the
+quadrature (same engine, the operator resolvent replaced by a scalar
+pole) doubles as a self-test; see ``verify_contour_identity``.
 """
 
 from __future__ import annotations
@@ -127,18 +130,10 @@ def _check_tails(idx, contour, result, tail):
 
 
 def contour_fractional_apply(model, idx, x, contour=None):
-    """Quadrature approximation of A^alpha (eta+A)^{-alpha-beta} x.
-
-    Supports array-state models; block-dict states (jordan-sum) have
-    closed forms and do not need the contour.
-    """
+    """Quadrature approximation of A^alpha (eta+A)^{-alpha-beta} x for an
+    array state x of a model with ``resolvent_apply_many``."""
     if contour is None:
         contour = ContourSpec()
-    if isinstance(x, dict):
-        raise UnsupportedModelError(
-            "contour quadrature is implemented for array-state models; "
-            "block-sum models expose closed-form fractional powers"
-        )
     if idx.alpha == 0.0 and idx.beta == 0.0:
         return np.asarray(x, dtype=complex).copy()
     if idx.beta == 0.0:
@@ -173,8 +168,6 @@ def fractional_power_apply(model, alpha, beta, x, contour=None):
     if alpha < 0 or beta < 0:
         raise DomainError("need alpha, beta >= 0")
     if alpha == 0.0 and beta == 0.0:
-        if isinstance(x, dict):
-            return {n: np.asarray(v, dtype=complex).copy() for n, v in x.items()}
         return np.asarray(x, dtype=complex).copy()
     if alpha > 0.0 and not model.info.injective:
         raise DomainError("positive fractional powers require an injective model")

@@ -1,4 +1,4 @@
-"""Concrete operator models with semigroup, resolvent, and norm actions.
+"""Concrete operator models and their operator-norm oracles.
 
 Four model kinds are bundled:
 
@@ -11,9 +11,13 @@ Four model kinds are bundled:
 * operator-matrix  -- a nilpotent perturbation of multiplication by s on
                       (0, 1), realized through its matrix-valued symbol.
 
-Conventions: the semigroup is T(t) = exp(-t A); ``resolvent_apply``
-computes (lam - A)^{-1} x; probe norms are reported for (lam + A)^{-1}
-because stability analysis probes the closed right half-plane.
+Every model answers the norms the analyses measure: ||T(t)||,
+||T(t) A^sigma (1+A)^{-sigma-tau}|| and ||(lam + A)^{-1}||.  Conventions:
+the semigroup is T(t) = exp(-t A); resolvent norms are reported for
+(lam + A)^{-1} because stability analysis probes the closed right
+half-plane.  State-space actions, (lam - A)^{-1} x and closed-form
+A^alpha (1+A)^{-alpha-beta} x on arrays, exist only for the dense and
+diagonal kinds, the two the contour quadrature of ``fraccalc`` serves.
 
 All models are immutable after construction and their operations are
 pure, so values may be evaluated from several threads at once.  The one
@@ -23,7 +27,6 @@ never changes a returned value.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from abc import ABC, abstractmethod
@@ -64,17 +67,9 @@ class ModelInfo:
 
 
 class OperatorModel(ABC):
-    """A concrete operator A with exact or discretized actions."""
+    """A concrete operator A, given by exact or discretized norm oracles."""
 
     info: ModelInfo
-
-    @abstractmethod
-    def semigroup_apply(self, t, x):
-        """T(t) x = exp(-t A) x."""
-
-    @abstractmethod
-    def resolvent_apply(self, lam, x):
-        """(lam - A)^{-1} x.  Raises NearSingularityError close to the spectrum."""
 
     @abstractmethod
     def spectrum_distance(self, lam):
@@ -94,20 +89,24 @@ class OperatorModel(ABC):
         for the norm of T(t) from the smoothness-(sigma, tau) domain to X."""
 
     @abstractmethod
-    def phi_closed_apply(self, alpha, beta, x):
-        """Closed-form A^alpha (1+A)^{-alpha-beta} x, where available.
-
-        Raises UnsupportedModelError when no closed form exists; callers
-        fall back to contour quadrature.
-        """
-
-    @abstractmethod
     def spectral_abscissa_neg(self):
         """s(-A) = sup Re sigma(-A)."""
 
     def resolvent_apply_many(self, lams, x):
-        """Stacked resolvent applications (default: loop)."""
-        return [self.resolvent_apply(lam, x) for lam in lams]
+        """Stacked (lam - A)^{-1} x, one row per lam, for an array state x.
+
+        Only array-state kinds implement it; the others raise
+        UnsupportedModelError.
+        """
+        raise UnsupportedModelError(f"model kind {self.info.kind!r} has no state-space action")
+
+    def phi_closed_apply(self, alpha, beta, x):
+        """Closed-form A^alpha (1+A)^{-alpha-beta} x for an array state x.
+
+        Raises UnsupportedModelError when the model has no state-space
+        action or no closed form; callers fall back to contour quadrature.
+        """
+        raise UnsupportedModelError(f"model kind {self.info.kind!r} has no state-space action")
 
     def _check_semigroup_time(self, t):
         if t < 0:
@@ -127,10 +126,6 @@ class OperatorModel(ABC):
 
 # ---------------------------------------------------------------------------
 # helpers shared by the block-structured models
-
-
-def _nilpotent(n):
-    return np.eye(n, k=1)
 
 
 def _exp_series_coeffs(t, m):
@@ -176,18 +171,6 @@ def _row_product(a, b):
 
 def _toeplitz_norm(coeffs):
     return float(svdvals(_toeplitz_stack(np.asarray(coeffs, dtype=complex)))[0])
-
-
-def _apply_series(coeffs, x):
-    """(sum_k coeffs[..., k] B^k) x, i.e. y[..., i] = sum_k coeffs[..., k] x[..., i+k];
-    broadcast over leading axes, so one call applies a stack of rows to a
-    stack of vectors."""
-    coeffs = np.asarray(coeffs)
-    m = x.shape[-1]
-    y = np.zeros(np.broadcast_shapes(coeffs.shape, x.shape), dtype=complex)
-    for k in range(m):
-        y[..., : m - k] += coeffs[..., k : k + 1] * x[..., k:]
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +232,6 @@ class DenseMatrixModel(OperatorModel):
         return out
 
     # -- operations
-
-    def semigroup_apply(self, t, x):
-        self._check_semigroup_time(t)
-        x = self._check_vec(x)
-        return self._expm_neg(t) @ x
-
-    def resolvent_apply(self, lam, x):
-        x = self._check_vec(x)
-        self._check_resolvent_point(lam)
-        return np.linalg.solve(lam * np.eye(self.dim) - self.matrix, x)
 
     def resolvent_apply_many(self, lams, x):
         x = self._check_vec(x)
@@ -374,16 +347,6 @@ class DiagonalSymbolModel(OperatorModel):
 
     # -- operations
 
-    def semigroup_apply(self, t, x):
-        self._check_semigroup_time(t)
-        x = self._check_vec(x)
-        return x * np.exp(-t * self.symbol(self.grid.nodes))
-
-    def resolvent_apply(self, lam, x):
-        x = self._check_vec(x)
-        self._check_resolvent_point(lam)
-        return x / (lam - self.symbol(self.grid.nodes))
-
     def resolvent_apply_many(self, lams, x):
         x = self._check_vec(x)
         lams = np.asarray(lams, dtype=complex)
@@ -472,8 +435,7 @@ class JordanSumModel(OperatorModel):
 
     Block n acts on an m(n)-dimensional space with m(n) = floor(log n /
     log(1/delta)); blocks with m(n) < 2 are dropped, and the sum runs up
-    to the truncation index ``n_max``.  Vectors are dicts mapping block
-    index to a coefficient array; the direct sum is an l2 sum, so
+    to the truncation index ``n_max``.  The direct sum is an l2 sum, so
     operator norms are block-wise suprema.
 
     Each block operator is an upper-triangular Toeplitz matrix, so it is
@@ -566,52 +528,7 @@ class JordanSumModel(OperatorModel):
     def eigenvalue(self, n):
         return complex(self.gamma, -float(n))
 
-    def _check_vec(self, x):
-        if not isinstance(x, dict) or not x:
-            raise ShapeError("jordan-sum vectors are nonempty dicts {block n: coefficients}")
-        out = {}
-        for n, v in x.items():
-            n = int(n)
-            if not (self.n_start <= n <= self.n_max):
-                raise ShapeError(f"block {n} outside retained range [{self.n_start}, {self.n_max}]")
-            v = np.asarray(v, dtype=complex)
-            m = self.block_size(n)
-            if v.shape != (m,):
-                raise ShapeError(f"block {n} expects shape ({m},), got {v.shape}")
-            out[n] = v
-        return out
-
-    def basis_vector(self, n, index=-1):
-        """Unit coordinate vector in block n (default: last coordinate)."""
-        m = self.block_size(n)
-        v = np.zeros(m, dtype=complex)
-        v[index] = 1.0
-        return {int(n): v}
-
-    @staticmethod
-    def norm(x):
-        return math.sqrt(sum(float(np.vdot(v, v).real) for v in x.values()))
-
     # -- operations
-
-    def semigroup_apply(self, t, x):
-        self._check_semigroup_time(t)
-        x = self._check_vec(x)
-        out = {}
-        for n, v in x.items():
-            m = len(v)
-            coeffs = _exp_series_coeffs(t, m) * cmath.exp(t * complex(0.0, n) - t * self.gamma)
-            out[n] = _apply_series(coeffs, v)
-        return out
-
-    def resolvent_apply(self, lam, x):
-        x = self._check_vec(x)
-        self._check_resolvent_point(lam)
-        out = {}
-        for n, v in x.items():
-            # (lam - A_n)^{-1} = -(zeta - B)^{-1} with zeta = eigenvalue(n) - lam
-            out[n] = _apply_series(-_shifted_power_rows(self.eigenvalue(n) - lam, -1, len(v))[0], v)
-        return out
 
     def spectrum_distance(self, lam):
         lam = complex(lam)
@@ -744,13 +661,6 @@ class JordanSumModel(OperatorModel):
             self._phi_rows(sigma, tau), f"T({t})Phi^{sigma}_{tau}", t
         )
 
-    def phi_closed_apply(self, alpha, beta, x):
-        x = self._check_vec(x)
-        return {
-            n: _apply_series(self._phi_block_rows(alpha, beta, np.array([float(n)]), len(v))[0], v)
-            for n, v in x.items()
-        }
-
     def spectral_abscissa_neg(self):
         return -self.gamma
 
@@ -775,17 +685,13 @@ class OperatorMatrixModel(OperatorModel):
     built for a whole array of s at once.  Norms are suprema over s in
     (0,1) of batched spectral norms, seeded at the critical points
     s* = min(1, c/t) of exp(-t s) s^c and refined by golden section.
-    State vectors are samples of the n components on an interior grid.
     Not sectorial: the resolvent blows up like |lam|^{-n} at the origin.
     """
 
-    def __init__(self, n, s_count=1024):
+    def __init__(self, n):
         if n < 2:
             raise DomainError(f"need nilpotency size n >= 2, got {n}")
         self.n = int(n)
-        self.s_count = int(s_count)
-        self.s_nodes = (np.arange(self.s_count) + 0.5) / self.s_count
-        self.nilp = _nilpotent(self.n)
         self._sup_nodes = np.geomspace(1e-9, 1.0, 384)
         self.info = ModelInfo(
             kind="operator-matrix",
@@ -795,14 +701,6 @@ class OperatorMatrixModel(OperatorModel):
             sectorial_angle=None,
             known_growth_pair=(float(n), 0.0),
         )
-
-    def _check_vec(self, x):
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.s_count, self.n):
-            raise ShapeError(
-                f"expected samples of shape ({self.s_count}, {self.n}), got {x.shape}"
-            )
-        return x
 
     def _semigroup_rows(self, t, ss):
         return np.exp(-t * ss)[:, None] * _exp_series_coeffs(t, self.n)
@@ -821,17 +719,6 @@ class OperatorMatrixModel(OperatorModel):
         return rows
 
     # -- operations
-
-    def semigroup_apply(self, t, x):
-        self._check_semigroup_time(t)
-        x = self._check_vec(x)
-        return _apply_series(self._semigroup_rows(t, self.s_nodes), x)
-
-    def resolvent_apply(self, lam, x):
-        x = self._check_vec(x)
-        self._check_resolvent_point(lam)
-        # (lam - M(s))^{-1} = -(zeta - N)^{-1} with zeta = s - lam
-        return _apply_series(-_shifted_power_rows(self.s_nodes - lam, -1, self.n), x)
 
     def spectrum_distance(self, lam):
         lam = complex(lam)
@@ -861,10 +748,6 @@ class OperatorMatrixModel(OperatorModel):
             lambda ss: _row_product(self._semigroup_rows(t, ss), self._phi_rows(sigma, tau, ss)),
             _bump_seeds(t, 2 * self.n),
         )
-
-    def phi_closed_apply(self, alpha, beta, x):
-        x = self._check_vec(x)
-        return _apply_series(self._phi_rows(alpha, beta, self.s_nodes), x)
 
     def spectral_abscissa_neg(self):
         return 0.0
@@ -897,5 +780,5 @@ def model_from_config(spec):
             spec["gamma"], spec["delta"], spec.get("n_max", 10**4), spec.get("n_start")
         )
     if kind == "operator-matrix":
-        return OperatorMatrixModel(spec["n"], spec.get("s_count", 1024))
+        return OperatorMatrixModel(spec["n"])
     raise DomainError(f"unknown operator kind {kind!r}")

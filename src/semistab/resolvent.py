@@ -9,7 +9,9 @@ log-log regression, so that resonance peaks rather than the valleys
 between them set the exponent.
 
 Probing covers the imaginary axis plus a finite eta grid only, so every
-result here is 'probed', never 'certified'.
+result here is 'probed', never 'certified'.  Nothing here probes a
+sector: the sector the contour quadrature of ``fraccalc`` assumes is the
+model's own ``info.sectorial_angle``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DomainError,
     EdgeDominatedWarning,
     InsufficientDataError,
     NearSingularityError,
@@ -48,21 +49,13 @@ class ProbeTable:
         return [e for e in self.entries if e.norm is not None]
 
 
-def _probe(model, lam):
-    """||(lam + A)^{-1}|| and whether the model flagged its supremum as
-    edge-dominated (an ``EdgeDominatedWarning``, captured, not shown)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", EdgeDominatedWarning)
-        norm = model.shifted_resolvent_norm(lam)
-    return norm, any(issubclass(w.category, EdgeDominatedWarning) for w in caught)
-
-
 def probe_resolvent_norms(model, xi_grid, eta=0.0):
     """||(lam + A)^{-1}|| at lam = eta + i xi for xi in +/- grid.
 
     Probes that hit the spectrum produce per-probe "singular" entries and
-    the analysis continues; suprema flagged as edge-dominated are kept
-    with status "edge".
+    the analysis continues; suprema the model flags as edge-dominated (an
+    ``EdgeDominatedWarning``, captured, not shown) are kept with status
+    "edge".
     """
     nodes = xi_grid.nodes if isinstance(xi_grid, LogGrid) else np.asarray(xi_grid, dtype=float)
     entries = []
@@ -70,7 +63,10 @@ def probe_resolvent_norms(model, xi_grid, eta=0.0):
         for sign in (1.0, -1.0):
             norm = None
             try:
-                norm, edge = _probe(model, complex(eta, sign * xi))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", EdgeDominatedWarning)
+                    norm = model.shifted_resolvent_norm(complex(eta, sign * xi))
+                edge = any(issubclass(w.category, EdgeDominatedWarning) for w in caught)
                 status = "edge" if edge else "ok"
             except NearSingularityError:
                 status = "singular"
@@ -153,34 +149,6 @@ def fit_growth_profile(table):
     weights = np.abs(lam) ** alpha_hat / (1.0 + np.abs(lam)) ** (alpha_hat + beta_hat)
     m_constant = float(np.max(weights * norms))
     return ResolventGrowthProfile(alpha_hat, beta_hat, m_constant, low_fit, high_fit)
-
-
-@dataclass(frozen=True)
-class SectorialityEstimate:
-    m_constant: float
-    angle: float  # pi - arcsin(1/M)
-    edge_flagged: bool
-
-
-def sectoriality_constant(model, lambda_grid):
-    """sup over positive lam of ||lam (lam + A)^{-1}|| with the derived
-    sectorial-angle report pi - arcsin(1/M)."""
-    nodes = lambda_grid.nodes if isinstance(lambda_grid, LogGrid) else np.asarray(lambda_grid, dtype=float)
-    if np.any(nodes <= 0):
-        raise DomainError("sectoriality probes must be positive reals")
-    edge = False
-    vals = []
-    for lam in nodes:
-        if model.spectrum_distance(-lam) < 1e-11:
-            raise DomainError(f"probe lam={lam} hits the spectrum of -A")
-        norm, flagged = _probe(model, complex(lam, 0.0))
-        vals.append(lam * norm)
-        edge |= flagged
-    if len(vals) >= 2 and vals[-1] >= max(vals) * (1.0 - 1e-12):
-        edge = True  # supremum still rising at the largest probe
-    best = max([0.0, *vals])
-    m = max(best, 1.0)
-    return SectorialityEstimate(float(best), math.pi - math.asin(1.0 / m), edge)
 
 
 @dataclass(frozen=True)

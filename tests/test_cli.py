@@ -288,7 +288,7 @@ def test_growth_fit_failure_exits_cleanly(tmp_path, capsys, command):
     # 12 xi nodes on [0.01, 100] leave 6 probes on each side of |xi| = 1,
     # too few for the growth-profile fit
     cfg = {
-        "operator": {"kind": "operator-matrix", "n": 2, "s_count": 64},
+        "operator": {"kind": "operator-matrix", "n": 2},
         "grids": {"xi_grid": {"start": 0.01, "stop": 100, "count": 12}},
         "indices": [[0, 1]],
     }
@@ -358,7 +358,7 @@ _OPERATOR = st.one_of(
     _obj({"kind": _field(st.just("jordan-sum")), "gamma": _field(_NUM(0.05, 0.95)),
           "delta": _field(_NUM(0.2, 0.8)), "n_max": _size(2, 64)},
          {"n_start": _size(1, 16)}),
-    _obj({"kind": _field(st.just("operator-matrix")), "n": _size(2, 4), "s_count": _size(1, 16)}),
+    _obj({"kind": _field(st.just("operator-matrix")), "n": _size(2, 4)}),
 )
 _GRIDS = _obj({}, {
     "t_grid": _field(_obj({"start": _field(_NUM(0.5, 5)), "stop": _field(_NUM(5, 100)),
@@ -473,3 +473,15 @@ def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
     assert _exit_code(argv + ["--out-dir", str(tmp_path / "o")]) == 2
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_mult_config_needs_only_seed_and_fourier_grid(tmp_path, capsys):
+    # mult reads the seed and grids.fourier_grid; the rest of an analyze
+    # config may be absent, and a full one still runs
+    minimal = {"seed": 1, "grids": {"fourier_grid": {"period": 200.0, "samples": 8192}}}
+    bad = {"grids": {"fourier_grid": {"period": 200.0, "samples": "8192"}}}
+    for cfg, code in ((minimal, 0), (bad, 2), (_base_config(tmp_path / "o"), 0)):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["mult", "--config", str(path), "--out-dir", str(tmp_path / "m")]) == code
+    assert "config error: grids.fourier_grid.samples:" in capsys.readouterr().err

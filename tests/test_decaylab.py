@@ -154,14 +154,14 @@ def test_measure_decay_exponential_flagged_super_polynomial():
 
 
 def test_measure_decay_power_law_not_flagged():
-    model = operators.OperatorMatrixModel(2, 32)
+    model = operators.OperatorMatrixModel(2)
     meas = decaylab.measure_decay(model, 0.0, 0.0, numcore.geometric_grid(10.0, 1e3, 20))
     assert not meas.super_polynomial
     assert meas.rho_hat == pytest.approx(-1.0, abs=0.05)  # ||T(t)|| ~ t
 
 
 def test_check_consistency_orderings():
-    model = operators.OperatorMatrixModel(2, 32)
+    model = operators.OperatorMatrixModel(2)
     meas = decaylab.measure_decay(model, 1.0, 0.0, numcore.geometric_grid(10.0, 1e3, 20))
     good = decaylab.RatePrediction(0.0, True, 1.0, "stub", ())
     assert decaylab.check_consistency(meas, good, 0.05).passed

@@ -147,7 +147,7 @@ def test_contour_rejects_beta_zero_and_nonsectorial():
         fraccalc.contour_fractional_apply(
             model, fraccalc.FractionalIndex(1.0, 0.0, 1.0), np.array([1.0 + 0j])
         )
-    om = operators.OperatorMatrixModel(2, 16)
+    om = operators.OperatorMatrixModel(2)
     with pytest.raises(ContourError):
         fraccalc.contour_fractional_apply(
             om, fraccalc.FractionalIndex(1.0, 1.0, 1.0), np.zeros((16, 2), complex)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semistab import numcore, operators, resolvent
-from semistab.errors import DomainError, InsufficientDataError
+from semistab.errors import InsufficientDataError
 
 
 def test_probe_scalar_values():
@@ -66,40 +66,6 @@ def test_m_constant_stable_under_probe_doubling():
     m1, m2 = profiles[0].m_constant, profiles[1].m_constant
     assert math.isfinite(m1) and math.isfinite(m2)
     assert abs(m2 - m1) / m1 < 0.10
-
-
-def test_sectoriality_constant_scalar():
-    model = operators.DenseMatrixModel([[1.0]])
-    est = resolvent.sectoriality_constant(model, numcore.geometric_grid(1e-3, 1e5, 60))
-    assert est.m_constant == pytest.approx(1.0, abs=1e-4)
-    assert est.angle == pytest.approx(math.pi - math.asin(1.0 / max(est.m_constant, 1.0)))
-
-
-def test_sectoriality_angle_dominates_true_angle():
-    theta0 = 0.4
-    eigs = np.array([np.exp(1j * theta0), np.exp(-1j * theta0), 2.0])
-    model = operators.DenseMatrixModel(np.diag(eigs))
-    est = resolvent.sectoriality_constant(model, numcore.geometric_grid(1e-3, 1e4, 80))
-    assert est.angle >= theta0 - 0.05
-
-
-def test_sectoriality_constant_diagonal_finite():
-    model = operators.DiagonalSymbolModel(
-        1.0, 0.5, numcore.geometric_grid(1.0 + 1e-6, 1e5, 512)
-    )
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        est = resolvent.sectoriality_constant(model, numcore.geometric_grid(1e-2, 1e3, 24))
-    assert math.isfinite(est.m_constant) and est.m_constant > 0.5
-    assert isinstance(est.edge_flagged, bool)
-
-
-def test_sectoriality_rejects_probe_on_spectrum():
-    model = operators.DenseMatrixModel([[-2.0]])
-    with pytest.raises(DomainError):
-        resolvent.sectoriality_constant(model, numcore.geometric_grid(1.0, 4.0, 3))
 
 
 def test_spectral_bounds_dense_diag():
