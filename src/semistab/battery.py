@@ -449,12 +449,11 @@ def case_jordan_rates(seed=0):
     # soundness sweep entry for this model's stated pair (0, beta0_full):
     # the Hilbert guarantee at tau = beta0 is rho <= 0, and the measurement
     # at that index indeed does not decay slower than that
-    t_grid = numcore.LogGrid(band_ts[0], band_ts[-1], len(band_ts), band_ts)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fit_b0 = numcore.fit_power_law(band_ts, b0_vals, window=(0, len(band_ts)))
         meas_b0 = decaylab.DecayMeasurement(
-            0.0, beta0_full, t_grid, b0_vals, fit_b0, -fit_b0.exponent,
+            0.0, beta0_full, b0_vals, fit_b0, -fit_b0.exponent,
             numcore.fit_exp_rate(band_ts, b0_vals, window=(0, len(band_ts))),
             False,
         )

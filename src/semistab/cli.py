@@ -5,10 +5,10 @@ the flags it reads.  Exit codes: 0 all checks pass, 1 an analysis or
 consistency check failed, 2 the configuration or a flag is invalid (the
 diagnostic names the offending field or flag).
 
-Runs are single-threaded.  --threads, SEMISTAB_THREADS and the config
-key "threads" are accepted and validated for compatibility but have no
-effect.  Identical (config, seed) pairs produce byte-identical
-summary.json; wall-clock timings go to a separate run_meta.json.
+Runs are single-threaded.  --threads and the config key "threads" are
+accepted and validated for compatibility but have no effect.  Identical
+(config, seed) pairs produce byte-identical summary.json; wall-clock
+timings go to a separate run_meta.json.
 """
 
 from __future__ import annotations
@@ -401,7 +401,7 @@ def run_analyze(config, measure_only=False):
                 any_applicable = True
                 rep = decaylab.check_consistency(meas, pred, tol)
                 verdict = "PASS" if rep.passed else "FAIL"
-                record["margin"] = None if rep.margin is None else rep.margin
+                record["margin"] = rep.margin
                 overall &= rep.passed
             record["verdict"] = verdict
             summary["predictions"].append(record)
@@ -578,19 +578,12 @@ _positive_float = _flag_type(float, lambda x: math.isfinite(x) and x > 0, "a pos
 
 
 def build_parser():
-    """The argument parser; an invalid SEMISTAB_THREADS raises ConfigError."""
+    """The argument parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="semistab",
         description="semigroup stability laboratory: analyses, fractional powers, multipliers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    env_threads = os.environ.get("SEMISTAB_THREADS")
-    default_threads = None
-    if env_threads:
-        try:
-            default_threads = _positive_int(env_threads)
-        except argparse.ArgumentTypeError as exc:
-            _fail("SEMISTAB_THREADS", str(exc))
 
     def subcommand(name, help_text, config=None, seed=None, tol=None):
         """A subparser with --out-dir and --threads, and only the other flags
@@ -600,10 +593,8 @@ def build_parser():
         if config is not None:
             p.add_argument("--config", required=config, help="JSON config path")
         p.add_argument("--out-dir", default=None, help="output directory")
-        p.add_argument(
-            "--threads", type=_positive_int, default=default_threads,
-            help="accepted for compatibility; runs are single-threaded",
-        )
+        p.add_argument("--threads", type=_positive_int,
+                       help="accepted for compatibility; runs are single-threaded")
         if seed:
             p.add_argument("--seed", type=_seed, default=None, help=seed)
         if tol:

@@ -7,6 +7,14 @@ divisions (sigma+1)/alpha etc. use the conventions 1/0 = oo and 0/0 = oo,
 so the exponential regime appears as rho = oo and is distinct from "no
 rate" (a failed hypothesis).
 
+The general, Fourier-type and type/cotype calculators apply one rule,
+``_polynomial_rate``: rho = min((sigma+1)/alpha - 1, (tau-1/r)/beta - 1)
+under sigma > alpha - 1 and tau > beta + 1/r.  The geometry enters only
+through the smoothing index 1/r: 1 on a general Banach space, 1/p - 1/p'
+for Fourier type p (``_fourier_index``), 1/p - 1/q for type p and cotype
+q or a p-convex, q-concave lattice (``_pq_index``), and 0 on a Hilbert
+space.  The same map gives ``exponential_smoothness_index``.
+
 Geometry parameters are user inputs and are never inferred; hypotheses
 the artifact cannot check numerically (R-boundedness of the tempered
 resolvent family, a negative non-analytic growth bound) enter as asserted
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numcore import ExpRateFit, LogGrid, PowerFit, default_window, fit_exp_rate, fit_power_law
+from .numcore import ExpRateFit, PowerFit, default_window, fit_exp_rate, fit_power_law
 
 INF = math.inf
 
@@ -64,20 +72,10 @@ class GeometryDescriptor:
                 raise DomainError(f"lattice convexity pair out of range: {self.lattice}")
 
 
-def conjugate_exponent(p):
-    """Hoelder conjugate with the endpoint conventions 1' = oo, oo' = 1."""
-    if p == 1.0:
-        return INF
-    if p == INF:
-        return 1.0
-    return p / (p - 1.0)
-
-
 @dataclass(frozen=True)
 class Condition:
     name: str
     passed: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -107,15 +105,36 @@ def _prediction(source, conds, rho, strict, r_index, log_factor=False):
     return RatePrediction(float(rho), strict, r_index, source, tuple(conds), log_factor)
 
 
+def _fourier_index(p):
+    """1/r = 1/p - 1/p' of Fourier type p."""
+    return 2.0 / p - 1.0
+
+
+def _pq_index(p, q):
+    """1/r = 1/p - 1/q (1/oo = 0) of type p and cotype q, or of a
+    p-convex, q-concave lattice."""
+    return 1.0 / p - (0.0 if q == INF else 1.0 / q)
+
+
+def _polynomial_rate(source, alpha, beta, sigma, tau, r_index, attained, tau_rule, conds=()):
+    """The rate theorem of every geometry: rho = min((sigma+1)/alpha - 1,
+    (tau-1/r)/beta - 1) under sigma > alpha - 1 and tau > beta + 1/r.  An
+    ``attained`` rule (Hilbert space, lattices) also admits tau = beta + 1/r,
+    and its beta branch is attained; ``tau_rule`` names the tau condition
+    after the extra ``conds``."""
+    tau_ok = tau >= beta + r_index if attained else tau > beta + r_index
+    sigma_ok = Condition("sigma > alpha - 1", sigma > alpha - 1.0)
+    conds = [*conds, sigma_ok, Condition(tau_rule, tau_ok)]
+    branch_a = _div(sigma + 1.0, alpha) - 1.0
+    branch_b = _div(tau - r_index, beta) - 1.0
+    strict = branch_a < branch_b if attained else True
+    return _prediction(source, conds, min(branch_a, branch_b), strict, r_index)
+
+
 def predict_rate_general(alpha, beta, sigma, tau):
-    """Rate on a general Banach space: rho < min((sigma+1)/alpha - 1,
+    """Rate on a general Banach space (1/r = 1): rho < min((sigma+1)/alpha - 1,
     (tau-1)/beta - 1) under sigma > alpha - 1 and tau > beta + 1."""
-    conds = [
-        Condition("sigma > alpha - 1", sigma > alpha - 1.0, f"sigma={sigma}, alpha={alpha}"),
-        Condition("tau > beta + 1", tau > beta + 1.0, f"tau={tau}, beta={beta}"),
-    ]
-    rho = min(_div(sigma + 1.0, alpha) - 1.0, _div(tau - 1.0, beta) - 1.0)
-    return _prediction("general-banach", conds, rho, True, 1.0)
+    return _polynomial_rate("general-banach", alpha, beta, sigma, tau, 1.0, False, "tau > beta + 1")
 
 
 def predict_rate_fourier_type(alpha, beta, sigma, tau, geometry):
@@ -124,23 +143,10 @@ def predict_rate_fourier_type(alpha, beta, sigma, tau, geometry):
     p = geometry.fourier_type
     if p is None:
         raise DomainError("geometry.fourier_type is required")
-    r_index = 2.0 / p - 1.0  # 1/r = 1/p - 1/p'
+    args = (alpha, beta, sigma, tau, _fourier_index(p))
     if p == 2.0:
-        conds = [
-            Condition("sigma > alpha - 1", sigma > alpha - 1.0),
-            Condition("tau >= beta", tau >= beta),
-        ]
-        branch_a = _div(sigma + 1.0, alpha) - 1.0
-        branch_b = _div(tau, beta) - 1.0
-        rho = min(branch_a, branch_b)
-        strict = branch_a < branch_b  # the beta branch is attained
-        return _prediction("fourier-type-hilbert", conds, rho, strict, 0.0)
-    conds = [
-        Condition("sigma > alpha - 1", sigma > alpha - 1.0),
-        Condition("tau > beta + 1/r", tau > beta + r_index, f"1/r={r_index}"),
-    ]
-    rho = min(_div(sigma + 1.0, alpha) - 1.0, _div(tau - r_index, beta) - 1.0)
-    return _prediction("fourier-type", conds, rho, True, r_index)
+        return _polynomial_rate("fourier-type-hilbert", *args, True, "tau >= beta")
+    return _polynomial_rate("fourier-type", *args, False, "tau > beta + 1/r")
 
 
 def predict_rate_type_cotype(alpha, beta, sigma, tau, geometry):
@@ -149,38 +155,15 @@ def predict_rate_type_cotype(alpha, beta, sigma, tau, geometry):
     p, q = geometry.type_p, geometry.cotype_q
     if p is None or q is None:
         raise DomainError("geometry.type_p and geometry.cotype_q are required")
-    asserted = Condition(
-        "R-resolvent growth asserted",
-        geometry.r_resolvent_growth_asserted,
-        "cannot be verified numerically; user assertion",
-    )
+    asserted = (Condition("R-resolvent growth asserted", geometry.r_resolvent_growth_asserted),)
+    args = (alpha, beta, sigma, tau, _pq_index(p, q))
     if p == 2.0 and q == 2.0:
-        hil = predict_rate_fourier_type(
-            alpha, beta, sigma, tau, GeometryDescriptor(hilbert=True)
-        )
-        conds = (asserted,) + hil.conditions
-        return _prediction("type-cotype-hilbert", list(conds), hil.rho, hil.strict, 0.0)
-    r_index = 1.0 / p - (0.0 if q == INF else 1.0 / q)
-    conds = [
-        asserted,
-        Condition("sigma > alpha - 1", sigma > alpha - 1.0),
-        Condition("tau > beta + 1/r", tau > beta + r_index, f"1/r={r_index}"),
-    ]
-    rho = min(_div(sigma + 1.0, alpha) - 1.0, _div(tau - r_index, beta) - 1.0)
-    best = _prediction("type-cotype", conds, rho, True, r_index)
+        return _polynomial_rate("type-cotype-hilbert", *args, True, "tau >= beta", asserted)
+    best = _polynomial_rate("type-cotype", *args, False, "tau > beta + 1/r", asserted)
     if geometry.lattice is not None:
-        pc, qc = geometry.lattice
-        r_lat = 1.0 / pc - 1.0 / qc
-        conds_lat = [
-            asserted,
-            Condition("sigma > alpha - 1", sigma > alpha - 1.0),
-            Condition("tau >= beta + 1/r", tau >= beta + r_lat, f"1/r={r_lat}"),
-        ]
-        branch_a = _div(sigma + 1.0, alpha) - 1.0
-        branch_b = _div(tau - r_lat, beta) - 1.0
-        lat = _prediction(
-            "type-cotype-lattice", conds_lat, min(branch_a, branch_b),
-            branch_a < branch_b, r_lat,
+        lat = _polynomial_rate(
+            "type-cotype-lattice", alpha, beta, sigma, tau, _pq_index(*geometry.lattice),
+            True, "tau >= beta + 1/r", asserted,
         )
         if lat.applicable and (not best.applicable or lat.rho >= best.rho):
             best = lat
@@ -193,53 +176,34 @@ def predict_rate_asymptotically_analytic(alpha, sigma, zeta_negative_asserted):
     non-analytic growth bound is negative (``GeometryDescriptor`` carries
     it as a flag of the same name)."""
     conds = [
-        Condition(
-            "non-analytic growth bound < 0 asserted",
-            bool(zeta_negative_asserted),
-            "cannot be verified numerically; user assertion",
-        ),
+        Condition("non-analytic growth bound < 0 asserted", bool(zeta_negative_asserted)),
         Condition("sigma > alpha - 1", sigma > alpha - 1.0),
     ]
     rho = _div(sigma + 1.0, alpha) - 1.0
     return _prediction("asymptotically-analytic", conds, rho, True, 0.0)
 
 
-@dataclass(frozen=True)
-class GrowthAwareRates:
-    """Both growth-aware candidates with the stronger one marked."""
-
-    plain: RatePrediction
-    scaling: RatePrediction | None
-    stronger: str  # "plain" or "scaling"
-
-
 def predict_rate_growth_aware(alpha, beta, sigma, tau, mu):
     """Rates that discount the measured growth exponent mu of ||T(t)||.
 
     The plain candidate is min(sigma/alpha, tau/beta) - mu (strict); for
-    alpha = 0 a rescaling of the bounded-semigroup literature gives
-    tau/beta - mu with a logarithmic factor.  Negative net exponents are
-    reported as failed conditions, not as rates.
+    alpha = 0 a rescaling of the bounded-semigroup literature adds the
+    candidate tau/beta - mu with a logarithmic factor.  Returns the plain
+    candidate, then the scaling one when alpha = 0.  Negative net
+    exponents are reported as failed conditions, not as rates.
     """
     if mu < 0:
         raise DomainError(f"need mu >= 0, got {mu}")
-    raw = min(_div(sigma, alpha), _div(tau, beta))
-    net = raw - mu if raw != INF else INF
-    conds = [Condition("net exponent >= 0", net >= 0.0, f"min(s/a,t/b)-mu={net}")]
-    plain = _prediction("growth-aware", conds, net, True, 1.0)
-    scaling = None
+    # (source, raw exponent, strict, log_factor) of each candidate
+    candidates = [("growth-aware", min(_div(sigma, alpha), _div(tau, beta)), True, False)]
     if alpha == 0.0:
-        raw_s = _div(tau, beta)
-        net_s = raw_s - mu if raw_s != INF else INF
-        conds_s = [Condition("net exponent >= 0", net_s >= 0.0, f"t/b-mu={net_s}")]
-        scaling = _prediction("growth-aware-scaling", conds_s, net_s, False, 1.0, log_factor=True)
-    stronger = "plain"
-    if scaling is not None and scaling.applicable:
-        if not plain.applicable:
-            stronger = "scaling"
-        elif scaling.rho > plain.rho or (scaling.rho == plain.rho and not scaling.strict):
-            stronger = "scaling"
-    return GrowthAwareRates(plain, scaling, stronger)
+        candidates.append(("growth-aware-scaling", _div(tau, beta), False, True))
+    preds = []
+    for source, raw, strict, log_factor in candidates:
+        net = raw - mu if raw != INF else INF
+        conds = [Condition("net exponent >= 0", net >= 0.0)]
+        preds.append(_prediction(source, conds, net, strict, 1.0, log_factor))
+    return preds
 
 
 def predictions_for(geometry, alpha, beta, sigma, tau, mu_hat):
@@ -254,10 +218,7 @@ def predictions_for(geometry, alpha, beta, sigma, tau, mu_hat):
     if geometry.zeta_negative_asserted:
         preds.append(predict_rate_asymptotically_analytic(alpha, sigma, zeta_negative_asserted=True))
     if mu_hat is not None:
-        ga = predict_rate_growth_aware(alpha, beta, sigma, tau, max(0.0, mu_hat))
-        preds.append(ga.plain)
-        if ga.scaling is not None:
-            preds.append(ga.scaling)
+        preds.extend(predict_rate_growth_aware(alpha, beta, sigma, tau, max(0.0, mu_hat)))
     return preds
 
 
@@ -300,17 +261,14 @@ def exponential_smoothness_index(geometry):
     if geometry.hilbert:
         candidates.append((0.0, "hilbert"))
     if geometry.fourier_type is not None:
-        p = geometry.fourier_type
-        candidates.append((1.0 / p - 1.0 / conjugate_exponent(p), "fourier-type"))
+        candidates.append((_fourier_index(geometry.fourier_type), "fourier-type"))
     if geometry.type_p is not None and geometry.cotype_q is not None:
-        p, q = geometry.type_p, geometry.cotype_q
-        inv_q = 0.0 if q == INF else 1.0 / q
+        r_index = _pq_index(geometry.type_p, geometry.cotype_q)
         if geometry.r_resolvent_growth_asserted:
-            candidates.append((1.0 / p - inv_q, "type-cotype"))
-        candidates.append((2.0 / p - 2.0 * inv_q, "type-cotype-unconditional"))
+            candidates.append((r_index, "type-cotype"))
+        candidates.append((2.0 * r_index, "type-cotype-unconditional"))
     if geometry.lattice is not None and geometry.positive_semigroup:
-        pc, qc = geometry.lattice
-        candidates.append((1.0 / pc - 1.0 / qc, "positive-lattice"))
+        candidates.append((_pq_index(*geometry.lattice), "positive-lattice"))
     if not candidates:
         raise DomainError("geometry carries no usable parameters")
     value, source = min(candidates, key=lambda c: c[0])
@@ -327,7 +285,6 @@ class DecayMeasurement:
 
     sigma: float
     tau: float
-    t_grid: LogGrid
     norms: np.ndarray
     fit: PowerFit
     rho_hat: float  # decay reported as a positive exponent
@@ -370,7 +327,6 @@ def measure_decay(model, sigma, tau, t_grid, with_growth=False):
     return DecayMeasurement(
         float(sigma),
         float(tau),
-        t_grid,
         norms,
         fit,
         -fit.exponent,

@@ -33,7 +33,6 @@ from .errors import (
     UnsupportedModelError,
     WindowError,
 )
-from .decaylab import conjugate_exponent
 from .numcore import fit_exp_rate
 from .operators import DenseMatrixModel
 
@@ -103,6 +102,9 @@ def lebesgue_norm(f, p, grid):
 class Symbol:
     """A frequency symbol xi -> scalar or matrix, with zero-node policy.
 
+    ``fn`` is vectorized: called on an array of N nodes it returns all N
+    values at once, shape (N,) for dim 1, else (N, dim, dim).
+
     ``at_zero`` selects the treatment of the node xi = 0: "value" (the
     default) evaluates it like any node, so a symbol singular there raises
     SingularSymbolError naming node 0; "zero" assigns the zero map there
@@ -121,15 +123,11 @@ class Symbol:
     def eval_all(self, xis):
         """Values at all nodes: shape (N,) for dim 1, else (N, dim, dim)."""
         xis = np.asarray(xis, dtype=float)
+        expected = (len(xis),) if self.dim == 1 else (len(xis), self.dim, self.dim)
         with np.errstate(divide="ignore", invalid="ignore"):
-            try:
-                vals = np.asarray(self.fn(xis), dtype=complex)
-                expected = (len(xis),) if self.dim == 1 else (len(xis), self.dim, self.dim)
-                if vals.shape != expected:
-                    raise ValueError
-            except Exception:
-                rows = [np.asarray(self.fn(float(x)), dtype=complex) for x in xis]
-                vals = np.stack([np.atleast_2d(r) for r in rows]) if self.dim > 1 else np.asarray(rows)
+            vals = np.asarray(self.fn(xis), dtype=complex)
+        if vals.shape != expected:
+            raise ShapeError(f"{self.name} returned shape {vals.shape}, expected {expected}")
         bad = ~np.isfinite(vals).reshape(len(xis), -1).all(axis=1)
         for j in np.flatnonzero(xis == 0.0):
             if self.at_zero == "zero":
@@ -409,6 +407,15 @@ def exact_l2_norm(symbol, grid):
     """Essential sup of the symbol norm over the grid: the exact (2,2)
     multiplier norm on inner-product state spaces."""
     return float(np.max(symbol.norms_on(grid.freqs)))
+
+
+def conjugate_exponent(p):
+    """Hoelder conjugate with the endpoint conventions 1' = oo, oo' = 1."""
+    if p == 1.0:
+        return math.inf
+    if p == math.inf:
+        return 1.0
+    return p / (p - 1.0)
 
 
 def fourier_constant(p):

@@ -20,9 +20,10 @@ A^alpha (1+A)^{-alpha-beta} x on arrays, exist only for the dense and
 diagonal kinds, the two the contour quadrature of ``fraccalc`` serves.
 
 All models are immutable after construction and their operations are
-pure, so values may be evaluated from several threads at once.  The one
-memo (JordanSumModel's last fractional-power rows) is swapped whole and
-never changes a returned value.
+pure, so values may be evaluated from several threads at once.  The two
+memos, the last fractional-power matrix of DenseMatrixModel and the last
+fractional-power rows of JordanSumModel, are swapped whole and never
+change a returned value.
 """
 
 from __future__ import annotations
@@ -197,6 +198,9 @@ class DenseMatrixModel(OperatorModel):
         except np.linalg.LinAlgError:
             self._eigvecs_inv = None
             self._diagonalizable = False
+        # ((sigma, tau), read-only phi_matrix) of the last fractional_norm;
+        # replaced whole, never mutated, like JordanSumModel._phi_cache
+        self._phi_cache = None
         injective = bool(np.min(np.abs(self._eigvals)) > 0.0)
         on_neg_axis = np.any(
             (self._eigvals.real <= 0.0) & (np.abs(self._eigvals.imag) < 1e-14)
@@ -279,7 +283,12 @@ class DenseMatrixModel(OperatorModel):
 
     def fractional_norm(self, t, sigma, tau):
         self._check_semigroup_time(t)
-        return float(np.linalg.norm(self._expm_neg(t) @ self.phi_matrix(sigma, tau), 2))
+        cache = self._phi_cache
+        if cache is None or cache[0] != (sigma, tau):
+            phi = self.phi_matrix(sigma, tau)
+            phi.setflags(write=False)
+            cache = self._phi_cache = ((sigma, tau), phi)
+        return float(np.linalg.norm(self._expm_neg(t) @ cache[1], 2))
 
     def spectral_abscissa_neg(self):
         return float(-np.min(self._eigvals.real))

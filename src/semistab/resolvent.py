@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EdgeDominatedWarning,
-    InsufficientDataError,
-    NearSingularityError,
-    UnsupportedModelError,
-)
+from .errors import EdgeDominatedWarning, InsufficientDataError, NearSingularityError
 from .numcore import LogGrid, PowerFit, fit_exp_rate, fit_power_law
 
 _SNAP_TOL = 0.05
@@ -199,10 +194,7 @@ def spectral_bounds(model, t_grid, eta_grid, betas, xi_grid):
     then bisection down toward s(-A) to width 0.01; inf when even the
     largest node of ``eta_grid`` is not tame.
     """
-    try:
-        s = model.spectral_abscissa_neg()
-    except Exception as exc:  # pragma: no cover - all bundled models are exact
-        raise UnsupportedModelError("model does not expose an exact spectrum") from exc
+    s = model.spectral_abscissa_neg()
     t_nodes = t_grid.nodes if isinstance(t_grid, LogGrid) else np.asarray(t_grid, dtype=float)
     norms = np.array([model.semigroup_norm(t) for t in t_nodes])
     omega0 = fit_exp_rate(t_nodes, norms).rate

@@ -253,33 +253,15 @@ def test_format_complex():
     assert cli.format_complex(-0.5 - 1.25j) == "-0.5-1.25i"
 
 
-def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("SEMISTAB_THREADS", "5")
-    parser = cli.build_parser()
-    args = parser.parse_args(["verify-examples"])
-    assert args.threads == 5
-    monkeypatch.delenv("SEMISTAB_THREADS")
-    args = cli.build_parser().parse_args(["verify-examples"])
-    assert args.threads is None
-
-
-@pytest.mark.parametrize("value", ["-3", "0", "x"])
-@pytest.mark.parametrize("source", ["--threads", "SEMISTAB_THREADS"])
-def test_thread_count_must_be_positive_integer(tmp_path, capsys, monkeypatch, source, value):
+@pytest.mark.parametrize("value", ["-3", "0", "x"], ids=lambda v: f"--threads-{v}")
+def test_thread_count_must_be_positive_integer(tmp_path, capsys, value):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_base_config(tmp_path / "o")))
-    argv = ["decay", "--config", str(cfg_path)]
-    if source == "--threads":
-        argv += ["--threads", value]
-    else:
-        monkeypatch.setenv("SEMISTAB_THREADS", value)
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects a bad flag value itself
-        code = exc.code
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:  # argparse rejects a bad flag value itself
+        cli.main(["decay", "--config", str(cfg_path), "--threads", value])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert source in err and "must be a positive integer" in err
+    assert "--threads" in err and "must be a positive integer" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -98,14 +98,13 @@ def test_asymptotically_analytic():
 
 
 def test_growth_aware():
-    rates = decaylab.predict_rate_growth_aware(0.0, 1.0, 0.0, 3.0, 1.0)
-    assert rates.scaling is not None and rates.scaling.log_factor
-    assert rates.scaling.rho == pytest.approx(2.0)
-    assert rates.stronger == "scaling"
-    flat = decaylab.predict_rate_growth_aware(1.0, 2.0, 2.0, 3.0, 0.0)
-    assert flat.plain.rho == pytest.approx(min(2.0 / 1.0, 3.0 / 2.0))
+    plain, scaling = decaylab.predict_rate_growth_aware(0.0, 1.0, 0.0, 3.0, 1.0)
+    assert scaling.log_factor
+    assert scaling.rho == pytest.approx(2.0)
+    (flat,) = decaylab.predict_rate_growth_aware(1.0, 2.0, 2.0, 3.0, 0.0)
+    assert flat.rho == pytest.approx(min(2.0 / 1.0, 3.0 / 2.0))
     neg = decaylab.predict_rate_growth_aware(0.0, 1.0, 0.0, 0.5, 2.0)
-    assert not neg.plain.applicable
+    assert not neg[0].applicable
     with pytest.raises(DomainError):
         decaylab.predict_rate_growth_aware(0.0, 1.0, 0.0, 1.0, -0.5)
 
@@ -141,6 +140,14 @@ def test_smoothness_index():
     )
     assert tc.value == pytest.approx(0.5)
     assert tc.source == "type-cotype-unconditional"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.one_of(st.just(1.0), st.just(1.5), st.just(2.0), st.floats(1.0, 2.0)))
+def test_smoothness_index_is_the_calculator_index(p):
+    geo = decaylab.GeometryDescriptor(fourier_type=p)
+    pred = decaylab.predict_rate_fourier_type(0.0, 0.0, 0.0, 0.0, geo)
+    assert decaylab.exponential_smoothness_index(geo).value == pred.r_index
 
 
 def test_measure_decay_exponential_flagged_super_polynomial():
@@ -264,7 +271,89 @@ def test_predictions_for_geometry(geometry, sources):
     assert [p.source for p in preds] == sources
     assert preds[0] == decaylab.predict_rate_general(0.0, 3.0, 0.0, 4.0)
     # a negative growth exponent counts as zero
-    assert preds[-2] == decaylab.predict_rate_growth_aware(0.0, 3.0, 0.0, 4.0, 0.0).plain
+    assert preds[-2:] == decaylab.predict_rate_growth_aware(0.0, 3.0, 0.0, 4.0, 0.0)
     assert [p.source for p in decaylab.predictions_for(geometry, 0.0, 3.0, 0.0, 4.0, None)] == [
         s for s in sources if not s.startswith("growth-aware")
     ]
+
+
+_SIGMA = "sigma > alpha - 1"
+_ASSERTED = "R-resolvent growth asserted"
+
+
+def _type_cotype_at(p, q, lattice=None):
+    geo = decaylab.GeometryDescriptor(type_p=p, cotype_q=q, lattice=lattice,
+                                      r_resolvent_growth_asserted=True)
+    return lambda t: decaylab.predict_rate_type_cotype(1.0, 1.0, 2.0, t, geo)
+
+
+# every source at alpha = beta = 1 and sigma = 2 as a function of tau, the
+# boundary tau = beta + 1/r of its rule, and the ledger (source, rho,
+# strict, applicable, condition names) at the boundary and one ulp below
+# it; the growth-aware rules discount mu = 2, so their net exponent
+# vanishes at tau = 2, and the asymptotically analytic rule reads no tau
+_LEDGER = {
+    "general-banach": (
+        lambda t: decaylab.predict_rate_general(1.0, 1.0, 2.0, t), 2.0,
+        ("general-banach", None, True, False, [_SIGMA, "tau > beta + 1"]),
+        ("general-banach", None, True, False, [_SIGMA, "tau > beta + 1"]),
+    ),
+    "fourier-type-hilbert": (
+        lambda t: decaylab.predict_rate_fourier_type(
+            1.0, 1.0, 2.0, t, decaylab.GeometryDescriptor(fourier_type=2.0)), 1.0,
+        ("fourier-type-hilbert", 0.0, False, True, [_SIGMA, "tau >= beta"]),
+        ("fourier-type-hilbert", None, False, False, [_SIGMA, "tau >= beta"]),
+    ),
+    "fourier-type": (
+        lambda t: decaylab.predict_rate_fourier_type(
+            1.0, 1.0, 2.0, t, decaylab.GeometryDescriptor(fourier_type=4.0 / 3.0)), 1.5,
+        ("fourier-type", None, True, False, [_SIGMA, "tau > beta + 1/r"]),
+        ("fourier-type", None, True, False, [_SIGMA, "tau > beta + 1/r"]),
+    ),
+    "type-cotype-hilbert": (
+        _type_cotype_at(2.0, 2.0), 1.0,
+        ("type-cotype-hilbert", 0.0, False, True, [_ASSERTED, _SIGMA, "tau >= beta"]),
+        ("type-cotype-hilbert", None, False, False, [_ASSERTED, _SIGMA, "tau >= beta"]),
+    ),
+    "type-cotype": (
+        _type_cotype_at(2.0, 4.0), 1.25,
+        ("type-cotype", None, True, False, [_ASSERTED, _SIGMA, "tau > beta + 1/r"]),
+        ("type-cotype", None, True, False, [_ASSERTED, _SIGMA, "tau > beta + 1/r"]),
+    ),
+    # below its boundary the lattice rule fails too, and the type/cotype
+    # rule (1/r = 5/12) is reported
+    "type-cotype-lattice": (
+        _type_cotype_at(1.5, 4.0, lattice=(2.0, 4.0)), 1.25,
+        ("type-cotype-lattice", 0.0, False, True, [_ASSERTED, _SIGMA, "tau >= beta + 1/r"]),
+        ("type-cotype", None, True, False, [_ASSERTED, _SIGMA, "tau > beta + 1/r"]),
+    ),
+    "asymptotically-analytic": (
+        lambda t: decaylab.predict_rate_asymptotically_analytic(1.0, 2.0, True), 2.0,
+        ("asymptotically-analytic", 2.0, True, True,
+         ["non-analytic growth bound < 0 asserted", _SIGMA]),
+        ("asymptotically-analytic", 2.0, True, True,
+         ["non-analytic growth bound < 0 asserted", _SIGMA]),
+    ),
+    "growth-aware": (
+        lambda t: decaylab.predict_rate_growth_aware(1.0, 1.0, 2.0, t, 2.0)[0], 2.0,
+        ("growth-aware", 0.0, True, True, ["net exponent >= 0"]),
+        ("growth-aware", None, True, False, ["net exponent >= 0"]),
+    ),
+    "growth-aware-scaling": (
+        lambda t: decaylab.predict_rate_growth_aware(0.0, 1.0, 2.0, t, 2.0)[1], 2.0,
+        ("growth-aware-scaling", 0.0, False, True, ["net exponent >= 0"]),
+        ("growth-aware-scaling", None, False, False, ["net exponent >= 0"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("source", list(_LEDGER))
+def test_rate_ledger_at_tau_boundary(source):
+    rate, boundary, at, below = _LEDGER[source]
+
+    def ledger(pred):
+        names = [c.name for c in pred.conditions]
+        return pred.source, pred.rho, pred.strict, pred.applicable, names
+
+    assert ledger(rate(boundary)) == at
+    assert ledger(rate(math.nextafter(boundary, -INF))) == below

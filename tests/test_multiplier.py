@@ -144,6 +144,17 @@ def test_singular_symbol_modes(grid):
     assert np.all(np.isfinite(out))
 
 
+def test_symbol_fn_is_vectorized():
+    # fn is called once on all nodes: a scalar result is a shape error, and
+    # an error of fn propagates instead of a retry node by node
+    grid = multiplier.FourierGridSpec(200.0, 2**13)
+    f = _bump(grid)
+    with pytest.raises(ShapeError, match=r"expected \(8192,\)"):
+        multiplier.apply_multiplier(multiplier.Symbol(lambda x: 0.7), f, grid)
+    with pytest.raises(TypeError):
+        multiplier.apply_multiplier(multiplier.Symbol(math.cos), f, grid)
+
+
 def test_semigroup_convolution_identity_and_pulse():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((3, 3)) / 3.0 + 1.0 * np.eye(3)

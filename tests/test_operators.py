@@ -159,6 +159,16 @@ def test_dense_lower_resolvent_bound():
         assert model.shifted_resolvent_norm(lam) >= 1.0 / d - 1e-8
 
 
+def test_dense_fractional_norm_phi_cache():
+    # the kept phi_matrix of the last (sigma, tau) gives the same norms as a
+    # fresh one when the indices change back and forth, and is read-only
+    model = operators.DenseMatrixModel([[1.0, 2.0], [0.0, 0.5 + 1j]])
+    for t, sigma, tau in [(1.0, 0.5, 1.0), (2.0, 0.5, 1.0), (1.0, 1.0, 0.0), (3.0, 0.5, 1.0)]:
+        fresh = np.linalg.norm(model._expm_neg(t) @ model.phi_matrix(sigma, tau), 2)
+        assert model.fractional_norm(t, sigma, tau) == float(fresh)
+    assert not model._phi_cache[1].flags.writeable
+
+
 def test_jordan_exponential_polynomial_matches_dense_expm():
     model = operators.JordanSumModel(0.5, 0.5, 500)
     n = 130
