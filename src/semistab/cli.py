@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import battery as battery_mod
-from . import decaylab, multiplier, numcore, operators, resolvent
+from . import decaylab, fraccalc, multiplier, numcore, operators, resolvent
 from .errors import ConfigError, DomainError, InsufficientDataError, UnsupportedModelError
 
 CSV_HEADER = ["case", "t_or_xi", "value", "fit_exponent", "predicted", "source", "verdict"]
@@ -361,7 +361,7 @@ def run_analyze(config, measure_only=False):
                 f"sigma={meas.sigma:g};tau={meas.tau:g}: log-residual "
                 f"{meas.fit.residual:.3g} exceeds fit_tol {fit_tol:g}"
             )
-        for t, v in zip(t_grid.nodes, meas.norms):
+        for t, v in zip(t_grid, meas.norms):
             rows["decay"].append(
                 {
                     "case": f"sigma={meas.sigma:g};tau={meas.tau:g}",
@@ -445,7 +445,6 @@ def _cmd_analyze(args, measure_only=False):
 
 def _cmd_frac(args):
     quad_tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES["quad_tol"]
-    from . import fraccalc
 
     rows = []
     worst = 0.0

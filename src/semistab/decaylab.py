@@ -314,15 +314,15 @@ def measure_decay(model, sigma, tau, t_grid, with_growth=False):
     power of t on the grid reaches: the fit window ends before the first
     such norm and the measurement is classified super-polynomial.
     """
-    norms = np.array([model.fractional_norm(t, sigma, tau) for t in t_grid.nodes])
-    gnorms = np.array([model.semigroup_norm(t) for t in t_grid.nodes]) if with_growth else None
+    norms = model.fractional_norm(t_grid, sigma, tau)
+    gnorms = model.semigroup_norm(t_grid) if with_growth else None
     lo, hi = default_window(len(norms))
     zero = norms == 0.0 if gnorms is None else (norms == 0.0) | (gnorms == 0.0)
     underflow = np.flatnonzero(zero[lo:hi])
     if underflow.size:
         hi = lo + int(underflow[0])
     fit = fit_power_law(t_grid, norms, window=(lo, hi))
-    exp_fit = fit_exp_rate(t_grid.nodes, norms, window=(lo, hi))
+    exp_fit = fit_exp_rate(t_grid, norms, window=(lo, hi))
     growth = None if gnorms is None else fit_power_law(t_grid, gnorms, window=(lo, hi)).exponent
     return DecayMeasurement(
         float(sigma),

@@ -18,21 +18,9 @@ from .errors import DomainError, EdgeDominatedWarning, InsufficientDataError
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class LogGrid:
-    """Strictly increasing, geometrically spaced nodes on [start, stop]."""
-
-    start: float
-    stop: float
-    count: int
-    nodes: np.ndarray
-
-    def __len__(self):
-        return self.count
-
-
 def geometric_grid(start, stop, count):
-    """Build a LogGrid with ``count`` geometrically spaced nodes.
+    """The array of ``count`` geometrically spaced, strictly increasing
+    nodes on [start, stop].
 
     The endpoints are exact and the node ratio is constant to relative
     1e-12.
@@ -44,7 +32,7 @@ def geometric_grid(start, stop, count):
     nodes = np.geomspace(start, stop, count)
     nodes[0] = start
     nodes[-1] = stop
-    return LogGrid(float(start), float(stop), int(count), nodes)
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -73,10 +61,9 @@ def default_window(count):
 
 def _log_fit(nodes, values, window, design, what):
     """Least squares of log(values) against the columns ``design(t)`` over
-    the half-open index ``window`` (default: ``default_window``) of a
-    LogGrid or node array.  Returns (coefficients, RMS log residual,
-    window)."""
-    nodes = nodes.nodes if isinstance(nodes, LogGrid) else np.asarray(nodes, dtype=float)
+    the half-open index ``window`` (default: ``default_window``) of a node
+    array.  Returns (coefficients, RMS log residual, window)."""
+    nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.shape != nodes.shape:
         raise DomainError(f"values length {values.shape} does not match grid {nodes.shape}")
@@ -97,7 +84,7 @@ def _log_fit(nodes, values, window, design, what):
 
 
 def fit_power_law(grid, values, window=None, with_log_factor=False):
-    """Fit values ~ C * t^exponent on a LogGrid (or node array).
+    """Fit values ~ C * t^exponent on the node array ``grid``.
 
     ``window`` is a half-open index pair; by default the first and last
     10% of nodes are dropped to suppress transient and truncation edges.

@@ -12,7 +12,10 @@ Four model kinds are bundled:
                       (0, 1), realized through its matrix-valued symbol.
 
 Every model answers the norms the analyses measure: ||T(t)||,
-||T(t) A^sigma (1+A)^{-sigma-tau}|| and ||(lam + A)^{-1}||.  Conventions:
+||T(t) A^sigma (1+A)^{-sigma-tau}|| and ||(lam + A)^{-1}||.  The two
+time-indexed norms take a 1-D array of times and return one norm per
+time, so a sweep is one call and t-independent work is done once per
+call.  Conventions:
 the semigroup is T(t) = exp(-t A); resolvent norms are reported for
 (lam + A)^{-1} because stability analysis probes the closed right
 half-plane.  State-space actions, (lam - A)^{-1} x and closed-form
@@ -20,10 +23,7 @@ A^alpha (1+A)^{-alpha-beta} x on arrays, exist only for the dense and
 diagonal kinds, the two the contour quadrature of ``fraccalc`` serves.
 
 All models are immutable after construction and their operations are
-pure, so values may be evaluated from several threads at once.  The two
-memos, the last fractional-power matrix of DenseMatrixModel and the last
-fractional-power rows of JordanSumModel, are swapped whole and never
-change a returned value.
+pure, so values may be evaluated from several threads at once.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import (
     ShapeError,
     UnsupportedModelError,
 )
-from .numcore import LogGrid, geometric_grid, sup_on_grid
+from .numcore import geometric_grid, sup_on_grid
 
 _SING_TOL = 1e-11
 # branch and bound in JordanSumModel skips a block once its bound times
@@ -77,17 +77,18 @@ class OperatorModel(ABC):
         """Estimated distance from lam to the spectrum of A."""
 
     @abstractmethod
-    def semigroup_norm(self, t):
-        """The operator norm of T(t)."""
+    def semigroup_norm(self, ts):
+        """The operator norms of T(t), one per time in the 1-D array ``ts``."""
 
     @abstractmethod
     def shifted_resolvent_norm(self, lam):
         """The operator norm of (lam + A)^{-1}."""
 
     @abstractmethod
-    def fractional_norm(self, t, sigma, tau):
-        """Norm of T(t) A^sigma (1+A)^{-sigma-tau}, the computable surrogate
-        for the norm of T(t) from the smoothness-(sigma, tau) domain to X."""
+    def fractional_norm(self, ts, sigma, tau):
+        """Norms of T(t) A^sigma (1+A)^{-sigma-tau}, one per time in the 1-D
+        array ``ts``: the computable surrogate for the norm of T(t) from the
+        smoothness-(sigma, tau) domain to X."""
 
     @abstractmethod
     def spectral_abscissa_neg(self):
@@ -109,9 +110,16 @@ class OperatorModel(ABC):
         """
         raise UnsupportedModelError(f"model kind {self.info.kind!r} has no state-space action")
 
-    def _check_semigroup_time(self, t):
-        if t < 0:
-            raise DomainError(f"semigroup time must be >= 0, got {t}")
+    def _check_times(self, ts):
+        """``ts`` as a float array; DomainError unless it is 1-D with finite
+        times >= 0."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise DomainError(f"semigroup times must be a 1-D array, got shape {ts.shape}")
+        bad = ~(np.isfinite(ts) & (ts >= 0.0))
+        if bad.any():
+            raise DomainError(f"semigroup times must be finite and >= 0, got {ts[bad][0]}")
+        return ts
 
     def _check_fractional_indices(self, sigma, tau):
         if sigma < 0 or tau < 0:
@@ -182,7 +190,7 @@ class DenseMatrixModel(OperatorModel):
     """A on C^n given by an explicit matrix; everything is exact linear algebra."""
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
+        a = np.array(entries, dtype=complex)  # a copy: the caller's array may change
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise DomainError(f"matrix must be square and nonempty, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -198,9 +206,6 @@ class DenseMatrixModel(OperatorModel):
         except np.linalg.LinAlgError:
             self._eigvecs_inv = None
             self._diagonalizable = False
-        # ((sigma, tau), read-only phi_matrix) of the last fractional_norm;
-        # replaced whole, never mutated, like JordanSumModel._phi_cache
-        self._phi_cache = None
         injective = bool(np.min(np.abs(self._eigvals)) > 0.0)
         on_neg_axis = np.any(
             (self._eigvals.real <= 0.0) & (np.abs(self._eigvals.imag) < 1e-14)
@@ -247,9 +252,8 @@ class DenseMatrixModel(OperatorModel):
     def spectrum_distance(self, lam):
         return float(np.min(np.abs(lam - self._eigvals)))
 
-    def semigroup_norm(self, t):
-        self._check_semigroup_time(t)
-        return float(np.linalg.norm(self._expm_neg(t), 2))
+    def semigroup_norm(self, ts):
+        return np.linalg.norm(self._expm_neg(self._check_times(ts)), 2, axis=(1, 2))
 
     def shifted_resolvent_norm(self, lam):
         self._check_resolvent_point(-lam)
@@ -281,14 +285,10 @@ class DenseMatrixModel(OperatorModel):
         x = self._check_vec(x)
         return self.phi_matrix(alpha, beta) @ x
 
-    def fractional_norm(self, t, sigma, tau):
-        self._check_semigroup_time(t)
-        cache = self._phi_cache
-        if cache is None or cache[0] != (sigma, tau):
-            phi = self.phi_matrix(sigma, tau)
-            phi.setflags(write=False)
-            cache = self._phi_cache = ((sigma, tau), phi)
-        return float(np.linalg.norm(self._expm_neg(t) @ cache[1], 2))
+    def fractional_norm(self, ts, sigma, tau):
+        ts = self._check_times(ts)
+        phi = self.phi_matrix(sigma, tau)
+        return np.linalg.norm(self._expm_neg(ts) @ phi, 2, axis=(1, 2))
 
     def spectral_abscissa_neg(self):
         return float(-np.min(self._eigvals.real))
@@ -299,13 +299,15 @@ class DenseMatrixModel(OperatorModel):
 
 
 class DiagonalSymbolModel(OperatorModel):
-    """Multiplication by s^(-a) + i s^b on (1, s_max], sampled geometrically.
+    """Multiplication by s^(-a) + i s^b on (1, s_max], sampled on ``grid``.
 
     With ``sobolev=True`` operator norms use the first-order surrogate
     max(sup |g|, sup |g'|), which reproduces the multiplication-operator
     norm on the Sobolev space up to two-sided constants; otherwise plain
     sup |g|.  Suprema are grid maxima refined by golden section, and a
     supremum attained at the s_max edge raises EdgeDominatedWarning.
+    ``grid`` is a finite, strictly increasing 1-D array of at least 2
+    nodes above 1; the default is 4096 geometric nodes on [1 + 1e-6, 1e8].
     """
 
     def __init__(self, a, b, grid=None, sobolev=True):
@@ -317,15 +319,19 @@ class DiagonalSymbolModel(OperatorModel):
             raise DomainError(f"need a + b >= 1, got {a + b}")
         if grid is None:
             grid = geometric_grid(1.0 + 1e-6, 1e8, 4096)
-        if not isinstance(grid, LogGrid):
-            raise DomainError("grid must be a LogGrid")
-        if grid.start <= 1.0:
-            raise DomainError(f"grid must start above 1, got {grid.start}")
+        grid = np.array(grid, dtype=float)
+        if grid.ndim != 1 or len(grid) < 2:
+            raise DomainError(f"grid must be a 1-D array of >= 2 nodes, got shape {grid.shape}")
+        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
+            raise DomainError("grid nodes must be finite and strictly increasing")
+        if grid[0] <= 1.0:
+            raise DomainError(f"grid must start above 1, got {grid[0]}")
+        grid.setflags(write=False)
         self.a = float(a)
         self.b = float(b)
         self.grid = grid
         self.sobolev = bool(sobolev)
-        angle = float(np.max(np.abs(np.angle(self.symbol(grid.nodes)))))
+        angle = float(np.max(np.abs(np.angle(self.symbol(grid)))))
         self.info = ModelInfo(
             kind="diagonal-symbol",
             injective=True,
@@ -343,15 +349,15 @@ class DiagonalSymbolModel(OperatorModel):
 
     def _check_vec(self, x):
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.grid.count,):
-            raise ShapeError(f"expected vector of shape ({self.grid.count},), got {x.shape}")
+        if x.shape != self.grid.shape:
+            raise ShapeError(f"expected vector of shape {self.grid.shape}, got {x.shape}")
         return x
 
     def _sup_norm(self, g, gprime, label):
-        val = sup_on_grid(lambda s: np.abs(g(s)), self.grid.nodes, label=label)
+        val = sup_on_grid(lambda s: np.abs(g(s)), self.grid, label=label)
         if not self.sobolev:
             return val
-        dval = sup_on_grid(lambda s: np.abs(gprime(s)), self.grid.nodes, label=label + "'")
+        dval = sup_on_grid(lambda s: np.abs(gprime(s)), self.grid, label=label + "'")
         return max(val, dval)
 
     # -- operations
@@ -359,15 +365,14 @@ class DiagonalSymbolModel(OperatorModel):
     def resolvent_apply_many(self, lams, x):
         x = self._check_vec(x)
         lams = np.asarray(lams, dtype=complex)
-        ph = self.symbol(self.grid.nodes)
+        ph = self.symbol(self.grid)
         return x[None, :] / (lams[:, None] - ph[None, :])
 
     def spectrum_distance(self, lam):
-        return float(np.min(np.abs(lam - self.symbol(self.grid.nodes))))
+        return float(np.min(np.abs(lam - self.symbol(self.grid))))
 
-    def semigroup_norm(self, t):
-        self._check_semigroup_time(t)
-        return self.fractional_norm(t, 0.0, 0.0)
+    def semigroup_norm(self, ts):
+        return self.fractional_norm(ts, 0.0, 0.0)
 
     def shifted_resolvent_norm(self, lam):
         self._check_resolvent_point(-lam)
@@ -380,10 +385,12 @@ class DiagonalSymbolModel(OperatorModel):
 
         return self._sup_norm(g, gp, "resolvent symbol")
 
-    def fractional_norm(self, t, sigma, tau):
-        self._check_semigroup_time(t)
+    def fractional_norm(self, ts, sigma, tau):
+        ts = self._check_times(ts)
         self._check_fractional_indices(sigma, tau)
+        return np.array([self._fractional_sup(t, sigma, tau) for t in ts])
 
+    def _fractional_sup(self, t, sigma, tau):
         def g(s):
             ph = self.symbol(s)
             out = np.exp(-t * ph)
@@ -405,7 +412,7 @@ class DiagonalSymbolModel(OperatorModel):
 
     def phi_closed_apply(self, alpha, beta, x):
         x = self._check_vec(x)
-        ph = self.symbol(self.grid.nodes)
+        ph = self.symbol(self.grid)
         return x * ph**alpha * (1.0 + ph) ** (-(alpha + beta))
 
     def spectral_abscissa_neg(self):
@@ -466,7 +473,7 @@ class JordanSumModel(OperatorModel):
       ||phi||_1 with s_m(t) = sum_{k<m} t^k/k!.  Hence ||T(t) Phi_n|| <=
       s_m(t) ||phi_n||_1 and, within a group, ||T(t)(Phi_i - Phi_j)|| <=
       s_m(t) ||phi_i - phi_j||_1.  The branch and bound starts from these
-      bounds on the cached Phi rows.  At its first visit to a group it
+      bounds on the Phi rows.  At its first visit to a group it
       convolves one row, of the block with the largest bound, and sends
       it to an SVD unless the row's l1 norm already rules it out.  A group
       that stays open after that visit falls back to its exact rows (one
@@ -474,8 +481,8 @@ class JordanSumModel(OperatorModel):
       t = 0, T(0) Phi = Phi, so the Phi rows are the exact rows.
 
     The rows of A^sigma (1+A)^{-sigma-tau} and their l1 norms do not
-    depend on t; the last (sigma, tau) used is kept, so a sweep over t
-    builds them once.
+    depend on t, so ``fractional_norm`` builds them once per call and runs
+    the branch and bound once per time.
     """
 
     def __init__(self, gamma, delta, n_max=10**4, n_start=None):
@@ -501,9 +508,6 @@ class JordanSumModel(OperatorModel):
         self._sizes = np.array([m for m, _, _ in self._groups])
         self._firsts = np.array([a for _, a, _ in self._groups], dtype=float)
         self._lasts = np.array([b for _, _, b in self._groups], dtype=float)
-        # ((sigma, tau), _BlockRows of Phi); replaced whole, never mutated,
-        # so a thread that reads it into a local sees one consistent pair
-        self._phi_cache = None
         angle = math.atan2(self.n_max, self.gamma)
         self.info = ModelInfo(
             kind="jordan-sum",
@@ -545,13 +549,13 @@ class JordanSumModel(OperatorModel):
         cands = [n for n in (n_near - 1, n_near, n_near + 1) if self.n_start <= n <= self.n_max]
         return min(abs(lam - self.eigenvalue(n)) for n in cands)
 
-    def semigroup_norm(self, t):
-        self._check_semigroup_time(t)
+    def semigroup_norm(self, ts):
         m = self._groups[-1][0]
         # exp(t B_m) norms are nondecreasing in m, so the largest block decides
-        return math.exp(-self.gamma * t) * _toeplitz_norm(
-            _exp_series_coeffs(t, m).astype(complex)
-        )
+        return np.array([
+            math.exp(-self.gamma * t) * _toeplitz_norm(_exp_series_coeffs(t, m).astype(complex))
+            for t in self._check_times(ts)
+        ])
 
     def _sup_over_blocks(self, blocks, label, t=0.0):
         """Exact sup of the block norms of ``blocks`` (a ``_BlockRows``).
@@ -646,29 +650,26 @@ class JordanSumModel(OperatorModel):
         return phi
 
     def _phi_rows(self, sigma, tau):
-        """``_BlockRows`` of A^sigma (1+A)^{-sigma-tau} over every block,
-        cached for the last (sigma, tau)."""
-        cache = self._phi_cache
-        if cache is None or cache[0] != (sigma, tau):
-            # drop the old rows before building the new ones, so that the
-            # model never holds two sets of rows
-            cache = self._phi_cache = None
-            rows = [self._phi_block_rows(sigma, tau, np.arange(a, b + 1).astype(float), m)
-                    for m, a, b in self._groups]
-            l1 = np.concatenate([np.abs(phi).sum(axis=1) for phi in rows])
-            starts = np.append(self._firsts - self.n_start, len(l1)).astype(int)
-            blocks = _BlockRows(np.arange(self.n_start, self.n_max + 1), tuple(rows), l1, starts, self._sizes)
-            cache = self._phi_cache = ((sigma, tau), blocks)
-        return cache[1]
+        """``_BlockRows`` of A^sigma (1+A)^{-sigma-tau} over every block."""
+        rows = [self._phi_block_rows(sigma, tau, np.arange(a, b + 1).astype(float), m)
+                for m, a, b in self._groups]
+        l1 = np.concatenate([np.abs(phi).sum(axis=1) for phi in rows])
+        starts = np.append(self._firsts - self.n_start, len(l1)).astype(int)
+        ns = np.arange(self.n_start, self.n_max + 1)
+        return _BlockRows(ns, tuple(rows), l1, starts, self._sizes)
 
-    def fractional_norm(self, t, sigma, tau):
-        self._check_semigroup_time(t)
+    def fractional_norm(self, ts, sigma, tau):
+        ts = self._check_times(ts)
         self._check_fractional_indices(sigma, tau)
         if sigma == 0 and tau == 0:
-            return self.semigroup_norm(t)
-        return math.exp(-self.gamma * t) * self._sup_over_blocks(
-            self._phi_rows(sigma, tau), f"T({t})Phi^{sigma}_{tau}", t
-        )
+            return self.semigroup_norm(ts)
+        blocks = self._phi_rows(sigma, tau)
+        norms = np.empty(len(ts))
+        # a loop, not a comprehension, so the warning's stacklevel names the caller
+        for i, t in enumerate(ts):
+            label = f"T({t})Phi^{sigma}_{tau}"
+            norms[i] = math.exp(-self.gamma * t) * self._sup_over_blocks(blocks, label, t)
+        return norms
 
     def spectral_abscissa_neg(self):
         return -self.gamma
@@ -743,20 +744,25 @@ class OperatorMatrixModel(OperatorModel):
             warn_edges=(),
         )
 
-    def semigroup_norm(self, t):
-        self._check_semigroup_time(t)
-        return self._sup_symbol_norm(lambda ss: self._semigroup_rows(t, ss), _bump_seeds(t, self.n))
+    def semigroup_norm(self, ts):
+        return np.array([
+            self._sup_symbol_norm(lambda ss: self._semigroup_rows(t, ss), _bump_seeds(t, self.n))
+            for t in self._check_times(ts)
+        ])
 
     def shifted_resolvent_norm(self, lam):
         self._check_resolvent_point(-lam)
         return self._sup_symbol_norm(lambda ss: _shifted_power_rows(lam + ss, -1, self.n))
 
-    def fractional_norm(self, t, sigma, tau):
-        self._check_semigroup_time(t)
-        return self._sup_symbol_norm(
-            lambda ss: _row_product(self._semigroup_rows(t, ss), self._phi_rows(sigma, tau, ss)),
-            _bump_seeds(t, 2 * self.n),
-        )
+    def fractional_norm(self, ts, sigma, tau):
+        return np.array([
+            self._sup_symbol_norm(
+                lambda ss: _row_product(self._semigroup_rows(t, ss),
+                                        self._phi_rows(sigma, tau, ss)),
+                _bump_seeds(t, 2 * self.n),
+            )
+            for t in self._check_times(ts)
+        ])
 
     def spectral_abscissa_neg(self):
         return 0.0

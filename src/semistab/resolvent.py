@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EdgeDominatedWarning, InsufficientDataError, NearSingularityError
-from .numcore import LogGrid, PowerFit, fit_exp_rate, fit_power_law
+from .numcore import PowerFit, fit_exp_rate, fit_power_law
 
 _SNAP_TOL = 0.05
 
@@ -52,7 +52,7 @@ def probe_resolvent_norms(model, xi_grid, eta=0.0):
     ``EdgeDominatedWarning``, captured, not shown) are kept with status
     "edge".
     """
-    nodes = xi_grid.nodes if isinstance(xi_grid, LogGrid) else np.asarray(xi_grid, dtype=float)
+    nodes = np.asarray(xi_grid, dtype=float)
     entries = []
     for xi in nodes:
         for sign in (1.0, -1.0):
@@ -195,10 +195,8 @@ def spectral_bounds(model, t_grid, eta_grid, betas, xi_grid):
     largest node of ``eta_grid`` is not tame.
     """
     s = model.spectral_abscissa_neg()
-    t_nodes = t_grid.nodes if isinstance(t_grid, LogGrid) else np.asarray(t_grid, dtype=float)
-    norms = np.array([model.semigroup_norm(t) for t in t_nodes])
-    omega0 = fit_exp_rate(t_nodes, norms).rate
-    eta_nodes = eta_grid.nodes if isinstance(eta_grid, LogGrid) else np.asarray(eta_grid, dtype=float)
+    omega0 = fit_exp_rate(t_grid, model.semigroup_norm(t_grid)).rate
+    eta_nodes = np.asarray(eta_grid, dtype=float)
     s_beta = {}
     for beta in betas:
         lo = float(s)  # tame fails at/below the spectral abscissa

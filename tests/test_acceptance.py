@@ -23,6 +23,7 @@ while every other check of the case passes.
 
 import math
 import re
+import warnings
 
 from semistab import battery
 
@@ -84,7 +85,11 @@ def test_criterion_06_jordan_sum_rates():
     # every check but the stated band clause passes; that clause reports
     # its own threshold, and its band grows at the derived rate
     # delta^tau - gamma rather than staying within a factor 10
-    res = battery.case_jordan_rates(seed=SEED)
+    # the case's sweeps raise no warning of any category, so none is hidden
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = battery.case_jordan_rates(seed=SEED)
+    assert not caught, [f"{w.category.__name__}: {w.message}" for w in caught]
     _report(res)
     gamma, delta = 0.5, 0.9
     tau_stated = (1.0 - gamma) / math.log(1.0 / delta)

@@ -2,9 +2,6 @@
 diagonal kinds."""
 
 import math
-import sys
-import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, fractional_matrix_power, toeplitz
 
-from semistab import battery, numcore, operators
+from semistab import battery, numcore, operators, resolvent
 from semistab.errors import (
     DomainError,
     EdgeDominatedWarning,
@@ -38,7 +35,7 @@ def _models(seed=0):
 
 
 def _random_state(model, rng):
-    n = model.dim if isinstance(model, operators.DenseMatrixModel) else model.grid.count
+    n = model.dim if isinstance(model, operators.DenseMatrixModel) else len(model.grid)
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
@@ -46,7 +43,7 @@ def _apply_a(model, x):
     """Independent application of A, for the defining-identity check."""
     if isinstance(model, operators.DenseMatrixModel):
         return model.matrix @ x
-    return model.symbol(model.grid.nodes) * x
+    return model.symbol(model.grid) * x
 
 
 def _resolvent_apply(model, lam, x):
@@ -59,7 +56,7 @@ def _diff(a, b):
 
 def test_scalar_semigroup_value():
     model = operators.DenseMatrixModel([[1.0]])
-    assert model.semigroup_norm(2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert model.semigroup_norm([2.0])[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_scalar_resolvent_value():
@@ -72,7 +69,7 @@ def test_scalar_resolvent_value():
 def test_identity_at_time_zero(kind):
     # T(0) = I, so ||T(0)|| = 1
     model = _models()[kind]
-    assert model.semigroup_norm(0.0) == pytest.approx(1.0, rel=1e-12)
+    assert model.semigroup_norm([0.0])[0] == pytest.approx(1.0, rel=1e-12)
 
 
 # norms of the dense and block-sum kinds are exact, so they obey the
@@ -90,10 +87,11 @@ def test_identity_at_time_zero(kind):
 def test_semigroup_law(kind, t, s, sigma, tau):
     model = _models()[kind]
     margin = 1.0 + 1e-10
-    assert model.semigroup_norm(t + s) <= model.semigroup_norm(t) * model.semigroup_norm(s) * margin
+    norm_sum, norm_t, norm_s = model.semigroup_norm([t + s, t, s])
+    assert norm_sum <= norm_t * norm_s * margin
     after = _quiet_fractional_norm(model, t + s, sigma, tau)
     before = _quiet_fractional_norm(model, s, sigma, tau)
-    assert after <= model.semigroup_norm(t) * before * margin
+    assert after <= norm_t * before * margin
 
 
 @pytest.mark.parametrize("kind", ["dense", "diagonal"])
@@ -135,7 +133,86 @@ def test_shape_and_time_errors():
     with pytest.raises(ShapeError):
         model.resolvent_apply_many([3.0], np.ones(3))
     with pytest.raises(DomainError):
-        model.semigroup_norm(-0.5)
+        model.semigroup_norm([-0.5])
+
+
+_KINDS = ["dense", "diagonal", "jordan", "opmatrix"]
+
+
+@pytest.mark.parametrize("oracle", ["semigroup", "fractional"])
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize(
+    "ts", [[-0.5], [1.0, math.nan], [math.inf], 2.0, [[1.0, 2.0]]],
+    ids=["negative", "nan", "inf", "scalar", "2-d"],
+)
+def test_time_checks_shared_by_every_kind(kind, oracle, ts):
+    model = _models()[kind]
+    with pytest.raises(DomainError):
+        if oracle == "semigroup":
+            model.semigroup_norm(ts)
+        else:
+            model.fractional_norm(ts, 1.0, 0.5)
+
+
+def _models_with_defective():
+    # the dense kind takes exp(-tA) by Pade for a defective matrix
+    return {**_models(), "defective": operators.DenseMatrixModel([[1.0, 1.0], [0.0, 1.0]])}
+
+
+@pytest.mark.parametrize("kind", [*_KINDS, "defective"])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    ts=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6),
+    data=st.data(),
+    sigma=st.sampled_from([0.0, 1.0]),
+    tau=st.floats(0.0, 2.0),
+)
+def test_sweep_equals_its_pieces(kind, ts, data, sigma, tau):
+    # a sweep carries nothing from one time to the next: the norms of any
+    # permutation of the times, taken in any split, are the sweep's own
+    model = _models_with_defective()[kind]
+    if kind == "defective":
+        tau = float(round(tau))  # a defective matrix has integer powers only
+    order = data.draw(st.permutations(range(len(ts))))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(ts)), max_size=3)))
+    pieces = np.split(np.array(ts)[order], cuts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EdgeDominatedWarning)
+        for norms in (model.semigroup_norm, lambda x: model.fractional_norm(x, sigma, tau)):
+            whole = norms(np.array(ts))
+            parts = np.concatenate([norms(piece) for piece in pieces])
+            assert np.array_equal(parts, whole[order])
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_models_keep_no_state(kind):
+    model = _models()[kind]
+    before = {key: id(val) for key, val in vars(model).items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EdgeDominatedWarning)
+        model.semigroup_norm([0.0, 1.5, 4.0])
+        model.fractional_norm([0.0, 1.5, 4.0], 1.0, 0.5)
+        resolvent.probe_resolvent_norms(model, numcore.geometric_grid(0.1, 10.0, 4), eta=0.5)
+    assert {key: id(val) for key, val in vars(model).items()} == before
+
+
+def test_models_copy_their_arrays():
+    # a caller that changes its array afterwards changes no model
+    entries, grid = np.diag([1.0 + 0j, 2.0]), numcore.geometric_grid(2.0, 1e3, 64)
+    dense, diag = operators.DenseMatrixModel(entries), operators.DiagonalSymbolModel(1.0, 0.5, grid)
+    before = dense.shifted_resolvent_norm(1.0), diag.shifted_resolvent_norm(1.0)
+    entries[0, 0], grid[-1] = 5.0, 1e4
+    assert (dense.shifted_resolvent_norm(1.0), diag.shifted_resolvent_norm(1.0)) == before
+
+
+@pytest.mark.parametrize(
+    "grid", [[2.0], [[2.0, 3.0]], [2.0, 2.0, 3.0], [3.0, 2.0], [2.0, math.nan], [1.0, 2.0],
+             [2.0, math.inf]],
+    ids=["one-node", "2-d", "repeated", "decreasing", "nan", "at-1", "inf"],
+)
+def test_diagonal_grid_checked(grid):
+    with pytest.raises(DomainError):
+        operators.DiagonalSymbolModel(1.0, 0.5, grid)
 
 
 @pytest.mark.parametrize("kind", ["jordan", "opmatrix"])
@@ -157,16 +234,6 @@ def test_dense_lower_resolvent_bound():
         if d < 1e-6:
             continue
         assert model.shifted_resolvent_norm(lam) >= 1.0 / d - 1e-8
-
-
-def test_dense_fractional_norm_phi_cache():
-    # the kept phi_matrix of the last (sigma, tau) gives the same norms as a
-    # fresh one when the indices change back and forth, and is read-only
-    model = operators.DenseMatrixModel([[1.0, 2.0], [0.0, 0.5 + 1j]])
-    for t, sigma, tau in [(1.0, 0.5, 1.0), (2.0, 0.5, 1.0), (1.0, 1.0, 0.0), (3.0, 0.5, 1.0)]:
-        fresh = np.linalg.norm(model._expm_neg(t) @ model.phi_matrix(sigma, tau), 2)
-        assert model.fractional_norm(t, sigma, tau) == float(fresh)
-    assert not model._phi_cache[1].flags.writeable
 
 
 def test_jordan_exponential_polynomial_matches_dense_expm():
@@ -226,7 +293,7 @@ def test_jordan_fractional_norm_growth_rate(tau):
     gamma, delta = _RATE_GAMMA, _RATE_DELTA
     model = operators.JordanSumModel(gamma, delta, 10**4)
     ts = np.linspace(5.0, float(model.groups[-1][0] - 1), 20)
-    vals = np.array([model.fractional_norm(t, 0.0, tau) for t in ts])
+    vals = model.fractional_norm(ts, 0.0, tau)
     rate = numcore.fit_exp_rate(ts, vals, window=(0, len(ts))).rate
     assert rate == pytest.approx(max(delta**tau - gamma, 0.0), abs=0.05)
 
@@ -252,7 +319,7 @@ def _jordan_fractional_brute_force(model, t, sigma, tau):
 def _quiet_fractional_norm(model, t, sigma, tau):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EdgeDominatedWarning)
-        return model.fractional_norm(t, sigma, tau)
+        return model.fractional_norm([t], sigma, tau)[0]
 
 
 def test_jordan_sup_matches_brute_force():
@@ -344,73 +411,6 @@ def test_jordan_factored_bounds_on_random_rows(seed, m, t, spread):
     assert operators._toeplitz_norm(rows[0] - rows[1]) <= diff_bound
 
 
-_CACHE_CALLS = [
-    (t, sigma, tau)
-    for sigma, tau in ((0.0, 1.0), (0.5, 1.0), (0.0, 1.0), (1.0, 0.5), (0.5, 1.0))
-    for t in (0.0, 2.5, 11.0)
-]
-
-
-def test_jordan_phi_cache_interleaved_indices():
-    shared = operators.JordanSumModel(0.5, 0.8, 300)
-    for t, sigma, tau in _CACHE_CALLS:
-        fresh = operators.JordanSumModel(0.5, 0.8, 300)
-        assert _quiet_fractional_norm(shared, t, sigma, tau) == _quiet_fractional_norm(
-            fresh, t, sigma, tau
-        )
-
-
-def test_jordan_phi_cache_rebuild_holds_one_row_set():
-    # a new (sigma, tau) drops the cached rows before building new ones,
-    # so the model never holds two row sets and peak memory stays near one
-    tracemalloc.start()
-    try:
-        model = operators.JordanSumModel(0.5, 0.9, 2000)
-        _quiet_fractional_norm(model, 1.0, 0.0, 1.0)
-        size = sum(rows.nbytes for rows in model._phi_cache[1].rows)
-        _quiet_fractional_norm(model, 1.0, 0.0, 2.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * size
-
-
-def test_jordan_phi_cache_shared_by_threads():
-    model = operators.JordanSumModel(0.5, 0.8, 300)
-    want = [
-        _quiet_fractional_norm(operators.JordanSumModel(0.5, 0.8, 300), *call)
-        for call in _CACHE_CALLS
-    ]
-    got = {}
-
-    def work(k):
-        # each thread walks the calls from its own offset, so threads keep
-        # replacing the cache entry under each other
-        calls = range(len(_CACHE_CALLS))
-        got[k] = [
-            (i, model.fractional_norm(*_CACHE_CALLS[i]))
-            for i in list(calls[k:]) + list(calls[:k])
-        ]
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # warning filters are process-wide, so set them once, outside the threads
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EdgeDominatedWarning)
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(th.is_alive() for th in threads)
-    assert sorted(got) == list(range(6))
-    for pairs in got.values():
-        assert all(val == want[i] for i, val in pairs)
-
-
 def _jordan_resolvent_brute_force(model, lam):
     """Every block's norm, one SVD each, with rows formed as in the model."""
     norms, blocks = [], []
@@ -468,7 +468,7 @@ def _spectral_point(kind, model):
     if kind == "dense":
         return model._eigvals[2]
     if kind == "diagonal":
-        return model.symbol(model.grid.nodes[100])
+        return model.symbol(model.grid[100])
     if kind == "jordan":
         return model.eigenvalue(40)
     return 0.5  # operator-matrix: s = 0.5 in the spectrum [0, 1]
@@ -487,7 +487,7 @@ def test_fractional_norm_is_one_at_zero_indices():
     for kind, model in _models().items():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EdgeDominatedWarning)
-            assert model.fractional_norm(0.0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-6), kind
+            assert model.fractional_norm([0.0], 0.0, 0.0)[0] == pytest.approx(1.0, rel=1e-6), kind
 
 
 def test_opmatrix_resolvent_matches_direct_solve():
@@ -503,14 +503,14 @@ def test_opmatrix_resolvent_matches_direct_solve():
 def test_opmatrix_norm_growth():
     model = operators.OperatorMatrixModel(3)
     # ||T(t)|| ~ t^{n-1}/ (n-1)! for the nilpotent part
-    for t in (50.0, 200.0):
-        assert model.semigroup_norm(t) == pytest.approx(t**2 / 2.0, rel=0.01)
+    ts = np.array([50.0, 200.0])
+    assert model.semigroup_norm(ts) == pytest.approx(ts**2 / 2.0, rel=0.01)
 
 
 def test_opmatrix_rejects_fractional_sigma():
     model = operators.OperatorMatrixModel(2)
     with pytest.raises(DomainError):
-        model.fractional_norm(1.0, 0.5, 0.0)
+        model.fractional_norm([1.0], 0.5, 0.0)
 
 
 # the upper-triangular Toeplitz row algebra behind the block models
@@ -621,8 +621,8 @@ def test_opmatrix_norms_match_dense_symbols(n, t, sigma, tau, lam):
         return [min(1.0, max(1e-9, c / t)) if t > 0 else 0.5 for c in range(count)]
 
     sups = [
-        (model.semigroup_norm(t), _dense_sup(model, dense["semigroup"], seeds(n))),
-        (model.fractional_norm(t, sigma, tau), _dense_sup(model, dense["fractional"], seeds(2 * n))),
+        (model.semigroup_norm([t])[0], _dense_sup(model, dense["semigroup"], seeds(n))),
+        (model.fractional_norm([t], sigma, tau)[0], _dense_sup(model, dense["fractional"], seeds(2 * n))),
         (model.shifted_resolvent_norm(lam), _dense_sup(model, dense["resolvent"])),
     ]
     for got, want in sups:
@@ -648,7 +648,7 @@ def test_model_from_config_kinds():
     diag = operators.model_from_config(
         {"kind": "diagonal-symbol", "a": 1.0, "b": 0.5, "grid_count": 64, "s_max": 1e4}
     )
-    assert diag.info.kind == "diagonal-symbol" and diag.grid.count == 64
+    assert diag.info.kind == "diagonal-symbol" and len(diag.grid) == 64
     jor = operators.model_from_config({"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 100})
     assert jor.info.kind == "jordan-sum" and jor.n_start == 4
     om = operators.model_from_config({"kind": "operator-matrix", "n": 3})

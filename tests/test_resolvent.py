@@ -103,6 +103,6 @@ def test_jordan_growth_rate_matches_gamma():
     model = operators.JordanSumModel(0.5, 0.9, 2000)
     m_top = model.groups[-1][0]
     ts = np.linspace(5.0, float(m_top - 1), 12)
-    norms = np.array([model.semigroup_norm(t) for t in ts])
+    norms = model.semigroup_norm(ts)
     rate = numcore.fit_exp_rate(ts, norms, window=(0, len(ts))).rate
     assert rate == pytest.approx(1.0 - model.gamma, abs=0.05)

@@ -11,9 +11,11 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
 - the block-sum worst case: ``JordanSumModel.fractional_norm`` at tau = 0,
   sigma in ``WORST_SIGMAS`` and t in ``WORST_TIMES`` on the models
   ``WORST_MODELS``, where every block has nearly the same norm, so the
-  branch and bound prunes little.  Each call's time and SVD count, in
-  ``WORST_ROUNDS`` fresh processes per checkout, after one call that
-  builds the model's Phi rows for that sigma;
+  branch and bound prunes little.  Each one-time call's time and SVD
+  count, in ``WORST_ROUNDS`` fresh processes per checkout; each timed
+  call includes building the model's Phi rows for that sigma (0.01 to
+  0.1 s at n_max = 10^4 on a 2-CPU host, where a whole call takes 0.2
+  to 11 s);
 - the per-layer metrics under ``TRACED_PREFIXES`` of one traced run of
   each workload (``perfbench/run.py --trace 1``, seed 0);
 - the end-to-end ``wall_s``, ``cpu_s``, ``peak_rss_mb``, ``setup_s`` and
@@ -68,11 +70,10 @@ out = {}
 for params in models:
     model = operators.JordanSumModel(*params)
     for sigma in sigmas:
-        model.fractional_norm(times[-1], sigma, 0.0)
         for t in times:
             before = svds[0]
             start = time.perf_counter()
-            model.fractional_norm(t, sigma, 0.0)
+            model.fractional_norm([t], sigma, 0.0)
             out[f"{params} sigma={sigma} t={t}"] = [time.perf_counter() - start, svds[0] - before]
 print(json.dumps(out))
 """
