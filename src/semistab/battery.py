@@ -173,7 +173,7 @@ def case_frac_oracle(seed=0):
     t0 = time.perf_counter()
     rng = _rng(seed, 3)
     # diagonal model: contour vs eigenvalue-wise closed form
-    dg = operators.DiagonalSymbolModel(1.0, 0.5, numcore.geometric_grid(1.0 + 1e-6, 1e6, 256))
+    dg = operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e6, grid_count=256)
     x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     worst_diag = 0.0
     for alpha, beta, eta in [(0.5, 0.5, 1.0), (1.0, 0.5, 1.0), (0.0, 1.0, 1.0), (1.5, 0.75, 0.5)]:

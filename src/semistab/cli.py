@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -37,13 +38,16 @@ SEED_LIMIT = 2**64
 
 _TOP_LEVEL_KEYS = ("operator", "grids", "geometry", "indices", "tolerances", "seed", "threads", "out_dir")
 
-# typed fields of each operator kind; dense-matrix entries are checked apart
-_OPERATOR_FIELDS = {
-    "dense-matrix": {},
-    "diagonal-symbol": {"a": float, "b": float, "s_start": float, "s_max": float,
-                        "grid_count": int, "sobolev": bool},
-    "jordan-sum": {"gamma": float, "delta": float, "n_max": int, "n_start": int},
-    "operator-matrix": {"n": int},
+# each operator kind: its model and the JSON type of each constructor
+# parameter, whose defaults apply to fields not given; a list is a matrix
+_OPERATORS = {
+    "dense-matrix": (operators.DenseMatrixModel, {"entries": list}),
+    "diagonal-symbol": (operators.DiagonalSymbolModel,
+                        {"a": float, "b": float, "s_start": float, "s_max": float,
+                         "grid_count": int, "sobolev": bool}),
+    "jordan-sum": (operators.JordanSumModel,
+                   {"gamma": float, "delta": float, "n_max": int, "n_start": int}),
+    "operator-matrix": (operators.OperatorMatrixModel, {"n": int}),
 }
 
 _GEOMETRY_FIELDS = {"hilbert": bool, "fourier_type": float, "type_p": float, "cotype_q": float,
@@ -99,44 +103,50 @@ def _validate_grid(g, path, min_count=2):
         _fail(f"{path}.count", f"need at least {min_count} nodes, got {count}")
     if not (0 < start < stop):
         _fail(f"{path}.start", f"need 0 < start < stop, got [{start}, {stop}]")
-    return numcore.geometric_grid(float(start), float(stop), int(count))
+    try:
+        return numcore.geometric_grid(float(start), float(stop), int(count))
+    except DomainError as exc:
+        _fail(path, str(exc))
 
 
 def _validate_operator(op):
     if not isinstance(op, dict):
         _fail("operator", "expected an object")
     kind = _need(op, "kind", "operator", str)
-    if kind not in _OPERATOR_FIELDS:
-        _fail("operator.kind", f"unknown kind {kind!r}; expected one of {tuple(_OPERATOR_FIELDS)}")
-    _check_keys(op, ("kind", "entries") if kind == "dense-matrix" else ("kind", *_OPERATOR_FIELDS[kind]),
-                "operator")
+    if kind not in _OPERATORS:
+        _fail("operator.kind", f"unknown kind {kind!r}; expected one of {tuple(_OPERATORS)}")
+    model, fields = _OPERATORS[kind]
+    _check_keys(op, ("kind", *fields), "operator")
     # null means "not given", so the model's default applies
-    op = {key: val for key, val in op.items() if val is not None}
-    for key, field_kind in _OPERATOR_FIELDS[kind].items():
-        if key in op:
-            _check(op[key], f"operator.{key}", field_kind)
-    if "entries" in op:
-        _validate_entries(op["entries"])
+    kwargs = {key: op[key] for key in fields if op.get(key) is not None}
+    for key, val in kwargs.items():
+        json_type = fields[key]
+        kwargs[key] = (_validate_entries(val) if json_type is list
+                       else _check(val, f"operator.{key}", json_type))
+    for name, param in inspect.signature(model).parameters.items():
+        if param.default is param.empty and name not in kwargs:
+            _fail(f"operator.{name}", "missing")
     try:
-        return operators.model_from_config(op)
-    except KeyError as exc:
-        _fail(f"operator.{exc.args[0]}", "missing")
+        return model(**kwargs)
     except DomainError as exc:
         _fail("operator", str(exc))
 
 
 def _validate_entries(entries):
-    """Rows of equal length whose entries are numbers or [re, im] pairs."""
+    """The complex matrix of rows of equal length whose entries are numbers
+    or [re, im] pairs."""
     if not (
         isinstance(entries, (list, tuple))
         and entries
         and all(isinstance(r, (list, tuple)) and len(r) == len(entries[0]) for r in entries)
     ):
         _fail("operator.entries", "expected a nonempty list of rows of equal length")
+    out = np.empty((len(entries), len(entries[0])), dtype=complex)
     for i, row in enumerate(entries):
         for j, e in enumerate(row):
-            for part in e if isinstance(e, (list, tuple)) and len(e) == 2 else (e,):
-                _check(part, f"operator.entries[{i}][{j}]", float)
+            parts = e if isinstance(e, (list, tuple)) and len(e) == 2 else (e,)
+            out[i, j] = complex(*(_check(x, f"operator.entries[{i}][{j}]", float) for x in parts))
+    return out
 
 
 def _validate_geometry(geo):

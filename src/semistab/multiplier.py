@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import (
     DomainError,
@@ -33,7 +32,7 @@ from .errors import (
     UnsupportedModelError,
     WindowError,
 )
-from .numcore import fit_exp_rate
+from .numcore import fftconvolve, fit_exp_rate
 from .operators import DenseMatrixModel
 
 TRANSFORM_CONSTANT_P1 = 1.0
@@ -246,7 +245,7 @@ def semigroup_convolution(model, k, f, grid):
     _check_window_tail(tpos, knorms, float(np.sum(weights * knorms)), f"kernel t^{k} ||T(t)||")
     series = weights[:, None, None] * (tpos**k)[:, None, None] * kernels
     # out[:, r] = sum_c series[:, r, c] * f[:, c], all d^2 convolutions in one
-    conv = signal.fftconvolve(series, f[:, None, :], axes=0)
+    conv = fftconvolve(series, f[:, None, :], axes=0)
     out = conv[: grid.samples].sum(axis=2)
     return out if d > 1 else out[:, 0]
 

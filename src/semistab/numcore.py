@@ -1,4 +1,5 @@
-"""Shared numerics: geometric grids, stable sums, and asymptotic-rate fits.
+"""Shared numerics: geometric grids, FFT convolution, stable sums, and
+asymptotic-rate fits.
 
 Everything here is a pure function of its arguments; values are safe to
 share between threads.
@@ -11,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.special import gammaln, logsumexp
 
 from .errors import DomainError, EdgeDominatedWarning, InsufficientDataError
@@ -23,16 +25,36 @@ def geometric_grid(start, stop, count):
     nodes on [start, stop].
 
     The endpoints are exact and the node ratio is constant to relative
-    1e-12.
+    1e-12.  A range too narrow for ``count`` distinct floats raises
+    DomainError, as do non-finite endpoints.
     """
-    if not (0.0 < start < stop):
-        raise DomainError(f"need 0 < start < stop, got start={start}, stop={stop}")
+    if not (0.0 < start < stop < math.inf):
+        raise DomainError(f"need 0 < start < stop < inf, got start={start}, stop={stop}")
     if count < 2:
         raise DomainError(f"need count >= 2, got {count}")
     nodes = np.geomspace(start, stop, count)
     nodes[0] = start
     nodes[-1] = stop
+    if not np.all(np.diff(nodes) > 0.0):
+        raise DomainError(f"[{start}, {stop}] holds no {count} strictly increasing nodes")
     return nodes
+
+
+def fftconvolve(a, b, axes):
+    """Full linear convolution of ``a`` and ``b`` along the one axis
+    ``axes`` (>= 0), broadcasting the others.
+
+    The steps of ``scipy.signal.fftconvolve`` for one axis, so the values
+    are the same; importing ``scipy.signal`` (it pulls in ``scipy.stats``)
+    would take longer than importing the rest of the package.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    n = a.shape[axes] + b.shape[axes] - 1
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    size = [sp_fft.next_fast_len(n, real)]
+    fft, ifft = (sp_fft.rfftn, sp_fft.irfftn) if real else (sp_fft.fftn, sp_fft.ifftn)
+    out = ifft(fft(a, size, axes=[axes]) * fft(b, size, axes=[axes]), size, axes=[axes])
+    return out[(slice(None),) * axes + (slice(n),)]
 
 
 @dataclass(frozen=True)

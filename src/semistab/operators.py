@@ -11,6 +11,9 @@ Four model kinds are bundled:
 * operator-matrix  -- a nilpotent perturbation of multiplication by s on
                       (0, 1), realized through its matrix-valued symbol.
 
+Each constructor's parameters are the fields of its kind in the CLI
+config, and their defaults are the config defaults.
+
 Every model answers the norms the analyses measure: ||T(t)||,
 ||T(t) A^sigma (1+A)^{-sigma-tau}|| and ||(lam + A)^{-1}||.  The two
 time-indexed norms take a 1-D array of times and return one norm per
@@ -37,7 +40,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
 from scipy.linalg import svdvals
-from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
 from .errors import (
@@ -47,7 +49,7 @@ from .errors import (
     ShapeError,
     UnsupportedModelError,
 )
-from .numcore import geometric_grid, sup_on_grid
+from .numcore import fftconvolve, geometric_grid, sup_on_grid
 
 _SING_TOL = 1e-11
 # branch and bound in JordanSumModel skips a block once its bound times
@@ -306,26 +308,20 @@ class DiagonalSymbolModel(OperatorModel):
     norm on the Sobolev space up to two-sided constants; otherwise plain
     sup |g|.  Suprema are grid maxima refined by golden section, and a
     supremum attained at the s_max edge raises EdgeDominatedWarning.
-    ``grid`` is a finite, strictly increasing 1-D array of at least 2
-    nodes above 1; the default is 4096 geometric nodes on [1 + 1e-6, 1e8].
+    ``grid`` (read-only) holds ``grid_count`` geometric nodes on
+    [s_start, s_max], with s_start > 1.
     """
 
-    def __init__(self, a, b, grid=None, sobolev=True):
+    def __init__(self, a, b, s_start=1 + 1e-6, s_max=1e8, grid_count=4096, sobolev=True):
         if not (a > 0.0):
             raise DomainError(f"need a > 0, got {a}")
         if not (0.0 < b < 1.0):
             raise DomainError(f"need b in (0,1), got {b}")
         if a + b < 1.0:
             raise DomainError(f"need a + b >= 1, got {a + b}")
-        if grid is None:
-            grid = geometric_grid(1.0 + 1e-6, 1e8, 4096)
-        grid = np.array(grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2:
-            raise DomainError(f"grid must be a 1-D array of >= 2 nodes, got shape {grid.shape}")
-        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
-            raise DomainError("grid nodes must be finite and strictly increasing")
-        if grid[0] <= 1.0:
-            raise DomainError(f"grid must start above 1, got {grid[0]}")
+        if not (s_start > 1.0):
+            raise DomainError(f"need s_start > 1, got {s_start}")
+        grid = geometric_grid(s_start, s_max, grid_count)
         grid.setflags(write=False)
         self.a = float(a)
         self.b = float(b)
@@ -681,7 +677,8 @@ class JordanSumModel(OperatorModel):
 
 def _bump_seeds(t, count):
     """Maximisers s* = min(1, c/t) of exp(-t s) s^c for c < count."""
-    return [min(1.0, max(1e-9, c / t)) if t > 0 else 0.5 for c in range(count)]
+    # c >= t gives 1 without dividing, which overflows at subnormal t
+    return [0.5 if t <= 0 else 1.0 if c >= t else max(1e-9, c / t) for c in range(count)]
 
 
 class OperatorMatrixModel(OperatorModel):
@@ -716,13 +713,7 @@ class OperatorMatrixModel(OperatorModel):
         return np.exp(-t * ss)[:, None] * _exp_series_coeffs(t, self.n)
 
     def _phi_rows(self, sigma, tau, ss):
-        """Rows of Phi^sigma_tau(M(s)) at each s; sigma must be a nonnegative integer."""
-        self._check_fractional_indices(sigma, tau)
-        if not float(sigma).is_integer():
-            raise DomainError(
-                "operator-matrix models support integer smoothing powers only "
-                "(fractional powers are unbounded at the spectral origin)"
-            )
+        """Rows of Phi^sigma_tau(M(s)) at each s, for an integer sigma >= 0."""
         rows = _shifted_power_rows(1.0 + ss, -(sigma + tau), self.n)
         if sigma:
             rows = _row_product(_shifted_power_rows(ss, float(sigma), self.n), rows)
@@ -755,45 +746,21 @@ class OperatorMatrixModel(OperatorModel):
         return self._sup_symbol_norm(lambda ss: _shifted_power_rows(lam + ss, -1, self.n))
 
     def fractional_norm(self, ts, sigma, tau):
+        ts = self._check_times(ts)
+        self._check_fractional_indices(sigma, tau)
+        if not float(sigma).is_integer():
+            raise DomainError(
+                "operator-matrix models support integer smoothing powers only "
+                "(fractional powers are unbounded at the spectral origin)"
+            )
         return np.array([
             self._sup_symbol_norm(
                 lambda ss: _row_product(self._semigroup_rows(t, ss),
                                         self._phi_rows(sigma, tau, ss)),
                 _bump_seeds(t, 2 * self.n),
             )
-            for t in self._check_times(ts)
+            for t in ts
         ])
 
     def spectral_abscissa_neg(self):
         return 0.0
-
-
-# ---------------------------------------------------------------------------
-# config ingestion (the CLI's tagged union)
-
-
-def model_from_config(spec):
-    """Build a model from the JSON-config operator description."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise DomainError("operator config must be a dict with a 'kind' tag")
-    kind = spec["kind"]
-    if kind == "dense-matrix":
-        entries = spec["entries"]
-        arr = np.asarray(
-            [[complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e) for e in row] for row in entries]
-        )
-        return DenseMatrixModel(arr)
-    if kind == "diagonal-symbol":
-        grid = geometric_grid(
-            spec.get("s_start", 1.0 + 1e-6),
-            spec.get("s_max", 1e8),
-            spec.get("grid_count", 4096),
-        )
-        return DiagonalSymbolModel(spec["a"], spec["b"], grid, spec.get("sobolev", True))
-    if kind == "jordan-sum":
-        return JordanSumModel(
-            spec["gamma"], spec["delta"], spec.get("n_max", 10**4), spec.get("n_start")
-        )
-    if kind == "operator-matrix":
-        return OperatorMatrixModel(spec["n"])
-    raise DomainError(f"unknown operator kind {kind!r}")

@@ -1,6 +1,8 @@
 """CLI: config validation, pipeline outputs, determinism, exit codes."""
 
 import csv
+import dataclasses
+import inspect
 import json
 import math
 import re
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semistab import battery, cli
+from semistab import battery, cli, decaylab
 from semistab.errors import ConfigError
 
 
@@ -294,6 +296,41 @@ def test_readme_config_is_valid():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"### Config reference\n\n```json\n(.*?)```", text, re.S).group(1)
     cli.validate_config(json.loads(block))
+
+
+def test_config_builds_each_operator_kind():
+    def model(operator):
+        return cli.validate_config({"operator": operator})["model"]
+
+    entries = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [2.0, 0.0]]]
+    dense = model({"kind": "dense-matrix", "entries": entries})
+    assert dense.info.kind == "dense-matrix" and dense.dim == 2
+    assert dense.matrix[0, 1] == 1j
+    diag = model({"kind": "diagonal-symbol", "a": 1.0, "b": 0.5, "grid_count": 64, "s_max": 1e4})
+    assert diag.info.kind == "diagonal-symbol" and len(diag.grid) == 64
+    jor = model({"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 100})
+    assert jor.info.kind == "jordan-sum" and jor.n_start == 4
+    om = model({"kind": "operator-matrix", "n": 3})
+    assert om.info.kind == "operator-matrix"
+
+
+def test_config_tables_match_constructors():
+    # each config field is a constructor parameter and each parameter a
+    # field, so a default can live only in the constructor
+    for kind, (model, fields) in cli._OPERATORS.items():
+        assert list(fields) == list(inspect.signature(model).parameters), kind
+    geometry = [f.name for f in dataclasses.fields(decaylab.GeometryDescriptor)]
+    assert sorted([*cli._GEOMETRY_FIELDS, "lattice"]) == sorted(geometry)
+
+
+def test_grid_with_repeated_nodes_exits_2(tmp_path, capsys):
+    # [10, 10 + 1 ulp] holds 2 floats, too few for 32 distinct nodes
+    cfg = _base_config(tmp_path / "o")
+    cfg["grids"]["t_grid"] = {"start": 10.0, "stop": 10.000000000000002, "count": 32}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["decay", "--config", str(path)]) == 2
+    assert "config error: grids.t_grid:" in capsys.readouterr().err
 
 
 # random configs for the fuzz test: each field is mostly a sensible value,

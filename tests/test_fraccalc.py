@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistab import fraccalc, numcore, operators
+from semistab import fraccalc, operators
 from semistab.errors import ContourError, DomainError, TruncationWarning
 
 
@@ -85,9 +85,7 @@ def test_identity_indices_return_copy():
 
 
 def test_composition_law_closed_form_route():
-    model = operators.DiagonalSymbolModel(
-        1.0, 0.5, numcore.geometric_grid(1.0 + 1e-6, 1e5, 128)
-    )
+    model = operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e5, grid_count=128)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     two = fraccalc.fractional_power_apply(

@@ -1,6 +1,10 @@
 """Grids, stable sums, and power-law fits."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,38 @@ def test_geometric_grid_errors():
         numcore.geometric_grid(-1.0, 2.0, 8)
     with pytest.raises(DomainError):
         numcore.geometric_grid(1.0, 2.0, 1)
+    # [1, 1 + 1e-15] holds 6 floats, too few for 100 strictly increasing nodes
+    for stop in (1.0 + 1e-15, math.inf):
+        with pytest.raises(DomainError):
+            numcore.geometric_grid(1.0, stop, 100)
+
+
+def test_fftconvolve_equals_scipy_signal():
+    # the call shapes of the block-sum rows and of the multiplier's kernel
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(0)
+    calls = []
+    for m in (2, 5, 13, 40, 87):
+        for count in (1, 7, 500):
+            rows, other = (rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
+                           for _ in range(2))
+            kernel = rng.standard_normal((1, m))
+            calls += [(rows, kernel, 1), (rows, other, 1), (kernel.T, kernel.T, 0)]
+    f = rng.standard_normal((128, 4)) + 1j * rng.standard_normal((128, 4))
+    calls.append((rng.standard_normal((64, 4, 4)), f[:, None, :], 0))
+    for a, b, axis in calls:
+        want = fftconvolve(a, b, axes=axis)
+        assert numcore.fftconvolve(a, b, axes=axis).tobytes() == want.tobytes()
+
+
+def test_package_import_skips_scipy_signal():
+    # scipy.signal drags in scipy.stats, more than half of the import time
+    code = "import sys, semistab.cli; print({'scipy.signal', 'scipy.stats'} & set(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(numcore.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "set()"
 
 
 def test_stable_exp_sum_small_values():

@@ -26,9 +26,7 @@ def _models(seed=0):
     m = m / 3.0 + 1.5 * np.eye(5)
     return {
         "dense": operators.DenseMatrixModel(m),
-        "diagonal": operators.DiagonalSymbolModel(
-            1.0, 0.5, numcore.geometric_grid(1.0 + 1e-6, 1e6, 256)
-        ),
+        "diagonal": operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e6, grid_count=256),
         "jordan": operators.JordanSumModel(0.5, 0.5, 500),
         "opmatrix": operators.OperatorMatrixModel(3),
     }
@@ -197,22 +195,49 @@ def test_models_keep_no_state(kind):
 
 
 def test_models_copy_their_arrays():
-    # a caller that changes its array afterwards changes no model
-    entries, grid = np.diag([1.0 + 0j, 2.0]), numcore.geometric_grid(2.0, 1e3, 64)
-    dense, diag = operators.DenseMatrixModel(entries), operators.DiagonalSymbolModel(1.0, 0.5, grid)
-    before = dense.shifted_resolvent_norm(1.0), diag.shifted_resolvent_norm(1.0)
-    entries[0, 0], grid[-1] = 5.0, 1e4
-    assert (dense.shifted_resolvent_norm(1.0), diag.shifted_resolvent_norm(1.0)) == before
+    # a caller that changes its array afterwards changes no model, and the
+    # diagonal model's own grid cannot be changed
+    entries = np.diag([1.0 + 0j, 2.0])
+    dense = operators.DenseMatrixModel(entries)
+    before = dense.shifted_resolvent_norm(1.0)
+    entries[0, 0] = 5.0
+    assert dense.shifted_resolvent_norm(1.0) == before
+    with pytest.raises(ValueError):
+        operators.DiagonalSymbolModel(1.0, 0.5, grid_count=64).grid[-1] = 1e4
 
 
 @pytest.mark.parametrize(
-    "grid", [[2.0], [[2.0, 3.0]], [2.0, 2.0, 3.0], [3.0, 2.0], [2.0, math.nan], [1.0, 2.0],
-             [2.0, math.inf]],
-    ids=["one-node", "2-d", "repeated", "decreasing", "nan", "at-1", "inf"],
+    "fields",
+    [{"grid_count": 1}, {"s_start": 2.0, "s_max": 2.0 + 1e-15, "grid_count": 64},
+     {"s_start": 3.0, "s_max": 2.0}, {"s_max": math.nan}, {"s_start": 1.0}, {"s_max": math.inf}],
+    ids=["one-node", "repeated", "decreasing", "nan", "at-1", "inf"],
 )
-def test_diagonal_grid_checked(grid):
+def test_diagonal_grid_checked(fields):
     with pytest.raises(DomainError):
-        operators.DiagonalSymbolModel(1.0, 0.5, grid)
+        operators.DiagonalSymbolModel(1.0, 0.5, **fields)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_empty_sweep_checks_indices(kind):
+    # the indices are checked before the time loop, so an empty sweep
+    # rejects them too
+    model = _models()[kind]
+    with pytest.raises(DomainError):
+        model.fractional_norm(np.array([]), -1.0, 0.0)
+    if kind == "opmatrix":  # integer sigma only
+        with pytest.raises(DomainError):
+            model.fractional_norm(np.array([]), 0.5, 0.0)
+
+
+def test_opmatrix_subnormal_time():
+    # c / t overflows at a subnormal t; every seed with c >= t is 1
+    t = 2.225073858507e-311
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert operators._bump_seeds(t, 4) == [1e-9, 1.0, 1.0, 1.0]
+        model = operators.OperatorMatrixModel(3)
+        norms = model.semigroup_norm([t]), model.fractional_norm([t], 1.0, 0.5)
+    assert all(np.isfinite(n).all() for n in norms)
 
 
 @pytest.mark.parametrize("kind", ["jordan", "opmatrix"])
@@ -630,31 +655,11 @@ def test_opmatrix_norms_match_dense_symbols(n, t, sigma, tau, lam):
 
 
 def test_diagonal_edge_domination_flagged():
-    model = operators.DiagonalSymbolModel(
-        1.0, 0.5, numcore.geometric_grid(1.0 + 1e-6, 1e4, 512)
-    )
+    model = operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e4, grid_count=512)
     # resonance at s = xi^(1/b) = 11025 lies just beyond s_max = 1e4, so the
     # supremum climbs into the truncation edge
     with pytest.warns(EdgeDominatedWarning):
         model.shifted_resolvent_norm(-105.0j)
-
-
-def test_model_from_config_kinds():
-    dense = operators.model_from_config(
-        {"kind": "dense-matrix", "entries": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [2.0, 0.0]]]}
-    )
-    assert dense.info.kind == "dense-matrix" and dense.dim == 2
-    assert dense.matrix[0, 1] == 1j
-    diag = operators.model_from_config(
-        {"kind": "diagonal-symbol", "a": 1.0, "b": 0.5, "grid_count": 64, "s_max": 1e4}
-    )
-    assert diag.info.kind == "diagonal-symbol" and len(diag.grid) == 64
-    jor = operators.model_from_config({"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 100})
-    assert jor.info.kind == "jordan-sum" and jor.n_start == 4
-    om = operators.model_from_config({"kind": "operator-matrix", "n": 3})
-    assert om.info.kind == "operator-matrix"
-    with pytest.raises(DomainError):
-        operators.model_from_config({"kind": "mystery"})
 
 
 def test_metadata_flags():

@@ -56,9 +56,7 @@ def test_fit_growth_profile_jordan_small():
 
 
 def test_m_constant_stable_under_probe_doubling():
-    model = operators.DiagonalSymbolModel(
-        1.0, 0.5, numcore.geometric_grid(1.0 + 1e-6, 1e6, 1024)
-    )
+    model = operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e6, grid_count=1024)
     profiles = []
     for count in (48, 96):
         table = resolvent.probe_resolvent_norms(model, numcore.geometric_grid(1e-2, 1e2, count))
