@@ -67,13 +67,19 @@ def _fail(field, msg):
 
 def _check(val, field, kind, finite=True):
     """JSON type check: str and bool match exactly, int and float take no
-    bool, float takes ints; a float must be finite unless ``finite`` is False."""
+    bool, float takes ints that do not overflow a float; a float must be finite
+    unless ``finite`` is False."""
     if kind in (str, bool):
         ok = isinstance(val, kind)
     else:
         ok = isinstance(val, int if kind is int else (int, float)) and not isinstance(val, bool)
     if not ok:
         _fail(field, f"expected {kind.__name__}, got {type(val).__name__}")
+    if kind is float and isinstance(val, int):
+        try:
+            float(val)
+        except OverflowError:
+            _fail(field, "integer too large for a float")
     if finite and isinstance(val, float) and not math.isfinite(val):
         _fail(field, f"must be finite, got {val}")
     return val

@@ -169,60 +169,71 @@ def stable_exp_sum(m):
     return math.exp(stable_exp_sum_log(m)) if stable_exp_sum_log(m) < 709.0 else math.inf
 
 
+def _larger(x, y):
+    """Elementwise ``max(x, y)`` with Python's rule: y only where y > x."""
+    return np.where(y > x, y, x)
+
+
 def golden_max(f, lo, hi):
-    """Golden-section maximization of a unimodal scalar function on
-    [lo, hi]: 60 steps, the largest value seen."""
-    a, b = float(lo), float(hi)
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
+    """Golden-section maximization of unimodal functions, in lockstep on the
+    brackets [lo[k], hi[k]]: 60 steps, the largest value seen per bracket.
+
+    ``f`` maps an array of points, one per bracket, to their values, and is
+    called once per step.  Each bracket takes the steps, in the same float
+    arithmetic, of a search on it alone.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c1, c2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     f1, f2 = f(c1), f(c2)
-    best = max(f1, f2)
+    best = _larger(f1, f2)
     for _ in range(60):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = f(c1)
-        best = max(best, f1, f2)
+        # f1 < f2: keep [c1, b], c2 becomes c1 and a new c2 is probed; else the mirror
+        up = f1 < f2
+        a, b = np.where(up, c1, a), np.where(up, b, c2)
+        new = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        f_new = f(new)
+        c1, c2 = np.where(up, c2, new), np.where(up, new, c1)
+        f1, f2 = np.where(up, f2, f_new), np.where(up, f_new, f1)
+        best = _larger(_larger(best, f1), f2)
     return best
 
 
 def sup_on_grid(f, nodes, warn_edges=("right",), label=""):
-    """Supremum of ``f`` over grid nodes with golden-section refinement.
+    """Suprema of a stack of functions over their grid nodes, refined by
+    golden section: one supremum per function.
 
-    ``f`` must accept an ndarray of nodes.  The refinement searches in
-    log-node space around the discrete argmax.  With "right" in
-    ``warn_edges`` (the default; pass () to switch it off), a maximum in
-    the outer 10% of the right edge that clearly exceeds the interior
-    values means the domain truncation dominates the supremum, and an
-    EdgeDominatedWarning is emitted (the value is still returned).
+    ``nodes`` holds one node array per function, and ``f(i, s)`` evaluates
+    function ``i`` at the nodes ``s``: an index with a node array, or an
+    index array with a node array of the same shape.  The grid pass takes
+    one function at a time; then one lockstep ``golden_max`` refines, in
+    log-node space, every function whose grid argmax is interior.  With
+    "right" in ``warn_edges`` (the default; pass () to switch it off), a
+    grid maximum in the outer 10% of the right edge that clearly exceeds
+    the interior values means the domain truncation dominates the
+    supremum: that function gets an EdgeDominatedWarning (its value is
+    still returned).
     """
-    nodes = np.asarray(nodes, dtype=float)
-    vals = np.asarray(f(nodes), dtype=float)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    n = len(nodes)
-    edge = max(1, n // 10)
-    if (
-        "right" in warn_edges
-        and n >= 4
-        and i >= n - edge
-        and best > 1.05 * float(np.max(vals[: n - edge]))
-    ):
-        warnings.warn(
-            f"supremum{' of ' + label if label else ''} attained at the right "
-            f"domain edge {nodes[-1]:g}; truncated domain may not contain the supremum",
-            EdgeDominatedWarning,
-            stacklevel=2,
-        )
-    if 0 < i < n - 1:
-        lo, hi = nodes[i - 1], nodes[i + 1]
+    best = np.empty(len(nodes))
+    refined = []  # (function, log lo, log hi) of each interior argmax
+    for k, grid in enumerate(nodes):
+        grid = np.asarray(grid, dtype=float)
+        vals = np.asarray(f(k, grid), dtype=float)
+        i, n = int(np.argmax(vals)), len(grid)
+        best[k] = vals[i]
+        edge = max(1, n // 10)
+        if ("right" in warn_edges and n >= 4 and i >= n - edge
+                and best[k] > 1.05 * np.max(vals[: n - edge])):
+            warnings.warn(f"supremum{' of ' + label if label else ''} attained at the right domain "
+                          f"edge {grid[-1]:g}; truncated domain may not contain the supremum",
+                          EdgeDominatedWarning, stacklevel=2)
+        if 0 < i < n - 1:
+            refined.append((k, math.log(grid[i - 1]), math.log(grid[i + 1])))
+    if refined:
+        idx, lo, hi = (np.array(col) for col in zip(*refined))
 
-        def g(u):
-            return float(np.asarray(f(np.array([math.exp(u)])))[0])
+        def at(u):
+            # math.exp, not np.exp: the two differ in the last bit for some u
+            return np.asarray(f(idx, np.array([math.exp(x) for x in u])), dtype=float)
 
-        best = max(best, golden_max(g, math.log(lo), math.log(hi)))
+        best[idx] = _larger(best[idx], golden_max(at, lo, hi))
     return best

@@ -18,10 +18,12 @@ Every model answers the norms the analyses measure: ||T(t)||,
 ||T(t) A^sigma (1+A)^{-sigma-tau}|| and ||(lam + A)^{-1}||.  The two
 time-indexed norms take a 1-D array of times and return one norm per
 time, so a sweep is one call and t-independent work is done once per
-call.  Conventions:
-the semigroup is T(t) = exp(-t A); resolvent norms are reported for
-(lam + A)^{-1} because stability analysis probes the closed right
-half-plane.  State-space actions, (lam - A)^{-1} x and closed-form
+call; ||T(t)|| is the second at sigma = tau = 0, except in the block sum,
+where the largest block decides it.  The diagonal and operator-matrix
+kinds take each sweep's suprema over s in one stacked ``sup_on_grid``.
+Conventions: the semigroup is T(t) = exp(-t A); resolvent norms are
+reported for (lam + A)^{-1} because stability analysis probes the closed
+right half-plane.  State-space actions, (lam - A)^{-1} x and closed-form
 A^alpha (1+A)^{-alpha-beta} x on arrays, exist only for the dense and
 diagonal kinds, the two the contour quadrature of ``fraccalc`` serves.
 
@@ -78,9 +80,10 @@ class OperatorModel(ABC):
     def spectrum_distance(self, lam):
         """Estimated distance from lam to the spectrum of A."""
 
-    @abstractmethod
     def semigroup_norm(self, ts):
-        """The operator norms of T(t), one per time in the 1-D array ``ts``."""
+        """The operator norms of T(t), one per time in the 1-D array ``ts``:
+        the fractional norms at sigma = tau = 0, where A^0 (1+A)^0 = I."""
+        return self.fractional_norm(ts, 0.0, 0.0)
 
     @abstractmethod
     def shifted_resolvent_norm(self, lam):
@@ -254,9 +257,6 @@ class DenseMatrixModel(OperatorModel):
     def spectrum_distance(self, lam):
         return float(np.min(np.abs(lam - self._eigvals)))
 
-    def semigroup_norm(self, ts):
-        return np.linalg.norm(self._expm_neg(self._check_times(ts)), 2, axis=(1, 2))
-
     def shifted_resolvent_norm(self, lam):
         self._check_resolvent_point(-lam)
         return 1.0 / float(svdvals(lam * np.eye(self.dim) + self.matrix)[-1])
@@ -349,12 +349,13 @@ class DiagonalSymbolModel(OperatorModel):
             raise ShapeError(f"expected vector of shape {self.grid.shape}, got {x.shape}")
         return x
 
-    def _sup_norm(self, g, gprime, label):
-        val = sup_on_grid(lambda s: np.abs(g(s)), self.grid, label=label)
+    def _sup_norm(self, g, gprime, count, label):
+        """Norms of ``count`` stacked symbols g(i, s) with derivatives gprime(i, s)."""
+        val = sup_on_grid(lambda i, s: np.abs(g(i, s)), [self.grid] * count, label=label)
         if not self.sobolev:
             return val
-        dval = sup_on_grid(lambda s: np.abs(gprime(s)), self.grid, label=label + "'")
-        return max(val, dval)
+        dval = sup_on_grid(lambda i, s: np.abs(gprime(i, s)), [self.grid] * count, label=label + "'")
+        return np.where(dval > val, dval, val)
 
     # -- operations
 
@@ -367,44 +368,39 @@ class DiagonalSymbolModel(OperatorModel):
     def spectrum_distance(self, lam):
         return float(np.min(np.abs(lam - self.symbol(self.grid))))
 
-    def semigroup_norm(self, ts):
-        return self.fractional_norm(ts, 0.0, 0.0)
-
     def shifted_resolvent_norm(self, lam):
         self._check_resolvent_point(-lam)
 
-        def g(s):
+        def g(i, s):
             return 1.0 / (lam + self.symbol(s))
 
-        def gp(s):
+        def gp(i, s):
             return -self.symbol_derivative(s) / (lam + self.symbol(s)) ** 2
 
-        return self._sup_norm(g, gp, "resolvent symbol")
+        return float(self._sup_norm(g, gp, 1, "resolvent symbol")[0])
 
     def fractional_norm(self, ts, sigma, tau):
         ts = self._check_times(ts)
         self._check_fractional_indices(sigma, tau)
-        return np.array([self._fractional_sup(t, sigma, tau) for t in ts])
 
-    def _fractional_sup(self, t, sigma, tau):
-        def g(s):
+        def g(i, s):
             ph = self.symbol(s)
-            out = np.exp(-t * ph)
+            out = np.exp(-ts[i] * ph)
             if sigma:
                 out = out * ph**sigma
             if sigma or tau:
                 out = out * (1.0 + ph) ** (-(sigma + tau))
             return out
 
-        def gp(s):
+        def gp(i, s):
             ph = self.symbol(s)
             dph = self.symbol_derivative(s)
-            factor = -t * dph - (sigma + tau) * dph / (1.0 + ph)
+            factor = -ts[i] * dph - (sigma + tau) * dph / (1.0 + ph)
             if sigma:
                 factor = factor + sigma * dph / ph
-            return g(s) * factor
+            return g(i, s) * factor
 
-        return self._sup_norm(g, gp, f"T(t)Phi^{sigma}_{tau} symbol")
+        return self._sup_norm(g, gp, len(ts), f"T(t)Phi^{sigma}_{tau} symbol")
 
     def phi_closed_apply(self, alpha, beta, x):
         x = self._check_vec(x)
@@ -710,6 +706,7 @@ class OperatorMatrixModel(OperatorModel):
         )
 
     def _semigroup_rows(self, t, ss):
+        """Rows e^{-ts} t^k/k! of exp(-t M(s)); fractional_norm tabulates t^k/k! per time."""
         return np.exp(-t * ss)[:, None] * _exp_series_coeffs(t, self.n)
 
     def _phi_rows(self, sigma, tau, ss):
@@ -726,24 +723,16 @@ class OperatorMatrixModel(OperatorModel):
         dx = 0.0 if 0.0 <= lam.real <= 1.0 else min(abs(lam.real), abs(lam.real - 1.0))
         return math.hypot(dx, lam.imag)
 
-    def _sup_symbol_norm(self, rows_at, seeds=()):
-        """sup over s of the norm of the Toeplitz matrix with row rows_at(s)."""
-        nodes = np.unique(np.concatenate([self._sup_nodes, np.asarray(seeds, dtype=float)]))
-        return sup_on_grid(
-            lambda ss: np.linalg.norm(_toeplitz_stack(rows_at(ss)), 2, axis=(1, 2)),
-            nodes,
-            warn_edges=(),
-        )
-
-    def semigroup_norm(self, ts):
-        return np.array([
-            self._sup_symbol_norm(lambda ss: self._semigroup_rows(t, ss), _bump_seeds(t, self.n))
-            for t in self._check_times(ts)
-        ])
+    def _sup_symbol_norm(self, rows_at, seeds):
+        """sup over s of the Toeplitz norms of rows_at(i, s), one per list seeds[i] of extra nodes."""
+        nodes = [np.unique(np.concatenate([self._sup_nodes, np.asarray(c, float)])) for c in seeds]
+        return sup_on_grid(lambda i, ss: np.linalg.norm(_toeplitz_stack(rows_at(i, ss)), 2, axis=(1, 2)),
+                           nodes, warn_edges=())
 
     def shifted_resolvent_norm(self, lam):
         self._check_resolvent_point(-lam)
-        return self._sup_symbol_norm(lambda ss: _shifted_power_rows(lam + ss, -1, self.n))
+        return float(self._sup_symbol_norm(
+            lambda i, ss: _shifted_power_rows(lam + ss, -1, self.n), [()])[0])
 
     def fractional_norm(self, ts, sigma, tau):
         ts = self._check_times(ts)
@@ -753,14 +742,14 @@ class OperatorMatrixModel(OperatorModel):
                 "operator-matrix models support integer smoothing powers only "
                 "(fractional powers are unbounded at the spectral origin)"
             )
-        return np.array([
-            self._sup_symbol_norm(
-                lambda ss: _row_product(self._semigroup_rows(t, ss),
-                                        self._phi_rows(sigma, tau, ss)),
-                _bump_seeds(t, 2 * self.n),
-            )
-            for t in ts
-        ])
+        coeffs = np.array([_exp_series_coeffs(t, self.n) for t in ts])
+
+        def rows_at(i, ss):
+            # the rows of _semigroup_rows(ts[i], ss), times the Phi rows
+            decay = np.exp(-ts[i] * ss)[:, None] * coeffs[i]
+            return _row_product(decay, self._phi_rows(sigma, tau, ss))
+
+        return self._sup_symbol_norm(rows_at, [_bump_seeds(t, 2 * self.n) for t in ts])
 
     def spectral_abscissa_neg(self):
         return 0.0

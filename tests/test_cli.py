@@ -136,6 +136,33 @@ def test_operator_fields_must_be_numbers(tmp_path, capsys, operator, field):
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+_HUGE = 10**400  # a JSON integer that overflows a float
+
+# field -> how a config puts _HUGE there
+_HUGE_FIELDS = {
+    "operator.entries[0][0]": lambda c: c.update(
+        operator={"kind": "dense-matrix", "entries": [[_HUGE, 0.0], [0.0, 1.0]]}),
+    "operator.a": lambda c: c["operator"].update(a=_HUGE),
+    "grids.t_grid.stop": lambda c: c["grids"]["t_grid"].update(stop=_HUGE),
+    "tolerances.fit_tol": lambda c: c.update(tolerances={"fit_tol": _HUGE}),
+    "indices[0]": lambda c: c.update(indices=[[0.0, _HUGE]]),
+    "grids.fourier_grid.period": lambda c: c["grids"].update(
+        fourier_grid={"period": _HUGE, "samples": 1024}),
+    # geometry exponents may be infinite, but not an integer no float holds
+    "geometry.cotype_q": lambda c: c.update(geometry={"hilbert": False, "cotype_q": _HUGE}),
+}
+
+
+@pytest.mark.parametrize("field", list(_HUGE_FIELDS))
+def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, field):
+    cfg = _base_config(tmp_path / "o")
+    _HUGE_FIELDS[field](cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["decay", "--config", str(path)]) == 2
+    assert f"config error: {field}: integer too large for a float" in capsys.readouterr().err
+
+
 def test_analyze_outputs_and_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_base_config(tmp_path / "o")))

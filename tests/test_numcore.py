@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,20 +208,118 @@ def test_fit_exp_rate_recovers_exact_exponentials(c, r, t0, span, count):
 def test_sup_on_grid_refines_peak():
     nodes = np.geomspace(0.1, 10.0, 41)
 
-    def f(s):
+    def f(i, s):
         return 1.0 / (1.0 + (np.log(np.asarray(s)) - 0.337) ** 2)
 
-    best = numcore.sup_on_grid(f, nodes)
-    assert best == pytest.approx(1.0, abs=1e-9)
+    best = numcore.sup_on_grid(f, [nodes])
+    assert best.shape == (1,)
+    assert best[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sup_on_grid_edge_warning():
     nodes = np.geomspace(1.0, 100.0, 32)
     with pytest.warns(EdgeDominatedWarning):
-        numcore.sup_on_grid(lambda s: np.asarray(s, dtype=float), nodes)
+        numcore.sup_on_grid(lambda i, s: np.asarray(s, dtype=float), [nodes])
     # flat functions and interior peaks stay silent
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        numcore.sup_on_grid(lambda s: np.ones_like(np.asarray(s)), nodes)
+        numcore.sup_on_grid(lambda i, s: np.ones_like(np.asarray(s)), [nodes])
+
+
+def _scalar_golden_max(f, lo, hi):
+    """Golden-section search on one bracket with Python floats, step by
+    step: the reference each bracket of the lockstep search must match."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c1 = b - g * (b - a)
+    c2 = a + g * (b - a)
+    f1, f2 = f(c1), f(c2)
+    best = max(f1, f2)
+    for _ in range(60):
+        if f1 < f2:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + g * (b - a)
+            f2 = f(c2)
+        else:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - g * (b - a)
+            f1 = f(c1)
+        best = max(best, f1, f2)
+    return best
+
+
+def _peaks(u, centre, width, power):
+    """-width * |u - centre|^power: unimodal, and flat at power 0."""
+    return -width * np.abs(u - centre) ** power
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    brackets=st.lists(
+        st.tuples(
+            st.floats(-50.0, 50.0),
+            st.floats(1e-6, 20.0),
+            st.floats(-0.5, 1.5),
+            st.floats(1e-3, 1e3),
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_lockstep_golden_max_matches_scalar_search(brackets):
+    # the peak sits anywhere from left of the bracket to right of it
+    lo, span, where, width, power = (np.array(col) for col in zip(*brackets))
+    hi = lo + span
+    centre = lo + where * span
+    got = numcore.golden_max(lambda u: _peaks(u, centre, width, power), lo, hi)
+    for k in range(len(lo)):
+        args = (centre[k : k + 1], width[k : k + 1], power[k : k + 1])
+        want = _scalar_golden_max(lambda x: float(_peaks(np.array([x]), *args)[0]), lo[k], hi[k])
+        assert got[k] == want
+
+
+def _stacked(calls):
+    """Three bumps in log s with different peaks, heights and grids; the
+    third peaks beyond its grid's right edge.  Each call is counted."""
+    centre, height = np.array([0.3, 1.7, 9.0]), np.array([1.0, 2.5, 0.5])
+    nodes = [np.geomspace(0.1, 10.0, 41), np.geomspace(1.0, 50.0, 29), np.geomspace(0.5, 20.0, 64)]
+
+    def f(i, s):
+        calls.append(np.shape(i))
+        return height[i] / (1.0 + (np.log(s) - centre[i]) ** 2)
+
+    return f, nodes
+
+
+def test_stacked_sup_on_grid_matches_single_calls():
+    calls = []
+    f, nodes = _stacked(calls)
+    got = numcore.sup_on_grid(f, nodes, warn_edges=())
+    # one grid evaluation per function, then one per golden step for all
+    assert len(calls) == len(nodes) + 62
+    assert calls[len(nodes):] == [(2,)] * 62  # the third function is not refined
+    for k, grid in enumerate(nodes):
+        single = numcore.sup_on_grid(lambda i, s: f(np.asarray(i) + k, s), [grid], warn_edges=())
+        assert single[0] == got[k]
+    assert got[:2] == pytest.approx([1.0, 2.5], rel=1e-12)
+
+    # no interior argmax: the grid pass alone
+    calls.clear()
+    numcore.sup_on_grid(lambda i, s: f(2, s), nodes[2:] * 2, warn_edges=())
+    assert len(calls) == 2
+
+
+def test_stacked_sup_on_grid_warns_once_per_edge_dominated_function():
+    f, nodes = _stacked([])
+    # the second bump now peaks beyond its grid too
+    nodes[1] = np.geomspace(0.1, 3.0, 32)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        numcore.sup_on_grid(f, nodes, label="g")
+    assert [w.category for w in caught] == [EdgeDominatedWarning] * 2
+    assert [str(w.message) for w in caught] == [
+        f"supremum of g attained at the right domain edge {edge}; truncated domain "
+        "may not contain the supremum"
+        for edge in (3, 20)
+    ]

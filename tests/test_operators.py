@@ -515,6 +515,17 @@ def test_fractional_norm_is_one_at_zero_indices():
             assert model.fractional_norm([0.0], 0.0, 0.0)[0] == pytest.approx(1.0, rel=1e-6), kind
 
 
+def test_semigroup_norm_is_fractional_norm_at_zero_indices():
+    # one semigroup norm for every kind but the block sum, which keeps its
+    # largest-block formula and answers (0, 0) with it
+    models = dict(_models(), defective=operators.DenseMatrixModel([[0.1, 1.0], [0.0, 0.1]]))
+    ts = np.array([0.0, 0.3, 2.0, 17.0, 150.0])
+    for kind, model in models.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EdgeDominatedWarning)
+            assert np.array_equal(model.semigroup_norm(ts), model.fractional_norm(ts, 0.0, 0.0)), kind
+
+
 def test_opmatrix_resolvent_matches_direct_solve():
     # sup over s of ||(lam + s I - N)^{-1}||, each inverse by a direct solve
     model = operators.OperatorMatrixModel(2)
@@ -607,13 +618,13 @@ def _dense_symbols(model, t, sigma, tau, lam):
 
 
 def _dense_sup(model, mat, seeds=()):
-    def f(ss):
+    def f(i, ss):
         return np.array([float(np.linalg.norm(mat(s), 2)) for s in np.atleast_1d(ss)])
 
     nodes = model._sup_nodes
     if len(seeds):
         nodes = np.unique(np.concatenate([nodes, np.asarray(seeds, dtype=float)]))
-    return numcore.sup_on_grid(f, nodes, warn_edges=())
+    return numcore.sup_on_grid(f, [nodes], warn_edges=())[0]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
