@@ -423,13 +423,9 @@ def _exp_convolve(rows, t):
 
 
 class _BlockRows(NamedTuple):
-    """Coefficient rows of a set of blocks, grouped by block size.
-
-    Blocks are numbered group after group; group g owns the numbers
-    starts[g]:starts[g+1] and rows[g] holds their rows, of length
-    sizes[g].  Block number i is block ns[i] and l1[i] is the l1 norm of
-    its row.  Each group has its own array, so no array spans all blocks.
-    """
+    """Coefficient rows of a set of blocks, grouped by block size: group g
+    owns the numbers starts[g]:starts[g+1] and rows[g] holds their rows, of
+    length sizes[g].  Number i is block ns[i], and l1[i] its row's l1 norm."""
 
     ns: np.ndarray
     rows: tuple
@@ -437,17 +433,27 @@ class _BlockRows(NamedTuple):
     starts: np.ndarray
     sizes: np.ndarray
 
+    @classmethod
+    def padded(cls, ns, rows, counts, sizes):
+        """From zero-padded ``rows``, counts[g] of them in group g."""
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        groups = tuple(rows[a:b, :m] for a, b, m in zip(starts[:-1], starts[1:], sizes))
+        return cls(ns, groups, np.abs(rows).sum(axis=1), starts, sizes)
+
 
 class JordanSumModel(OperatorModel):
     """Truncated direct sum over n of (-i n + gamma - B_{m(n)}).
 
     Block n acts on an m(n)-dimensional space with m(n) = floor(log n /
     log(1/delta)); blocks with m(n) < 2 are dropped, and the sum runs up
-    to the truncation index ``n_max``.  The direct sum is an l2 sum, so
-    operator norms are block-wise suprema.
+    to the truncation index ``n_max`` <= 2^53 (block numbers stay exact
+    as floats).  m(n) is nondecreasing, so bisection finds the groups of
+    constant m.  The direct sum is an l2 sum, so operator norms are
+    block-wise suprema.
 
     Each block operator is an upper-triangular Toeplitz matrix, so it is
-    given by its coefficient row.  Three facts avoid an SVD per block:
+    given by its coefficient row.  Three facts leave at most two rows per
+    group, whatever ``n_max`` is:
 
     * Resolvent: the block of (lam + A)^{-1} at n has row w^{-(k+1)} with
       w = lam + gamma - i n.  The unitary phase change diag(e^{ik arg w})
@@ -455,22 +461,15 @@ class JordanSumModel(OperatorModel):
       non-negative and its entries fall as |w| grows.  So within a group
       of constant m the norm is largest at the block nearest Im lam, and
       one row per group decides the supremum.
-    * Any row set: ||T_i|| <= ||T_j|| + ||row_i - row_j||_1 for blocks of
-      one group, and ||T_i|| <= ||row_i||_1.  ``_sup_over_blocks`` runs a
-      branch and bound on these bounds: it always takes the SVD of the
-      block with the largest remaining bound, until no bound exceeds the
-      best value.
+    * End blocks: within a group, the norm of T(t) A_n^sigma
+      (1+A_n)^{-sigma-tau} is at most the larger of its values at the
+      group's first and last block.  No proof is known; the property test
+      ``test_jordan_end_blocks_bound_their_group`` checks it block by block.
     * Semigroup factor: the row of T(t) Phi_n is the truncated convolution
-      e(t) * phi_n with e_k = t^k/k! >= 0, so ||e(t) * phi||_1 <= s_m(t)
-      ||phi||_1 with s_m(t) = sum_{k<m} t^k/k!.  Hence ||T(t) Phi_n|| <=
-      s_m(t) ||phi_n||_1 and, within a group, ||T(t)(Phi_i - Phi_j)|| <=
-      s_m(t) ||phi_i - phi_j||_1.  The branch and bound starts from these
-      bounds on the Phi rows.  At its first visit to a group it
-      convolves one row, of the block with the largest bound, and sends
-      it to an SVD unless the row's l1 norm already rules it out.  A group
-      that stays open after that visit falls back to its exact rows (one
-      convolution for the group) and the bounds of the previous fact.  At
-      t = 0, T(0) Phi = Phi, so the Phi rows are the exact rows.
+      e(t) * phi_n with e_k = t^k/k! >= 0, so ||T(t) Phi_n|| <=
+      ||e(t) * phi_n||_1 <= s_m(t) ||phi_n||_1 with s_m(t) = sum_{k<m}
+      t^k/k!; ``_sup_over_blocks`` runs a branch and bound on these
+      bounds.  At t = 0, T(0) Phi = Phi, so the Phi rows are exact.
 
     The rows of A^sigma (1+A)^{-sigma-tau} and their l1 norms do not
     depend on t, so ``fractional_norm`` builds them once per call and runs
@@ -485,14 +484,16 @@ class JordanSumModel(OperatorModel):
         self.gamma = float(gamma)
         self.delta = float(delta)
         self.n_max = int(n_max)
+        if self.n_max > 2**53:
+            raise DomainError(f"need n_max <= 2**53, got {self.n_max}")
         n0 = 2 if n_start is None else int(n_start)
         if n0 < 1:
             raise DomainError(f"need n_start >= 1, got {n0}")
         # m(n) is nondecreasing, so this also bounds the search for n0
         if self.n_max < 2 or self.block_size(self.n_max) < 2:
             raise DomainError("truncation n_max retains no block with m(n) >= 2")
-        while self.block_size(n0) < 2:
-            n0 += 1
+        if self.block_size(n0) < 2:
+            n0 = self._last_of_size(n0, 1) + 1
         if n0 > self.n_max:
             raise DomainError("n_start is beyond the truncation n_max")
         self.n_start = n0
@@ -513,16 +514,24 @@ class JordanSumModel(OperatorModel):
     def block_size(self, n):
         return int(math.floor(math.log(n) / math.log(1.0 / self.delta)))
 
+    def _last_of_size(self, n, m):
+        """The last block in [n, n_max] of size <= m, given that n is one."""
+        hi = self.n_max
+        while n < hi:
+            mid = (n + hi + 1) // 2
+            if self.block_size(mid) <= m:
+                n = mid
+            else:
+                hi = mid - 1
+        return n
+
     def _build_groups(self):
         out = []
-        cur_m = self.block_size(self.n_start)
-        start = self.n_start
-        for k in range(self.n_start + 1, self.n_max + 1):
-            m = self.block_size(k)
-            if m != cur_m:
-                out.append((cur_m, start, k - 1))
-                cur_m, start = m, k
-        out.append((cur_m, start, self.n_max))
+        first = self.n_start
+        while first <= self.n_max:
+            m = self.block_size(first)
+            out.append((m, first, self._last_of_size(first, m)))
+            first = out[-1][2] + 1
         return out
 
     @property
@@ -553,17 +562,18 @@ class JordanSumModel(OperatorModel):
         """Exact sup of the block norms of ``blocks`` (a ``_BlockRows``).
 
         The blocks' rows are e(t) * blocks.rows, truncated (see the class
-        docstring); at t = 0 they are blocks.rows themselves.  Branch and
-        bound: a block is sent to an SVD only while its upper bound could
-        beat the best value found, with a relative margin of
-        ``_BOUND_MARGIN`` for rounding in the SVD and the bound.
+        docstring).  Branch and bound: the block with the largest upper
+        bound goes to an SVD while that bound could beat the best value,
+        with a relative margin of ``_BOUND_MARGIN`` for rounding.  Bounds
+        start at s_m(t) ||phi||_1; the first visit to a group (t > 0)
+        convolves its rows and caps their bounds at the rows' l1 norms.
         """
         starts, sizes = blocks.starts, blocks.sizes
         ub = blocks.l1.copy()
+        exact = {} if t else dict(enumerate(blocks.rows))  # group -> e(t) * rows
         if t:
             gains = np.cumsum(_exp_series_coeffs(t, int(sizes[-1])))[sizes - 1]
             ub *= np.repeat(gains, np.diff(starts))
-        exact = {}  # group -> its rows e(t) * phi, once it stays open
         best = 0.0
         best_n = None
         while True:
@@ -572,33 +582,14 @@ class JordanSumModel(OperatorModel):
                 break
             g = int(np.searchsorted(starts, i, side="right")) - 1
             lo, hi = starts[g], starts[g + 1]
-            phi, j = blocks.rows[g], i - lo
-            rows = exact.get(g) if t else phi
-            if rows is None:
-                # first visit to the group: convolve this row alone; its l1
-                # norm may rule the block out without an SVD
-                row = _exp_convolve(phi[j : j + 1], t)[0]
-                val = np.abs(row).sum()
-            else:
-                row, val = rows[j], np.inf
-            if val * _BOUND_MARGIN > best:
-                val = _toeplitz_norm(row)
-                if val > best:
-                    best, best_n = val, int(blocks.ns[i])
-            # val now bounds the block's norm: its SVD, or its l1 norm
-            seg = ub[lo:hi]
-            seg[j] = -np.inf
-            if rows is None:
-                diff = np.abs(phi - phi[j]).sum(axis=1)
-                np.minimum(seg, val + gains[g] * diff, out=seg)
-                if not seg.max() * _BOUND_MARGIN > best:
-                    continue
-                # the group stays open: take its exact rows and their bounds
-                rows = exact[g] = np.ascontiguousarray(_exp_convolve(phi, t))
-                np.minimum(seg, np.abs(rows).sum(axis=1), out=seg)
-            # a bound at most best/margin stays so, as best only grows
-            live = np.flatnonzero(seg * _BOUND_MARGIN > best)
-            seg[live] = np.minimum(seg[live], val + np.abs(rows[live] - row).sum(axis=1))
+            if g not in exact:
+                exact[g] = _exp_convolve(blocks.rows[g], t)
+                np.minimum(ub[lo:hi], np.abs(exact[g]).sum(axis=1), out=ub[lo:hi])
+                continue
+            val = _toeplitz_norm(exact[g][i - lo])
+            ub[i] = -np.inf
+            if val > best:
+                best, best_n = val, int(blocks.ns[i])
         if best_n is not None and best_n == self.n_max:
             warnings.warn(
                 f"supremum of {label} attained at the truncation block n={self.n_max}; "
@@ -626,29 +617,33 @@ class JordanSumModel(OperatorModel):
             rows = w[:, None] ** (-(ks[None, :] + 1.0))
         rows[np.isnan(rows) & (np.abs(w) > 1.0)[:, None]] = 0.0
         rows[ks[None, :] >= np.repeat(self._sizes, counts)[:, None]] = 0.0
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        per_group = tuple(rows[a:b, :m] for a, b, m in zip(starts[:-1], starts[1:], self._sizes))
-        blocks = _BlockRows(ns, per_group, np.abs(rows).sum(axis=1), starts, self._sizes)
+        blocks = _BlockRows.padded(ns, rows, counts, self._sizes)
         return self._sup_over_blocks(blocks, f"(lam+A)^-1 at lam={lam}")
 
     def _phi_block_rows(self, sigma, tau, ns, m):
         """Rows of A_n^sigma (1+A_n)^{-sigma-tau} for the blocks ``ns`` (a
-        float array) of one size ``m``: the row of (1+A_n)^{-sigma-tau},
-        convolved with the row of A_n^sigma when sigma > 0."""
-        phi = _shifted_power_rows(1.0 + self.gamma - 1j * ns, -(sigma + tau), m)
+        float array) of size ``m``, or of sizes m[i] zero-padded to the
+        largest: the row of (1+A_n)^{-sigma-tau}, convolved once per size
+        with the row of A_n^sigma when sigma > 0."""
+        sizes = np.broadcast_to(m, ns.shape)
+        width = int(sizes.max())
+        phi = _shifted_power_rows(1.0 + self.gamma - 1j * ns, -(sigma + tau), width)
         if sigma:
-            num = _shifted_power_rows(self.gamma - 1j * ns, float(sigma), m)
-            phi = np.ascontiguousarray(fftconvolve(phi, num, axes=1)[:, :m])
+            num = _shifted_power_rows(self.gamma - 1j * ns, float(sigma), width)
+            for size in np.unique(sizes):
+                on = sizes == size
+                phi[on, :size] = fftconvolve(phi[on, :size], num[on, :size], axes=1)[:, :size]
+        phi[np.arange(width) >= sizes[:, None]] = 0.0
         return phi
 
     def _phi_rows(self, sigma, tau):
-        """``_BlockRows`` of A^sigma (1+A)^{-sigma-tau} over every block."""
-        rows = [self._phi_block_rows(sigma, tau, np.arange(a, b + 1).astype(float), m)
-                for m, a, b in self._groups]
-        l1 = np.concatenate([np.abs(phi).sum(axis=1) for phi in rows])
-        starts = np.append(self._firsts - self.n_start, len(l1)).astype(int)
-        ns = np.arange(self.n_start, self.n_max + 1)
-        return _BlockRows(ns, tuple(rows), l1, starts, self._sizes)
+        """``_BlockRows`` of A^sigma (1+A)^{-sigma-tau} over the end blocks
+        of each group: its first and last, or its one block."""
+        ends = [np.unique([a, b]).astype(float) for _, a, b in self._groups]
+        counts = [len(ns) for ns in ends]
+        ns = np.concatenate(ends)
+        phi = self._phi_block_rows(sigma, tau, ns, np.repeat(self._sizes, counts))
+        return _BlockRows.padded(ns, phi, counts, self._sizes)
 
     def fractional_norm(self, ts, sigma, tau):
         ts = self._check_times(ts)

@@ -5,7 +5,10 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -161,6 +164,32 @@ def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, field):
     path.write_text(json.dumps(cfg))
     assert cli.main(["decay", "--config", str(path)]) == 2
     assert f"config error: {field}: integer too large for a float" in capsys.readouterr().err
+
+
+def _run_decay(tmp_path, operator, timeout):
+    """``semistab decay`` on a config of ``operator`` alone, in a fresh
+    process that is killed after ``timeout`` seconds."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"operator": operator, "out_dir": str(tmp_path / "o")}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "semistab.cli", "decay", "--config", str(path)],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("delta", [0.5, 1e-5])
+def test_decay_at_a_large_truncation_runs_in_seconds(tmp_path, delta):
+    # the block sum costs O(groups), not O(n_max): 38 groups at delta = 0.5,
+    # one group starting at n = 10^10 at delta = 1e-5
+    operator = {"kind": "jordan-sum", "gamma": 0.5, "delta": delta, "n_max": 10**12}
+    proc = _run_decay(tmp_path, operator, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_truncation_beyond_exact_floats_exits_2(tmp_path):
+    operator = {"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 2**53 + 1}
+    proc = _run_decay(tmp_path, operator, timeout=30)
+    assert proc.returncode == 2
+    assert "config error: operator: need n_max <= 2**53" in proc.stderr
 
 
 def test_analyze_outputs_and_determinism(tmp_path):

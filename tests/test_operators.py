@@ -381,6 +381,78 @@ def test_jordan_sup_matches_brute_force_random_indices(gamma, delta, n_max, t, s
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def _groups_by_walk(delta, n_max, n_start):
+    """(n_start, groups) from a walk over every n, or None where the model
+    must refuse the truncation."""
+    def block_size(n):
+        return int(math.floor(math.log(n) / math.log(1.0 / delta)))
+
+    if n_max < 2 or block_size(n_max) < 2:
+        return None
+    n0 = n_start
+    while block_size(n0) < 2:
+        n0 += 1
+    if n0 > n_max:
+        return None
+    groups, first = [], n0
+    for n in range(n0 + 1, n_max + 1):
+        if block_size(n) != block_size(first):
+            groups.append((block_size(first), first, n - 1))
+            first = n
+    groups.append((block_size(first), first, n_max))
+    return n0, groups
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    delta=st.floats(0.01, 0.99),
+    n_max=st.integers(1, 5000),
+    n_start=st.integers(1, 5000),
+)
+# log(1000) / log(10) rounds below 3, so block 1000 ends the m = 2 group:
+# the groups are (2, 100, 1000) and (3, 1001, 2000)
+@example(delta=0.1, n_max=2000, n_start=2)
+def test_jordan_groups_match_the_walk(delta, n_max, n_start):
+    want = _groups_by_walk(delta, n_max, n_start)
+    if want is None:
+        with pytest.raises(DomainError):
+            operators.JordanSumModel(0.5, delta, n_max, n_start)
+        return
+    model = operators.JordanSumModel(0.5, delta, n_max, n_start)
+    assert (model.n_start, model.groups) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    gamma=st.floats(0.05, 0.95),
+    delta=st.floats(0.05, 0.95),
+    n_max=st.integers(30, 3000),
+    t=st.just(0.0) | st.floats(0.0, 80.0),
+    sigma=st.just(0.0) | st.floats(0.0, 3.0),
+    tau=st.just(0.0) | st.floats(0.0, 6.0),
+)
+# the worst case of the branch and bound: block norms rise toward the
+# end of each group, at t = 0 and at t > 0
+@example(gamma=0.5, delta=0.9, n_max=1000, t=0.0, sigma=1.0, tau=0.0)
+@example(gamma=0.5, delta=0.9, n_max=1000, t=20.0, sigma=1.0, tau=0.0)
+# delta = 0.1: m(1000) = 2, as log(1000) / log(10) rounds below 3
+@example(gamma=0.5, delta=0.1, n_max=3000, t=1.0, sigma=0.5, tau=1.0)
+def test_jordan_end_blocks_bound_their_group(gamma, delta, n_max, t, sigma, tau):
+    # no proof is known that a group's supremum sits at one of its two end
+    # blocks (the phases of e(t) and phi_n do not cancel under the diagonal
+    # phase change), so every block of every group is checked against them
+    assume(math.log(n_max) / math.log(1.0 / delta) >= 2.0)
+    model = operators.JordanSumModel(gamma, delta, n_max)
+    # an SVD of size m costs ~m^3: this keeps an example to about a second
+    assume(sum((b - a + 1) * m**3 for m, a, b in model.groups) <= 3e8)
+    for m, a, b in model.groups:
+        rows = model._phi_block_rows(sigma, tau, np.arange(a, b + 1).astype(float), m)
+        if t:
+            rows = operators._exp_convolve(rows, t)
+        norms = [operators._toeplitz_norm(row) for row in rows]
+        assert max(norms) <= max(norms[0], norms[-1]) * (1.0 + 1e-12), (m, a, b)
+
+
 def _block_rows(groups):
     """_BlockRows of [(ns, rows)] groups."""
     rows = tuple(rows for _, rows in groups)
@@ -396,9 +468,9 @@ def _block_rows(groups):
 @example(seed=0, spread=1e-3, t=0.0)
 @example(seed=1, spread=0.5, t=0.0)
 def test_jordan_branch_and_bound_on_random_rows(seed, spread, t):
-    # rows scattered around a common row, so the Lipschitz bound
-    # ||T_i|| <= ||T_j|| + ||row_i - row_j||_1 decides which blocks get an
-    # SVD; at t > 0 the rows are Phi factors and the blocks e(t) * phi
+    # rows scattered around a common row, so many blocks have nearly the
+    # same norm and the l1 bounds leave most of them open; at t > 0 the
+    # rows are Phi factors and the blocks e(t) * phi
     rng = np.random.default_rng(seed)
     model = operators.JordanSumModel(0.5, 0.5, 100)
     groups = []

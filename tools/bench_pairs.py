@@ -11,11 +11,10 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
 - the block-sum worst case: ``JordanSumModel.fractional_norm`` at tau = 0,
   sigma in ``WORST_SIGMAS`` and t in ``WORST_TIMES`` on the models
   ``WORST_MODELS``, where every block has nearly the same norm, so the
-  branch and bound prunes little.  Each one-time call's time and SVD
-  count, in ``WORST_ROUNDS`` fresh processes per checkout; each timed
-  call includes building the model's Phi rows for that sigma (0.01 to
-  0.1 s at n_max = 10^4 on a 2-CPU host, where a whole call takes 0.2
-  to 11 s);
+  bounds of the branch and bound prune little.  Each one-time call's
+  time and SVD count, in ``WORST_ROUNDS`` fresh processes per checkout;
+  each timed call includes building the model's Phi rows for that
+  sigma;
 - the per-layer metrics under ``TRACED_PREFIXES`` of one traced run of
   each workload (``perfbench/run.py --trace 1``, seed 0);
 - the end-to-end ``wall_s``, ``cpu_s``, ``peak_rss_mb``, ``setup_s`` and
