@@ -8,14 +8,13 @@ share between threads.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
 from scipy.special import gammaln, logsumexp
 
-from .errors import DomainError, EdgeDominatedWarning, InsufficientDataError
+from .errors import DomainError, InsufficientDataError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -198,34 +197,27 @@ def golden_max(f, lo, hi):
     return best
 
 
-def sup_on_grid(f, nodes, warn_edges=("right",), label=""):
+def sup_on_grid(f, nodes):
     """Suprema of a stack of functions over their grid nodes, refined by
-    golden section: one supremum per function.
+    golden section, and the mask of the edge-dominated functions.
 
     ``nodes`` holds one node array per function, and ``f(i, s)`` evaluates
     function ``i`` at the nodes ``s``: an index with a node array, or an
     index array with a node array of the same shape.  The grid pass takes
     one function at a time; then one lockstep ``golden_max`` refines, in
-    log-node space, every function whose grid argmax is interior.  With
-    "right" in ``warn_edges`` (the default; pass () to switch it off), a
-    grid maximum in the outer 10% of the right edge that clearly exceeds
-    the interior values means the domain truncation dominates the
-    supremum: that function gets an EdgeDominatedWarning (its value is
-    still returned).
+    log-node space, every function whose grid argmax is interior.  A
+    function is edge-dominated when its grid maximum lies in the outer 10%
+    at the right and clearly exceeds the interior values.
     """
-    best = np.empty(len(nodes))
+    best, edge = np.empty(len(nodes)), np.zeros(len(nodes), dtype=bool)
     refined = []  # (function, log lo, log hi) of each interior argmax
     for k, grid in enumerate(nodes):
         grid = np.asarray(grid, dtype=float)
         vals = np.asarray(f(k, grid), dtype=float)
         i, n = int(np.argmax(vals)), len(grid)
         best[k] = vals[i]
-        edge = max(1, n // 10)
-        if ("right" in warn_edges and n >= 4 and i >= n - edge
-                and best[k] > 1.05 * np.max(vals[: n - edge])):
-            warnings.warn(f"supremum{' of ' + label if label else ''} attained at the right domain "
-                          f"edge {grid[-1]:g}; truncated domain may not contain the supremum",
-                          EdgeDominatedWarning, stacklevel=2)
+        cut = n - max(1, n // 10)
+        edge[k] = n >= 4 and i >= cut and best[k] > 1.05 * np.max(vals[:cut])
         if 0 < i < n - 1:
             refined.append((k, math.log(grid[i - 1]), math.log(grid[i + 1])))
     if refined:
@@ -236,4 +228,4 @@ def sup_on_grid(f, nodes, warn_edges=("right",), label=""):
             return np.asarray(f(idx, np.array([math.exp(x) for x in u])), dtype=float)
 
         best[idx] = _larger(best[idx], golden_max(at, lo, hi))
-    return best
+    return best, edge

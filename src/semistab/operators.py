@@ -19,8 +19,10 @@ Every model answers the norms the analyses measure: ||T(t)||,
 time-indexed norms take a 1-D array of times and return one norm per
 time, so a sweep is one call and t-independent work is done once per
 call; ||T(t)|| is the second at sigma = tau = 0, except in the block sum,
-where the largest block decides it.  The diagonal and operator-matrix
-kinds take each sweep's suprema over s in one stacked ``sup_on_grid``.
+where the largest block decides it.  The resolvent norm takes a line, a
+1-D complex array of points, and returns one norm and one edge flag per
+point.  The diagonal and operator-matrix kinds take each sweep's or
+line's suprema over s in one stacked ``sup_on_grid``.
 Conventions: the semigroup is T(t) = exp(-t A); resolvent norms are
 reported for (lam + A)^{-1} because stability analysis probes the closed
 right half-plane.  State-space actions, (lam - A)^{-1} x and closed-form
@@ -86,8 +88,10 @@ class OperatorModel(ABC):
         return self.fractional_norm(ts, 0.0, 0.0)
 
     @abstractmethod
-    def shifted_resolvent_norm(self, lam):
-        """The operator norm of (lam + A)^{-1}."""
+    def shifted_resolvent_norm(self, lams):
+        """Norms of (lam + A)^{-1} and edge flags (True: the supremum sits at a
+        truncation edge), one per point of the 1-D complex array ``lams``;
+        NearSingularityError if a point is singular (``singular_points``)."""
 
     @abstractmethod
     def fractional_norm(self, ts, sigma, tau):
@@ -119,23 +123,29 @@ class OperatorModel(ABC):
         """``ts`` as a float array; DomainError unless it is 1-D with finite
         times >= 0."""
         ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1:
-            raise DomainError(f"semigroup times must be a 1-D array, got shape {ts.shape}")
-        bad = ~(np.isfinite(ts) & (ts >= 0.0))
-        if bad.any():
-            raise DomainError(f"semigroup times must be finite and >= 0, got {ts[bad][0]}")
+        if ts.ndim != 1 or not (np.isfinite(ts) & (ts >= 0.0)).all():
+            raise DomainError(f"semigroup times must be a 1-D array of finite times >= 0, got {ts}")
         return ts
 
     def _check_fractional_indices(self, sigma, tau):
         if sigma < 0 or tau < 0:
             raise DomainError("fractional indices must be >= 0")
 
-    def _check_resolvent_point(self, lam):
-        d = self.spectrum_distance(lam)
-        if d < _SING_TOL:
-            raise NearSingularityError(
-                f"lambda={lam} lies within {d:.3e} of the spectrum", d
-            )
+    def singular_points(self, lams):
+        """``lams`` as a complex array, and the mask of its points within
+        _SING_TOL of the spectrum of -A; DomainError unless it is 1-D and finite."""
+        lams = np.asarray(lams, dtype=complex)
+        if lams.ndim != 1 or not np.isfinite(lams).all():
+            raise DomainError(f"resolvent points must be a finite 1-D array, got {lams}")
+        return lams, np.array([self.spectrum_distance(-lam) < _SING_TOL for lam in lams], dtype=bool)
+
+    def _nonsingular(self, lams):
+        lams, singular = self.singular_points(lams)
+        if singular.any():
+            lam = -lams[singular][0]
+            d = self.spectrum_distance(lam)
+            raise NearSingularityError(f"lambda={lam} lies within {d:.3e} of the spectrum", d)
+        return lams
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +267,11 @@ class DenseMatrixModel(OperatorModel):
     def spectrum_distance(self, lam):
         return float(np.min(np.abs(lam - self._eigvals)))
 
-    def shifted_resolvent_norm(self, lam):
-        self._check_resolvent_point(-lam)
-        return 1.0 / float(svdvals(lam * np.eye(self.dim) + self.matrix)[-1])
+    def shifted_resolvent_norm(self, lams):
+        lams = self._nonsingular(lams)
+        mats = lams[:, None, None] * np.eye(self.dim) + self.matrix
+        # scipy's svdvals rejects an empty stack
+        return 1.0 / (svdvals(mats)[:, -1] if len(lams) else np.empty(0)), np.zeros(len(lams), bool)
 
     def phi_matrix(self, alpha, beta):
         """A^alpha (1+A)^{-alpha-beta} as a dense matrix."""
@@ -306,8 +318,8 @@ class DiagonalSymbolModel(OperatorModel):
     With ``sobolev=True`` operator norms use the first-order surrogate
     max(sup |g|, sup |g'|), which reproduces the multiplication-operator
     norm on the Sobolev space up to two-sided constants; otherwise plain
-    sup |g|.  Suprema are grid maxima refined by golden section, and a
-    supremum attained at the s_max edge raises EdgeDominatedWarning.
+    sup |g|.  Suprema are grid maxima refined by golden section; one at the
+    s_max edge is flagged (EdgeDominatedWarning in ``fractional_norm``).
     ``grid`` (read-only) holds ``grid_count`` geometric nodes on
     [s_start, s_max], with s_start > 1.
     """
@@ -349,13 +361,14 @@ class DiagonalSymbolModel(OperatorModel):
             raise ShapeError(f"expected vector of shape {self.grid.shape}, got {x.shape}")
         return x
 
-    def _sup_norm(self, g, gprime, count, label):
-        """Norms of ``count`` stacked symbols g(i, s) with derivatives gprime(i, s)."""
-        val = sup_on_grid(lambda i, s: np.abs(g(i, s)), [self.grid] * count, label=label)
+    def _sup_norm(self, g, gprime, count):
+        """Norms of ``count`` stacked symbols g(i, s) with derivatives
+        gprime(i, s), and edge masks: a row for g and, if used, one for g'."""
+        val, edge = sup_on_grid(lambda i, s: np.abs(g(i, s)), [self.grid] * count)
         if not self.sobolev:
-            return val
-        dval = sup_on_grid(lambda i, s: np.abs(gprime(i, s)), [self.grid] * count, label=label + "'")
-        return np.where(dval > val, dval, val)
+            return val, edge[None]
+        dval, dedge = sup_on_grid(lambda i, s: np.abs(gprime(i, s)), [self.grid] * count)
+        return np.where(dval > val, dval, val), np.stack([edge, dedge])
 
     # -- operations
 
@@ -368,16 +381,12 @@ class DiagonalSymbolModel(OperatorModel):
     def spectrum_distance(self, lam):
         return float(np.min(np.abs(lam - self.symbol(self.grid))))
 
-    def shifted_resolvent_norm(self, lam):
-        self._check_resolvent_point(-lam)
-
-        def g(i, s):
-            return 1.0 / (lam + self.symbol(s))
-
-        def gp(i, s):
-            return -self.symbol_derivative(s) / (lam + self.symbol(s)) ** 2
-
-        return float(self._sup_norm(g, gp, 1, "resolvent symbol")[0])
+    def shifted_resolvent_norm(self, lams):
+        lams = self._nonsingular(lams)
+        norms, edges = self._sup_norm(
+            lambda i, s: 1.0 / (lams[i] + self.symbol(s)),
+            lambda i, s: -self.symbol_derivative(s) / (lams[i] + self.symbol(s)) ** 2, len(lams))
+        return norms, edges.any(axis=0)
 
     def fractional_norm(self, ts, sigma, tau):
         ts = self._check_times(ts)
@@ -400,7 +409,13 @@ class DiagonalSymbolModel(OperatorModel):
                 factor = factor + sigma * dph / ph
             return g(i, s) * factor
 
-        return self._sup_norm(g, gp, len(ts), f"T(t)Phi^{sigma}_{tau} symbol")
+        norms, edges = self._sup_norm(g, gp, len(ts))
+        for row in np.nonzero(edges)[0]:  # g's edges, then g''s
+            label = f"T(t)Phi^{sigma}_{tau} symbol" + "'" * row
+            warnings.warn(f"supremum of {label} attained at the right domain edge {self.grid[-1]:g}; "
+                          "truncated domain may not contain the supremum",
+                          EdgeDominatedWarning, stacklevel=2)
+        return norms
 
     def phi_closed_apply(self, alpha, beta, x):
         x = self._check_vec(x)
@@ -447,9 +462,9 @@ class JordanSumModel(OperatorModel):
     Block n acts on an m(n)-dimensional space with m(n) = floor(log n /
     log(1/delta)); blocks with m(n) < 2 are dropped, and the sum runs up
     to the truncation index ``n_max`` <= 2^53 (block numbers stay exact
-    as floats).  m(n) is nondecreasing, so bisection finds the groups of
-    constant m.  The direct sum is an l2 sum, so operator norms are
-    block-wise suprema.
+    as floats) with m(n_max) <= 1024 (a norm takes SVDs of size m).  m(n)
+    is nondecreasing, so bisection finds the groups of constant m.  The
+    direct sum is an l2 sum, so operator norms are block-wise suprema.
 
     Each block operator is an upper-triangular Toeplitz matrix, so it is
     given by its coefficient row.  Three facts leave at most two rows per
@@ -492,6 +507,8 @@ class JordanSumModel(OperatorModel):
         # m(n) is nondecreasing, so this also bounds the search for n0
         if self.n_max < 2 or self.block_size(self.n_max) < 2:
             raise DomainError("truncation n_max retains no block with m(n) >= 2")
+        if self.block_size(self.n_max) > 1024:
+            raise DomainError(f"need m(n_max) <= 1024, got {self.block_size(self.n_max)}")
         if self.block_size(n0) < 2:
             n0 = self._last_of_size(n0, 1) + 1
         if n0 > self.n_max:
@@ -546,7 +563,7 @@ class JordanSumModel(OperatorModel):
 
     def spectrum_distance(self, lam):
         lam = complex(lam)
-        n_near = int(np.clip(round(-lam.imag), self.n_start, self.n_max))
+        n_near = min(max(round(-lam.imag), self.n_start), self.n_max)
         cands = [n for n in (n_near - 1, n_near, n_near + 1) if self.n_start <= n <= self.n_max]
         return min(abs(lam - self.eigenvalue(n)) for n in cands)
 
@@ -558,8 +575,8 @@ class JordanSumModel(OperatorModel):
             for t in self._check_times(ts)
         ])
 
-    def _sup_over_blocks(self, blocks, label, t=0.0):
-        """Exact sup of the block norms of ``blocks`` (a ``_BlockRows``).
+    def _sup_over_blocks(self, blocks, t=0.0):
+        """Exact sup of the block norms of ``blocks`` (a ``_BlockRows``) and whether n_max attains it.
 
         The blocks' rows are e(t) * blocks.rows, truncated (see the class
         docstring).  Branch and bound: the block with the largest upper
@@ -574,8 +591,7 @@ class JordanSumModel(OperatorModel):
         if t:
             gains = np.cumsum(_exp_series_coeffs(t, int(sizes[-1])))[sizes - 1]
             ub *= np.repeat(gains, np.diff(starts))
-        best = 0.0
-        best_n = None
+        best, at_edge = 0.0, False
         while True:
             i = int(np.argmax(ub))
             if not ub[i] * _BOUND_MARGIN > best:
@@ -589,36 +605,30 @@ class JordanSumModel(OperatorModel):
             val = _toeplitz_norm(exact[g][i - lo])
             ub[i] = -np.inf
             if val > best:
-                best, best_n = val, int(blocks.ns[i])
-        if best_n is not None and best_n == self.n_max:
-            warnings.warn(
-                f"supremum of {label} attained at the truncation block n={self.n_max}; "
-                "value is a lower estimate",
-                EdgeDominatedWarning,
-                stacklevel=3,
-            )
-        return best
+                best, at_edge = val, bool(blocks.ns[i] == self.n_max)
+        return best, at_edge
 
-    def shifted_resolvent_norm(self, lam):
-        self._check_resolvent_point(-lam)
-        x = complex(lam).imag
+    def shifted_resolvent_norm(self, lams):
+        lams = self._nonsingular(lams)
+        x = lams.imag[:, None]
         # the block of each group nearest x, or both neighbours on an exact tie
         lo = np.minimum(np.maximum(np.floor(x), self._firsts), self._lasts)
         hi = np.minimum(lo + 1.0, self._lasts)
         d_lo, d_hi = np.abs(x - lo), np.abs(x - hi)
-        take = np.stack([(lo == hi) | (d_lo <= d_hi), (lo != hi) & (d_hi <= d_lo)], axis=1)
-        ns = np.stack([lo, hi], axis=1)[take]
-        counts = take.sum(axis=1)
-        w = lam - 1j * ns + self.gamma
+        take = np.stack([(lo == hi) | (d_lo <= d_hi), (lo != hi) & (d_hi <= d_lo)], axis=2)
+        near = np.stack([lo, hi], axis=2)
         ks = np.arange(self._sizes[-1])
-        # at large |w| the power overflows w^(k+1) and gives nan where
-        # the entry underflows to 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = w[:, None] ** (-(ks[None, :] + 1.0))
-        rows[np.isnan(rows) & (np.abs(w) > 1.0)[:, None]] = 0.0
-        rows[ks[None, :] >= np.repeat(self._sizes, counts)[:, None]] = 0.0
-        blocks = _BlockRows.padded(ns, rows, counts, self._sizes)
-        return self._sup_over_blocks(blocks, f"(lam+A)^-1 at lam={lam}")
+        norms, edges = np.empty(len(lams)), np.zeros(len(lams), dtype=bool)
+        for j, lam in enumerate(lams):
+            ns, counts = near[j][take[j]], take[j].sum(axis=1)
+            w = lam - 1j * ns + self.gamma
+            # w^(k+1) overflows at large |w|: nan where the entry underflows to 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = w[:, None] ** (-(ks[None, :] + 1.0))
+            rows[np.isnan(rows) & (np.abs(w) > 1.0)[:, None]] = 0.0
+            rows[ks[None, :] >= np.repeat(self._sizes, counts)[:, None]] = 0.0
+            norms[j], edges[j] = self._sup_over_blocks(_BlockRows.padded(ns, rows, counts, self._sizes))
+        return norms, edges
 
     def _phi_block_rows(self, sigma, tau, ns, m):
         """Rows of A_n^sigma (1+A_n)^{-sigma-tau} for the blocks ``ns`` (a
@@ -654,8 +664,12 @@ class JordanSumModel(OperatorModel):
         norms = np.empty(len(ts))
         # a loop, not a comprehension, so the warning's stacklevel names the caller
         for i, t in enumerate(ts):
-            label = f"T({t})Phi^{sigma}_{tau}"
-            norms[i] = math.exp(-self.gamma * t) * self._sup_over_blocks(blocks, label, t)
+            best, edge = self._sup_over_blocks(blocks, t)
+            norms[i] = math.exp(-self.gamma * t) * best
+            if edge:
+                warnings.warn(f"supremum of T({t})Phi^{sigma}_{tau} attained at the truncation block "
+                              f"n={self.n_max}; value is a lower estimate",
+                              EdgeDominatedWarning, stacklevel=2)
         return norms
 
     def spectral_abscissa_neg(self):
@@ -721,13 +735,15 @@ class OperatorMatrixModel(OperatorModel):
     def _sup_symbol_norm(self, rows_at, seeds):
         """sup over s of the Toeplitz norms of rows_at(i, s), one per list seeds[i] of extra nodes."""
         nodes = [np.unique(np.concatenate([self._sup_nodes, np.asarray(c, float)])) for c in seeds]
+        # s = 1 ends the domain itself, so no supremum there is a truncation edge
         return sup_on_grid(lambda i, ss: np.linalg.norm(_toeplitz_stack(rows_at(i, ss)), 2, axis=(1, 2)),
-                           nodes, warn_edges=())
+                           nodes)[0]
 
-    def shifted_resolvent_norm(self, lam):
-        self._check_resolvent_point(-lam)
-        return float(self._sup_symbol_norm(
-            lambda i, ss: _shifted_power_rows(lam + ss, -1, self.n), [()])[0])
+    def shifted_resolvent_norm(self, lams):
+        lams = self._nonsingular(lams)
+        norms = self._sup_symbol_norm(lambda i, ss: _shifted_power_rows(lams[i] + ss, -1, self.n),
+                                      [()] * len(lams))
+        return norms, np.zeros(len(lams), bool)
 
     def fractional_norm(self, ts, sigma, tau):
         ts = self._check_times(ts)

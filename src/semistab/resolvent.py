@@ -3,8 +3,9 @@ spectral-bound estimation.
 
 Probes evaluate ||(lam + A)^{-1}|| at lam = eta + i xi; a probing run
 covers both signs of xi because the models need not have conjugation
-symmetry.  Fits estimate the growth envelope: mirrored pairs are reduced
-by max and the surviving points are reduced to per-bin maxima before the
+symmetry, and takes a whole line in one call of the model's resolvent
+oracle.  Fits estimate the growth envelope: mirrored pairs are reduced by
+max and the surviving points are reduced to per-bin maxima before the
 log-log regression, so that resonance peaks rather than the valleys
 between them set the exponent.
 
@@ -17,12 +18,11 @@ model's own ``info.sectorial_angle``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EdgeDominatedWarning, InsufficientDataError, NearSingularityError
+from .errors import InsufficientDataError
 from .numcore import PowerFit, fit_exp_rate, fit_power_law
 
 _SNAP_TOL = 0.05
@@ -45,28 +45,22 @@ class ProbeTable:
 
 
 def probe_resolvent_norms(model, xi_grid, eta=0.0):
-    """||(lam + A)^{-1}|| at lam = eta + i xi for xi in +/- grid.
+    """||(lam + A)^{-1}|| at lam = eta + i xi for xi in +/- grid, the
+    entries ordered xi, -xi per node.
 
-    Probes that hit the spectrum produce per-probe "singular" entries and
-    the analysis continues; suprema the model flags as edge-dominated (an
-    ``EdgeDominatedWarning``, captured, not shown) are kept with status
-    "edge".
+    Points the model's ``singular_points`` marks produce "singular" entries
+    without a norm and the analysis continues; the rest go to one call of
+    the model's resolvent oracle, and suprema it flags as edge-dominated
+    are kept with status "edge".
     """
     nodes = np.asarray(xi_grid, dtype=float)
-    entries = []
-    for xi in nodes:
-        for sign in (1.0, -1.0):
-            norm = None
-            try:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always", EdgeDominatedWarning)
-                    norm = model.shifted_resolvent_norm(complex(eta, sign * xi))
-                edge = any(issubclass(w.category, EdgeDominatedWarning) for w in caught)
-                status = "edge" if edge else "ok"
-            except NearSingularityError:
-                status = "singular"
-            entries.append(ProbeEntry(float(sign * xi), float(eta), norm, status))
-    return ProbeTable(entries)
+    xis = np.stack([nodes, -nodes], axis=1).ravel()
+    lams, singular = model.singular_points(eta + 1j * xis)
+    norms, edges = np.full(len(xis), math.nan), np.zeros(len(xis), dtype=bool)
+    norms[~singular], edges[~singular] = model.shifted_resolvent_norm(lams[~singular])
+    status = np.where(singular, "singular", np.where(edges, "edge", "ok"))
+    return ProbeTable([ProbeEntry(float(xi), float(eta), None if s == "singular" else float(v), str(s))
+                       for xi, v, s in zip(xis, norms, status)])
 
 
 @dataclass(frozen=True)
@@ -165,12 +159,10 @@ def _line_is_tame(model, eta, beta, xi_grid):
     stays within a factor 1.08.
     """
     table = probe_resolvent_norms(model, xi_grid, eta)
-    ok = table.ok_entries()
-    if len(ok) < len(table.entries):
+    if any(e.status != "ok" for e in table.entries):
         return False
-    if any(e.status == "edge" for e in table.entries):
-        return False
-    xs, vs = _mirror_max(ok, [e.norm * (1.0 + abs(complex(e.eta, e.xi))) ** (-beta) for e in ok])
+    xs, vs = _mirror_max(table.entries, [e.norm * (1.0 + abs(complex(e.eta, e.xi))) ** (-beta)
+                                         for e in table.entries])
     # compare the outermost log-quarter against the one before it: a line
     # with genuine growth keeps rising there, while bounded lines (even
     # with a saturating low-frequency transient) have flattened out

@@ -192,6 +192,14 @@ def test_truncation_beyond_exact_floats_exits_2(tmp_path):
     assert "config error: operator: need n_max <= 2**53" in proc.stderr
 
 
+def test_block_size_beyond_the_cap_exits_2(tmp_path):
+    # m(10^4) = 92098 at delta = 0.9999: one norm would take SVDs of that size
+    operator = {"kind": "jordan-sum", "gamma": 0.5, "delta": 0.9999, "n_max": 10**4}
+    proc = _run_decay(tmp_path, operator, timeout=30)
+    assert proc.returncode == 2
+    assert "config error: operator: need m(n_max) <= 1024, got 92098" in proc.stderr
+
+
 def test_analyze_outputs_and_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_base_config(tmp_path / "o")))

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistab import numcore
-from semistab.errors import DomainError, EdgeDominatedWarning, InsufficientDataError
+from semistab.errors import DomainError, InsufficientDataError
 
 
 def test_geometric_grid_examples():
@@ -211,19 +210,16 @@ def test_sup_on_grid_refines_peak():
     def f(i, s):
         return 1.0 / (1.0 + (np.log(np.asarray(s)) - 0.337) ** 2)
 
-    best = numcore.sup_on_grid(f, [nodes])
+    best, _ = numcore.sup_on_grid(f, [nodes])
     assert best.shape == (1,)
     assert best[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_sup_on_grid_edge_warning():
+def test_sup_on_grid_edge_mask():
     nodes = np.geomspace(1.0, 100.0, 32)
-    with pytest.warns(EdgeDominatedWarning):
-        numcore.sup_on_grid(lambda i, s: np.asarray(s, dtype=float), [nodes])
-    # flat functions and interior peaks stay silent
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        numcore.sup_on_grid(lambda i, s: np.ones_like(np.asarray(s)), [nodes])
+    assert numcore.sup_on_grid(lambda i, s: np.asarray(s, dtype=float), [nodes])[1].tolist() == [True]
+    # flat functions and interior peaks are not edge-dominated
+    assert numcore.sup_on_grid(lambda i, s: np.ones_like(np.asarray(s)), [nodes])[1].tolist() == [False]
 
 
 def _scalar_golden_max(f, lo, hi):
@@ -295,31 +291,23 @@ def _stacked(calls):
 def test_stacked_sup_on_grid_matches_single_calls():
     calls = []
     f, nodes = _stacked(calls)
-    got = numcore.sup_on_grid(f, nodes, warn_edges=())
+    got, _ = numcore.sup_on_grid(f, nodes)
     # one grid evaluation per function, then one per golden step for all
     assert len(calls) == len(nodes) + 62
     assert calls[len(nodes):] == [(2,)] * 62  # the third function is not refined
     for k, grid in enumerate(nodes):
-        single = numcore.sup_on_grid(lambda i, s: f(np.asarray(i) + k, s), [grid], warn_edges=())
+        single, _ = numcore.sup_on_grid(lambda i, s: f(np.asarray(i) + k, s), [grid])
         assert single[0] == got[k]
     assert got[:2] == pytest.approx([1.0, 2.5], rel=1e-12)
 
     # no interior argmax: the grid pass alone
     calls.clear()
-    numcore.sup_on_grid(lambda i, s: f(2, s), nodes[2:] * 2, warn_edges=())
+    numcore.sup_on_grid(lambda i, s: f(2, s), nodes[2:] * 2)
     assert len(calls) == 2
 
 
-def test_stacked_sup_on_grid_warns_once_per_edge_dominated_function():
+def test_stacked_sup_on_grid_flags_each_edge_dominated_function():
     f, nodes = _stacked([])
     # the second bump now peaks beyond its grid too
     nodes[1] = np.geomspace(0.1, 3.0, 32)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        numcore.sup_on_grid(f, nodes, label="g")
-    assert [w.category for w in caught] == [EdgeDominatedWarning] * 2
-    assert [str(w.message) for w in caught] == [
-        f"supremum of g attained at the right domain edge {edge}; truncated domain "
-        "may not contain the supremum"
-        for edge in (3, 20)
-    ]
+    assert numcore.sup_on_grid(f, nodes)[1].tolist() == [False, True, True]

@@ -48,6 +48,11 @@ def _resolvent_apply(model, lam, x):
     return model.resolvent_apply_many([lam], x)[0]
 
 
+def _resolvent_norm(model, lam):
+    """||(lam + A)^{-1}|| from the line oracle on a one-point line."""
+    return model.shifted_resolvent_norm([lam])[0][0]
+
+
 def _diff(a, b):
     return float(np.linalg.norm(np.ravel(a - b)) / np.linalg.norm(np.ravel(b)))
 
@@ -122,7 +127,7 @@ def test_resolvent_identity(kind):
 def test_near_singularity_error_carries_distance():
     model = operators.DenseMatrixModel(np.diag([1.0, 2.0]))
     with pytest.raises(NearSingularityError) as err:
-        model.shifted_resolvent_norm(-(1.0 + 1e-13j))
+        model.shifted_resolvent_norm([-(1.0 + 1e-13j)])
     assert err.value.distance < 1e-11
 
 
@@ -199,9 +204,9 @@ def test_models_copy_their_arrays():
     # diagonal model's own grid cannot be changed
     entries = np.diag([1.0 + 0j, 2.0])
     dense = operators.DenseMatrixModel(entries)
-    before = dense.shifted_resolvent_norm(1.0)
+    before = _resolvent_norm(dense, 1.0)
     entries[0, 0] = 5.0
-    assert dense.shifted_resolvent_norm(1.0) == before
+    assert _resolvent_norm(dense, 1.0) == before
     with pytest.raises(ValueError):
         operators.DiagonalSymbolModel(1.0, 0.5, grid_count=64).grid[-1] = 1e4
 
@@ -258,7 +263,7 @@ def test_dense_lower_resolvent_bound():
         d = model.spectrum_distance(-lam)
         if d < 1e-6:
             continue
-        assert model.shifted_resolvent_norm(lam) >= 1.0 / d - 1e-8
+        assert _resolvent_norm(model, lam) >= 1.0 / d - 1e-8
 
 
 def test_jordan_exponential_polynomial_matches_dense_expm():
@@ -480,32 +485,22 @@ def test_jordan_branch_and_bound_on_random_rows(seed, spread, t):
         groups.append((np.arange(20 * g, 20 * g + 20), base + spread * noise))
     blocks = [operators._exp_convolve(rows, t) if t else rows for _, rows in groups]
     want = max(operators._toeplitz_norm(row) for rows in blocks for row in rows)
-    assert model._sup_over_blocks(_block_rows(groups), "random rows", t) == want
+    assert model._sup_over_blocks(_block_rows(groups), t)[0] == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    m=st.integers(2, 40),
-    t=st.floats(0.0, 60.0),
-    spread=st.floats(1e-3, 2.0),
-)
-@example(seed=0, m=2, t=0.0, spread=1.0)
-@example(seed=3, m=40, t=60.0, spread=1e-3)
-def test_jordan_factored_bounds_on_random_rows(seed, m, t, spread):
-    # T(t) Phi has row e(t) * phi with e_k = t^k/k! >= 0, so its norm and
-    # the norm of a difference within a group are at most s_m(t) times the
-    # l1 norm of the Phi row(s), s_m(t) = sum_{k<m} t^k/k!
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 40), t=st.floats(0.0, 60.0))
+@example(seed=0, m=2, t=0.0)
+@example(seed=3, m=40, t=60.0)
+def test_jordan_factored_bounds_on_random_rows(seed, m, t):
+    # T(t) Phi has row e(t) * phi with e_k = t^k/k! >= 0, so its norm is at
+    # most s_m(t) times the l1 norm of the Phi row, s_m(t) = sum_{k<m} t^k/k!
     rng = np.random.default_rng(seed)
     decay = np.exp(-rng.uniform(0.0, 3.0) * np.arange(m))
-    phi_i = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * decay
-    phi_j = phi_i + spread * (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * decay
+    phi = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * decay
     gain = math.fsum(t**k / math.factorial(k) for k in range(m))
-    rows = operators._exp_convolve(np.stack([phi_i, phi_j]), t)
-    margin = operators._BOUND_MARGIN
-    assert operators._toeplitz_norm(rows[0]) <= margin * gain * np.abs(phi_i).sum()
-    diff_bound = margin * gain * np.abs(phi_i - phi_j).sum()
-    assert operators._toeplitz_norm(rows[0] - rows[1]) <= diff_bound
+    row = operators._exp_convolve(phi[None], t)[0]
+    assert operators._toeplitz_norm(row) <= operators._BOUND_MARGIN * gain * np.abs(phi).sum()
 
 
 def _jordan_resolvent_brute_force(model, lam):
@@ -539,10 +534,7 @@ def test_jordan_resolvent_nearest_block_matches_brute_force(
     model = operators.JordanSumModel(gamma, delta, n_max)
     lam = complex(re_w - gamma, block + offset)
     want, argmax_block = _jordan_resolvent_brute_force(model, lam)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = model.shifted_resolvent_norm(lam)
-    edge = any(issubclass(w.category, EdgeDominatedWarning) for w in caught)
+    (got,), (edge,) = model.shifted_resolvent_norm([lam])
     assert got == pytest.approx(want, rel=1e-12)
     assert edge == (argmax_block == model.n_max)
 
@@ -552,7 +544,7 @@ def test_jordan_resolvent_far_from_large_blocks_is_finite():
     # underflow to 0 and must not turn the supremum into nan
     model = operators.JordanSumModel(0.5, 0.9, 10**4)
     lam = 0.3 + 4352.7j
-    got = model.shifted_resolvent_norm(lam)
+    got = _resolvent_norm(model, lam)
     best = 0.0
     for m, a, b in model.groups:
         n = min(max(round(lam.imag), a), b)
@@ -573,11 +565,62 @@ def _spectral_point(kind, model):
 
 @pytest.mark.parametrize("kind", ["dense", "diagonal", "jordan", "opmatrix"])
 def test_resolvent_singular_point(kind):
-    # every kind shares OperatorModel._check_resolvent_point for (lam + A)^-1
+    # every kind shares OperatorModel.singular_points for (lam + A)^-1
     model = _models()[kind]
     with pytest.raises(NearSingularityError) as err:
-        model.shifted_resolvent_norm(-_spectral_point(kind, model))
+        model.shifted_resolvent_norm([-_spectral_point(kind, model)])
     assert err.value.distance < 1e-11
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize(
+    "lams", [1j, [[1j, 2j]], [1j, math.nan], [complex(0.0, math.inf)]],
+    ids=["scalar", "2-d", "nan", "inf"],
+)
+def test_resolvent_line_checks_shared_by_every_kind(kind, lams):
+    with pytest.raises(DomainError):
+        _models()[kind].shifted_resolvent_norm(lams)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_empty_resolvent_line(kind):
+    norms, edges = _models()[kind].shifted_resolvent_norm([])
+    assert norms.shape == edges.shape == (0,)
+    assert edges.dtype == bool
+
+
+# -105i puts the diagonal supremum at the s_max edge of the small-s_max
+# model below; 0.05 + 500i lies next to block n_max = 500 of the block sum
+_EDGE_POINTS = {"diagonal": -105.0j, "jordan": 0.05 + 500.0j}
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(lams=st.lists(st.builds(complex, st.floats(0.05, 3.0), st.floats(-600.0, 600.0)), max_size=6))
+@example(lams=[1.0 + 2.0j, -105.0j, 0.05 + 500.0j, 0.3 - 40.0j])
+def test_resolvent_line_equals_its_points(kind, lams):
+    # a line carries nothing from one point to the next
+    model = dict(_models(), diagonal=operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e4, grid_count=512))[kind]
+    norms, edges = model.shifted_resolvent_norm(lams)
+    points = [model.shifted_resolvent_norm([lam]) for lam in lams]
+    assert np.array_equal(norms, [norm[0] for norm, _ in points])
+    assert np.array_equal(edges, [edge[0] for _, edge in points])
+    if _EDGE_POINTS.get(kind) in lams:
+        assert edges[lams.index(_EDGE_POINTS[kind])]
+
+
+def test_probe_line_marks_a_singular_point_and_keeps_its_neighbours():
+    # at eta = -gamma, xi = 40 hits the eigenvalue of block 40, and
+    # xi = 499.7 lies next to block n_max = 500
+    model = operators.JordanSumModel(0.5, 0.5, 500)
+    xi = np.array([39.5, 40.0, 40.5, 499.7])
+    table = resolvent.probe_resolvent_norms(model, xi, eta=-0.5)
+    assert [e.status for e in table.entries] == ["ok"] * 2 + ["singular"] + ["ok"] * 3 + ["edge", "ok"]
+    assert table.entries == [e for x in xi for e in resolvent.probe_resolvent_norms(model, [x], -0.5).entries]
+    rest = table.ok_entries()
+    norms, edges = model.shifted_resolvent_norm([complex(e.eta, e.xi) for e in rest])
+    assert [e.norm for e in rest] == norms.tolist()
+    assert [e.status == "edge" for e in rest] == edges.tolist()
 
 
 def test_fractional_norm_is_one_at_zero_indices():
@@ -603,7 +646,7 @@ def test_opmatrix_resolvent_matches_direct_solve():
     model = operators.OperatorMatrixModel(2)
     eye = np.eye(2)
     for lam in (2.0 + 0.7j, -1.5 - 0.2j, 0.5j):
-        got = model.shifted_resolvent_norm(lam)
+        got = _resolvent_norm(model, lam)
         want = _dense_sup(model, lambda s: np.linalg.solve((lam + s) * eye - _shift(model), eye))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -696,7 +739,7 @@ def _dense_sup(model, mat, seeds=()):
     nodes = model._sup_nodes
     if len(seeds):
         nodes = np.unique(np.concatenate([nodes, np.asarray(seeds, dtype=float)]))
-    return numcore.sup_on_grid(f, [nodes], warn_edges=())[0]
+    return numcore.sup_on_grid(f, [nodes])[0][0]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -731,7 +774,7 @@ def test_opmatrix_norms_match_dense_symbols(n, t, sigma, tau, lam):
     sups = [
         (model.semigroup_norm([t])[0], _dense_sup(model, dense["semigroup"], seeds(n))),
         (model.fractional_norm([t], sigma, tau)[0], _dense_sup(model, dense["fractional"], seeds(2 * n))),
-        (model.shifted_resolvent_norm(lam), _dense_sup(model, dense["resolvent"])),
+        (_resolvent_norm(model, lam), _dense_sup(model, dense["resolvent"])),
     ]
     for got, want in sups:
         assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -741,8 +784,22 @@ def test_diagonal_edge_domination_flagged():
     model = operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e4, grid_count=512)
     # resonance at s = xi^(1/b) = 11025 lies just beyond s_max = 1e4, so the
     # supremum climbs into the truncation edge
-    with pytest.warns(EdgeDominatedWarning):
-        model.shifted_resolvent_norm(-105.0j)
+    assert model.shifted_resolvent_norm([-105.0j])[1][0]
+
+
+def test_diagonal_fractional_edge_domination_warns():
+    # |exp(-t g(s))| = exp(-t s^-a) rises toward s_max, so at t = s_max the
+    # truncation edge holds the supremum of g and of g'
+    model = operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e4, grid_count=512)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model.fractional_norm([1e4], 0.0, 0.0)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (EdgeDominatedWarning, f"supremum of T(t)Phi^0.0_0.0 symbol{prime} attained at the right "
+         "domain edge 10000; truncated domain may not contain the supremum")
+        for prime in ("", "'")
+    ]
+    assert {w.filename for w in caught} == {__file__}
 
 
 def test_metadata_flags():

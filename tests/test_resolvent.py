@@ -21,7 +21,7 @@ def test_probe_scalar_values():
 def test_probe_jordan_respects_neumann_bound():
     model = operators.JordanSumModel(0.5, 0.5, 200)
     for xi in (3.0, 17.0, 63.0):
-        norm = model.shifted_resolvent_norm(1j * (-xi))
+        norm = model.shifted_resolvent_norm([1j * (-xi)])[0][0]
         bound = 0.0
         for m, a, b in model.groups:
             for n in range(a, b + 1):
