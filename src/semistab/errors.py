@@ -13,17 +13,6 @@ class InsufficientDataError(ValueError):
     """Too few data points to perform a fit."""
 
 
-class NearSingularityError(ValueError):
-    """A resolvent was requested too close to the spectrum.
-
-    Carries ``distance``, the estimated distance to the spectrum.
-    """
-
-    def __init__(self, msg, distance):
-        super().__init__(msg)
-        self.distance = float(distance)
-
-
 class ContourError(ValueError):
     """A quadrature contour is invalid for the given operator."""
 

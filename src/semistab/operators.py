@@ -21,8 +21,8 @@ time, so a sweep is one call and t-independent work is done once per
 call; ||T(t)|| is the second at sigma = tau = 0, except in the block sum,
 where the largest block decides it.  The resolvent norm takes a line, a
 1-D complex array of points, and returns one norm and one edge flag per
-point.  The diagonal and operator-matrix kinds take each sweep's or
-line's suprema over s in one stacked ``sup_on_grid``.
+point, inf on the spectrum of -A.  The diagonal and operator-matrix kinds
+take each sweep's or line's suprema over s in one stacked ``sup_on_grid``.
 Conventions: the semigroup is T(t) = exp(-t A); resolvent norms are
 reported for (lam + A)^{-1} because stability analysis probes the closed
 right half-plane.  State-space actions, (lam - A)^{-1} x and closed-form
@@ -46,13 +46,7 @@ from scipy.linalg import expm as _scipy_expm
 from scipy.linalg import svdvals
 from scipy.special import gammaln
 
-from .errors import (
-    DomainError,
-    EdgeDominatedWarning,
-    NearSingularityError,
-    ShapeError,
-    UnsupportedModelError,
-)
+from .errors import DomainError, EdgeDominatedWarning, ShapeError, UnsupportedModelError
 from .numcore import fftconvolve, geometric_grid, sup_on_grid
 
 _SING_TOL = 1e-11
@@ -74,13 +68,14 @@ class ModelInfo:
 
 
 class OperatorModel(ABC):
-    """A concrete operator A, given by exact or discretized norm oracles."""
+    """A concrete operator A, given by exact or discretized norm oracles;
+    by the usual convention ||(lam + A)^{-1}|| is inf on the spectrum of -A."""
 
     info: ModelInfo
 
     @abstractmethod
-    def spectrum_distance(self, lam):
-        """Estimated distance from lam to the spectrum of A."""
+    def spectrum_distance(self, lams):
+        """Estimated distances from the points of ``lams`` to the spectrum of A, one per point."""
 
     def semigroup_norm(self, ts):
         """The operator norms of T(t), one per time in the 1-D array ``ts``:
@@ -91,7 +86,7 @@ class OperatorModel(ABC):
     def shifted_resolvent_norm(self, lams):
         """Norms of (lam + A)^{-1} and edge flags (True: the supremum sits at a
         truncation edge), one per point of the 1-D complex array ``lams``;
-        NearSingularityError if a point is singular (``singular_points``)."""
+        inf, with edge False, on the spectrum of -A (see ``_off_spectrum``)."""
 
     @abstractmethod
     def fractional_norm(self, ts, sigma, tau):
@@ -131,21 +126,23 @@ class OperatorModel(ABC):
         if sigma < 0 or tau < 0:
             raise DomainError("fractional indices must be >= 0")
 
-    def singular_points(self, lams):
-        """``lams`` as a complex array, and the mask of its points within
-        _SING_TOL of the spectrum of -A; DomainError unless it is 1-D and finite."""
+
+def _off_spectrum(norms_of):
+    """Make a kind's resolvent computation its ``shifted_resolvent_norm``: DomainError
+    unless ``lams`` is 1-D and finite, inf and edge False at the points within _SING_TOL
+    of the spectrum of -A (one check per line), ``norms_of`` on the others, if any."""
+
+    def shifted_resolvent_norm(self, lams):
         lams = np.asarray(lams, dtype=complex)
         if lams.ndim != 1 or not np.isfinite(lams).all():
             raise DomainError(f"resolvent points must be a finite 1-D array, got {lams}")
-        return lams, np.array([self.spectrum_distance(-lam) < _SING_TOL for lam in lams], dtype=bool)
+        norms, edges = np.full(len(lams), np.inf), np.zeros(len(lams), dtype=bool)
+        off = self.spectrum_distance(-lams) >= _SING_TOL
+        if off.any():
+            norms[off], edges[off] = norms_of(self, lams[off])
+        return norms, edges
 
-    def _nonsingular(self, lams):
-        lams, singular = self.singular_points(lams)
-        if singular.any():
-            lam = -lams[singular][0]
-            d = self.spectrum_distance(lam)
-            raise NearSingularityError(f"lambda={lam} lies within {d:.3e} of the spectrum", d)
-        return lams
+    return shifted_resolvent_norm
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +261,20 @@ class DenseMatrixModel(OperatorModel):
         rhs = np.broadcast_to(x[None, :, None], (len(lams), self.dim, 1)).copy()
         return np.linalg.solve(mats, rhs)[:, :, 0]
 
-    def spectrum_distance(self, lam):
-        return float(np.min(np.abs(lam - self._eigvals)))
+    def spectrum_distance(self, lams):
+        return np.abs(np.asarray(lams, dtype=complex)[:, None] - self._eigvals).min(axis=1)
 
+    @_off_spectrum
     def shifted_resolvent_norm(self, lams):
-        lams = self._nonsingular(lams)
         mats = lams[:, None, None] * np.eye(self.dim) + self.matrix
-        # scipy's svdvals rejects an empty stack
-        return 1.0 / (svdvals(mats)[:, -1] if len(lams) else np.empty(0)), np.zeros(len(lams), bool)
+        return 1.0 / svdvals(mats)[:, -1], np.zeros(len(lams), bool)
 
     def phi_matrix(self, alpha, beta):
         """A^alpha (1+A)^{-alpha-beta} as a dense matrix."""
         self._check_fractional_indices(alpha, beta)
         if alpha > 0 and not self.info.injective:
             raise DomainError("positive power of a non-injective matrix")
-        if alpha + beta > 0 and self.spectrum_distance(-1.0) < _SING_TOL:
+        if alpha + beta > 0 and self.spectrum_distance([-1.0])[0] < _SING_TOL:
             raise DomainError("1 + A is singular: -1 is an eigenvalue of A")
         eye = np.eye(self.dim)
         if float(alpha).is_integer() and float(alpha + beta).is_integer():
@@ -321,7 +317,8 @@ class DiagonalSymbolModel(OperatorModel):
     sup |g|.  Suprema are grid maxima refined by golden section; one at the
     s_max edge is flagged (EdgeDominatedWarning in ``fractional_norm``).
     ``grid`` (read-only) holds ``grid_count`` geometric nodes on
-    [s_start, s_max], with s_start > 1.
+    [s_start, s_max], with s_start > 1, and ``_values`` (read-only) the
+    symbol on them.
     """
 
     def __init__(self, a, b, s_start=1 + 1e-6, s_max=1e8, grid_count=4096, sobolev=True):
@@ -339,7 +336,9 @@ class DiagonalSymbolModel(OperatorModel):
         self.b = float(b)
         self.grid = grid
         self.sobolev = bool(sobolev)
-        angle = float(np.max(np.abs(np.angle(self.symbol(grid)))))
+        self._values = self.symbol(grid)
+        self._values.setflags(write=False)
+        angle = float(np.max(np.abs(np.angle(self._values))))
         self.info = ModelInfo(
             kind="diagonal-symbol",
             injective=True,
@@ -375,17 +374,23 @@ class DiagonalSymbolModel(OperatorModel):
     def resolvent_apply_many(self, lams, x):
         x = self._check_vec(x)
         lams = np.asarray(lams, dtype=complex)
-        ph = self.symbol(self.grid)
-        return x[None, :] / (lams[:, None] - ph[None, :])
+        return x[None, :] / (lams[:, None] - self._values[None, :])
 
-    def spectrum_distance(self, lam):
-        return float(np.min(np.abs(lam - self.symbol(self.grid))))
+    def spectrum_distance(self, lams):
+        # a point at a time: a (points x grid) temporary would take gigabytes on fine grids
+        return np.array([np.abs(lam - self._values).min() for lam in np.asarray(lams, dtype=complex)])
 
+    @_off_spectrum
     def shifted_resolvent_norm(self, lams):
-        lams = self._nonsingular(lams)
-        norms, edges = self._sup_norm(
-            lambda i, s: 1.0 / (lams[i] + self.symbol(s)),
-            lambda i, s: -self.symbol_derivative(s) / (lams[i] + self.symbol(s)) ** 2, len(lams))
+        def gprime(i, s):
+            # -g'/d**2 with d = lam + g(s), or (-g'/d)/d where d**2 overflows
+            d = lams[i] + self.symbol(s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                d2 = d**2
+            fits = np.isfinite(d2)
+            return -self.symbol_derivative(s) / np.where(fits, d2, d) / np.where(fits, 1.0, d)
+
+        norms, edges = self._sup_norm(lambda i, s: 1.0 / (lams[i] + self.symbol(s)), gprime, len(lams))
         return norms, edges.any(axis=0)
 
     def fractional_norm(self, ts, sigma, tau):
@@ -419,8 +424,7 @@ class DiagonalSymbolModel(OperatorModel):
 
     def phi_closed_apply(self, alpha, beta, x):
         x = self._check_vec(x)
-        ph = self.symbol(self.grid)
-        return x * ph**alpha * (1.0 + ph) ** (-(alpha + beta))
+        return x * self._values**alpha * (1.0 + self._values) ** (-(alpha + beta))
 
     def spectral_abscissa_neg(self):
         # sup of -Re(symbol) over the untruncated half-line is 0 (s -> oo).
@@ -556,16 +560,13 @@ class JordanSumModel(OperatorModel):
         """List of (block size m, first n, last n) with constant m."""
         return list(self._groups)
 
-    def eigenvalue(self, n):
-        return complex(self.gamma, -float(n))
-
     # -- operations
 
-    def spectrum_distance(self, lam):
-        lam = complex(lam)
-        n_near = min(max(round(-lam.imag), self.n_start), self.n_max)
-        cands = [n for n in (n_near - 1, n_near, n_near + 1) if self.n_start <= n <= self.n_max]
-        return min(abs(lam - self.eigenvalue(n)) for n in cands)
+    def spectrum_distance(self, lams):
+        # the eigenvalues gamma - i n share their real part, so the nearest is at the nearest n
+        lams = np.asarray(lams, dtype=complex)
+        n = np.clip(np.rint(-lams.imag), self.n_start, self.n_max)
+        return np.hypot(lams.real - self.gamma, lams.imag + n)
 
     def semigroup_norm(self, ts):
         m = self._groups[-1][0]
@@ -608,8 +609,8 @@ class JordanSumModel(OperatorModel):
                 best, at_edge = val, bool(blocks.ns[i] == self.n_max)
         return best, at_edge
 
+    @_off_spectrum
     def shifted_resolvent_norm(self, lams):
-        lams = self._nonsingular(lams)
         x = lams.imag[:, None]
         # the block of each group nearest x, or both neighbours on an exact tie
         lo = np.minimum(np.maximum(np.floor(x), self._firsts), self._lasts)
@@ -727,10 +728,9 @@ class OperatorMatrixModel(OperatorModel):
 
     # -- operations
 
-    def spectrum_distance(self, lam):
-        lam = complex(lam)
-        dx = 0.0 if 0.0 <= lam.real <= 1.0 else min(abs(lam.real), abs(lam.real - 1.0))
-        return math.hypot(dx, lam.imag)
+    def spectrum_distance(self, lams):
+        lams = np.asarray(lams, dtype=complex)
+        return np.hypot(lams.real - np.clip(lams.real, 0.0, 1.0), lams.imag)
 
     def _sup_symbol_norm(self, rows_at, seeds):
         """sup over s of the Toeplitz norms of rows_at(i, s), one per list seeds[i] of extra nodes."""
@@ -739,8 +739,8 @@ class OperatorMatrixModel(OperatorModel):
         return sup_on_grid(lambda i, ss: np.linalg.norm(_toeplitz_stack(rows_at(i, ss)), 2, axis=(1, 2)),
                            nodes)[0]
 
+    @_off_spectrum
     def shifted_resolvent_norm(self, lams):
-        lams = self._nonsingular(lams)
         norms = self._sup_symbol_norm(lambda i, ss: _shifted_power_rows(lams[i] + ss, -1, self.n),
                                       [()] * len(lams))
         return norms, np.zeros(len(lams), bool)

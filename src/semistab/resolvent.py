@@ -48,17 +48,15 @@ def probe_resolvent_norms(model, xi_grid, eta=0.0):
     """||(lam + A)^{-1}|| at lam = eta + i xi for xi in +/- grid, the
     entries ordered xi, -xi per node.
 
-    Points the model's ``singular_points`` marks produce "singular" entries
-    without a norm and the analysis continues; the rest go to one call of
-    the model's resolvent oracle, and suprema it flags as edge-dominated
-    are kept with status "edge".
+    The whole line is one call of the model's resolvent oracle.  Points on
+    the spectrum, where it answers inf, give "singular" entries without a
+    norm and the analysis continues; suprema it flags as edge-dominated are
+    kept with status "edge".
     """
     nodes = np.asarray(xi_grid, dtype=float)
     xis = np.stack([nodes, -nodes], axis=1).ravel()
-    lams, singular = model.singular_points(eta + 1j * xis)
-    norms, edges = np.full(len(xis), math.nan), np.zeros(len(xis), dtype=bool)
-    norms[~singular], edges[~singular] = model.shifted_resolvent_norm(lams[~singular])
-    status = np.where(singular, "singular", np.where(edges, "edge", "ok"))
+    norms, edges = model.shifted_resolvent_norm(eta + 1j * xis)
+    status = np.where(np.isinf(norms), "singular", np.where(edges, "edge", "ok"))
     return ProbeTable([ProbeEntry(float(xi), float(eta), None if s == "singular" else float(v), str(s))
                        for xi, v, s in zip(xis, norms, status)])
 

@@ -14,7 +14,6 @@ from semistab import battery, numcore, operators, resolvent
 from semistab.errors import (
     DomainError,
     EdgeDominatedWarning,
-    NearSingularityError,
     ShapeError,
     UnsupportedModelError,
 )
@@ -124,11 +123,13 @@ def test_resolvent_identity(kind):
     assert _diff(lhs, rhs) < 1e-8
 
 
-def test_near_singularity_error_carries_distance():
+def test_resolvent_norm_is_inf_within_tolerance_of_the_spectrum():
+    # eigenvalue 1 of A: 1e-13 away is on the spectrum, 1e-9 away is not
     model = operators.DenseMatrixModel(np.diag([1.0, 2.0]))
-    with pytest.raises(NearSingularityError) as err:
-        model.shifted_resolvent_norm([-(1.0 + 1e-13j)])
-    assert err.value.distance < 1e-11
+    (on, off), edges = model.shifted_resolvent_norm([-(1.0 + 1e-13j), -(1.0 + 1e-9j)])
+    d = model.spectrum_distance([1.0 + 1e-9j])[0]
+    assert on == math.inf and math.isfinite(off) and off >= 1.0 / d
+    assert not edges.any()
 
 
 def test_shape_and_time_errors():
@@ -260,7 +261,7 @@ def test_dense_lower_resolvent_bound():
     model = operators.DenseMatrixModel(m)
     for _ in range(10):
         lam = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        d = model.spectrum_distance(-lam)
+        d = model.spectrum_distance([-lam])[0]
         if d < 1e-6:
             continue
         assert _resolvent_norm(model, lam) >= 1.0 / d - 1e-8
@@ -559,17 +560,21 @@ def _spectral_point(kind, model):
     if kind == "diagonal":
         return model.symbol(model.grid[100])
     if kind == "jordan":
-        return model.eigenvalue(40)
+        return complex(model.gamma, -40.0)  # the eigenvalue of block 40
     return 0.5  # operator-matrix: s = 0.5 in the spectrum [0, 1]
 
 
-@pytest.mark.parametrize("kind", ["dense", "diagonal", "jordan", "opmatrix"])
+@pytest.mark.parametrize("kind", _KINDS)
 def test_resolvent_singular_point(kind):
-    # every kind shares OperatorModel.singular_points for (lam + A)^-1
+    # every kind answers inf, not an edge, on the spectrum of -A, and the
+    # rest of the line as if that point were not on it
     model = _models()[kind]
-    with pytest.raises(NearSingularityError) as err:
-        model.shifted_resolvent_norm([-_spectral_point(kind, model)])
-    assert err.value.distance < 1e-11
+    ok = [1.0 + 2.0j, 0.3 - 40.0j]
+    norms, edges = model.shifted_resolvent_norm([ok[0], -_spectral_point(kind, model), ok[1]])
+    assert norms[1] == math.inf and not edges[1]
+    want_norms, want_edges = model.shifted_resolvent_norm(ok)
+    assert np.array_equal(norms[[0, 2]], want_norms) and np.isfinite(want_norms).all()
+    assert np.array_equal(edges[[0, 2]], want_edges)
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -785,6 +790,48 @@ def test_diagonal_edge_domination_flagged():
     # resonance at s = xi^(1/b) = 11025 lies just beyond s_max = 1e4, so the
     # supremum climbs into the truncation edge
     assert model.shifted_resolvent_norm([-105.0j])[1][0]
+
+
+@pytest.mark.parametrize("lam", [1e160j, (1.0 + 1.0j) * 1e160, 1e307j])
+def test_diagonal_resolvent_norm_far_from_the_spectrum(lam):
+    # (lam + g(s))**2 overflows beyond |lam| ~ 1e154, so the g' term divides by lam + g(s) twice there
+    model = _models()["diagonal"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (norm,), (edge,) = model.shifted_resolvent_norm([lam])
+    assert norm == pytest.approx(1.0 / abs(lam), rel=1e-12)
+    assert not edge
+
+
+def _sampled_spectrum(kind, model):
+    """The whole spectrum of A, or for the operator matrix the dyadic sample j/256 of [0, 1]."""
+    if kind == "dense":
+        return np.linalg.eigvals(model.matrix)
+    if kind == "diagonal":
+        return model.symbol(model.grid)
+    if kind == "jordan":
+        return model.gamma - 1j * np.arange(model.n_start, model.n_max + 1.0)
+    return np.linspace(0.0, 1.0, 257) + 0j
+
+
+# real offsets are multiples of 1/256, so each operator-matrix point has
+# its nearest spectral point in the sample; +/- 0.5 ties two blocks of the
+# block sum, and +/- 1e3 passes both of its ends
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(st.tuples(st.integers(0, 10**4),
+                                 st.sampled_from([0.0, 0.25, 0.5, -0.5, 3.0, -1e3]),
+                                 st.sampled_from([0.0, 1e-13, -1e-9, 0.5, -0.5, 0.3, 7.0, 1e3, -1e3])),
+                       max_size=8))
+@example(points=[(0, 0.0, 0.0), (0, 0.0, 1e3), (10**4, 0.0, -1e3), (7, 0.0, 0.5), (7, 0.0, -0.5), (3, 0.0, 1e-13)])
+def test_spectrum_distance_is_the_nearest_sampled_point(kind, points):
+    model = _models()[kind]
+    spec = _sampled_spectrum(kind, model)
+    lams = np.array([spec[k % len(spec)] + complex(dx, dy) for k, dx, dy in points], dtype=complex)
+    want = np.array([np.abs(lam - spec).min() for lam in lams])
+    got = model.spectrum_distance(lams)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    assert np.array_equal(got < 1e-11, want < 1e-11)
 
 
 def test_diagonal_fractional_edge_domination_warns():
