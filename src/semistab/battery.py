@@ -13,6 +13,7 @@ case verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,6 +25,9 @@ from .errors import WindowError
 
 TOL_EXPONENT = 0.05
 TOL_BETA = 0.1
+
+# the columns of every CSV table the package writes
+CSV_HEADER = ["case", "t_or_xi", "value", "fit_exponent", "predicted", "source", "verdict"]
 
 
 @dataclass(frozen=True)
@@ -46,21 +50,38 @@ class CaseResult:
     def passed(self):
         return all(c.passed for c in self.checks if not c.informative)
 
-    def add(self, label, passed, detail, informative=False):
+    def add(self, label, passed, detail, informative=False, **row):
+        """Append a check; given ``row`` fields, also its CSV row, whose
+        verdict is the check's."""
         self.checks.append(CheckResult(label, bool(passed), detail, informative))
+        if row:
+            self.row(**row, verdict="PASS" if passed else "FAIL")
 
     def row(self, **kwargs):
-        base = {
-            "case": self.name,
-            "t_or_xi": "",
-            "value": "",
-            "fit_exponent": "",
-            "predicted": "",
-            "source": "",
-            "verdict": "",
-        }
+        base = dict.fromkeys(CSV_HEADER, "")
+        base["case"] = self.name
         base.update({k: str(v) for k, v in kwargs.items()})
         self.rows.append(base)
+
+
+def _case(name, criterion):
+    """Make ``body(out, seed)`` the battery case ``name`` of ``criterion``:
+    ``case(seed=0)`` fills a new CaseResult, timed over the whole body."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def case(seed=0):
+            out = CaseResult(name, criterion)
+            t0 = time.perf_counter()
+            body(out, seed)
+            out.duration = time.perf_counter() - t0
+            return out
+
+        del case.__wrapped__  # so introspection shows case(seed=0), not the body
+        case.name = name
+        return case
+
+    return decorate
 
 
 def _rng(seed, stream):
@@ -78,9 +99,8 @@ def _stable_dense(rng, dim, margin):
 # criterion 1
 
 
-def case_appendix_exp_sum(seed=0):
-    out = CaseResult("appendix.exp-sum", "1")
-    t0 = time.perf_counter()
+@_case("appendix.exp-sum", "1")
+def case_appendix_exp_sum(out, seed):
     worst = math.inf
     bad = []
     for m in range(1, 501):
@@ -102,10 +122,8 @@ def case_appendix_exp_sum(seed=0):
         max(errs) < 1e-12,
         f"max rel err {max(errs):.2e}",
     )
-    out.duration = time.perf_counter() - t0
     for m in (1, 2, 10, 100, 500):
         out.row(t_or_xi=m, value=f"{numcore.stable_exp_sum_log(m):.12g}", source="log-value")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +142,8 @@ def contour_identity_battery():
     return tuples
 
 
-def case_appendix_contour_identity(seed=0):
-    out = CaseResult("appendix.contour-identity", "2")
-    t0 = time.perf_counter()
+@_case("appendix.contour-identity", "2")
+def case_appendix_contour_identity(out, seed):
     worst = 0.0
     for alpha, beta, eta, lam in contour_identity_battery():
         chk = fraccalc.verify_contour_identity(alpha, beta, eta, lam)
@@ -160,17 +177,14 @@ def case_appendix_contour_identity(seed=0):
         ladder_ok,
         "; ".join(detail) if detail else "ladders clean",
     )
-    out.duration = time.perf_counter() - t0
-    return out
 
 
 # ---------------------------------------------------------------------------
 # criterion 3
 
 
-def case_frac_oracle(seed=0):
-    out = CaseResult("frac.oracle", "3")
-    t0 = time.perf_counter()
+@_case("frac.oracle", "3")
+def case_frac_oracle(out, seed):
     rng = _rng(seed, 3)
     # diagonal model: contour vs eigenvalue-wise closed form
     dg = operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e6, grid_count=256)
@@ -209,17 +223,14 @@ def case_frac_oracle(seed=0):
         one_c = fraccalc.contour_fractional_apply(dm, idx12, y)
         worst_law = max(worst_law, float(np.linalg.norm(two_c - one_c) / np.linalg.norm(one_c)))
     out.add("composition law < 1e-8", worst_law < 1e-8, f"worst {worst_law:.2e}")
-    out.duration = time.perf_counter() - t0
-    return out
 
 
 # ---------------------------------------------------------------------------
 # criterion 4
 
 
-def case_sobolev_rates(seed=0):
-    out = CaseResult("sobolev.rates", "4")
-    t0 = time.perf_counter()
+@_case("sobolev.rates", "4")
+def case_sobolev_rates(out, seed):
     a, b = 1.0, 0.5
     model = operators.DiagonalSymbolModel(a, b)
     beta_known = (b - 1.0 + 2.0 * a) / b
@@ -230,9 +241,8 @@ def case_sobolev_rates(seed=0):
         abs(profile.beta_hat - beta_known) <= TOL_BETA,
         f"beta_hat={profile.beta_hat:.4f}, alpha_hat={profile.alpha_hat:.4f}, "
         f"M={profile.m_constant:.3g}",
+        value=f"{profile.beta_hat:.6f}", predicted=f"{beta_known}", source="beta-hat",
     )
-    out.row(value=f"{profile.beta_hat:.6f}", predicted=f"{beta_known}", source="beta-hat",
-            verdict="PASS" if abs(profile.beta_hat - beta_known) <= TOL_BETA else "FAIL")
 
     t_grid = numcore.geometric_grid(10.0, 1e5, 48)
     measurements = {}
@@ -246,10 +256,9 @@ def case_sobolev_rates(seed=0):
             f"decay exponent at tau={tau:g} = {want:g} +/- {TOL_EXPONENT}",
             abs(got - want) <= TOL_EXPONENT,
             f"rho_hat={got:.4f}",
+            t_or_xi=f"tau={tau:g}", value=f"{got:.6f}", fit_exponent=f"{-got:.6f}",
+            predicted=f"{want:g}", source="decay-fit",
         )
-        out.row(t_or_xi=f"tau={tau:g}", value=f"{got:.6f}", fit_exponent=f"{-got:.6f}",
-                predicted=f"{want:g}", source="decay-fit",
-                verdict="PASS" if abs(got - want) <= TOL_EXPONENT else "FAIL")
 
     # every applicable prediction from the model's known growth pair (0, 3)
     # must PASS: the general, Hilbert-branch Fourier-type and growth-aware rates
@@ -274,17 +283,14 @@ def case_sobolev_rates(seed=0):
         all_pass and n_checked > 0,
         f"{n_checked} predictions checked; " + "; ".join(details),
     )
-    out.duration = time.perf_counter() - t0
-    return out
 
 
 # ---------------------------------------------------------------------------
 # criterion 5
 
 
-def case_matrix_rates(seed=0):
-    out = CaseResult("matrix.rates", "5")
-    t0 = time.perf_counter()
+@_case("matrix.rates", "5")
+def case_matrix_rates(out, seed):
     n = 3
     model = operators.OperatorMatrixModel(n)
     t_grid = numcore.geometric_grid(10.0, 1e4, 24)
@@ -298,10 +304,8 @@ def case_matrix_rates(seed=0):
             f"||T(t) A^{m}|| exponent = {want:g} +/- {TOL_EXPONENT}",
             abs(got - want) <= TOL_EXPONENT,
             f"fitted {got:.4f}",
+            t_or_xi=f"m={m}", value=f"{got:.6f}", predicted=f"{want:g}", source="matrix-decay-fit",
         )
-        out.row(t_or_xi=f"m={m}", value=f"{got:.6f}", predicted=f"{want:g}",
-                source="matrix-decay-fit",
-                verdict="PASS" if abs(got - want) <= TOL_EXPONENT else "FAIL")
     top = fits[n - 1]
     norms = top.norms
     bounded = abs(top.fit.exponent) <= TOL_EXPONENT and norms.min() > 0.1 * norms.max()
@@ -320,8 +324,6 @@ def case_matrix_rates(seed=0):
         rep.detail,
         informative=True,
     )
-    out.duration = time.perf_counter() - t0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +345,8 @@ def _block_witness(model, n, tau):
     return t, num / den
 
 
-def case_jordan_rates(seed=0):
+@_case("jordan.rates", "6")
+def case_jordan_rates(out, seed):
     """Block-sum example: resolvent growth, ||T(t)|| growth and norm bands.
 
     The "factor-10 band" clause at the stated index (1-gamma)/log(1/delta)
@@ -356,9 +359,6 @@ def case_jordan_rates(seed=0):
     index is critical only for the orbit witness at t = m(n)-1
     (``_block_witness``); the informative checks report both facts.
     """
-    out = CaseResult("jordan.rates", "6")
-    t0 = time.perf_counter()
-
     probe_model = operators.JordanSumModel(0.5, 0.5, 10**4)
     table = resolvent.probe_resolvent_norms(probe_model, numcore.geometric_grid(1e-2, 1e3, 96))
     profile = resolvent.fit_growth_profile(table)
@@ -367,9 +367,8 @@ def case_jordan_rates(seed=0):
         f"beta_hat = {beta0:g} +/- {TOL_BETA} (gamma=delta=0.5)",
         abs(profile.beta_hat - beta0) <= TOL_BETA,
         f"beta_hat={profile.beta_hat:.4f}",
+        value=f"{profile.beta_hat:.6f}", predicted=f"{beta0:g}", source="beta-hat",
     )
-    out.row(value=f"{profile.beta_hat:.6f}", predicted=f"{beta0:g}", source="beta-hat",
-            verdict="PASS" if abs(profile.beta_hat - beta0) <= TOL_BETA else "FAIL")
 
     gamma, delta = 0.5, 0.9
     model = operators.JordanSumModel(gamma, delta, 10**4)
@@ -382,9 +381,8 @@ def case_jordan_rates(seed=0):
         f"log-growth slope of ||T(t)|| = {1 - gamma:g} +/- {TOL_EXPONENT}",
         abs(slope - (1.0 - gamma)) <= TOL_EXPONENT,
         f"slope={slope:.4f} over t in [{t_lo:g}, {t_hi:g}]",
+        value=f"{slope:.6f}", predicted=f"{1 - gamma:g}", source="growth-slope",
     )
-    out.row(value=f"{slope:.6f}", predicted=f"{1 - gamma:g}", source="growth-slope",
-            verdict="PASS" if abs(slope - (1 - gamma)) <= TOL_EXPONENT else "FAIL")
 
     tau_taylor = (1.0 - gamma) / math.log(1.0 / delta)
     band_ts = np.linspace(t_lo, t_hi, 20)
@@ -396,9 +394,8 @@ def case_jordan_rates(seed=0):
         f"band max/min = {band:.3g} over t in [{t_lo:g}, {t_hi:g}] "
         "(the stated index bounds the coordinate-orbit witness, not the "
         "operator norm; see the informative checks)",
+        t_or_xi=f"tau={tau_taylor:.4f}", value=f"{band:.6g}", predicted="<=10", source="norm-band",
     )
-    out.row(t_or_xi=f"tau={tau_taylor:.4f}", value=f"{band:.6g}", predicted="<=10",
-            source="norm-band", verdict="PASS" if band <= 10.0 else "FAIL")
 
     half_ts = np.linspace(t_lo, t_hi, 12)
     half_vals = model.fractional_norm(half_ts, 0.0, tau_taylor / 2.0)
@@ -407,9 +404,9 @@ def case_jordan_rates(seed=0):
         "growth >= 10x at half that index",
         growth_factor >= 10.0,
         f"grew by {growth_factor:.3g}",
+        t_or_xi=f"tau={tau_taylor / 2:.4f}", value=f"{growth_factor:.6g}", predicted=">=10",
+        source="norm-growth",
     )
-    out.row(t_or_xi=f"tau={tau_taylor / 2:.4f}", value=f"{growth_factor:.6g}", predicted=">=10",
-            source="norm-growth", verdict="PASS" if growth_factor >= 10.0 else "FAIL")
 
     # informative: the operator norm stays in a band exactly at the
     # resolvent-growth index, and the block model's orbit witness is the
@@ -458,17 +455,14 @@ def case_jordan_rates(seed=0):
         rep.detail,
         informative=True,
     )
-    out.duration = time.perf_counter() - t0
-    return out
 
 
 # ---------------------------------------------------------------------------
 # criterion 7
 
 
-def case_laplace_identity(seed=0):
-    out = CaseResult("laplace.identity", "7")
-    t0 = time.perf_counter()
+@_case("laplace.identity", "7")
+def case_laplace_identity(out, seed):
     rng = _rng(seed, 7)
     # decay margin 0.8: the t^n-weighted window tail at t = 50 must stay
     # below the relative target at the top of the compared frequency band
@@ -507,8 +501,6 @@ def case_laplace_identity(seed=0):
         out.add("short window raises a window error", False, "no error raised")
     except WindowError as exc:
         out.add("short window raises a window error", True, str(exc)[:60])
-    out.duration = time.perf_counter() - t0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +512,16 @@ PQ_PAIRS = ((2.0, 2.0), (1.0, 2.0), (2.0, math.inf), (1.0, math.inf))
 
 
 def pq_bounds(sym, grid, seed):
-    """(p, q, lower, upper) for each ``PQ_PAIRS`` entry: the witness-search
+    """(p, q, lower, upper, ok) for each ``PQ_PAIRS`` entry: the witness-search
     lower bound (8 trials, all pairs in one pass) and the Fourier-type
-    upper bound of the symbol's (L^p, L^q) multiplier norm."""
+    upper bound of the symbol's (L^p, L^q) multiplier norm, and whether
+    the lower bound stays below the upper (to 1e-6)."""
     lowers = multiplier.estimate_pq_norms_lower(sym, PQ_PAIRS, grid, trials=8, seed=seed)
-    return [
-        (p, q, lower.lower_bound, multiplier.upper_bound_pq_norm_fourier_type(sym, p, q, grid).upper_bound)
-        for (p, q), lower in zip(PQ_PAIRS, lowers)
-    ]
+    bounds = []
+    for (p, q), lower in zip(PQ_PAIRS, lowers):
+        upper = multiplier.upper_bound_pq_norm_fourier_type(sym, p, q, grid).upper_bound
+        bounds.append((p, q, lower.lower_bound, upper, lower.lower_bound <= upper + 1e-6))
+    return bounds
 
 
 def _mult_battery(rng):
@@ -540,9 +534,8 @@ def _mult_battery(rng):
     ]
 
 
-def case_mult_norms(seed=0):
-    out = CaseResult("mult.norms", "8")
-    t0 = time.perf_counter()
+@_case("mult.norms", "8")
+def case_mult_norms(out, seed):
     rng = _rng(seed, 8)
     grid = multiplier.FourierGridSpec(200.0, 2**13)
     battery = _mult_battery(rng)
@@ -562,11 +555,10 @@ def case_mult_norms(seed=0):
     # one shared pass would change one of the two sets of lower bounds
     violations = []
     for name, sym in battery:
-        for p, q, lower, upper in pq_bounds(sym, grid, seed):
+        for p, q, lower, upper, ok in pq_bounds(sym, grid, seed):
             out.row(t_or_xi=f"{name};p={p:g};q={q:g}", value=f"{lower:.6f}",
-                    predicted=f"{upper:.6f}", source="pq-bounds",
-                    verdict="PASS" if lower <= upper + 1e-6 else "FAIL")
-            if lower > upper + 1e-6:
+                    predicted=f"{upper:.6f}", source="pq-bounds", verdict="PASS" if ok else "FAIL")
+            if not ok:
                 violations.append(f"{name} (p={p:g}, q={q:g})")
     out.add("every lower bound <= its transform-bound upper", not violations,
             "; ".join(violations) if violations else "no violations")
@@ -578,17 +570,14 @@ def case_mult_norms(seed=0):
     want = 1.0 / math.pi
     out.add("(1,oo) bound of the Lorentzian equals 1/pi", abs(bound - want) / want < 0.02,
             f"bound {bound:.6f} vs {want:.6f}")
-    out.duration = time.perf_counter() - t0
-    return out
 
 
 # ---------------------------------------------------------------------------
 # criterion 9
 
 
-def case_predict_algebra(seed=0):
-    out = CaseResult("predict.algebra", "9")
-    t0 = time.perf_counter()
+@_case("predict.algebra", "9")
+def case_predict_algebra(out, seed):
     rng = _rng(seed, 9)
     geometry_p1 = decaylab.GeometryDescriptor(fourier_type=1.0)
     n_tuples = 10**4
@@ -649,17 +638,14 @@ def case_predict_algebra(seed=0):
         abs(tau_mid - 2.0) < 1e-12 and abs(rho_mid - m2.rho_hat) <= TOL_EXPONENT,
         f"interpolated {rho_mid:.4f} vs measured {m2.rho_hat:.4f}",
     )
-    out.duration = time.perf_counter() - t0
-    return out
 
 
 # ---------------------------------------------------------------------------
 # criterion 10
 
 
-def case_spectral_shadow(seed=0):
-    out = CaseResult("spectral.shadow", "10")
-    t0 = time.perf_counter()
+@_case("spectral.shadow", "10")
+def case_spectral_shadow(out, seed):
     rng = _rng(seed, 10)
     worst = -math.inf
     bad = []
@@ -701,31 +687,20 @@ def case_spectral_shadow(seed=0):
         f"omega0_hat {bounds.omega0_hat:.3f} vs {1.0 - jm.gamma}",
         informative=True,
     )
-    out.duration = time.perf_counter() - t0
-    return out
 
 
 # ---------------------------------------------------------------------------
 
 ALL_CASES = [
-    ("appendix.exp-sum", case_appendix_exp_sum),
-    ("appendix.contour-identity", case_appendix_contour_identity),
-    ("frac.oracle", case_frac_oracle),
-    ("sobolev.rates", case_sobolev_rates),
-    ("matrix.rates", case_matrix_rates),
-    ("jordan.rates", case_jordan_rates),
-    ("laplace.identity", case_laplace_identity),
-    ("mult.norms", case_mult_norms),
-    ("predict.algebra", case_predict_algebra),
-    ("spectral.shadow", case_spectral_shadow),
+    (case.name, case)
+    for case in (
+        case_appendix_exp_sum, case_appendix_contour_identity, case_frac_oracle,
+        case_sobolev_rates, case_matrix_rates, case_jordan_rates, case_laplace_identity,
+        case_mult_norms, case_predict_algebra, case_spectral_shadow,
+    )
 ]
 
 
-def run_battery(only=None, seed=0):
-    """Run the bundled battery; ``only`` filters case names by prefix."""
-    results = []
-    for name, fn in ALL_CASES:
-        if only and not name.startswith(only):
-            continue
-        results.append(fn(seed=seed))
-    return results
+def matching_cases(only=None):
+    """The ``ALL_CASES`` entries whose names start with ``only`` (all if not given)."""
+    return [(name, case) for name, case in ALL_CASES if not only or name.startswith(only)]

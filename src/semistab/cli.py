@@ -29,7 +29,7 @@ from . import battery as battery_mod
 from . import decaylab, fraccalc, multiplier, numcore, operators, resolvent
 from .errors import ConfigError, DomainError, InsufficientDataError, UnsupportedModelError
 
-CSV_HEADER = ["case", "t_or_xi", "value", "fit_exponent", "predicted", "source", "verdict"]
+CSV_HEADER = battery_mod.CSV_HEADER
 
 DEFAULT_TOLERANCES = {"fit_tol": 0.1, "quad_tol": 1e-6, "consistency_tol": 0.05}
 
@@ -251,11 +251,12 @@ def validate_config(raw):
             _fail(f"indices[{i}]", "indices must be >= 0")
         parsed.append((sigma, tau))
     cfg["indices"] = parsed
-    tolerances = raw.get("tolerances") or {}
-    if not isinstance(tolerances, dict):
+    # null means "not given"; any other non-object is an error
+    tolerances = raw.get("tolerances")
+    if not isinstance(tolerances, (dict, type(None))):
         _fail("tolerances", "expected an object")
     tols = dict(DEFAULT_TOLERANCES)
-    for key, val in tolerances.items():
+    for key, val in (tolerances or {}).items():
         if key not in DEFAULT_TOLERANCES:
             _fail(f"tolerances.{key}", "unknown tolerance")
         if _check(val, f"tolerances.{key}", float) <= 0:
@@ -285,9 +286,22 @@ def _jsonable(x):
     return x
 
 
+def _make_out_dir(args, default="semistab-out", source="--out-dir"):
+    """Create the run's output directory before the run and return it:
+    --out-dir if given, else ``default``, which ``source`` supplied; a path
+    that cannot be made a directory is a config error naming its source."""
+    path = default
+    if args.out_dir is not None:
+        path, source = args.out_dir, "--out-dir"
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        _fail(source, f"cannot create the output directory {path!r}: {exc.strerror}")
+    return path
+
+
 def _write_csv(out_dir, name, rows):
-    """Write ``rows`` under ``CSV_HEADER`` to out_dir/name, creating out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write ``rows`` under ``CSV_HEADER`` to out_dir/name."""
     with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         writer.writeheader()
@@ -296,7 +310,6 @@ def _write_csv(out_dir, name, rows):
 
 
 def _write_summary(out_dir, summary, timings):
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -446,7 +459,7 @@ def _cmd_analyze(args, measure_only=False):
         config["seed"] = args.seed
     if not measure_only and args.tol is not None:
         config["tolerances"]["consistency_tol"] = args.tol
-    out_dir = args.out_dir or config["out_dir"]
+    out_dir = _make_out_dir(args, config["out_dir"], "out_dir")
     summary, rows, timings, (code, note) = run_analyze(config, measure_only=measure_only)
     _write_csv(out_dir, "probes.csv", rows["probes"])
     _write_csv(out_dir, "decay.csv", rows["decay"])
@@ -461,7 +474,7 @@ def _cmd_analyze(args, measure_only=False):
 
 def _cmd_frac(args):
     quad_tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES["quad_tol"]
-
+    out_dir = _make_out_dir(args)
     rows = []
     worst = 0.0
     for alpha, beta, eta, lam in battery_mod.contour_identity_battery():
@@ -476,7 +489,6 @@ def _cmd_frac(args):
                 "verdict": "PASS" if chk.rel_error < quad_tol else "FAIL",
             }
         )
-    out_dir = args.out_dir or "semistab-out"
     _write_csv(out_dir, "frac.csv", rows)
     ok = worst < quad_tol
     _write_summary(out_dir, {"overall": "PASS" if ok else "FAIL", "worst_rel_error": worst}, {})
@@ -492,13 +504,13 @@ def _cmd_mult(args):
     seed = _validate_seed(raw)
     if args.seed is not None:
         seed = args.seed
+    out_dir = _make_out_dir(args)
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = []
     ok = True
     for name, sym in battery_mod._mult_battery(rng):
         exact2 = multiplier.exact_l2_norm(sym, grid)
-        for p, q, lower, upper in battery_mod.pq_bounds(sym, grid, seed):
-            good = lower <= upper + 1e-6
+        for p, q, lower, upper, good in battery_mod.pq_bounds(sym, grid, seed):
             ok &= good
             rows.append(
                 {
@@ -517,7 +529,6 @@ def _cmd_mult(args):
                 "verdict": "",
             }
         )
-    out_dir = args.out_dir or "semistab-out"
     _write_csv(out_dir, "mult.csv", rows)
     _write_summary(out_dir, {"overall": "PASS" if ok else "FAIL"}, {})
     print(f"multiplier battery: {'PASS' if ok else 'FAIL'}")
@@ -526,10 +537,13 @@ def _cmd_mult(args):
 
 def _cmd_verify(args):
     seed = args.seed if args.seed is not None else 0
-    results = battery_mod.run_battery(only=args.only, seed=seed)
-    if not results:
+    cases = battery_mod.matching_cases(args.only)
+    if not cases:
         print(f"no cases match --only {args.only!r}", file=sys.stderr)
         return 2
+    if args.out_dir is not None:
+        _make_out_dir(args)
+    results = [case(seed=seed) for _, case in cases]
     rows = []
     failures = []
     for res in results:
@@ -541,7 +555,7 @@ def _cmd_verify(args):
         rows.extend(res.rows)
         if not res.passed:
             failures.append(res.name)
-    if args.out_dir:
+    if args.out_dir is not None:
         _write_csv(args.out_dir, "verify.csv", rows)
         summary = {
             "overall": "PASS" if not failures else "FAIL",

@@ -165,7 +165,8 @@ def stable_exp_sum(m):
 
     Use stable_exp_sum_log for bound checks at large m.
     """
-    return math.exp(stable_exp_sum_log(m)) if stable_exp_sum_log(m) < 709.0 else math.inf
+    log_value = stable_exp_sum_log(m)
+    return math.exp(log_value) if log_value < 709.0 else math.inf
 
 
 def _larger(x, y):

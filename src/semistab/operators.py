@@ -218,7 +218,8 @@ class DenseMatrixModel(OperatorModel):
         except np.linalg.LinAlgError:
             self._eigvecs_inv = None
             self._diagonalizable = False
-        injective = bool(np.min(np.abs(self._eigvals)) > 0.0)
+        # 0 is in the spectrum exactly when the resolvent oracle answers inf at 0
+        injective = bool(self.spectrum_distance([0.0])[0] >= _SING_TOL)
         on_neg_axis = np.any(
             (self._eigvals.real <= 0.0) & (np.abs(self._eigvals.imag) < 1e-14)
         )
@@ -715,10 +716,6 @@ class OperatorMatrixModel(OperatorModel):
             known_growth_pair=(float(n), 0.0),
         )
 
-    def _semigroup_rows(self, t, ss):
-        """Rows e^{-ts} t^k/k! of exp(-t M(s)); fractional_norm tabulates t^k/k! per time."""
-        return np.exp(-t * ss)[:, None] * _exp_series_coeffs(t, self.n)
-
     def _phi_rows(self, sigma, tau, ss):
         """Rows of Phi^sigma_tau(M(s)) at each s, for an integer sigma >= 0."""
         rows = _shifted_power_rows(1.0 + ss, -(sigma + tau), self.n)
@@ -756,7 +753,7 @@ class OperatorMatrixModel(OperatorModel):
         coeffs = np.array([_exp_series_coeffs(t, self.n) for t in ts])
 
         def rows_at(i, ss):
-            # the rows of _semigroup_rows(ts[i], ss), times the Phi rows
+            # the rows e^{-ts} t^k/k! of exp(-t M(s)), times the Phi rows
             decay = np.exp(-ts[i] * ss)[:, None] * coeffs[i]
             return _row_product(decay, self._phi_rows(sigma, tau, ss))
 

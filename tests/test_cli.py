@@ -76,6 +76,11 @@ def test_validate_config_field_paths(tmp_path):
         ("tolerances", {"fit_tol": math.nan}, "tolerances.fit_tol"),
         ("tolerances", {"consistency_tol": math.inf}, "tolerances.consistency_tol"),
         ("tolerances", [0.1], "tolerances"),
+        # only a missing or null tolerances object means the defaults
+        ("tolerances", [], "tolerances"),
+        ("tolerances", 0, "tolerances"),
+        ("tolerances", False, "tolerances"),
+        ("tolerances", "", "tolerances"),
         ("indices", [[0.0, "2"]], "indices[0]"),
         ("indices", [[math.nan, 2.0]], "indices[0]"),
         ("grids", {"t_grid": {"start": 1.0, "stop": math.inf, "count": 4}}, "grids.t_grid.stop"),
@@ -95,6 +100,12 @@ def test_validate_config_field_paths(tmp_path):
         with pytest.raises(ConfigError) as err:
             cli.validate_config(cfg)
         assert err.value.field == field, (key, value)
+
+
+def test_null_tolerances_means_the_defaults(tmp_path):
+    cfg = _base_config(tmp_path)
+    cfg["tolerances"] = None
+    assert cli.validate_config(cfg)["tolerances"] == cli.DEFAULT_TOLERANCES
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
@@ -312,6 +323,48 @@ def test_verify_examples_filter_and_mutation(tmp_path, capsys, monkeypatch):
 
     code = cli.main(["verify-examples", "--only", "no-such-case"])
     assert code == 2
+
+
+def _unusable_out_dir(tmp_path, kind):
+    """An output path that cannot be made a directory: empty, or an existing file."""
+    if kind == "empty":
+        return ""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    return str(blocker)
+
+
+@pytest.mark.parametrize("kind", ["empty", "file"])
+@pytest.mark.parametrize("command", ["analyze", "decay"])
+def test_unusable_out_dir_key_exits_2_before_the_run(tmp_path, capsys, command, kind):
+    cfg = _base_config(_unusable_out_dir(tmp_path, kind))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: out_dir: cannot create the output directory" in captured.err
+    assert "overall" not in captured.out
+
+
+@pytest.mark.parametrize("kind", ["empty", "file"])
+@pytest.mark.parametrize("command", ["analyze", "decay", "frac", "mult", "verify-examples"])
+def test_unusable_out_dir_flag_exits_2_before_the_run(tmp_path, capsys, command, kind):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(tmp_path / "o")))
+    argv = {"analyze": ["--config", str(cfg_path)], "decay": ["--config", str(cfg_path)],
+            "verify-examples": ["--only", "appendix.exp-sum"]}.get(command, [])
+    out_dir = _unusable_out_dir(tmp_path, kind)
+    assert cli.main([command, *argv, "--out-dir", out_dir]) == 2
+    captured = capsys.readouterr()
+    assert "config error: --out-dir: cannot create the output directory" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()  # the flag overrides the config's out_dir
+
+
+def test_unmatched_only_creates_no_out_dir(tmp_path, capsys):
+    assert cli.main(["verify-examples", "--only", "no-such-case", "--out-dir", str(tmp_path / "o")]) == 2
+    assert "no cases match" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_format_complex():

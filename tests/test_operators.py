@@ -132,6 +132,14 @@ def test_resolvent_norm_is_inf_within_tolerance_of_the_spectrum():
     assert not edges.any()
 
 
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "jordan", "opmatrix", "tiny-eigenvalue"])
+def test_invertible_exactly_when_the_resolvent_at_zero_is_finite(kind):
+    # an eigenvalue within the oracle's tolerance of 0 makes A non-invertible
+    models = {**_models(), "tiny-eigenvalue": operators.DenseMatrixModel(np.diag([1e-13, 1.0]))}
+    model = models[kind]
+    assert model.info.invertible == np.isfinite(model.shifted_resolvent_norm([0.0])[0][0])
+
+
 def test_shape_and_time_errors():
     model = operators.DenseMatrixModel(np.diag([1.0, 2.0]))
     with pytest.raises(ShapeError):
@@ -762,11 +770,10 @@ def test_opmatrix_norms_match_dense_symbols(n, t, sigma, tau, lam):
     assume(model.spectrum_distance(-lam) > 1e-2)
     dense = _dense_symbols(model, t, sigma, tau, lam)
     ss = model._sup_nodes
+    semigroup = np.exp(-t * ss)[:, None] * operators._exp_series_coeffs(t, model.n)
     rows = {
-        "semigroup": model._semigroup_rows(t, ss),
-        "fractional": operators._row_product(
-            model._semigroup_rows(t, ss), model._phi_rows(sigma, tau, ss)
-        ),
+        "semigroup": semigroup,
+        "fractional": operators._row_product(semigroup, model._phi_rows(sigma, tau, ss)),
     }
     for kind, row in rows.items():
         got = np.linalg.norm(operators._toeplitz_stack(row), 2, axis=(1, 2))
