@@ -511,15 +511,15 @@ def case_laplace_identity(out, seed):
 PQ_PAIRS = ((2.0, 2.0), (1.0, 2.0), (2.0, math.inf), (1.0, math.inf))
 
 
-def pq_bounds(sym, grid, seed):
+def pq_bounds(samples, seed):
     """(p, q, lower, upper, ok) for each ``PQ_PAIRS`` entry: the witness-search
     lower bound (8 trials, all pairs in one pass) and the Fourier-type
-    upper bound of the symbol's (L^p, L^q) multiplier norm, and whether
-    the lower bound stays below the upper (to 1e-6)."""
-    lowers = multiplier.estimate_pq_norms_lower(sym, PQ_PAIRS, grid, trials=8, seed=seed)
+    upper bound of the sampled symbol's (L^p, L^q) multiplier norm, and
+    whether the lower bound stays below the upper (to 1e-6)."""
+    lowers = multiplier.estimate_pq_norms_lower(samples, PQ_PAIRS, trials=8, seed=seed)
     bounds = []
     for (p, q), lower in zip(PQ_PAIRS, lowers):
-        upper = multiplier.upper_bound_pq_norm_fourier_type(sym, p, q, grid).upper_bound
+        upper = multiplier.upper_bound_pq_norm_fourier_type(samples, p, q).upper_bound
         bounds.append((p, q, lower.lower_bound, upper, lower.lower_bound <= upper + 1e-6))
     return bounds
 
@@ -527,9 +527,9 @@ def pq_bounds(sym, grid, seed):
 def _mult_battery(rng):
     model = _stable_dense(rng, 4, 0.6)
     return [
-        ("scalar-resolvent", multiplier.scalar_symbol(lambda x: 1.0 / (1j * x + 1.0))),
-        ("scalar-lorentz", multiplier.scalar_symbol(lambda x: (1.0 + np.abs(x)) ** -2.0)),
-        ("constant", multiplier.scalar_symbol(lambda x: 0.7 * np.ones_like(np.asarray(x, dtype=complex)))),
+        ("scalar-resolvent", multiplier.Symbol(lambda x: 1.0 / (1j * x + 1.0))),
+        ("scalar-lorentz", multiplier.Symbol(lambda x: (1.0 + np.abs(x)) ** -2.0)),
+        ("constant", multiplier.Symbol(lambda x: 0.7 * np.ones_like(np.asarray(x, dtype=complex)))),
         ("dense-resolvent", multiplier.resolvent_power_symbol(model, 1)),
     ]
 
@@ -538,11 +538,11 @@ def _mult_battery(rng):
 def case_mult_norms(out, seed):
     rng = _rng(seed, 8)
     grid = multiplier.FourierGridSpec(200.0, 2**13)
-    battery = _mult_battery(rng)
+    battery = [(name, sym.on(grid)) for name, sym in _mult_battery(rng)]
     worst_gap = 0.0
-    for name, sym in battery:
-        exact = multiplier.exact_l2_norm(sym, grid)
-        lower = multiplier.estimate_pq_norm_lower(sym, 2.0, 2.0, grid, trials=12, seed=seed)
+    for name, samples in battery:
+        exact = multiplier.exact_l2_norm(samples)
+        lower = multiplier.estimate_pq_norm_lower(samples, 2.0, 2.0, trials=12, seed=seed)
         gap = (exact - lower.lower_bound) / exact
         worst_gap = max(worst_gap, gap)
         ok = lower.lower_bound <= exact + 1e-6 and gap <= 0.05
@@ -554,8 +554,8 @@ def case_mult_norms(out, seed):
     # a separate pass: the (2,2) search above draws 12 trials, these 8, and
     # one shared pass would change one of the two sets of lower bounds
     violations = []
-    for name, sym in battery:
-        for p, q, lower, upper, ok in pq_bounds(sym, grid, seed):
+    for name, samples in battery:
+        for p, q, lower, upper, ok in pq_bounds(samples, seed):
             out.row(t_or_xi=f"{name};p={p:g};q={q:g}", value=f"{lower:.6f}",
                     predicted=f"{upper:.6f}", source="pq-bounds", verdict="PASS" if ok else "FAIL")
             if not ok:
@@ -566,7 +566,7 @@ def case_mult_norms(out, seed):
     # closed-form check of the (1, oo) bound for the Lorentzian symbol:
     # (1/2 pi) * integral of (1+|x|)^-2 = 1/pi
     lor = battery[1][1]
-    bound = multiplier.upper_bound_pq_norm_fourier_type(lor, 1.0, math.inf, grid).upper_bound
+    bound = multiplier.upper_bound_pq_norm_fourier_type(lor, 1.0, math.inf).upper_bound
     want = 1.0 / math.pi
     out.add("(1,oo) bound of the Lorentzian equals 1/pi", abs(bound - want) / want < 0.02,
             f"bound {bound:.6f} vs {want:.6f}")

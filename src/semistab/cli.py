@@ -509,8 +509,9 @@ def _cmd_mult(args):
     rows = []
     ok = True
     for name, sym in battery_mod._mult_battery(rng):
-        exact2 = multiplier.exact_l2_norm(sym, grid)
-        for p, q, lower, upper, good in battery_mod.pq_bounds(sym, grid, seed):
+        samples = sym.on(grid)
+        exact2 = multiplier.exact_l2_norm(samples)
+        for p, q, lower, upper, good in battery_mod.pq_bounds(samples, seed):
             ok &= good
             rows.append(
                 {

@@ -12,16 +12,18 @@ finite-dimensional inner-product space is sqrt(2 pi) at exponent 2 and
 Discrete Lebesgue norms use left-endpoint Riemann weights (max for the
 sup norm).  Time-domain samples live on t_k = -L/2 + k L/N.
 
-(L^p, L^q) lower bounds come from a witness search: one call of
-``estimate_pq_norms_lower`` evaluates the symbol once on the grid and
-scores a whole list of (p, q) pairs in one streamed pass over the
-witness bank, holding only the current witness and its image.
+A symbol is sampled once per grid (``Symbol.on``), and the exact (2,2)
+norm, the Fourier-type upper bound and the witness search all read those
+samples.  The witness search scores a whole list of (p, q) pairs in one
+streamed pass over its bank, holding only one witness and its image.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +43,8 @@ TRANSFORM_CONSTANT_P2 = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class FourierGridSpec:
-    """Sampling of the line: window [-L/2, L/2), N power-of-two samples."""
+    """Sampling of the line: window [-L/2, L/2), N power-of-two samples.
+    Its nodes and transform phases are computed once, as read-only arrays."""
 
     period: float
     samples: int
@@ -57,34 +60,42 @@ class FourierGridSpec:
     def dt(self):
         return self.period / self.samples
 
-    @property
+    @cached_property
     def times(self):
-        return -0.5 * self.period + self.dt * np.arange(self.samples)
+        return _read_only(-0.5 * self.period + self.dt * np.arange(self.samples))
 
-    @property
+    @cached_property
     def freqs(self):
         """Frequency nodes 2 pi k / L in FFT order."""
-        return 2.0 * math.pi * np.fft.fftfreq(self.samples, d=self.dt)
+        return _read_only(2.0 * math.pi * np.fft.fftfreq(self.samples, d=self.dt))
+
+    @cached_property
+    def _phases(self):
+        """exp(-i xi t_0) and exp(i xi t_0), of fourier_forward and fourier_inverse."""
+        return tuple(_read_only(np.exp(sign * self.freqs * self.times[0])) for sign in (-1j, 1j))
 
     @property
     def dxi(self):
         return 2.0 * math.pi / self.period
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def fourier_forward(f, grid):
     """Discretization of integral e^{-i xi t} f(t) dt on the grid."""
     f = np.asarray(f, dtype=complex)
-    phase = np.exp(-1j * grid.freqs * grid.times[0])
     shape = (-1,) + (1,) * (f.ndim - 1)
-    return grid.dt * phase.reshape(shape) * np.fft.fft(f, axis=0)
+    return grid.dt * grid._phases[0].reshape(shape) * np.fft.fft(f, axis=0)
 
 
 def fourier_inverse(F, grid):
     """Inverse of fourier_forward (exact on the discrete grid)."""
     F = np.asarray(F, dtype=complex)
-    phase = np.exp(1j * grid.freqs * grid.times[0])
     shape = (-1,) + (1,) * (F.ndim - 1)
-    return np.fft.ifft(F * phase.reshape(shape), axis=0) / grid.dt
+    return np.fft.ifft(F * grid._phases[1].reshape(shape), axis=0) / grid.dt
 
 
 def lebesgue_norm(f, p, grid):
@@ -140,19 +151,20 @@ class Symbol:
             raise SingularSymbolError(f"{self.name} singular at xi={node:g}", node)
         return vals
 
-    def norms_of(self, vals):
-        """Pointwise norms of values returned by ``eval_all``."""
-        if self.dim == 1:
-            return np.abs(vals)
-        return np.linalg.norm(vals, ord=2, axis=(1, 2))
-
-    def norms_on(self, xis):
-        return self.norms_of(self.eval_all(xis))
+    def on(self, grid):
+        """The symbol sampled once on the frequency nodes of ``grid``."""
+        values = self.eval_all(grid.freqs)
+        norms = np.abs(values) if self.dim == 1 else np.linalg.norm(values, ord=2, axis=(1, 2))
+        return SymbolSamples(self, grid, _read_only(values), _read_only(norms))
 
 
-def scalar_symbol(fn):
-    """The scalar symbol xi -> fn(xi), evaluated at every node."""
-    return Symbol(fn)
+class SymbolSamples(NamedTuple):
+    """A symbol's values at a grid's frequency nodes and their 2-norms, read-only."""
+
+    symbol: Symbol
+    grid: FourierGridSpec
+    values: np.ndarray
+    norms: np.ndarray
 
 
 def resolvent_power_symbol(model, power=1):
@@ -182,13 +194,13 @@ def apply_multiplier(symbol, f, grid):
         raise ShapeError(f"expected {grid.samples} time samples, got {f.shape[0]}")
     if symbol.dim > 1 and (f.ndim != 2 or f.shape[1] != symbol.dim):
         raise ShapeError(f"symbol of dim {symbol.dim} needs samples of shape (N, {symbol.dim})")
-    return _apply_values(symbol, symbol.eval_all(grid.freqs), f, grid)
+    return _apply_values(symbol.eval_all(grid.freqs), f, grid)
 
 
-def _apply_values(symbol, vals, f, grid):
+def _apply_values(vals, f, grid):
     """T_m f for symbol values ``vals`` already evaluated on the grid."""
     F = fourier_forward(f, grid)
-    if symbol.dim == 1:
+    if vals.ndim == 1:
         shape = (-1,) + (1,) * (F.ndim - 1)
         G = vals.reshape(shape) * F
     else:
@@ -198,12 +210,6 @@ def _apply_values(symbol, vals, f, grid):
 
 # ---------------------------------------------------------------------------
 # time-domain convolutions against t^k T(t)
-
-
-def _dense_semigroup_samples(model, ts):
-    if not isinstance(model, DenseMatrixModel):
-        raise UnsupportedModelError("time-domain convolution needs a dense model")
-    return model._expm_neg(ts)
 
 
 def _check_window_tail(tpos, norms, integral, what):
@@ -227,6 +233,8 @@ def semigroup_convolution(model, k, f, grid):
     beyond the window is estimated from an exponential fit of the sampled
     kernel norms (``_check_window_tail``).
     """
+    if not isinstance(model, DenseMatrixModel):
+        raise UnsupportedModelError("time-domain convolution needs a dense model")
     if k < 0 or not float(k).is_integer():
         raise DomainError(f"need integer k >= 0, got {k}")
     f = np.asarray(f, dtype=complex)
@@ -236,7 +244,7 @@ def semigroup_convolution(model, k, f, grid):
     ts = grid.times
     pos = ts >= 0.0
     tpos = ts[pos]
-    kernels = _dense_semigroup_samples(model, tpos)
+    kernels = model._expm_neg(tpos)
     if kernels.shape[1] != d:
         raise ShapeError(f"model dimension {kernels.shape[1]} vs samples dimension {d}")
     weights = np.full(len(tpos), grid.dt)
@@ -271,7 +279,7 @@ def verify_laplace_identity(model, n, x, grid):
     pos = ts >= 0.0
     tpos = ts[pos]
     orbit = np.zeros((grid.samples, model.dim), dtype=complex)
-    mats = _dense_semigroup_samples(model, tpos)
+    mats = model._expm_neg(tpos)
     orbit[pos] = (tpos**n)[:, None] * np.einsum("kij,j->ki", mats, x)
     onorms = np.linalg.norm(orbit[pos], axis=1)
     _check_window_tail(tpos, onorms, float(np.sum(onorms) * grid.dt), "orbit")
@@ -294,11 +302,7 @@ def verify_laplace_identity(model, n, x, grid):
         F_ref += (math.factorial(n + j) / denom ** (n + j + 1))[:, None] * wj[None, :]
     F_total = F + F_ref
     keep = np.abs(xis) <= (grid.samples / (4.0 * grid.period)) * 2.0 * math.pi
-    eye = np.eye(model.dim)
-    inv = np.linalg.inv(1j * xis[keep][:, None, None] * eye[None] + model.matrix[None])
-    closed = inv
-    for _ in range(n):
-        closed = closed @ inv
+    closed = resolvent_power_symbol(model, n + 1).eval_all(xis[keep]).reshape(-1, model.dim, model.dim)
     target = math.factorial(n) * np.einsum("kij,j->ki", closed, x)
     err = np.linalg.norm(F_total[keep] - target, axis=1)
     scale = np.linalg.norm(target, axis=1)
@@ -322,30 +326,29 @@ class PQNormEstimate:
             raise DomainError("lower bound exceeds upper bound")
 
 
-def _witness_bank(symbol, grid, trials, seed, xi_star):
+def _witness_bank(samples, trials, seed):
     """Yield the fixed witness family one at a time: bumps at 8 scales x
-    8 modulations (the first at the peak frequency ``xi_star``), then
-    ``trials`` seeded random band-limited draws.  A matrix symbol takes
-    each profile along the top right singular vector at ``xi_star`` and
-    along one seeded random direction.
+    8 modulations (the first at the peak frequency of the symbol norms),
+    then ``trials`` seeded random band-limited draws.  A matrix symbol
+    takes each profile along the top right singular vector of its value
+    at the peak and along one seeded random direction.
 
     The ``trials=k`` bank is an exact prefix of the ``trials=k+j`` bank:
     the bumps draw no random numbers, the random direction is drawn
     before the trials, and the trials draw in sequence from one stream.
     """
+    grid = samples.grid
     ts = grid.times
     L = grid.period
     xis = grid.freqs
-    d = symbol.dim
-    directions = [None] if d == 1 else []
-    if d > 1:
-        vals = symbol.eval_all(np.array([xi_star]))[0]
-        _, _, vh = np.linalg.svd(vals)
-        directions.append(vh[0].conj())
+    d = samples.symbol.dim
+    peak = int(np.argmax(samples.norms))
     rng = np.random.Generator(np.random.Philox(key=seed))
+    directions = [None]
     if d > 1:
+        _, _, vh = np.linalg.svd(samples.values[peak])
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        directions.append(v / np.linalg.norm(v))
+        directions = [vh[0].conj(), v / np.linalg.norm(v)]
 
     def emit(profile):
         for direction in directions:
@@ -353,7 +356,7 @@ def _witness_bank(symbol, grid, trials, seed, xi_star):
 
     scales = [L / 2.0** (j + 3) for j in range(8)]
     xi_max = float(np.max(np.abs(xis)))
-    mods = [xi_star] + [xi_max / 2.0 * (k + 1) / 8.0 for k in range(7)]
+    mods = [float(xis[peak])] + [xi_max / 2.0 * (k + 1) / 8.0 for k in range(7)]
     for s in scales:
         bump = np.exp(-0.5 * (ts / s) ** 2)
         for wfreq in mods:
@@ -365,29 +368,26 @@ def _witness_bank(symbol, grid, trials, seed, xi_star):
         yield from emit(fourier_inverse(coeff, grid))
 
 
-def estimate_pq_norms_lower(symbol, pairs, grid, trials=16, seed=0):
-    """Witness-search lower bounds for the (L^p, L^q) multiplier norms of
-    every ``(p, q)`` in ``pairs``, one ``PQNormEstimate`` each, in order.
+def estimate_pq_norms_lower(samples, pairs, trials=16, seed=0):
+    """Witness-search lower bounds of the sampled symbol's (L^p, L^q)
+    multiplier norms, one ``PQNormEstimate`` per ``(p, q)`` in ``pairs``.
 
-    The symbol is evaluated once on the grid, and one streamed pass over
-    the witness bank scores every pair: each witness is transformed, hit
-    by the symbol values and transformed back once, then normed at each
-    needed p and q.  Only the current witness and its image are held,
-    never the bank.  Deterministic for a given seed; the true norm may
-    exceed the result by an unquantified gap, so each estimate is
-    labelled a lower bound.
+    One streamed pass over the witness bank scores every pair: each
+    witness is transformed, hit by the symbol samples and transformed
+    back once, then normed at each needed p and q.  Only the current
+    witness and its image are held, never the bank.  Deterministic for a
+    given seed; the true norm may exceed the result by an unquantified
+    gap, so each estimate is labelled a lower bound.
     """
     pairs = [(float(p), float(q)) for p, q in pairs]
     for p, q in pairs:
-        if q < p:
-            raise DomainError(f"need q >= p, got p={p}, q={q}")
-    vals = symbol.eval_all(grid.freqs)
-    xi_star = float(grid.freqs[int(np.argmax(symbol.norms_of(vals)))])
+        _check_exponents(p, q)
+    grid = samples.grid
     ps = {p for p, _ in pairs}
     qs = {q for _, q in pairs}
     best = [0.0] * len(pairs)
-    for f in _witness_bank(symbol, grid, trials, seed, xi_star):
-        out = _apply_values(symbol, vals, f, grid)
+    for f in _witness_bank(samples, trials, seed):
+        out = _apply_values(samples.values, f, grid)
         denoms = {p: lebesgue_norm(f, p, grid) for p in ps}
         nums = {q: lebesgue_norm(out, q, grid) for q in qs}
         for i, (p, q) in enumerate(pairs):
@@ -396,16 +396,22 @@ def estimate_pq_norms_lower(symbol, pairs, grid, trials=16, seed=0):
     return [PQNormEstimate(p, q, float(b), None, "witness-search") for (p, q), b in zip(pairs, best)]
 
 
-def estimate_pq_norm_lower(symbol, p, q, grid, trials=16, seed=0):
+def estimate_pq_norm_lower(samples, p, q, trials=16, seed=0):
     """Witness-search lower bound for one (L^p, L^q) multiplier norm; see
     ``estimate_pq_norms_lower``."""
-    return estimate_pq_norms_lower(symbol, [(p, q)], grid, trials, seed)[0]
+    return estimate_pq_norms_lower(samples, [(p, q)], trials, seed)[0]
 
 
-def exact_l2_norm(symbol, grid):
-    """Essential sup of the symbol norm over the grid: the exact (2,2)
+def exact_l2_norm(samples):
+    """Essential sup of the sampled symbol norms: the exact (2,2)
     multiplier norm on inner-product state spaces."""
-    return float(np.max(symbol.norms_on(grid.freqs)))
+    return float(np.max(samples.norms))
+
+
+def _check_exponents(p, q):
+    """DomainError unless 1 <= p <= q <= oo (NaN fails every comparison)."""
+    if not 1.0 <= p <= q:
+        raise DomainError(f"need 1 <= p <= q, got p={p}, q={q}")
 
 
 def conjugate_exponent(p):
@@ -429,7 +435,7 @@ def fourier_constant(p):
     )
 
 
-def upper_bound_pq_norm_fourier_type(symbol, p, q, grid, fourier_constants=None):
+def upper_bound_pq_norm_fourier_type(samples, p, q, fourier_constants=None):
     """The Fourier-type multiplier bound
     (1/2 pi) F_p F_q' ||  ||m(.)||  ||_{L^r},  1/r = 1/p - 1/q,
     evaluated by left-endpoint quadrature of the sampled symbol norms.
@@ -437,17 +443,16 @@ def upper_bound_pq_norm_fourier_type(symbol, p, q, grid, fourier_constants=None)
     ``fourier_constants`` is the pair (F_p of the source space, F_q' of
     the target space); defaults apply only at the elementary exponents.
     """
-    if q < p:
-        raise DomainError(f"1/r = 1/p - 1/q undefined for q < p (p={p}, q={q})")
+    _check_exponents(p, q)
     if fourier_constants is None:
         fourier_constants = (fourier_constant(p), fourier_constant(conjugate_exponent(q)))
     c1, c2 = fourier_constants
     inv_r = 1.0 / p - (0.0 if q == math.inf else 1.0 / q)
-    norms = symbol.norms_on(grid.freqs)
+    norms = samples.norms
     if inv_r == 0.0:
         lr = float(np.max(norms))
     else:
         r = 1.0 / inv_r
-        lr = float((grid.dxi * np.sum(norms**r)) ** (1.0 / r))
+        lr = float((samples.grid.dxi * np.sum(norms**r)) ** (1.0 / r))
     bound = c1 * c2 * lr / (2.0 * math.pi)
     return PQNormEstimate(float(p), float(q), 0.0, float(bound), "fourier-type-bound")

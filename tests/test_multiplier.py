@@ -30,6 +30,32 @@ def test_grid_validation():
         multiplier.FourierGridSpec(10.0, 100)  # not a power of two
 
 
+def test_grid_nodes_are_read_only_and_keep_their_formulas(grid):
+    assert np.array_equal(grid.times, -0.5 * grid.period + grid.dt * np.arange(grid.samples))
+    assert np.array_equal(grid.freqs, 2.0 * math.pi * np.fft.fftfreq(grid.samples, d=grid.dt))
+    assert grid.times is grid.times and grid.freqs is grid.freqs
+    for nodes in (grid.times, grid.freqs):
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+    # the cached phases are the ones each transform computed per call
+    f = _bump(grid, freq=1.0)
+    forward = grid.dt * np.exp(-1j * grid.freqs * grid.times[0]) * np.fft.fft(f)
+    assert np.array_equal(multiplier.fourier_forward(f, grid), forward)
+    inverse = np.fft.ifft(f * np.exp(1j * grid.freqs * grid.times[0])) / grid.dt
+    assert np.array_equal(multiplier.fourier_inverse(f, grid), inverse)
+
+
+def test_symbol_samples(grid):
+    rsym = multiplier.resolvent_power_symbol(operators.DenseMatrixModel(np.diag([1.0, 2.0])), 1)
+    samples = rsym.on(grid)
+    assert samples.symbol is rsym and samples.grid is grid
+    assert np.array_equal(samples.values, rsym.eval_all(grid.freqs))
+    assert np.array_equal(samples.norms, np.linalg.norm(samples.values, ord=2, axis=(1, 2)))
+    for arr in (samples.values, samples.norms):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_round_trip(grid):
     rng = np.random.default_rng(0)
     f = rng.standard_normal(grid.samples) + 1j * rng.standard_normal(grid.samples)
@@ -48,7 +74,7 @@ def test_parseval_fixes_normalization(grid):
 
 def test_identity_symbol(grid):
     f = _bump(grid, freq=1.0)
-    sym = multiplier.scalar_symbol(lambda x: np.ones_like(np.asarray(x, dtype=complex)))
+    sym = multiplier.Symbol(lambda x: np.ones_like(np.asarray(x, dtype=complex)))
     out = multiplier.apply_multiplier(sym, f, grid)
     assert np.max(np.abs(out - f)) < 1e-12
 
@@ -56,7 +82,7 @@ def test_identity_symbol(grid):
 def test_shift_symbol_is_circular_shift(grid):
     f = _bump(grid, center=3.0)
     h = 8.0 * grid.dt
-    sym = multiplier.scalar_symbol(lambda x: np.exp(-1j * np.asarray(x) * h))
+    sym = multiplier.Symbol(lambda x: np.exp(-1j * np.asarray(x) * h))
     out = multiplier.apply_multiplier(sym, f, grid)
     assert np.max(np.abs(out - np.roll(f, 8))) < 1e-10
 
@@ -65,7 +91,7 @@ def test_scalar_resolvent_symbol_matches_causal_convolution():
     a = 1.0
     grid = multiplier.FourierGridSpec(200.0 / a, 2**14)
     f = _bump(grid, center=0.0, width=1.5)
-    sym = multiplier.scalar_symbol(lambda x: 1.0 / (1j * np.asarray(x) + a))
+    sym = multiplier.Symbol(lambda x: 1.0 / (1j * np.asarray(x) + a))
     out = multiplier.apply_multiplier(sym, f, grid)
     # direct quadrature of the causal convolution with e^{-a t}: the kernel
     # samples start at t = 0, so the linear convolution aligns with the grid
@@ -80,27 +106,28 @@ def test_scalar_resolvent_symbol_matches_causal_convolution():
 
 
 def test_exact_l2_norm_values(grid):
-    sym = multiplier.scalar_symbol(lambda x: 1.0 / (1j * np.asarray(x) + 2.0))
-    assert multiplier.exact_l2_norm(sym, grid) == pytest.approx(0.5, rel=1e-9)
+    sym = multiplier.Symbol(lambda x: 1.0 / (1j * np.asarray(x) + 2.0))
+    assert multiplier.exact_l2_norm(sym.on(grid)) == pytest.approx(0.5, rel=1e-9)
     model = operators.DenseMatrixModel(np.diag([1.0 + 5.0j, 3.0]))
     rsym = multiplier.resolvent_power_symbol(model, 1)
     # normal matrix: sup over xi of max_mu 1/|i xi + mu|; the xi grid hits
     # -Im(mu) = -5 exactly only approximately
-    got = multiplier.exact_l2_norm(rsym, grid)
+    got = multiplier.exact_l2_norm(rsym.on(grid))
     assert got == pytest.approx(1.0, rel=0.02)
 
 
 def test_lower_bound_constant_symbol(grid):
-    sym = multiplier.scalar_symbol(lambda x: 0.7 * np.ones_like(np.asarray(x, dtype=complex)))
-    est = multiplier.estimate_pq_norm_lower(sym, 2.0, 2.0, grid, trials=4, seed=1)
+    sym = multiplier.Symbol(lambda x: 0.7 * np.ones_like(np.asarray(x, dtype=complex)))
+    samples = sym.on(grid)
+    est = multiplier.estimate_pq_norm_lower(samples, 2.0, 2.0, trials=4, seed=1)
     assert est.lower_bound >= 0.99 * 0.7
-    assert est.lower_bound <= multiplier.exact_l2_norm(sym, grid) + 1e-6
+    assert est.lower_bound <= multiplier.exact_l2_norm(samples) + 1e-6
 
 
 def test_lower_bound_requires_q_at_least_p(grid):
-    sym = multiplier.scalar_symbol(lambda x: np.ones_like(np.asarray(x, dtype=complex)))
+    sym = multiplier.Symbol(lambda x: np.ones_like(np.asarray(x, dtype=complex)))
     with pytest.raises(DomainError):
-        multiplier.estimate_pq_norm_lower(sym, 2.0, 1.0, grid)
+        multiplier.estimate_pq_norm_lower(sym.on(grid), 2.0, 1.0)
 
 
 def test_lower_bound_one_infinity_respects_kernel_sup():
@@ -111,20 +138,20 @@ def test_lower_bound_one_infinity_respects_kernel_sup():
     model = operators.DenseMatrixModel(m)
     grid = multiplier.FourierGridSpec(120.0, 2**11)
     sym = multiplier.resolvent_power_symbol(model, 1)
-    est = multiplier.estimate_pq_norm_lower(sym, 1.0, math.inf, grid, trials=6, seed=2)
+    est = multiplier.estimate_pq_norm_lower(sym.on(grid), 1.0, math.inf, trials=6, seed=2)
     kernel_sup = model.semigroup_norm(np.linspace(0.0, 30.0, 120)).max()
     assert est.lower_bound <= kernel_sup + 1e-6
 
 
 def test_upper_bound_values(grid):
-    zero = multiplier.scalar_symbol(lambda x: np.zeros_like(np.asarray(x, dtype=complex)))
-    assert multiplier.upper_bound_pq_norm_fourier_type(zero, 1.0, math.inf, grid).upper_bound == 0.0
-    lor = multiplier.scalar_symbol(lambda x: (1.0 + np.abs(np.asarray(x))) ** -2.0)
-    got = multiplier.upper_bound_pq_norm_fourier_type(lor, 1.0, math.inf, grid).upper_bound
+    zero = multiplier.Symbol(lambda x: np.zeros_like(np.asarray(x, dtype=complex))).on(grid)
+    assert multiplier.upper_bound_pq_norm_fourier_type(zero, 1.0, math.inf).upper_bound == 0.0
+    lor = multiplier.Symbol(lambda x: (1.0 + np.abs(np.asarray(x))) ** -2.0).on(grid)
+    got = multiplier.upper_bound_pq_norm_fourier_type(lor, 1.0, math.inf).upper_bound
     # (1/2 pi) * F_1^2 * integral of (1+|xi|)^-2 = 2/(2 pi) = 1/pi
     assert got == pytest.approx(1.0 / math.pi, rel=0.05)
     with pytest.raises(DomainError):
-        multiplier.upper_bound_pq_norm_fourier_type(lor, 2.0, 1.0, grid)
+        multiplier.upper_bound_pq_norm_fourier_type(lor, 2.0, 1.0)
     with pytest.raises(DomainError):
         multiplier.fourier_constant(1.5)
 
@@ -206,7 +233,7 @@ def test_laplace_identity_scalar():
 
 
 def test_apply_multiplier_shape_errors(grid):
-    sym = multiplier.scalar_symbol(lambda x: np.ones_like(np.asarray(x, dtype=complex)))
+    sym = multiplier.Symbol(lambda x: np.ones_like(np.asarray(x, dtype=complex)))
     with pytest.raises(ShapeError):
         multiplier.apply_multiplier(sym, np.ones(grid.samples // 2), grid)
     model = operators.DenseMatrixModel(np.eye(2))
@@ -220,8 +247,7 @@ def test_apply_multiplier_shape_errors(grid):
 
 
 def _bank(sym, grid, trials, seed):
-    xi_star = float(grid.freqs[int(np.argmax(sym.norms_on(grid.freqs)))])
-    return list(multiplier._witness_bank(sym, grid, trials, seed, xi_star))
+    return list(multiplier._witness_bank(sym.on(grid), trials, seed))
 
 
 def _brute_force_lower(sym, p, q, grid, trials, seed):
@@ -239,10 +265,10 @@ def _brute_force_lower(sym, p, q, grid, trials, seed):
 
 def _scalar_symbol(kind, a):
     if kind == "resolvent":
-        return multiplier.scalar_symbol(lambda x: 1.0 / (1j * x + a))
+        return multiplier.Symbol(lambda x: 1.0 / (1j * x + a))
     if kind == "lorentz":
-        return multiplier.scalar_symbol(lambda x: (1.0 + np.abs(x)) ** -a)
-    return multiplier.scalar_symbol(lambda x: a * np.ones_like(np.asarray(x, dtype=complex)))
+        return multiplier.Symbol(lambda x: (1.0 + np.abs(x)) ** -a)
+    return multiplier.Symbol(lambda x: a * np.ones_like(np.asarray(x, dtype=complex)))
 
 
 def _dense_resolvent_symbol(dim, seed):
@@ -269,11 +295,12 @@ grids = st.builds(multiplier.FourierGridSpec, st.floats(20.0, 200.0),
     pairs=st.lists(st.sampled_from(battery.PQ_PAIRS), min_size=1, max_size=4, unique=True),
 )
 def test_many_pairs_search_equals_brute_force(sym, grid, trials, seed, pairs):
-    got = multiplier.estimate_pq_norms_lower(sym, pairs, grid, trials=trials, seed=seed)
+    samples = sym.on(grid)
+    got = multiplier.estimate_pq_norms_lower(samples, pairs, trials=trials, seed=seed)
     assert [(e.p, e.q) for e in got] == pairs
     for (p, q), est in zip(pairs, got):
         assert est.lower_bound == _brute_force_lower(sym, p, q, grid, trials, seed)
-        assert multiplier.estimate_pq_norm_lower(sym, p, q, grid, trials, seed) == est
+        assert multiplier.estimate_pq_norm_lower(samples, p, q, trials, seed) == est
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -288,16 +315,43 @@ def test_witness_bank_prefix(sym, grid, trials, extra, seed):
 
 
 @pytest.mark.parametrize("pairs", [[(2.0, 1.0)], [(1.0, 2.0), (math.inf, 2.0)]])
-def test_many_pairs_rejects_q_below_p_before_work(grid, pairs):
+def test_many_pairs_rejects_q_below_p_before_work(grid, pairs, monkeypatch):
     calls = []
-
-    def fn(x):
-        calls.append(1)
-        return np.ones_like(np.asarray(x, dtype=complex))
-
+    monkeypatch.setattr(multiplier, "_witness_bank", lambda *args: calls.append(1) or iter(()))
+    samples = multiplier.Symbol(lambda x: np.ones_like(np.asarray(x, dtype=complex))).on(grid)
     with pytest.raises(DomainError):
-        multiplier.estimate_pq_norms_lower(multiplier.scalar_symbol(fn), pairs, grid)
+        multiplier.estimate_pq_norms_lower(samples, pairs)
     assert not calls
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 2.0), (0.5, 0.5), (-math.inf, 1.0), (math.nan, 2.0),
+                                  (2.0, math.nan), (math.nan, math.nan), (2.0, 1.0), (math.inf, 2.0)])
+def test_both_bounds_reject_bad_exponents_before_work(grid, p, q, monkeypatch):
+    calls = []
+    monkeypatch.setattr(multiplier, "_witness_bank", lambda *args: calls.append(1) or iter(()))
+    samples = multiplier.Symbol(lambda x: 1.0 / (1j * x + 1.0)).on(grid)
+    with pytest.raises(DomainError):
+        multiplier.estimate_pq_norms_lower(samples, [(p, q)])
+    with pytest.raises(DomainError):
+        multiplier.upper_bound_pq_norm_fourier_type(samples, p, q, fourier_constants=(1.0, 1.0))
+    assert not calls
+
+
+def test_each_symbol_is_evaluated_once(tmp_path, monkeypatch):
+    # mult.norms and `semistab mult` sample each of their 4 symbols once
+    evaluated = []
+    eval_all = multiplier.Symbol.eval_all
+
+    def counted(self, xis):
+        evaluated.append(id(self))
+        return eval_all(self, xis)
+
+    monkeypatch.setattr(multiplier.Symbol, "eval_all", counted)
+    assert battery.case_mult_norms(0).passed
+    assert len(evaluated) == len(set(evaluated)) == 4
+    evaluated.clear()
+    assert cli.main(["mult", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    assert len(evaluated) == len(set(evaluated)) == 4
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -336,10 +390,10 @@ def test_mult_command(tmp_path, capsys):
     for name, sym in battery._mult_battery(np.random.Generator(np.random.Philox(key=seed))):
         for p, q in battery.PQ_PAIRS:
             lower = _brute_force_lower(sym, p, q, grid, 8, seed)
-            upper = multiplier.upper_bound_pq_norm_fourier_type(sym, p, q, grid).upper_bound
+            upper = multiplier.upper_bound_pq_norm_fourier_type(sym.on(grid), p, q).upper_bound
             want.append([f"{name};p={p:g};q={q:g}", "", f"{lower:.9g}", "", f"{upper:.9g}", "pq-norm",
                          "PASS" if lower <= upper + 1e-6 else "FAIL"])
-        exact = multiplier.exact_l2_norm(sym, grid)
+        exact = multiplier.exact_l2_norm(sym.on(grid))
         want.append([f"{name};p=2;q=2", "", f"{exact:.9g}", "", "", "plancherel-exact", ""])
     with open(tmp_path / "m" / "mult.csv", newline="") as fh:
         rows = list(csv.reader(fh))
