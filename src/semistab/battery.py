@@ -512,16 +512,19 @@ PQ_PAIRS = ((2.0, 2.0), (1.0, 2.0), (2.0, math.inf), (1.0, math.inf))
 
 
 def pq_bounds(samples, seed):
-    """(p, q, lower, upper, ok) for each ``PQ_PAIRS`` entry: the witness-search
-    lower bound (8 trials, all pairs in one pass) and the Fourier-type
-    upper bound of the sampled symbol's (L^p, L^q) multiplier norm, and
-    whether the lower bound stays below the upper (to 1e-6)."""
-    lowers = multiplier.estimate_pq_norms_lower(samples, PQ_PAIRS, trials=8, seed=seed)
+    """The sampled symbol's 12-trial (2,2) witness-search estimate, and
+    (p, q, lower, upper, ok) for each ``PQ_PAIRS`` entry: the 8-trial
+    witness-search lower bound and the Fourier-type upper bound of its
+    (L^p, L^q) multiplier norm, and whether the lower bound stays below
+    the upper (to 1e-6).  One witness pass: the 8-trial bank is a prefix
+    of the 12-trial one."""
+    l2, *lowers = multiplier.estimate_pq_norm_lower(
+        samples, [(2.0, 2.0), *PQ_PAIRS], [12] + [8] * len(PQ_PAIRS), seed)
     bounds = []
-    for (p, q), lower in zip(PQ_PAIRS, lowers):
-        upper = multiplier.upper_bound_pq_norm_fourier_type(samples, p, q).upper_bound
-        bounds.append((p, q, lower.lower_bound, upper, lower.lower_bound <= upper + 1e-6))
-    return bounds
+    for est in lowers:
+        upper = multiplier.upper_bound_pq_norm_fourier_type(samples, est.p, est.q).upper_bound
+        bounds.append((est.p, est.q, est.lower_bound, upper, est.lower_bound <= upper + 1e-6))
+    return l2, bounds
 
 
 def _mult_battery(rng):
@@ -539,10 +542,10 @@ def case_mult_norms(out, seed):
     rng = _rng(seed, 8)
     grid = multiplier.FourierGridSpec(200.0, 2**13)
     battery = [(name, sym.on(grid)) for name, sym in _mult_battery(rng)]
+    bounds = [pq_bounds(samples, seed) for _, samples in battery]
     worst_gap = 0.0
-    for name, samples in battery:
+    for (name, samples), (lower, _) in zip(battery, bounds):
         exact = multiplier.exact_l2_norm(samples)
-        lower = multiplier.estimate_pq_norm_lower(samples, 2.0, 2.0, trials=12, seed=seed)
         gap = (exact - lower.lower_bound) / exact
         worst_gap = max(worst_gap, gap)
         ok = lower.lower_bound <= exact + 1e-6 and gap <= 0.05
@@ -551,11 +554,9 @@ def case_mult_norms(out, seed):
     out.add("(2,2) witness search within 5% of the symbol sup", worst_gap <= 0.05,
             f"worst gap {100 * worst_gap:.2f}%")
 
-    # a separate pass: the (2,2) search above draws 12 trials, these 8, and
-    # one shared pass would change one of the two sets of lower bounds
     violations = []
-    for name, samples in battery:
-        for p, q, lower, upper, ok in pq_bounds(samples, seed):
+    for (name, _), (_, pq) in zip(battery, bounds):
+        for p, q, lower, upper, ok in pq:
             out.row(t_or_xi=f"{name};p={p:g};q={q:g}", value=f"{lower:.6f}",
                     predicted=f"{upper:.6f}", source="pq-bounds", verdict="PASS" if ok else "FAIL")
             if not ok:
@@ -576,52 +577,44 @@ def case_mult_norms(out, seed):
 # criterion 9
 
 
+def _algebra_tuples(rng, count):
+    """Four arrays of ``count`` tuples (alpha, beta, sigma, tau), alpha and beta 0 or u as
+    ``rng.choice([0.0, u])`` draws them; filled in place (a tuple list fragments the heap)."""
+    tuples = np.empty((count, 4))
+    for row in tuples:
+        row[0] = (0.0, rng.uniform(0.0, 3.0))[rng.integers(0, 2)]
+        row[1] = (0.0, rng.uniform(0.0, 3.0))[rng.integers(0, 2)]
+        row[2], row[3] = rng.uniform(0.0, 5.0), rng.uniform(0.0, 6.0)
+    return tuples.T
+
+
 @_case("predict.algebra", "9")
 def case_predict_algebra(out, seed):
     rng = _rng(seed, 9)
-    geometry_p1 = decaylab.GeometryDescriptor(fourier_type=1.0)
     n_tuples = 10**4
-    mismatches = 0
-    for _ in range(n_tuples):
-        alpha = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
-        beta = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
-        sigma = float(rng.uniform(0.0, 5.0))
-        tau = float(rng.uniform(0.0, 6.0))
-        a = decaylab.predict_rate_general(alpha, beta, sigma, tau)
-        b = decaylab.predict_rate_fourier_type(alpha, beta, sigma, tau, geometry_p1)
-        if (a.rho != b.rho and not (a.rho is None and b.rho is None)) or a.applicable != b.applicable:
-            mismatches += 1
+    alpha, beta, sigma, tau = _algebra_tuples(rng, n_tuples)
+    # rho is -oo exactly where a condition fails (a rate is > -1), so equal
+    # rhos are equal predictions
+    general = decaylab.GENERAL_RULE.rates(alpha, beta, sigma, tau)[0]
+    p1 = decaylab.fourier_type_rule(decaylab.GeometryDescriptor(fourier_type=1.0))
+    mismatches = np.count_nonzero(general != p1.rates(alpha, beta, sigma, tau)[0])
     out.add(f"fourier-type at p=1 equals the general rate on {n_tuples} tuples",
             mismatches == 0, f"{mismatches} mismatches")
 
-    def rho_key(pred):
-        if not pred.applicable or pred.rho is None:
-            return -math.inf
-        return pred.rho
-
-    geo = decaylab.GeometryDescriptor(fourier_type=1.5)
-    hil = decaylab.GeometryDescriptor(hilbert=True)
+    # (alpha, beta, sigma, tau, d) in the order of 2000 draws of five uniforms
+    lows, highs = (0.0, 0.0, 0.0, 0.0, 0.01), (3.0, 3.0, 5.0, 6.0, 1.0)
+    alpha, beta, sigma, tau, d = rng.uniform(lows, highs, size=(2000, 5)).T
     bad_mono = 0
-    for _ in range(2000):
-        alpha = float(rng.uniform(0.0, 3.0))
-        beta = float(rng.uniform(0.0, 3.0))
-        sigma = float(rng.uniform(0.0, 5.0))
-        tau = float(rng.uniform(0.0, 6.0))
-        d = float(rng.uniform(0.01, 1.0))
-        for maker in (
-            lambda a_, b_, s_, t_: decaylab.predict_rate_general(a_, b_, s_, t_),
-            lambda a_, b_, s_, t_: decaylab.predict_rate_fourier_type(a_, b_, s_, t_, geo),
-            lambda a_, b_, s_, t_: decaylab.predict_rate_fourier_type(a_, b_, s_, t_, hil),
-        ):
-            base = rho_key(maker(alpha, beta, sigma, tau))
-            if rho_key(maker(alpha, beta, sigma + d, tau)) < base:
-                bad_mono += 1
-            if rho_key(maker(alpha, beta, sigma, tau + d)) < base:
-                bad_mono += 1
-            if rho_key(maker(alpha + d, beta, sigma, tau)) > base:
-                bad_mono += 1
-            if rho_key(maker(alpha, beta + d, sigma, tau)) > base:
-                bad_mono += 1
+    for rule in (
+        decaylab.GENERAL_RULE,
+        decaylab.fourier_type_rule(decaylab.GeometryDescriptor(fourier_type=1.5)),
+        decaylab.fourier_type_rule(decaylab.GeometryDescriptor(hilbert=True)),
+    ):
+        base = rule.rates(alpha, beta, sigma, tau)[0]
+        bad_mono += np.count_nonzero(rule.rates(alpha, beta, sigma + d, tau)[0] < base)
+        bad_mono += np.count_nonzero(rule.rates(alpha, beta, sigma, tau + d)[0] < base)
+        bad_mono += np.count_nonzero(rule.rates(alpha + d, beta, sigma, tau)[0] > base)
+        bad_mono += np.count_nonzero(rule.rates(alpha, beta + d, sigma, tau)[0] > base)
     out.add("rates monotone in all four indices (random sweep)", bad_mono == 0,
             f"{bad_mono} violations")
 

@@ -8,9 +8,10 @@ so the exponential regime appears as rho = oo and is distinct from "no
 rate" (a failed hypothesis).
 
 The general, Fourier-type and type/cotype calculators apply one rule,
-``_polynomial_rate``: rho = min((sigma+1)/alpha - 1, (tau-1/r)/beta - 1)
-under sigma > alpha - 1 and tau > beta + 1/r.  The geometry enters only
-through the smoothing index 1/r: 1 on a general Banach space, 1/p - 1/p'
+``RateRule``, elementwise over arrays of index tuples:
+rho = min((sigma+1)/alpha - 1, (tau-1/r)/beta - 1) under sigma > alpha - 1
+and tau > beta + 1/r.  The geometry enters only through the smoothing
+index 1/r: 1 on a general Banach space, 1/p - 1/p'
 for Fourier type p (``_fourier_index``), 1/p - 1/q for type p and cotype
 q or a p-convex, q-concave lattice (``_pq_index``), and 0 on a Hilbert
 space.  The same map gives ``exponential_smoothness_index``.
@@ -35,10 +36,9 @@ INF = math.inf
 
 
 def _div(num, den):
-    """num/den with the 1/0 = 0/0 = oo convention (num, den >= 0)."""
-    if den == 0.0:
-        return INF
-    return num / den
+    """num/den with the 1/0 = 0/0 = oo convention (num, den >= 0), elementwise."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(den == 0.0, INF, np.true_divide(num, den))
 
 
 @dataclass(frozen=True)
@@ -116,37 +116,57 @@ def _pq_index(p, q):
     return 1.0 / p - (0.0 if q == INF else 1.0 / q)
 
 
-def _polynomial_rate(source, alpha, beta, sigma, tau, r_index, attained, tau_rule, conds=()):
+@dataclass(frozen=True)
+class RateRule:
     """The rate theorem of every geometry: rho = min((sigma+1)/alpha - 1,
     (tau-1/r)/beta - 1) under sigma > alpha - 1 and tau > beta + 1/r.  An
     ``attained`` rule (Hilbert space, lattices) also admits tau = beta + 1/r,
-    and its beta branch is attained; ``tau_rule`` names the tau condition
-    after the extra ``conds``."""
-    tau_ok = tau >= beta + r_index if attained else tau > beta + r_index
-    sigma_ok = Condition("sigma > alpha - 1", sigma > alpha - 1.0)
-    conds = [*conds, sigma_ok, Condition(tau_rule, tau_ok)]
-    branch_a = _div(sigma + 1.0, alpha) - 1.0
-    branch_b = _div(tau - r_index, beta) - 1.0
-    strict = branch_a < branch_b if attained else True
-    return _prediction(source, conds, min(branch_a, branch_b), strict, r_index)
+    and its beta branch is attained; ``tau_rule`` names the tau condition."""
+
+    source: str
+    r_index: float
+    attained: bool
+    tau_rule: str
+
+    def rates(self, alpha, beta, sigma, tau):
+        """(rho, sigma_ok, tau_ok, strict), elementwise over arrays of the
+        indices; rho is -oo where a condition fails."""
+        sigma_ok = sigma > alpha - 1.0
+        tau_ok = tau >= beta + self.r_index if self.attained else tau > beta + self.r_index
+        branch_a = _div(sigma + 1.0, alpha) - 1.0
+        branch_b = _div(tau - self.r_index, beta) - 1.0
+        strict = branch_a < branch_b if self.attained else np.full(np.shape(branch_a), True)
+        return np.where(sigma_ok & tau_ok, np.minimum(branch_a, branch_b), -INF), sigma_ok, tau_ok, strict
+
+    def predict(self, alpha, beta, sigma, tau, conds=()):
+        """The ``RatePrediction`` at one tuple, with the extra ``conds`` first."""
+        rho, sigma_ok, tau_ok, strict = self.rates(alpha, beta, sigma, tau)
+        conds = [*conds, Condition("sigma > alpha - 1", bool(sigma_ok)), Condition(self.tau_rule, bool(tau_ok))]
+        return _prediction(self.source, conds, rho, bool(strict), self.r_index)
+
+
+GENERAL_RULE = RateRule("general-banach", 1.0, False, "tau > beta + 1")
+
+
+def fourier_type_rule(geometry):
+    """The rule of Fourier type p; its Hilbert branch (p = 2) is attained."""
+    p = geometry.fourier_type
+    if p is None:
+        raise DomainError("geometry.fourier_type is required")
+    if p == 2.0:
+        return RateRule("fourier-type-hilbert", _fourier_index(p), True, "tau >= beta")
+    return RateRule("fourier-type", _fourier_index(p), False, "tau > beta + 1/r")
 
 
 def predict_rate_general(alpha, beta, sigma, tau):
     """Rate on a general Banach space (1/r = 1): rho < min((sigma+1)/alpha - 1,
     (tau-1)/beta - 1) under sigma > alpha - 1 and tau > beta + 1."""
-    return _polynomial_rate("general-banach", alpha, beta, sigma, tau, 1.0, False, "tau > beta + 1")
+    return GENERAL_RULE.predict(alpha, beta, sigma, tau)
 
 
 def predict_rate_fourier_type(alpha, beta, sigma, tau, geometry):
-    """Rate under a Fourier-type hypothesis; the Hilbert branch (p = 2)
-    allows tau >= beta with the beta-branch exponent attained."""
-    p = geometry.fourier_type
-    if p is None:
-        raise DomainError("geometry.fourier_type is required")
-    args = (alpha, beta, sigma, tau, _fourier_index(p))
-    if p == 2.0:
-        return _polynomial_rate("fourier-type-hilbert", *args, True, "tau >= beta")
-    return _polynomial_rate("fourier-type", *args, False, "tau > beta + 1/r")
+    """Rate under a Fourier-type hypothesis (``fourier_type_rule``)."""
+    return fourier_type_rule(geometry).predict(alpha, beta, sigma, tau)
 
 
 def predict_rate_type_cotype(alpha, beta, sigma, tau, geometry):
@@ -156,15 +176,13 @@ def predict_rate_type_cotype(alpha, beta, sigma, tau, geometry):
     if p is None or q is None:
         raise DomainError("geometry.type_p and geometry.cotype_q are required")
     asserted = (Condition("R-resolvent growth asserted", geometry.r_resolvent_growth_asserted),)
-    args = (alpha, beta, sigma, tau, _pq_index(p, q))
+    args = (alpha, beta, sigma, tau, asserted)
     if p == 2.0 and q == 2.0:
-        return _polynomial_rate("type-cotype-hilbert", *args, True, "tau >= beta", asserted)
-    best = _polynomial_rate("type-cotype", *args, False, "tau > beta + 1/r", asserted)
+        return RateRule("type-cotype-hilbert", _pq_index(p, q), True, "tau >= beta").predict(*args)
+    best = RateRule("type-cotype", _pq_index(p, q), False, "tau > beta + 1/r").predict(*args)
     if geometry.lattice is not None:
-        lat = _polynomial_rate(
-            "type-cotype-lattice", alpha, beta, sigma, tau, _pq_index(*geometry.lattice),
-            True, "tau >= beta + 1/r", asserted,
-        )
+        lat = RateRule("type-cotype-lattice", _pq_index(*geometry.lattice), True,
+                       "tau >= beta + 1/r").predict(*args)
         if lat.applicable and (not best.applicable or lat.rho >= best.rho):
             best = lat
     return best
@@ -195,9 +213,9 @@ def predict_rate_growth_aware(alpha, beta, sigma, tau, mu):
     if mu < 0:
         raise DomainError(f"need mu >= 0, got {mu}")
     # (source, raw exponent, strict, log_factor) of each candidate
-    candidates = [("growth-aware", min(_div(sigma, alpha), _div(tau, beta)), True, False)]
+    candidates = [("growth-aware", float(min(_div(sigma, alpha), _div(tau, beta))), True, False)]
     if alpha == 0.0:
-        candidates.append(("growth-aware-scaling", _div(tau, beta), False, True))
+        candidates.append(("growth-aware-scaling", float(_div(tau, beta)), False, True))
     preds = []
     for source, raw, strict, log_factor in candidates:
         net = raw - mu if raw != INF else INF

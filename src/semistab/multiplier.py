@@ -14,8 +14,8 @@ sup norm).  Time-domain samples live on t_k = -L/2 + k L/N.
 
 A symbol is sampled once per grid (``Symbol.on``), and the exact (2,2)
 norm, the Fourier-type upper bound and the witness search all read those
-samples.  The witness search scores a whole list of (p, q) pairs in one
-streamed pass over its bank, holding only one witness and its image.
+samples.  The witness search scores a whole list of (p, q) pairs, each on
+its own prefix of one streamed bank, holding only one witness and its image.
 """
 
 from __future__ import annotations
@@ -100,13 +100,18 @@ def fourier_inverse(F, grid):
 
 def lebesgue_norm(f, p, grid):
     """Discrete L^p norm with left-endpoint weights; p may be math.inf."""
+    if not 1.0 <= p:  # the rule of _check_exponents, which NaN fails too
+        raise DomainError(f"need 1 <= p <= oo, got {p}")
+    return _lebesgue_norms(f, [p], grid)[p]
+
+
+def _lebesgue_norms(f, ps, grid):
+    """{p: ``lebesgue_norm(f, p, grid)``} for checked exponents ``ps``, from
+    the pointwise magnitudes of f, taken once."""
     f = np.asarray(f)
     mags = np.abs(f) if f.ndim == 1 else np.linalg.norm(f, axis=1)
-    if p == math.inf:
-        return float(np.max(mags))
-    if p < 1:
-        raise DomainError(f"need p >= 1, got {p}")
-    return float((grid.dt * np.sum(mags**p)) ** (1.0 / p))
+    return {p: float(np.max(mags)) if p == math.inf else float((grid.dt * np.sum(mags**p)) ** (1.0 / p))
+            for p in ps}
 
 
 class Symbol:
@@ -331,7 +336,9 @@ def _witness_bank(samples, trials, seed):
     8 modulations (the first at the peak frequency of the symbol norms),
     then ``trials`` seeded random band-limited draws.  A matrix symbol
     takes each profile along the top right singular vector of its value
-    at the peak and along one seeded random direction.
+    at the peak and along one seeded random direction.  Each witness
+    comes as ``(need, witness)``: the fewest trials whose bank holds it,
+    0 for a bump and i + 1 for trial i.
 
     The ``trials=k`` bank is an exact prefix of the ``trials=k+j`` bank:
     the bumps draw no random numbers, the random direction is drawn
@@ -350,9 +357,9 @@ def _witness_bank(samples, trials, seed):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         directions = [vh[0].conj(), v / np.linalg.norm(v)]
 
-    def emit(profile):
+    def emit(need, profile):
         for direction in directions:
-            yield profile if direction is None else profile[:, None] * direction[None, :]
+            yield need, profile if direction is None else profile[:, None] * direction[None, :]
 
     scales = [L / 2.0** (j + 3) for j in range(8)]
     xi_max = float(np.max(np.abs(xis)))
@@ -360,46 +367,41 @@ def _witness_bank(samples, trials, seed):
     for s in scales:
         bump = np.exp(-0.5 * (ts / s) ** 2)
         for wfreq in mods:
-            yield from emit(bump * np.exp(1j * wfreq * ts))
+            yield from emit(0, bump * np.exp(1j * wfreq * ts))
     band = np.abs(xis) <= xi_max / 4.0
-    for _ in range(int(trials)):
+    for i in range(int(trials)):
         coeff = np.zeros(grid.samples, dtype=complex)
         coeff[band] = rng.standard_normal(int(band.sum())) + 1j * rng.standard_normal(int(band.sum()))
-        yield from emit(fourier_inverse(coeff, grid))
+        yield from emit(i + 1, fourier_inverse(coeff, grid))
 
 
-def estimate_pq_norms_lower(samples, pairs, trials=16, seed=0):
+def estimate_pq_norm_lower(samples, pairs, trials=16, seed=0):
     """Witness-search lower bounds of the sampled symbol's (L^p, L^q)
-    multiplier norms, one ``PQNormEstimate`` per ``(p, q)`` in ``pairs``.
+    multiplier norm, one ``PQNormEstimate`` per ``(p, q)`` in ``pairs``.
 
-    One streamed pass over the witness bank scores every pair: each
-    witness is transformed, hit by the symbol samples and transformed
-    back once, then normed at each needed p and q.  Only the current
-    witness and its image are held, never the bank.  Deterministic for a
-    given seed; the true norm may exceed the result by an unquantified
-    gap, so each estimate is labelled a lower bound.
+    ``trials`` is one count, or one per pair.  One streamed pass over the
+    bank of the largest count scores each pair on its own count's bank, a
+    prefix: each witness is transformed, hit by the symbol samples and
+    transformed back once, and normed at each needed p and q from
+    magnitudes taken once.  Only the current witness and its image are
+    held.  Deterministic for a given seed; the true norm may exceed the
+    result by an unquantified gap, so each estimate is a lower bound.
     """
     pairs = [(float(p), float(q)) for p, q in pairs]
     for p, q in pairs:
         _check_exponents(p, q)
+    counts = np.broadcast_to(np.maximum(trials, 0), len(pairs))  # below 0: the bumps only
     grid = samples.grid
-    ps = {p for p, _ in pairs}
-    qs = {q for _, q in pairs}
     best = [0.0] * len(pairs)
-    for f in _witness_bank(samples, trials, seed):
-        out = _apply_values(samples.values, f, grid)
-        denoms = {p: lebesgue_norm(f, p, grid) for p in ps}
-        nums = {q: lebesgue_norm(out, q, grid) for q in qs}
-        for i, (p, q) in enumerate(pairs):
+    for need, f in _witness_bank(samples, max(counts, default=0), seed):
+        live = [i for i, k in enumerate(counts) if need <= k]
+        denoms = _lebesgue_norms(f, {pairs[i][0] for i in live}, grid)
+        nums = _lebesgue_norms(_apply_values(samples.values, f, grid), {pairs[i][1] for i in live}, grid)
+        for i in live:
+            p, q = pairs[i]
             if denoms[p] != 0.0:
                 best[i] = max(best[i], nums[q] / denoms[p])
     return [PQNormEstimate(p, q, float(b), None, "witness-search") for (p, q), b in zip(pairs, best)]
-
-
-def estimate_pq_norm_lower(samples, p, q, trials=16, seed=0):
-    """Witness-search lower bound for one (L^p, L^q) multiplier norm; see
-    ``estimate_pq_norms_lower``."""
-    return estimate_pq_norms_lower(samples, [(p, q)], trials, seed)[0]
 
 
 def exact_l2_norm(samples):

@@ -53,6 +53,7 @@ _SING_TOL = 1e-11
 # branch and bound in JordanSumModel skips a block once its bound times
 # this factor is at most the best norm found
 _BOUND_MARGIN = 1.0 + 1e-10
+_LINE_ENTRIES = 2**20  # block-sum resolvent rows are built in chunks of about this many entries
 
 
 @dataclass(frozen=True)
@@ -442,6 +443,24 @@ def _exp_convolve(rows, t):
     return fftconvolve(rows, _exp_series_coeffs(t, m)[None, :], axes=1)[:, :m]
 
 
+def _branch_and_bound(ub, norm_of):
+    """(best, at): the largest ``norm_of(i)`` over the candidates of the bounds ``ub``
+    (consumed) and the first candidate attaining it, or None.  The first of largest
+    bound goes next while that bound times ``_BOUND_MARGIN`` could beat the best;
+    ``norm_of`` may instead lower bounds in ``ub`` and return None."""
+    best, at = 0.0, None
+    while True:
+        i = int(np.argmax(ub))
+        if not ub[i] * _BOUND_MARGIN > best:
+            return best, at
+        val = norm_of(i)
+        if val is None:
+            continue
+        ub[i] = -np.inf
+        if val > best:
+            best, at = val, i
+
+
 class _BlockRows(NamedTuple):
     """Coefficient rows of a set of blocks, grouped by block size: group g
     owns the numbers starts[g]:starts[g+1] and rows[g] holds their rows, of
@@ -452,13 +471,6 @@ class _BlockRows(NamedTuple):
     l1: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
-
-    @classmethod
-    def padded(cls, ns, rows, counts, sizes):
-        """From zero-padded ``rows``, counts[g] of them in group g."""
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        groups = tuple(rows[a:b, :m] for a, b, m in zip(starts[:-1], starts[1:], sizes))
-        return cls(ns, groups, np.abs(rows).sum(axis=1), starts, sizes)
 
 
 class JordanSumModel(OperatorModel):
@@ -577,15 +589,13 @@ class JordanSumModel(OperatorModel):
             for t in self._check_times(ts)
         ])
 
-    def _sup_over_blocks(self, blocks, t=0.0):
+    def _sup_over_blocks(self, blocks, t):
         """Exact sup of the block norms of ``blocks`` (a ``_BlockRows``) and whether n_max attains it.
 
         The blocks' rows are e(t) * blocks.rows, truncated (see the class
-        docstring).  Branch and bound: the block with the largest upper
-        bound goes to an SVD while that bound could beat the best value,
-        with a relative margin of ``_BOUND_MARGIN`` for rounding.  Bounds
-        start at s_m(t) ||phi||_1; the first visit to a group (t > 0)
-        convolves its rows and caps their bounds at the rows' l1 norms.
+        docstring), and ``_branch_and_bound`` visits them.  Bounds start at
+        s_m(t) ||phi||_1; the first visit to a group (t > 0) convolves its
+        rows and caps their bounds at the rows' l1 norms.
         """
         starts, sizes = blocks.starts, blocks.sizes
         ub = blocks.l1.copy()
@@ -593,43 +603,45 @@ class JordanSumModel(OperatorModel):
         if t:
             gains = np.cumsum(_exp_series_coeffs(t, int(sizes[-1])))[sizes - 1]
             ub *= np.repeat(gains, np.diff(starts))
-        best, at_edge = 0.0, False
-        while True:
-            i = int(np.argmax(ub))
-            if not ub[i] * _BOUND_MARGIN > best:
-                break
+
+        def norm_of(i):
             g = int(np.searchsorted(starts, i, side="right")) - 1
             lo, hi = starts[g], starts[g + 1]
-            if g not in exact:
-                exact[g] = _exp_convolve(blocks.rows[g], t)
-                np.minimum(ub[lo:hi], np.abs(exact[g]).sum(axis=1), out=ub[lo:hi])
-                continue
-            val = _toeplitz_norm(exact[g][i - lo])
-            ub[i] = -np.inf
-            if val > best:
-                best, at_edge = val, bool(blocks.ns[i] == self.n_max)
-        return best, at_edge
+            if g in exact:
+                return _toeplitz_norm(exact[g][i - lo])
+            exact[g] = _exp_convolve(blocks.rows[g], t)
+            np.minimum(ub[lo:hi], np.abs(exact[g]).sum(axis=1), out=ub[lo:hi])
+            return None
+
+        best, at = _branch_and_bound(ub, norm_of)
+        return best, at is not None and bool(blocks.ns[at] == self.n_max)
 
     @_off_spectrum
     def shifted_resolvent_norm(self, lams):
-        x = lams.imag[:, None]
-        # the block of each group nearest x, or both neighbours on an exact tie
-        lo = np.minimum(np.maximum(np.floor(x), self._firsts), self._lasts)
-        hi = np.minimum(lo + 1.0, self._lasts)
-        d_lo, d_hi = np.abs(x - lo), np.abs(x - hi)
-        take = np.stack([(lo == hi) | (d_lo <= d_hi), (lo != hi) & (d_hi <= d_lo)], axis=2)
-        near = np.stack([lo, hi], axis=2)
-        ks = np.arange(self._sizes[-1])
         norms, edges = np.empty(len(lams)), np.zeros(len(lams), dtype=bool)
-        for j, lam in enumerate(lams):
-            ns, counts = near[j][take[j]], take[j].sum(axis=1)
-            w = lam - 1j * ns + self.gamma
+        ks = np.arange(self._sizes[-1])
+        step = max(1, _LINE_ENTRIES // (len(ks) * len(self._sizes)))
+        for first in range(0, len(lams), step):
+            chunk = lams[first : first + step]
+            x = chunk.imag[:, None]
+            # the block of each group nearest x, or both neighbours on an exact tie
+            lo = np.minimum(np.maximum(np.floor(x), self._firsts), self._lasts)
+            hi = np.minimum(lo + 1.0, self._lasts)
+            d_lo, d_hi = np.abs(x - lo), np.abs(x - hi)
+            take = np.stack([(lo == hi) | (d_lo <= d_hi), (lo != hi) & (d_hi <= d_lo)], axis=2)
+            point, group, _ = np.nonzero(take)  # point by point, in group order
+            ns, sizes = np.stack([lo, hi], axis=2)[take], self._sizes[group]
+            w = chunk[point] - 1j * ns + self.gamma
             # w^(k+1) overflows at large |w|: nan where the entry underflows to 0
             with np.errstate(over="ignore", invalid="ignore"):
                 rows = w[:, None] ** (-(ks[None, :] + 1.0))
             rows[np.isnan(rows) & (np.abs(w) > 1.0)[:, None]] = 0.0
-            rows[ks[None, :] >= np.repeat(self._sizes, counts)[:, None]] = 0.0
-            norms[j], edges[j] = self._sup_over_blocks(_BlockRows.padded(ns, rows, counts, self._sizes))
+            rows[ks[None, :] >= sizes[:, None]] = 0.0
+            l1 = np.abs(rows).sum(axis=1)
+            starts = np.searchsorted(point, np.arange(len(chunk) + 1))
+            for j, (a, b) in enumerate(zip(starts[:-1], starts[1:]), start=first):
+                best, at = _branch_and_bound(l1[a:b], lambda i: _toeplitz_norm(rows[a + i, : sizes[a + i]]))
+                norms[j], edges[j] = best, at is not None and ns[a + at] == self.n_max
         return norms, edges
 
     def _phi_block_rows(self, sigma, tau, ns, m):
@@ -655,7 +667,9 @@ class JordanSumModel(OperatorModel):
         counts = [len(ns) for ns in ends]
         ns = np.concatenate(ends)
         phi = self._phi_block_rows(sigma, tau, ns, np.repeat(self._sizes, counts))
-        return _BlockRows.padded(ns, phi, counts, self._sizes)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        rows = tuple(phi[a:b, :m] for a, b, m in zip(starts[:-1], starts[1:], self._sizes))
+        return _BlockRows(ns, rows, np.abs(phi).sum(axis=1), starts, self._sizes)
 
     def fractional_norm(self, ts, sigma, tau):
         ts = self._check_times(ts)

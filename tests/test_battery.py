@@ -3,6 +3,9 @@ list, the case call, and the one CSV row a check may carry."""
 
 import inspect
 
+import numpy as np
+import pytest
+
 from semistab import battery, cli
 
 # the order of verify-examples' printout and of verify.csv
@@ -51,3 +54,23 @@ def test_a_check_carries_at_most_one_row_with_its_verdict():
     assert res.rows[0] == {**dict.fromkeys(cli.CSV_HEADER, ""), "case": "x", "value": "1.5",
                            "source": "s", "verdict": "FAIL"}
     assert list(res.rows[1]) == cli.CSV_HEADER
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_predict_algebra_draws_the_tuples_of_choice(seed):
+    # predict.algebra's zero-or-uniform draws read the stream as
+    # rng.choice([0.0, u]) does, and its monotonicity sweep's one block of
+    # uniforms as 2000 rounds of five scalar draws
+    rng = battery._rng(seed, 9)
+    want = []
+    for _ in range(10**4):
+        alpha = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+        beta = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+        want.append((alpha, beta, float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 6.0))))
+    sweep = [[rng.uniform(lo, hi) for lo, hi in ((0, 3), (0, 3), (0, 5), (0, 6), (0.01, 1))]
+             for _ in range(2000)]
+    got_rng = battery._rng(seed, 9)
+    assert np.array_equal(battery._algebra_tuples(got_rng, 10**4), np.array(want).T)
+    lows, highs = (0.0, 0.0, 0.0, 0.0, 0.01), (3.0, 3.0, 5.0, 6.0, 1.0)
+    assert np.array_equal(got_rng.uniform(lows, highs, size=(2000, 5)), sweep)
+    assert got_rng.integers(0, 2**32) == rng.integers(0, 2**32)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semistab import decaylab, numcore, operators
@@ -252,6 +252,47 @@ def test_rates_monotone_in_all_four_indices(rate, alpha, beta, sigma, tau, d):
     assert _rate_key(rate(alpha, beta, sigma, tau + d)) >= base
     assert _rate_key(rate(alpha + d, beta, sigma, tau)) <= base
     assert _rate_key(rate(alpha, beta + d, sigma, tau)) <= base
+
+
+# (rule, its scalar calculator): general, Fourier type 1.5 and the Hilbert branch
+_RULE_PAIRS = [
+    (decaylab.GENERAL_RULE, decaylab.predict_rate_general),
+    (decaylab.fourier_type_rule(decaylab.GeometryDescriptor(fourier_type=1.5)), _fourier(1.5)),
+    (decaylab.fourier_type_rule(decaylab.GeometryDescriptor(hilbert=True)), _fourier(2.0)),
+]
+_INDEX = st.floats(0.0, 6.0)
+
+
+@pytest.mark.parametrize("rule, scalar", _RULE_PAIRS, ids=["general", "fourier-1.5", "hilbert"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tuples=st.lists(st.tuples(st.just(0.0) | _INDEX, st.just(0.0) | _INDEX, _INDEX, _INDEX),
+                       min_size=1, max_size=30))
+@example(tuples=[
+    (0.0, 1.0, 2.0, 4.0),  # alpha = 0: the alpha branch is oo
+    (1.0, 0.0, 2.0, 4.0),  # beta = 0: the beta branch is oo
+    (0.0, 0.0, 1.0, 2.0),  # an oo rate
+    (0.5, 0.5, 1.0, 1.5),  # tau = beta + 1 of the general rule
+    (0.5, 0.5, 1.0, 0.5),  # tau = beta of the Hilbert branch
+    (0.5, 0.5, 1.0, 0.5 + decaylab._fourier_index(1.5)),  # tau = beta + 1/r at Fourier type 1.5
+    (2.0, 0.5, 1.0, 3.0),  # sigma = alpha - 1
+    (1.0, 1.0, 1.0, 2.0),  # equal branches: an attained rule is not strict
+])
+def test_rate_rule_arrays_equal_the_calculators(rule, scalar, tuples):
+    # one call on the arrays answers each tuple as the scalar calculator does,
+    # and as the rule written out for one tuple; rho is -oo where there is no rate
+    alpha, beta, sigma, tau = np.array(tuples).T
+    rho, sigma_ok, tau_ok, strict = rule.rates(alpha, beta, sigma, tau)
+    r = rule.r_index
+    for i, (a, b, s, t) in enumerate(tuples):
+        pred = scalar(a, b, s, t)
+        applicable = s > a - 1.0 and (t >= b + r if rule.attained else t > b + r)
+        branch_a = (INF if a == 0.0 else (s + 1.0) / a) - 1.0
+        branch_b = (INF if b == 0.0 else (t - r) / b) - 1.0
+        assert pred.applicable == (sigma_ok[i] and tau_ok[i]) == applicable
+        assert rho[i] == (pred.rho if pred.applicable else -INF)
+        assert rho[i] == (min(branch_a, branch_b) if applicable else -INF)
+        assert strict[i] == pred.strict == (branch_a < branch_b if rule.attained else True)
+        assert [c.passed for c in pred.conditions] == [sigma_ok[i], tau_ok[i]]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semistab import battery, cli, multiplier, operators
@@ -119,7 +119,7 @@ def test_exact_l2_norm_values(grid):
 def test_lower_bound_constant_symbol(grid):
     sym = multiplier.Symbol(lambda x: 0.7 * np.ones_like(np.asarray(x, dtype=complex)))
     samples = sym.on(grid)
-    est = multiplier.estimate_pq_norm_lower(samples, 2.0, 2.0, trials=4, seed=1)
+    [est] = multiplier.estimate_pq_norm_lower(samples, [(2.0, 2.0)], trials=4, seed=1)
     assert est.lower_bound >= 0.99 * 0.7
     assert est.lower_bound <= multiplier.exact_l2_norm(samples) + 1e-6
 
@@ -127,7 +127,7 @@ def test_lower_bound_constant_symbol(grid):
 def test_lower_bound_requires_q_at_least_p(grid):
     sym = multiplier.Symbol(lambda x: np.ones_like(np.asarray(x, dtype=complex)))
     with pytest.raises(DomainError):
-        multiplier.estimate_pq_norm_lower(sym.on(grid), 2.0, 1.0)
+        multiplier.estimate_pq_norm_lower(sym.on(grid), [(2.0, 1.0)])
 
 
 def test_lower_bound_one_infinity_respects_kernel_sup():
@@ -138,7 +138,7 @@ def test_lower_bound_one_infinity_respects_kernel_sup():
     model = operators.DenseMatrixModel(m)
     grid = multiplier.FourierGridSpec(120.0, 2**11)
     sym = multiplier.resolvent_power_symbol(model, 1)
-    est = multiplier.estimate_pq_norm_lower(sym.on(grid), 1.0, math.inf, trials=6, seed=2)
+    [est] = multiplier.estimate_pq_norm_lower(sym.on(grid), [(1.0, math.inf)], trials=6, seed=2)
     kernel_sup = model.semigroup_norm(np.linspace(0.0, 30.0, 120)).max()
     assert est.lower_bound <= kernel_sup + 1e-6
 
@@ -247,7 +247,7 @@ def test_apply_multiplier_shape_errors(grid):
 
 
 def _bank(sym, grid, trials, seed):
-    return list(multiplier._witness_bank(sym.on(grid), trials, seed))
+    return [f for _, f in multiplier._witness_bank(sym.on(grid), trials, seed)]
 
 
 def _brute_force_lower(sym, p, q, grid, trials, seed):
@@ -293,14 +293,26 @@ grids = st.builds(multiplier.FourierGridSpec, st.floats(20.0, 200.0),
     trials=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
     pairs=st.lists(st.sampled_from(battery.PQ_PAIRS), min_size=1, max_size=4, unique=True),
+    extra=st.lists(st.integers(0, 3), min_size=4, max_size=4),
 )
-def test_many_pairs_search_equals_brute_force(sym, grid, trials, seed, pairs):
+# the 4th trial of this bank raises the (2,2) bound of the constant 2.9 (in
+# its last bit), so the pair of 3 trials must not read it
+@example(sym=_scalar_symbol("constant", 2.9), grid=multiplier.FourierGridSpec(50.0, 2**8), trials=0,
+         seed=2, pairs=[(2.0, 2.0), (2.0, 2.0), (1.0, math.inf)], extra=[4, 3, 1, 0])
+@example(sym=_dense_resolvent_symbol(3, 5), grid=multiplier.FourierGridSpec(50.0, 2**7), trials=0,
+         seed=3, pairs=[(2.0, 2.0), (1.0, 2.0)], extra=[4, 0, 0, 0])
+def test_many_pairs_search_equals_brute_force(sym, grid, trials, seed, pairs, extra):
+    # one count for every pair, then a count per pair: each pair scores on
+    # its own prefix of one bank, as if searched alone
     samples = sym.on(grid)
-    got = multiplier.estimate_pq_norms_lower(samples, pairs, trials=trials, seed=seed)
-    assert [(e.p, e.q) for e in got] == pairs
-    for (p, q), est in zip(pairs, got):
+    counts = [trials + k for k in extra[: len(pairs)]]
+    got = multiplier.estimate_pq_norm_lower(samples, pairs, trials=trials, seed=seed)
+    per_pair = multiplier.estimate_pq_norm_lower(samples, pairs, trials=counts, seed=seed)
+    assert [(e.p, e.q) for e in got] == pairs == [(e.p, e.q) for e in per_pair]
+    for (p, q), est, est_k, k in zip(pairs, got, per_pair, counts):
         assert est.lower_bound == _brute_force_lower(sym, p, q, grid, trials, seed)
-        assert multiplier.estimate_pq_norm_lower(samples, p, q, trials, seed) == est
+        assert multiplier.estimate_pq_norm_lower(samples, [(p, q)], trials, seed) == [est]
+        assert est_k.lower_bound == _brute_force_lower(sym, p, q, grid, k, seed)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -320,7 +332,7 @@ def test_many_pairs_rejects_q_below_p_before_work(grid, pairs, monkeypatch):
     monkeypatch.setattr(multiplier, "_witness_bank", lambda *args: calls.append(1) or iter(()))
     samples = multiplier.Symbol(lambda x: np.ones_like(np.asarray(x, dtype=complex))).on(grid)
     with pytest.raises(DomainError):
-        multiplier.estimate_pq_norms_lower(samples, pairs)
+        multiplier.estimate_pq_norm_lower(samples, pairs)
     assert not calls
 
 
@@ -331,10 +343,34 @@ def test_both_bounds_reject_bad_exponents_before_work(grid, p, q, monkeypatch):
     monkeypatch.setattr(multiplier, "_witness_bank", lambda *args: calls.append(1) or iter(()))
     samples = multiplier.Symbol(lambda x: 1.0 / (1j * x + 1.0)).on(grid)
     with pytest.raises(DomainError):
-        multiplier.estimate_pq_norms_lower(samples, [(p, q)])
+        multiplier.estimate_pq_norm_lower(samples, [(p, q)])
     with pytest.raises(DomainError):
         multiplier.upper_bound_pq_norm_fourier_type(samples, p, q, fourier_constants=(1.0, 1.0))
     assert not calls
+
+
+def test_each_symbol_streams_one_witness_bank(tmp_path, monkeypatch):
+    # mult.norms scores its (2,2) search and its pair bounds of each of its
+    # 4 symbols in one pass, and so does `semistab mult` its pair bounds
+    banks = []
+    bank = multiplier._witness_bank
+
+    def counted(samples, trials, seed):
+        banks.append(id(samples))
+        return bank(samples, trials, seed)
+
+    monkeypatch.setattr(multiplier, "_witness_bank", counted)
+    assert battery.case_mult_norms(0).passed
+    assert len(banks) == len(set(banks)) == 4
+    banks.clear()
+    assert cli.main(["mult", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    assert len(banks) == len(set(banks)) == 4
+
+
+@pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
+def test_lebesgue_norm_rejects_exponents_outside_one_to_infinity(grid, p):
+    with pytest.raises(DomainError):
+        multiplier.lebesgue_norm(np.ones(grid.samples), p, grid)
 
 
 def test_each_symbol_is_evaluated_once(tmp_path, monkeypatch):

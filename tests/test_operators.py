@@ -562,6 +562,21 @@ def test_jordan_resolvent_far_from_large_blocks_is_finite():
     assert got == pytest.approx(best, rel=1e-12)
 
 
+@pytest.mark.parametrize("entries", [1, 300])
+def test_jordan_resolvent_line_in_chunks_equals_the_whole_line(entries, monkeypatch):
+    # a line whose rows are built a few points at a time (one point, or
+    # about 300 row entries of 7 groups x 8) answers as the line built at once
+    model = operators.JordanSumModel(0.5, 0.5, 500)
+    rng = np.random.default_rng(4)
+    lams = np.concatenate([rng.uniform(0.05, 2.0, 20) + 1j * rng.uniform(-50.0, 600.0, 20),
+                           [0.3 + 40.5j, 0.05 + 500.0j, 0.5 + 7.0j]])
+    want = model.shifted_resolvent_norm(lams)
+    monkeypatch.setattr(operators, "_LINE_ENTRIES", entries)
+    got = model.shifted_resolvent_norm(lams)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert want[1][-2] and not want[1].all()
+
+
 def _spectral_point(kind, model):
     if kind == "dense":
         return model._eigvals[2]
