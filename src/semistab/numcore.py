@@ -1,22 +1,29 @@
-"""Shared numerics: geometric grids, FFT convolution, stable sums, and
-asymptotic-rate fits.
+"""Shared numerics: geometric grids, FFT convolution, log factorials,
+stable sums, and asymptotic-rate fits.
 
 Everything here is a pure function of its arguments; values are safe to
-share between threads.
+share between threads.  The module imports no scipy: the FFT lengths, the
+log factorials and the log-sum-exp take scipy's steps on numpy and
+``math``, so their values equal scipy's bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import gammaln, logsumexp
 
 from .errors import DomainError, InsufficientDataError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# cephes lgam: 0.5 log(2 pi) and the Stirling-series coefficients below x = 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_log_factorial_table = np.zeros(1)  # log k! for k < len; replaced, never written, as it grows
 
 
 def geometric_grid(start, stop, count):
@@ -39,21 +46,89 @@ def geometric_grid(start, stop, count):
     return nodes
 
 
+@lru_cache(maxsize=None)
+def _smooth_numbers(primes, bits):
+    """The sorted numbers below 2**bits whose prime factors are in ``primes``."""
+    nums = [1]
+    for p in primes:
+        grown = []
+        for v in nums:
+            while v < 1 << bits:
+                grown.append(v)
+                v *= p
+        nums = grown
+    return sorted(nums)
+
+
+def next_fast_len(target, real):
+    """The smallest n >= ``target`` (>= 1) whose prime factors are 2, 3 and 5
+    (``real``) or 2, 3, 5, 7 and 11: ``scipy.fft.next_fast_len``."""
+    # the power of two at or above target lies below 2**bits
+    table = _smooth_numbers((2, 3, 5) if real else (2, 3, 5, 7, 11), (target - 1).bit_length() + 1)
+    return table[bisect.bisect_left(table, target)]
+
+
+def _fft(x, n, axis):
+    """Complex FFT of length ``n`` along ``axis``; a real ``x`` goes through
+    ``rfft`` and its Hermitian half is filled in, as scipy's ``fftn`` does
+    (``np.fft.fft`` of a real array differs from it in the last bit)."""
+    if np.iscomplexobj(x):
+        return np.fft.fft(x, n, axis)
+    half = np.moveaxis(np.fft.rfft(x, n, axis), axis, -1)
+    rest = np.conj(half[..., 1 : n - n // 2][..., ::-1])
+    return np.moveaxis(np.concatenate([half, rest], axis=-1), -1, axis)
+
+
 def fftconvolve(a, b, axes):
     """Full linear convolution of ``a`` and ``b`` along the one axis
     ``axes`` (>= 0), broadcasting the others.
 
-    The steps of ``scipy.signal.fftconvolve`` for one axis, so the values
-    are the same; importing ``scipy.signal`` (it pulls in ``scipy.stats``)
-    would take longer than importing the rest of the package.
+    The steps of ``scipy.signal.fftconvolve`` for one axis, on ``numpy.fft``,
+    so the values are the same bit for bit.
     """
     a, b = np.asarray(a), np.asarray(b)
     n = a.shape[axes] + b.shape[axes] - 1
-    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    size = [sp_fft.next_fast_len(n, real)]
-    fft, ifft = (sp_fft.rfftn, sp_fft.irfftn) if real else (sp_fft.fftn, sp_fft.ifftn)
-    out = ifft(fft(a, size, axes=[axes]) * fft(b, size, axes=[axes]), size, axes=[axes])
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        size = next_fast_len(n, False)
+        out = np.fft.ifft(_fft(a, size, axes) * _fft(b, size, axes), size, axes)
+    else:
+        size = next_fast_len(n, True)
+        out = np.fft.irfft(np.fft.rfft(a, size, axes) * np.fft.rfft(b, size, axes), size, axes)
     return out[(slice(None),) * axes + (slice(n),)]
+
+
+def log_factorial(k):
+    """log k! for an array of integers 0 <= k < 2^53, bit for bit
+    ``scipy.special.gammaln(k + 1)``: the steps of cephes ``lgam`` at
+    x = k + 1, with the C library's log (``math.log``; ``np.log`` differs
+    from it in the last bit from k = 9170 on)."""
+    x = (np.asarray(k, dtype=np.int64) + 1).astype(float)
+    logs = np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    stirling = (x - 0.5) * logs - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = np.full_like(x, _LGAM_A[0])
+    for c in _LGAM_A[1:]:
+        series = series * p + c
+    short = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    out = np.where(x > 1e8, stirling,
+                   np.where(x >= 1000.0, stirling + short / x, stirling + series / x))
+    # below 13, cephes takes the log of the product (x - 1)!, exact in floats
+    small = x < 13.0
+    out[small] = [math.log(math.factorial(int(v) - 1)) for v in x[small]]
+    return out
+
+
+def log_factorials(count):
+    """log k! for k < ``count``: a read-only view of a table of
+    ``log_factorial`` values that grows on demand."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if count > len(table):
+        grown = log_factorial(np.arange(len(table), max(count, 2 * len(table))))
+        table = np.concatenate([table, grown])
+        table.setflags(write=False)
+        _log_factorial_table = table
+    return table[:count]
 
 
 @dataclass(frozen=True)
@@ -156,8 +231,14 @@ def stable_exp_sum_log(m):
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     j = np.arange(m + 1)
-    log_terms = 2.0 * (j * math.log(m) - gammaln(j + 1))
-    return 0.5 * float(logsumexp(log_terms))
+    log_terms = 2.0 * (j * math.log(m) - log_factorials(m + 1))
+    # scipy.special.logsumexp in 1-D: the maxima are counted apart from the rest
+    top = log_terms.max(keepdims=True)
+    at_top = log_terms == top
+    count = at_top.sum(keepdims=True, dtype=float)
+    rest = np.exp(np.where(at_top, -np.inf, log_terms) - top).sum(keepdims=True)
+    rest = np.where(rest == 0, rest, rest / count)
+    return 0.5 * float((np.log1p(rest) + np.log(count) + top)[0])
 
 
 def stable_exp_sum(m):

@@ -42,12 +42,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
-from scipy.linalg import svdvals
-from scipy.special import gammaln
 
 from .errors import DomainError, EdgeDominatedWarning, ShapeError, UnsupportedModelError
-from .numcore import fftconvolve, geometric_grid, sup_on_grid
+from .numcore import fftconvolve, geometric_grid, log_factorials, sup_on_grid
 
 _SING_TOL = 1e-11
 # branch and bound in JordanSumModel skips a block once its bound times
@@ -156,8 +153,7 @@ def _exp_series_coeffs(t, m):
         out = np.zeros(m)
         out[0] = 1.0
         return out
-    ks = np.arange(m)
-    return np.exp(ks * math.log(t) - gammaln(ks + 1))
+    return np.exp(np.arange(m) * math.log(t) - log_factorials(m))
 
 
 def _shifted_power_rows(zetas, p, m):
@@ -191,8 +187,17 @@ def _row_product(a, b):
     return np.einsum("...i,...ij->...j", a, _toeplitz_stack(b))
 
 
+def _svdvals(mats):
+    """Singular values, largest first, of a matrix or of each in a stack;
+    DomainError if an entry is not finite (an overflowed norm), where LAPACK
+    would answer NaN or fail to converge."""
+    if not np.isfinite(mats).all():
+        raise DomainError("matrix entries overflow float64; the norm is out of range")
+    return np.linalg.svd(mats, compute_uv=False)
+
+
 def _toeplitz_norm(coeffs):
-    return float(svdvals(_toeplitz_stack(np.asarray(coeffs, dtype=complex)))[0])
+    return float(_svdvals(_toeplitz_stack(np.asarray(coeffs, dtype=complex)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +254,9 @@ class DenseMatrixModel(OperatorModel):
         if self._diagonalizable:
             out = (self._eigvecs * np.exp(-t * self._eigvals)) @ self._eigvecs_inv
         else:
-            out = _scipy_expm(-t * self.matrix)
+            from scipy.linalg import expm  # about 0.3 s to import, so only this branch does
+
+            out = expm(-t * self.matrix)
         if not np.all(np.isfinite(out)):
             raise DomainError("exp(-t A) overflows at the requested time")
         return out
@@ -269,7 +276,7 @@ class DenseMatrixModel(OperatorModel):
     @_off_spectrum
     def shifted_resolvent_norm(self, lams):
         mats = lams[:, None, None] * np.eye(self.dim) + self.matrix
-        return 1.0 / svdvals(mats)[:, -1], np.zeros(len(lams), bool)
+        return 1.0 / _svdvals(mats)[:, -1], np.zeros(len(lams), bool)
 
     def phi_matrix(self, alpha, beta):
         """A^alpha (1+A)^{-alpha-beta} as a dense matrix."""
@@ -300,7 +307,7 @@ class DenseMatrixModel(OperatorModel):
     def fractional_norm(self, ts, sigma, tau):
         ts = self._check_times(ts)
         phi = self.phi_matrix(sigma, tau)
-        return np.linalg.norm(self._expm_neg(ts) @ phi, 2, axis=(1, 2))
+        return _svdvals(self._expm_neg(ts) @ phi)[:, 0]
 
     def spectral_abscissa_neg(self):
         return float(-np.min(self._eigvals.real))
@@ -399,22 +406,33 @@ class DiagonalSymbolModel(OperatorModel):
         ts = self._check_times(ts)
         self._check_fractional_indices(sigma, tau)
 
-        def g(i, s):
-            ph = self.symbol(s)
+        def parts(s):
+            # the t-independent factors of g and the terms of g'/g at the nodes s
+            ph, dph = self.symbol(s), self.symbol_derivative(s)
+            return (ph, ph**sigma, (1.0 + ph) ** (-(sigma + tau)), dph,
+                    (sigma + tau) * dph / (1.0 + ph), sigma * dph / ph if sigma else None)
+
+        on_grid = parts(self.grid)
+
+        def g_and_parts(i, s):
+            # the grid pass hands over the grid itself; golden-section nodes are new
+            ph, power, inverse, dph, shift, lift = on_grid if s is self.grid else parts(s)
             out = np.exp(-ts[i] * ph)
             if sigma:
-                out = out * ph**sigma
+                out = out * power
             if sigma or tau:
-                out = out * (1.0 + ph) ** (-(sigma + tau))
-            return out
+                out = out * inverse
+            return out, dph, shift, lift
 
         def gp(i, s):
-            ph = self.symbol(s)
-            dph = self.symbol_derivative(s)
-            factor = -ts[i] * dph - (sigma + tau) * dph / (1.0 + ph)
+            out, dph, shift, lift = g_and_parts(i, s)
+            factor = -ts[i] * dph - shift
             if sigma:
-                factor = factor + sigma * dph / ph
-            return g(i, s) * factor
+                factor = factor + lift
+            return out * factor
+
+        def g(i, s):
+            return g_and_parts(i, s)[0]
 
         norms, edges = self._sup_norm(g, gp, len(ts))
         for row in np.nonzero(edges)[0]:  # g's edges, then g''s
@@ -747,8 +765,7 @@ class OperatorMatrixModel(OperatorModel):
         """sup over s of the Toeplitz norms of rows_at(i, s), one per list seeds[i] of extra nodes."""
         nodes = [np.unique(np.concatenate([self._sup_nodes, np.asarray(c, float)])) for c in seeds]
         # s = 1 ends the domain itself, so no supremum there is a truncation edge
-        return sup_on_grid(lambda i, ss: np.linalg.norm(_toeplitz_stack(rows_at(i, ss)), 2, axis=(1, 2)),
-                           nodes)[0]
+        return sup_on_grid(lambda i, ss: _svdvals(_toeplitz_stack(rows_at(i, ss)))[:, 0], nodes)[0]
 
     @_off_spectrum
     def shifted_resolvent_norm(self, lams):

@@ -211,6 +211,26 @@ def test_block_size_beyond_the_cap_exits_2(tmp_path):
     assert "config error: operator: need m(n_max) <= 1024, got 92098" in proc.stderr
 
 
+@pytest.mark.parametrize("operator,grids", [
+    # at t = 800, 800^k/k! overflows in the largest block (m = 680)
+    ({"kind": "jordan-sum", "gamma": 0.5, "delta": 0.97, "n_max": 10**9},
+     {"t_grid": {"start": 1.0, "stop": 800.0, "count": 8},
+      "xi_grid": {"start": 0.01, "stop": 1e3, "count": 24}}),
+    # t^2/2 overflows beyond t ~ 1.9e154
+    ({"kind": "operator-matrix", "n": 3}, {"t_grid": {"start": 10.0, "stop": 1e200, "count": 32}}),
+], ids=["jordan-sum", "operator-matrix"])
+def test_overflowing_norms_are_an_analysis_error(tmp_path, operator, grids):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"operator": operator, "grids": grids}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "semistab.cli", "analyze", "--config", str(path),
+                           "--out-dir", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "analysis error: matrix entries overflow float64" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_analyze_outputs_and_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_base_config(tmp_path / "o")))

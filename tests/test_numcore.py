@@ -1,5 +1,6 @@
 """Grids, stable sums, and power-law fits."""
 
+import json
 import math
 import os
 import subprocess
@@ -67,13 +68,84 @@ def test_fftconvolve_equals_scipy_signal():
         assert numcore.fftconvolve(a, b, axes=axis).tobytes() == want.tobytes()
 
 
-def test_package_import_skips_scipy_signal():
-    # scipy.signal drags in scipy.stats, more than half of the import time
-    code = "import sys, semistab.cli; print({'scipy.signal', 'scipy.stats'} & set(sys.modules))"
+_NO_SCIPY_STEPS = """
+import json, os, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import workloads
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+steps = {}
+from semistab import cli
+steps["import semistab.cli"] = scipy_modules()
+operators = [
+    {"kind": "dense-matrix", "entries": [[1.0, 1.0], [0.0, 1.0]]},
+    {"kind": "diagonal-symbol", "a": 1.0, "b": 0.5, "grid_count": 64},
+    {"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5},
+    {"kind": "operator-matrix", "n": 3},
+]
+assert sorted(op["kind"] for op in operators) == sorted(cli._OPERATORS)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "cfg.json")
+    for op in operators:
+        with open(path, "w") as fh:
+            json.dump({"operator": op}, fh)
+        cli.load_config(path)
+    steps["load_config of every kind"] = scipy_modules()
+    with open(path, "w") as fh:
+        json.dump(workloads.JORDAN_CONFIG, fh)
+    code = cli.main(["analyze", "--config", path, "--out-dir", os.path.join(tmp, "out")])
+    steps["analyze JORDAN_CONFIG"] = scipy_modules() if code == 0 else f"exit {code}"
+print(json.dumps(steps))
+"""
+
+
+def test_package_paths_load_no_scipy():
+    # importing any scipy module costs more than the rest of the start-up;
+    # only the defective-matrix exponential imports scipy.linalg
+    root = Path(numcore.__file__).parents[2]
     env = {**os.environ, "PYTHONPATH": str(Path(numcore.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "set()"
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_STEPS, str(root / "perfbench")], env=env,
+                         capture_output=True, text=True, check=True, cwd=root)
+    steps = json.loads(out.stdout.strip().splitlines()[-1])
+    assert list(steps) == ["import semistab.cli", "load_config of every kind", "analyze JORDAN_CONFIG"]
+    assert all(mods == [] for mods in steps.values()), steps
+
+
+def test_next_fast_len_equals_scipy():
+    from scipy.fft import next_fast_len
+
+    for real in (True, False):
+        got = [numcore.next_fast_len(n, real) for n in range(1, 2**16)]
+        assert got == [next_fast_len(n, real) for n in range(1, 2**16)]
+
+
+def test_log_factorial_equals_scipy_gammaln():
+    from scipy.special import gammaln
+
+    ks = np.arange(2**17)
+    assert numcore.log_factorial(ks).tobytes() == gammaln(ks + 1).tobytes()
+    assert numcore.log_factorials(2**17).tobytes() == gammaln(ks + 1).tobytes()
+    far = np.unique(np.geomspace(1, 2**53, 2000).astype(np.int64))
+    assert numcore.log_factorial(far).tobytes() == gammaln(far + 1).tobytes()
+    assert numcore.log_factorial(20).tobytes() == gammaln(21.0).tobytes()
+
+
+def test_log_factorials_table_is_read_only():
+    table = numcore.log_factorials(40)
+    assert table.shape == (40,) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+
+
+def test_stable_exp_sum_log_equals_scipy_logsumexp():
+    from scipy.special import gammaln, logsumexp
+
+    for m in range(1, 3001):
+        j = np.arange(m + 1)
+        want = 0.5 * float(logsumexp(2.0 * (j * math.log(m) - gammaln(j + 1))))
+        assert numcore.stable_exp_sum_log(m) == want, m
 
 
 def test_stable_exp_sum_small_values():

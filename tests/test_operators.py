@@ -871,6 +871,53 @@ def test_diagonal_fractional_edge_domination_warns():
     assert {w.filename for w in caught} == {__file__}
 
 
+def _diagonal_norms_per_time(model, ts, sigma, tau):
+    """The diagonal kind's fractional norms with every factor of g and g'
+    evaluated afresh at each time, in the model's order of operations."""
+
+    def g(i, s):
+        ph = model.symbol(s)
+        out = np.exp(-ts[i] * ph)
+        if sigma:
+            out = out * ph**sigma
+        if sigma or tau:
+            out = out * (1.0 + ph) ** (-(sigma + tau))
+        return out
+
+    def gp(i, s):
+        ph, dph = model.symbol(s), model.symbol_derivative(s)
+        factor = -ts[i] * dph - (sigma + tau) * dph / (1.0 + ph)
+        if sigma:
+            factor = factor + sigma * dph / ph
+        return g(i, s) * factor
+
+    return model._sup_norm(g, gp, len(ts))[0]
+
+
+@pytest.mark.parametrize("sobolev", [True, False])
+@pytest.mark.parametrize("sigma,tau", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.5, 2.0), (3.0, 6.0)])
+def test_diagonal_factors_taken_once_per_sweep_keep_every_bit(sobolev, sigma, tau):
+    model = operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e6, grid_count=512, sobolev=sobolev)
+    ts = np.geomspace(1.0, 1e4, 9)
+    want = _diagonal_norms_per_time(model, ts, sigma, tau)
+    assert model.fractional_norm(ts, sigma, tau).tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_norms_raise_domain_error():
+    # LAPACK answers NaN, or fails to converge, on non-finite entries
+    for row in ([1.0, np.inf], [np.nan, 0.0]):
+        with pytest.raises(DomainError, match="overflow"):
+            operators._toeplitz_norm(row)
+    # t^2/2 overflows beyond t ~ 1.9e154
+    with pytest.raises(DomainError, match="overflow"):
+        operators.OperatorMatrixModel(3).fractional_norm([1e155], 1.0, 0.0)
+    # 800^k/k! overflows at the largest block, m = 680
+    with pytest.raises(DomainError, match="overflow"):
+        operators.JordanSumModel(0.5, 0.97, 10**9).semigroup_norm([800.0])
+
+
 def test_metadata_flags():
     models = _models()
     assert models["dense"].info.sectorial
