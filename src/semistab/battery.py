@@ -511,20 +511,18 @@ def case_laplace_identity(out, seed):
 PQ_PAIRS = ((2.0, 2.0), (1.0, 2.0), (2.0, math.inf), (1.0, math.inf))
 
 
-def pq_bounds(samples, seed):
-    """The sampled symbol's 12-trial (2,2) witness-search estimate, and
-    (p, q, lower, upper, ok) for each ``PQ_PAIRS`` entry: the 8-trial
-    witness-search lower bound and the Fourier-type upper bound of its
-    (L^p, L^q) multiplier norm, and whether the lower bound stays below
-    the upper (to 1e-6).  One witness pass: the 8-trial bank is a prefix
-    of the 12-trial one."""
-    l2, *lowers = multiplier.estimate_pq_norm_lower(
-        samples, [(2.0, 2.0), *PQ_PAIRS], [12] + [8] * len(PQ_PAIRS), seed)
+def pq_bounds(samples):
+    """(p, q, lower, upper, ok) for each ``PQ_PAIRS`` entry: the
+    witness-search lower bound and the Fourier-type upper bound of the
+    sampled symbol's (L^p, L^q) multiplier norm, and whether the lower
+    bound stays below the upper (to 1e-6).  One witness pass scores all
+    pairs."""
+    lowers = multiplier.estimate_pq_norm_lower(samples, PQ_PAIRS)
     bounds = []
-    for est in lowers:
-        upper = multiplier.upper_bound_pq_norm_fourier_type(samples, est.p, est.q).upper_bound
-        bounds.append((est.p, est.q, est.lower_bound, upper, est.lower_bound <= upper + 1e-6))
-    return l2, bounds
+    for (p, q), lower in zip(PQ_PAIRS, lowers):
+        upper = multiplier.upper_bound_pq_norm_fourier_type(samples, p, q)
+        bounds.append((p, q, lower, upper, lower <= upper + 1e-6))
+    return bounds
 
 
 def _mult_battery(rng):
@@ -542,20 +540,21 @@ def case_mult_norms(out, seed):
     rng = _rng(seed, 8)
     grid = multiplier.FourierGridSpec(200.0, 2**13)
     battery = [(name, sym.on(grid)) for name, sym in _mult_battery(rng)]
-    bounds = [pq_bounds(samples, seed) for _, samples in battery]
+    bounds = [pq_bounds(samples) for _, samples in battery]
     worst_gap = 0.0
-    for (name, samples), (lower, _) in zip(battery, bounds):
+    for (name, samples), pq in zip(battery, bounds):
+        lower = pq[PQ_PAIRS.index((2.0, 2.0))][2]
         exact = multiplier.exact_l2_norm(samples)
-        gap = (exact - lower.lower_bound) / exact
+        gap = (exact - lower) / exact
         worst_gap = max(worst_gap, gap)
-        ok = lower.lower_bound <= exact + 1e-6 and gap <= 0.05
-        out.row(t_or_xi=name, value=f"{lower.lower_bound:.6f}", predicted=f"{exact:.6f}",
+        ok = lower <= exact + 1e-6 and gap <= 0.05
+        out.row(t_or_xi=name, value=f"{lower:.6f}", predicted=f"{exact:.6f}",
                 source="plancherel", verdict="PASS" if ok else "FAIL")
     out.add("(2,2) witness search within 5% of the symbol sup", worst_gap <= 0.05,
             f"worst gap {100 * worst_gap:.2f}%")
 
     violations = []
-    for (name, _), (_, pq) in zip(battery, bounds):
+    for (name, _), pq in zip(battery, bounds):
         for p, q, lower, upper, ok in pq:
             out.row(t_or_xi=f"{name};p={p:g};q={q:g}", value=f"{lower:.6f}",
                     predicted=f"{upper:.6f}", source="pq-bounds", verdict="PASS" if ok else "FAIL")
@@ -567,7 +566,7 @@ def case_mult_norms(out, seed):
     # closed-form check of the (1, oo) bound for the Lorentzian symbol:
     # (1/2 pi) * integral of (1+|x|)^-2 = 1/pi
     lor = battery[1][1]
-    bound = multiplier.upper_bound_pq_norm_fourier_type(lor, 1.0, math.inf).upper_bound
+    bound = multiplier.upper_bound_pq_norm_fourier_type(lor, 1.0, math.inf)
     want = 1.0 / math.pi
     out.add("(1,oo) bound of the Lorentzian equals 1/pi", abs(bound - want) / want < 0.02,
             f"bound {bound:.6f} vs {want:.6f}")

@@ -511,7 +511,7 @@ def _cmd_mult(args):
     for name, sym in battery_mod._mult_battery(rng):
         samples = sym.on(grid)
         exact2 = multiplier.exact_l2_norm(samples)
-        for p, q, lower, upper, good in battery_mod.pq_bounds(samples, seed)[1]:
+        for p, q, lower, upper, good in battery_mod.pq_bounds(samples):
             ok &= good
             rows.append(
                 {

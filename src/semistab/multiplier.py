@@ -14,8 +14,9 @@ sup norm).  Time-domain samples live on t_k = -L/2 + k L/N.
 
 A symbol is sampled once per grid (``Symbol.on``), and the exact (2,2)
 norm, the Fourier-type upper bound and the witness search all read those
-samples.  The witness search scores a whole list of (p, q) pairs, each on
-its own prefix of one streamed bank, holding only one witness and its image.
+samples.  The witness search scores a whole list of (p, q) pairs on one
+streamed pass over a fixed bank of 64 bumps, holding only one witness and
+its image; it draws no random numbers.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class FourierGridSpec:
     samples: int
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise DomainError(f"need period > 0, got {self.period}")
+        if not 0.0 < self.period < math.inf:  # NaN fails too
+            raise DomainError(f"need 0 < period < oo, got {self.period}")
         n = self.samples
         if n < 2 or (n & (n - 1)) != 0:
             raise DomainError(f"samples must be a power of two >= 2, got {n}")
@@ -318,90 +319,53 @@ def verify_laplace_identity(model, n, x, grid):
 # (L^p, L^q) norm estimation
 
 
-@dataclass(frozen=True)
-class PQNormEstimate:
-    p: float
-    q: float
-    lower_bound: float
-    upper_bound: float | None
-    method: str
-
-    def __post_init__(self):
-        if self.upper_bound is not None and self.lower_bound > self.upper_bound + 1e-9:
-            raise DomainError("lower bound exceeds upper bound")
-
-
-def _witness_bank(samples, trials, seed):
+def _witness_bank(samples):
     """Yield the fixed witness family one at a time: bumps at 8 scales x
-    8 modulations (the first at the peak frequency of the symbol norms),
-    then ``trials`` seeded random band-limited draws.  A matrix symbol
-    takes each profile along the top right singular vector of its value
-    at the peak and along one seeded random direction.  Each witness
-    comes as ``(need, witness)``: the fewest trials whose bank holds it,
-    0 for a bump and i + 1 for trial i.
-
-    The ``trials=k`` bank is an exact prefix of the ``trials=k+j`` bank:
-    the bumps draw no random numbers, the random direction is drawn
-    before the trials, and the trials draw in sequence from one stream.
-    """
+    8 modulations, the first at the peak frequency of the symbol norms.
+    A matrix symbol takes each bump along the top right singular vector
+    of its value at the peak."""
     grid = samples.grid
     ts = grid.times
     L = grid.period
     xis = grid.freqs
-    d = samples.symbol.dim
     peak = int(np.argmax(samples.norms))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    directions = [None]
-    if d > 1:
-        _, _, vh = np.linalg.svd(samples.values[peak])
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        directions = [vh[0].conj(), v / np.linalg.norm(v)]
-
-    def emit(need, profile):
-        for direction in directions:
-            yield need, profile if direction is None else profile[:, None] * direction[None, :]
-
+    direction = None
+    if samples.symbol.dim > 1:
+        direction = np.linalg.svd(samples.values[peak])[2][0].conj()
     scales = [L / 2.0** (j + 3) for j in range(8)]
     xi_max = float(np.max(np.abs(xis)))
     mods = [float(xis[peak])] + [xi_max / 2.0 * (k + 1) / 8.0 for k in range(7)]
     for s in scales:
         bump = np.exp(-0.5 * (ts / s) ** 2)
         for wfreq in mods:
-            yield from emit(0, bump * np.exp(1j * wfreq * ts))
-    band = np.abs(xis) <= xi_max / 4.0
-    for i in range(int(trials)):
-        coeff = np.zeros(grid.samples, dtype=complex)
-        coeff[band] = rng.standard_normal(int(band.sum())) + 1j * rng.standard_normal(int(band.sum()))
-        yield from emit(i + 1, fourier_inverse(coeff, grid))
+            profile = bump * np.exp(1j * wfreq * ts)
+            yield profile if direction is None else profile[:, None] * direction[None, :]
 
 
-def estimate_pq_norm_lower(samples, pairs, trials=16, seed=0):
+def estimate_pq_norm_lower(samples, pairs):
     """Witness-search lower bounds of the sampled symbol's (L^p, L^q)
-    multiplier norm, one ``PQNormEstimate`` per ``(p, q)`` in ``pairs``.
+    multiplier norm, one float per ``(p, q)`` in ``pairs``.
 
-    ``trials`` is one count, or one per pair.  One streamed pass over the
-    bank of the largest count scores each pair on its own count's bank, a
-    prefix: each witness is transformed, hit by the symbol samples and
-    transformed back once, and normed at each needed p and q from
-    magnitudes taken once.  Only the current witness and its image are
-    held.  Deterministic for a given seed; the true norm may exceed the
-    result by an unquantified gap, so each estimate is a lower bound.
+    One streamed pass over the bank scores every pair: each witness is
+    transformed, hit by the symbol samples and transformed back once, and
+    normed at each p and q from magnitudes taken once.  Only the current
+    witness and its image are held.  The true norm may exceed the result
+    by an unquantified gap, so each value is a lower bound.
     """
     pairs = [(float(p), float(q)) for p, q in pairs]
     for p, q in pairs:
         _check_exponents(p, q)
-    counts = np.broadcast_to(np.maximum(trials, 0), len(pairs))  # below 0: the bumps only
+    ps = {p for p, _ in pairs}
+    qs = {q for _, q in pairs}
     grid = samples.grid
     best = [0.0] * len(pairs)
-    for need, f in _witness_bank(samples, max(counts, default=0), seed):
-        live = [i for i, k in enumerate(counts) if need <= k]
-        denoms = _lebesgue_norms(f, {pairs[i][0] for i in live}, grid)
-        nums = _lebesgue_norms(_apply_values(samples.values, f, grid), {pairs[i][1] for i in live}, grid)
-        for i in live:
-            p, q = pairs[i]
+    for f in _witness_bank(samples):
+        denoms = _lebesgue_norms(f, ps, grid)
+        nums = _lebesgue_norms(_apply_values(samples.values, f, grid), qs, grid)
+        for i, (p, q) in enumerate(pairs):
             if denoms[p] != 0.0:
                 best[i] = max(best[i], nums[q] / denoms[p])
-    return [PQNormEstimate(p, q, float(b), None, "witness-search") for (p, q), b in zip(pairs, best)]
+    return best
 
 
 def exact_l2_norm(samples):
@@ -456,5 +420,4 @@ def upper_bound_pq_norm_fourier_type(samples, p, q, fourier_constants=None):
     else:
         r = 1.0 / inv_r
         lr = float((samples.grid.dxi * np.sum(norms**r)) ** (1.0 / r))
-    bound = c1 * c2 * lr / (2.0 * math.pi)
-    return PQNormEstimate(float(p), float(q), 0.0, float(bound), "fourier-type-bound")
+    return float(c1 * c2 * lr / (2.0 * math.pi))

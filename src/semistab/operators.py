@@ -148,12 +148,22 @@ def _off_spectrum(norms_of):
 
 
 def _exp_series_coeffs(t, m):
-    """Coefficients t^k/k! for k < m, the polynomial exp(t B_m)."""
+    """Coefficients t^k/k! for k < m, the polynomial exp(t B_m); DomainError
+    naming t if one overflows, since every norm built on them would too."""
     if t == 0.0:
         out = np.zeros(m)
         out[0] = 1.0
         return out
-    return np.exp(np.arange(m) * math.log(t) - log_factorials(m))
+    with np.errstate(over="ignore"):
+        out = np.exp(np.arange(m) * math.log(t) - log_factorials(m))
+    return _finite_at(out, t)
+
+
+def _finite_at(entries, t):
+    """``entries`` if all are finite, else DomainError naming the time t."""
+    if not np.isfinite(entries).all():
+        raise DomainError(f"matrix entries overflow float64 at t={t:g}; the norm is out of range")
+    return entries
 
 
 def _shifted_power_rows(zetas, p, m):
@@ -456,9 +466,13 @@ class DiagonalSymbolModel(OperatorModel):
 
 
 def _exp_convolve(rows, t):
-    """Rows of exp(t B_m) T(row): each row convolved with t^k/k!, truncated to m terms."""
+    """Rows of exp(t B_m) T(row): each row convolved with t^k/k!, truncated to
+    m terms; DomainError naming t if an entry overflows, since the branch and
+    bound would read NaN rows as 0."""
     m = rows.shape[-1]
-    return fftconvolve(rows, _exp_series_coeffs(t, m)[None, :], axes=1)[:, :m]
+    coeffs = _exp_series_coeffs(t, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_at(fftconvolve(rows, coeffs[None, :], axes=1)[:, :m], t)
 
 
 def _branch_and_bound(ub, norm_of):
@@ -619,7 +633,9 @@ class JordanSumModel(OperatorModel):
         ub = blocks.l1.copy()
         exact = {} if t else dict(enumerate(blocks.rows))  # group -> e(t) * rows
         if t:
-            gains = np.cumsum(_exp_series_coeffs(t, int(sizes[-1])))[sizes - 1]
+            coeffs = _exp_series_coeffs(t, int(sizes[-1]))
+            with np.errstate(over="ignore"):  # an infinite bound still bounds
+                gains = np.cumsum(coeffs)[sizes - 1]
             ub *= np.repeat(gains, np.diff(starts))
 
         def norm_of(i):

@@ -903,8 +903,6 @@ def test_diagonal_factors_taken_once_per_sweep_keep_every_bit(sobolev, sigma, ta
     assert model.fractional_norm(ts, sigma, tau).tobytes() == want.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_norms_raise_domain_error():
     # LAPACK answers NaN, or fails to converge, on non-finite entries
     for row in ([1.0, np.inf], [np.nan, 0.0]):
@@ -913,9 +911,17 @@ def test_overflowing_norms_raise_domain_error():
     # t^2/2 overflows beyond t ~ 1.9e154
     with pytest.raises(DomainError, match="overflow"):
         operators.OperatorMatrixModel(3).fractional_norm([1e155], 1.0, 0.0)
-    # 800^k/k! overflows at the largest block, m = 680
-    with pytest.raises(DomainError, match="overflow"):
-        operators.JordanSumModel(0.5, 0.97, 10**9).semigroup_norm([800.0])
+    # 800^k/k! overflows at the largest block, m = 680, in both block-sum norms,
+    # whose branch and bound would otherwise read the NaN rows as 0
+    jordan = operators.JordanSumModel(0.5, 0.97, 10**9)
+    with pytest.raises(DomainError, match="overflow float64 at t=800"):
+        jordan.semigroup_norm([800.0])
+    with pytest.raises(DomainError, match="overflow float64 at t=800"):
+        jordan.fractional_norm([100.0, 800.0], 0.0, 1.0)
+    # at t = 712 each t^k/k! is finite, but their sum and the FFT of the
+    # convolved rows overflow
+    with pytest.raises(DomainError, match="overflow float64 at t=712"):
+        jordan.fractional_norm([712.0], 0.0, 1.0)
 
 
 def test_metadata_flags():
