@@ -440,11 +440,7 @@ def case_jordan_rates(out, seed):
     # the Hilbert guarantee at tau = beta0 is rho <= 0, and the measurement
     # at that index indeed does not decay slower than that
     fit_b0 = numcore.fit_power_law(band_ts, b0_vals, window=(0, len(band_ts)))
-    meas_b0 = decaylab.DecayMeasurement(
-        0.0, beta0_full, b0_vals, fit_b0, -fit_b0.exponent,
-        numcore.fit_exp_rate(band_ts, b0_vals, window=(0, len(band_ts))),
-        False,
-    )
+    meas_b0 = decaylab.DecayMeasurement(0.0, beta0_full, b0_vals, fit_b0, -fit_b0.exponent, False)
     pred_b0 = decaylab.predict_rate_fourier_type(
         0.0, beta0_full, 0.0, beta0_full, decaylab.GeometryDescriptor(hilbert=True)
     )
@@ -576,22 +572,13 @@ def case_mult_norms(out, seed):
 # criterion 9
 
 
-def _algebra_tuples(rng, count):
-    """Four arrays of ``count`` tuples (alpha, beta, sigma, tau), alpha and beta 0 or u as
-    ``rng.choice([0.0, u])`` draws them; filled in place (a tuple list fragments the heap)."""
-    tuples = np.empty((count, 4))
-    for row in tuples:
-        row[0] = (0.0, rng.uniform(0.0, 3.0))[rng.integers(0, 2)]
-        row[1] = (0.0, rng.uniform(0.0, 3.0))[rng.integers(0, 2)]
-        row[2], row[3] = rng.uniform(0.0, 5.0), rng.uniform(0.0, 6.0)
-    return tuples.T
-
-
 @_case("predict.algebra", "9")
 def case_predict_algebra(out, seed):
     rng = _rng(seed, 9)
     n_tuples = 10**4
-    alpha, beta, sigma, tau = _algebra_tuples(rng, n_tuples)
+    alpha, beta, sigma, tau = rng.uniform(0.0, (3.0, 3.0, 5.0, 6.0), size=(n_tuples, 4)).T
+    # alpha and beta are each 0 with probability 1/2
+    alpha, beta = np.where(rng.integers(0, 2, size=(2, n_tuples)), (alpha, beta), 0.0)
     # rho is -oo exactly where a condition fails (a rate is > -1), so equal
     # rhos are equal predictions
     general = decaylab.GENERAL_RULE.rates(alpha, beta, sigma, tau)[0]
@@ -600,7 +587,6 @@ def case_predict_algebra(out, seed):
     out.add(f"fourier-type at p=1 equals the general rate on {n_tuples} tuples",
             mismatches == 0, f"{mismatches} mismatches")
 
-    # (alpha, beta, sigma, tau, d) in the order of 2000 draws of five uniforms
     lows, highs = (0.0, 0.0, 0.0, 0.0, 0.01), (3.0, 3.0, 5.0, 6.0, 1.0)
     alpha, beta, sigma, tau, d = rng.uniform(lows, highs, size=(2000, 5)).T
     bad_mono = 0

@@ -31,7 +31,7 @@ from .errors import ConfigError, DomainError, InsufficientDataError, Unsupported
 
 CSV_HEADER = battery_mod.CSV_HEADER
 
-DEFAULT_TOLERANCES = {"fit_tol": 0.1, "quad_tol": 1e-6, "consistency_tol": 0.05}
+DEFAULT_TOLERANCES = {"fit_tol": 0.1, "consistency_tol": 0.05}
 
 # seeds key Philox streams with the stream number above bit 64 (battery._rng)
 SEED_LIMIT = 2**64
@@ -98,15 +98,15 @@ def _need(cfg, field, path, kind=None):
     return cfg[field] if kind is None else _check(cfg[field], name, kind)
 
 
-def _validate_grid(g, path, min_count=2):
+def _validate_grid(g, path):
     if not isinstance(g, dict):
         _fail(path, "expected an object with start/stop/count")
     _check_keys(g, ("start", "stop", "count"), path)
     start = _need(g, "start", path, float)
     stop = _need(g, "stop", path, float)
     count = _need(g, "count", path, int)
-    if count < min_count:
-        _fail(f"{path}.count", f"need at least {min_count} nodes, got {count}")
+    if count < 2:
+        _fail(f"{path}.count", f"need at least 2 nodes, got {count}")
     if not (0 < start < stop):
         _fail(f"{path}.start", f"need 0 < start < stop, got [{start}, {stop}]")
     try:
@@ -473,7 +473,7 @@ def _cmd_analyze(args, measure_only=False):
 
 
 def _cmd_frac(args):
-    quad_tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES["quad_tol"]
+    quad_tol = args.tol if args.tol is not None else 1e-6
     out_dir = _make_out_dir(args)
     rows = []
     worst = 0.0

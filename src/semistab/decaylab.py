@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numcore import ExpRateFit, PowerFit, default_window, fit_exp_rate, fit_power_law
+from .numcore import PowerFit, default_window, fit_exp_rate, fit_power_law
 
 INF = math.inf
 
@@ -306,7 +306,6 @@ class DecayMeasurement:
     norms: np.ndarray
     fit: PowerFit
     rho_hat: float  # decay reported as a positive exponent
-    exp_fit: ExpRateFit
     super_polynomial: bool
     growth_mu_hat: float | None = None
 
@@ -348,7 +347,6 @@ def measure_decay(model, sigma, tau, t_grid, with_growth=False):
         norms,
         fit,
         -fit.exponent,
-        exp_fit,
         bool(underflow.size) or _classify_super_polynomial(fit, exp_fit),
         growth,
     )

@@ -34,6 +34,8 @@ _DEFAULT_R_MAX = 1e24
 _DEFAULT_NODES = 2048
 _TAIL_FRACTION = 0.1
 _TAIL_REL_TOL = 1e-8
+# the scalar identity check takes lam outside the open sector of this half-angle
+_PHI_ANGLE = math.pi / 3
 
 
 @dataclass(frozen=True)
@@ -73,10 +75,10 @@ class FractionalIndex:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise DomainError("need alpha, beta >= 0")
-        if self.eta <= 0:
-            raise DomainError(f"need eta > 0, got {self.eta}")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise DomainError(f"need finite alpha, beta >= 0, got {self.alpha}, {self.beta}")
+        if not (0.0 < self.eta < math.inf):
+            raise DomainError(f"need finite eta > 0, got {self.eta}")
 
 
 def _ray_quadrature(kernel, alpha, beta, eta, contour):
@@ -165,8 +167,8 @@ def contour_fractional_apply(model, idx, x, contour=None):
 def fractional_power_apply(model, alpha, beta, x, contour=None):
     """A^alpha (1+A)^{-alpha-beta} x: closed form if the model has one,
     otherwise contour quadrature with eta = 1."""
-    if alpha < 0 or beta < 0:
-        raise DomainError("need alpha, beta >= 0")
+    if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
+        raise DomainError(f"need finite alpha, beta >= 0, got {alpha}, {beta}")
     if alpha == 0.0 and beta == 0.0:
         return np.asarray(x, dtype=complex).copy()
     if alpha > 0.0 and not model.info.injective:
@@ -182,19 +184,18 @@ def fractional_power_apply(model, alpha, beta, x, contour=None):
 class IdentityCheck:
     """Result of the scalar contour self-test."""
 
-    quadrature: complex
     closed_form: complex
     rel_error: float
 
 
-def verify_contour_identity(alpha, beta, eta, lam, phi_angle=math.pi / 3, contour=None):
+def verify_contour_identity(alpha, beta, eta, lam, contour=None):
     """Check the scalar residue identity underlying the fractional-power
     contour: the quadrature of z^alpha (eta+z)^(-alpha-beta) / (z+lam+eta-1)
     must equal (1-eta-lam)^alpha / (1-lam)^(alpha+beta).
 
     ``lam`` must lie in the closed right half-plane, off the origin and
-    outside the open sector of half-angle ``phi_angle``; the contour angle
-    must exceed pi - phi_angle.
+    outside the open sector of half-angle pi/3; the contour angle must
+    exceed 2 pi/3.
     """
     if alpha < 0:
         raise DomainError(f"need alpha >= 0, got {alpha}")
@@ -202,20 +203,18 @@ def verify_contour_identity(alpha, beta, eta, lam, phi_angle=math.pi / 3, contou
         raise DomainError(f"need beta > 0, got {beta}")
     if not (0.0 < eta <= 1.0):
         raise DomainError(f"need eta in (0, 1], got {eta}")
-    if not (0.0 < phi_angle <= math.pi / 2):
-        raise DomainError(f"need phi_angle in (0, pi/2], got {phi_angle}")
     lam = complex(lam)
-    if lam == 0 or lam.real < -1e-15 or abs(cmath.phase(lam)) < phi_angle - 1e-12:
+    if lam == 0 or lam.real < -1e-15 or abs(cmath.phase(lam)) < _PHI_ANGLE - 1e-12:
         raise DomainError(
             f"lambda={lam} must lie in the closed right half-plane outside the "
-            f"open sector of half-angle {phi_angle:.4f}"
+            f"open sector of half-angle {_PHI_ANGLE:.4f}"
         )
     if contour is None:
         contour = ContourSpec()
-    if not (math.pi - phi_angle < contour.theta < math.pi):
+    if not (math.pi - _PHI_ANGLE < contour.theta < math.pi):
         raise ContourError(
             f"contour angle {contour.theta:.4f} must lie in "
-            f"(pi - {phi_angle:.4f}, pi)"
+            f"(pi - {_PHI_ANGLE:.4f}, pi)"
         )
 
     pole_shift = lam + eta - 1.0
@@ -229,4 +228,4 @@ def verify_contour_identity(alpha, beta, eta, lam, phi_angle=math.pi / 3, contou
     rel = abs(quad - closed) / abs(closed)
     idx = FractionalIndex(alpha if alpha > 0 else 0.0, beta, eta)
     _check_tails(idx, contour, np.array([quad]), np.array([complex(tail)]))
-    return IdentityCheck(quad, closed, rel)
+    return IdentityCheck(closed, rel)

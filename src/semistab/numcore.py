@@ -136,16 +136,12 @@ class PowerFit:
     """Least-squares fit of log(value) against log(node).
 
     ``exponent`` is the slope, ``constant`` the prefactor exp(intercept),
-    ``residual`` the RMS of the log residuals over ``window`` (a half-open
-    index range into the grid), ``log_coefficient`` the optional
-    coefficient of the extra log-log regressor.
+    ``residual`` the RMS of the log residuals over the fit window.
     """
 
     exponent: float
     constant: float
     residual: float
-    window: tuple[int, int]
-    log_coefficient: float | None = None
 
 
 def default_window(count):
@@ -158,7 +154,7 @@ def default_window(count):
 def _log_fit(nodes, values, window, design, what):
     """Least squares of log(values) against the columns ``design(t)`` over
     the half-open index ``window`` (default: ``default_window``) of a node
-    array.  Returns (coefficients, RMS log residual, window)."""
+    array.  Returns (coefficients, RMS log residual)."""
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.shape != nodes.shape:
@@ -176,31 +172,18 @@ def _log_fit(nodes, values, window, design, what):
     logv = np.log(v)
     coef, *_ = np.linalg.lstsq(cols, logv, rcond=None)
     resid = logv - cols @ coef
-    return coef, float(np.sqrt(np.mean(resid**2))), (lo, hi)
+    return coef, float(np.sqrt(np.mean(resid**2)))
 
 
-def fit_power_law(grid, values, window=None, with_log_factor=False):
+def fit_power_law(grid, values, window=None):
     """Fit values ~ C * t^exponent on the node array ``grid``.
 
     ``window`` is a half-open index pair; by default the first and last
     10% of nodes are dropped to suppress transient and truncation edges.
-    With ``with_log_factor`` an extra log(log t) regressor accommodates
-    rates carrying a logarithmic factor; it degrades conditioning and is
-    off by default.
     """
-
-    def design(t):
-        logt = np.log(t)
-        cols = [np.ones_like(logt), logt]
-        if with_log_factor:
-            if np.any(t <= 1.0):
-                raise DomainError("log-factor fit requires all window nodes > 1")
-            cols.append(np.log(logt))
-        return np.vstack(cols).T
-
-    coef, rms, window = _log_fit(grid, values, window, design, "power-law")
-    logc = float(coef[2]) if with_log_factor else None
-    return PowerFit(float(coef[1]), float(math.exp(coef[0])), rms, window, logc)
+    coef, rms = _log_fit(grid, values, window, lambda t: np.vstack([np.ones_like(t), np.log(t)]).T,
+                         "power-law")
+    return PowerFit(float(coef[1]), float(math.exp(coef[0])), rms)
 
 
 @dataclass(frozen=True)
@@ -210,14 +193,12 @@ class ExpRateFit:
     rate: float
     constant: float
     residual: float
-    window: tuple[int, int]
 
 
 def fit_exp_rate(nodes, values, window=None):
     """Fit values ~ C * exp(rate * t); the workhorse for growth bounds."""
-    coef, rms, window = _log_fit(nodes, values, window, lambda t: np.vstack([np.ones_like(t), t]).T,
-                                 "exponential")
-    return ExpRateFit(float(coef[1]), float(math.exp(coef[0])), rms, window)
+    coef, rms = _log_fit(nodes, values, window, lambda t: np.vstack([np.ones_like(t), t]).T, "exponential")
+    return ExpRateFit(float(coef[1]), float(math.exp(coef[0])), rms)
 
 
 def stable_exp_sum_log(m):

@@ -21,8 +21,9 @@ time, so a sweep is one call and t-independent work is done once per
 call; ||T(t)|| is the second at sigma = tau = 0, except in the block sum,
 where the largest block decides it.  The resolvent norm takes a line, a
 1-D complex array of points, and returns one norm and one edge flag per
-point, inf on the spectrum of -A.  The diagonal and operator-matrix kinds
-take each sweep's or line's suprema over s in one stacked ``sup_on_grid``.
+point, inf on the spectrum of -A.  The diagonal kind takes each sweep's
+or line's suprema over s in one stacked ``sup_on_grid``, the
+operator-matrix kind each sweep's.
 Conventions: the semigroup is T(t) = exp(-t A); resolvent norms are
 reported for (lam + A)^{-1} because stability analysis probes the closed
 right half-plane.  State-space actions, (lam - A)^{-1} x and closed-form
@@ -121,8 +122,8 @@ class OperatorModel(ABC):
         return ts
 
     def _check_fractional_indices(self, sigma, tau):
-        if sigma < 0 or tau < 0:
-            raise DomainError("fractional indices must be >= 0")
+        if not (0.0 <= sigma < math.inf and 0.0 <= tau < math.inf):
+            raise DomainError(f"fractional indices must be finite and >= 0, got ({sigma}, {tau})")
 
 
 def _off_spectrum(norms_of):
@@ -744,9 +745,10 @@ class OperatorMatrixModel(OperatorModel):
     given by its coefficient row: e^{-t M(s)} has row e^{-ts} t^k/k!,
     (lam + M(s))^{-1} the Taylor row of 1/z at lam + s, and Phi^sigma_tau
     the row product of z^sigma at s and z^{-sigma-tau} at 1 + s.  Rows are
-    built for a whole array of s at once.  Norms are suprema over s in
-    (0,1) of batched spectral norms, seeded at the critical points
-    s* = min(1, c/t) of exp(-t s) s^c and refined by golden section.
+    built for a whole array of s at once.  Time-indexed norms are suprema
+    over s in (0,1) of batched spectral norms, seeded at the critical
+    points s* = min(1, c/t) of exp(-t s) s^c and refined by golden
+    section; the resolvent norm is exact, the norm at the s nearest -lam.
     Not sectorial: the resolvent blows up like |lam|^{-n} at the origin.
     """
 
@@ -777,17 +779,13 @@ class OperatorMatrixModel(OperatorModel):
         lams = np.asarray(lams, dtype=complex)
         return np.hypot(lams.real - np.clip(lams.real, 0.0, 1.0), lams.imag)
 
-    def _sup_symbol_norm(self, rows_at, seeds):
-        """sup over s of the Toeplitz norms of rows_at(i, s), one per list seeds[i] of extra nodes."""
-        nodes = [np.unique(np.concatenate([self._sup_nodes, np.asarray(c, float)])) for c in seeds]
-        # s = 1 ends the domain itself, so no supremum there is a truncation edge
-        return sup_on_grid(lambda i, ss: _svdvals(_toeplitz_stack(rows_at(i, ss)))[:, 0], nodes)[0]
-
     @_off_spectrum
     def shifted_resolvent_norm(self, lams):
-        norms = self._sup_symbol_norm(lambda i, ss: _shifted_power_rows(lams[i] + ss, -1, self.n),
-                                      [()] * len(lams))
-        return norms, np.zeros(len(lams), bool)
+        # a diagonal unitary turns the row w^-(k+1) of (w - N)^{-1}, w = lam + s,
+        # into |w|^-(k+1), whose Toeplitz norm falls as |w| grows: the supremum
+        # over s is at the s nearest -lam, where |w| is the spectrum distance
+        rows = self.spectrum_distance(-lams)[:, None] ** -(np.arange(self.n) + 1.0)
+        return _svdvals(_toeplitz_stack(rows))[:, 0], np.zeros(len(lams), bool)
 
     def fractional_norm(self, ts, sigma, tau):
         ts = self._check_times(ts)
@@ -799,12 +797,14 @@ class OperatorMatrixModel(OperatorModel):
             )
         coeffs = np.array([_exp_series_coeffs(t, self.n) for t in ts])
 
-        def rows_at(i, ss):
+        def norms_at(i, ss):
             # the rows e^{-ts} t^k/k! of exp(-t M(s)), times the Phi rows
             decay = np.exp(-ts[i] * ss)[:, None] * coeffs[i]
-            return _row_product(decay, self._phi_rows(sigma, tau, ss))
+            return _svdvals(_toeplitz_stack(_row_product(decay, self._phi_rows(sigma, tau, ss))))[:, 0]
 
-        return self._sup_symbol_norm(rows_at, [_bump_seeds(t, 2 * self.n) for t in ts])
+        nodes = [np.unique(np.concatenate([self._sup_nodes, _bump_seeds(t, 2 * self.n)])) for t in ts]
+        # s = 1 ends the domain itself, so no supremum there is a truncation edge
+        return sup_on_grid(norms_at, nodes)[0]
 
     def spectral_abscissa_neg(self):
         return 0.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError
-from .numcore import PowerFit, fit_exp_rate, fit_power_law
+from .numcore import fit_exp_rate, fit_power_law
 
 _SNAP_TOL = 0.05
 
@@ -68,8 +68,6 @@ class ResolventGrowthProfile:
     alpha_hat: float
     beta_hat: float
     m_constant: float
-    low_fit: PowerFit | None
-    high_fit: PowerFit | None
 
 
 def _mirror_max(entries, values):
@@ -123,10 +121,8 @@ def fit_growth_profile(table):
             "need >= 8 probes on each side of |xi|=1.0, "
             f"got {int(low.sum())} low / {int(high.sum())} high"
         )
-    low_fit = _envelope_fit(xs[low], vs[low])
-    high_fit = _envelope_fit(xs[high], vs[high])
-    alpha_hat = max(0.0, -low_fit.exponent)
-    beta_hat = max(0.0, high_fit.exponent)
+    alpha_hat = max(0.0, -_envelope_fit(xs[low], vs[low]).exponent)
+    beta_hat = max(0.0, _envelope_fit(xs[high], vs[high]).exponent)
     if alpha_hat < _SNAP_TOL:
         alpha_hat = 0.0
     if beta_hat < _SNAP_TOL:
@@ -135,7 +131,7 @@ def fit_growth_profile(table):
     norms = np.array([e.norm for e in ok])
     weights = np.abs(lam) ** alpha_hat / (1.0 + np.abs(lam)) ** (alpha_hat + beta_hat)
     m_constant = float(np.max(weights * norms))
-    return ResolventGrowthProfile(alpha_hat, beta_hat, m_constant, low_fit, high_fit)
+    return ResolventGrowthProfile(alpha_hat, beta_hat, m_constant)
 
 
 @dataclass(frozen=True)

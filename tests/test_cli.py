@@ -75,6 +75,8 @@ def test_validate_config_field_paths(tmp_path):
         ("threads", True, "threads"),
         ("tolerances", {"fit_tol": math.nan}, "tolerances.fit_tol"),
         ("tolerances", {"consistency_tol": math.inf}, "tolerances.consistency_tol"),
+        # frac reads no config and analyze and decay have no quadrature
+        ("tolerances", {"quad_tol": 1e-6}, "tolerances.quad_tol"),
         ("tolerances", [0.1], "tolerances"),
         # only a missing or null tolerances object means the defaults
         ("tolerances", [], "tolerances"),

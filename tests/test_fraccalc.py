@@ -34,8 +34,7 @@ def test_identity_domain_checks():
         fraccalc.verify_contour_identity(1.0, 1.0, 1.5, 1j)  # eta must lie in (0, 1]
     with pytest.raises(ContourError):
         fraccalc.verify_contour_identity(
-            1.0, 1.0, 1.0, 1j, phi_angle=math.pi / 3,
-            contour=fraccalc.ContourSpec(theta=0.6 * math.pi),
+            1.0, 1.0, 1.0, 1j, contour=fraccalc.ContourSpec(theta=0.6 * math.pi),
         )
 
 
@@ -180,7 +179,11 @@ def test_contour_spec_validation():
         fraccalc.ContourSpec(r_min=1.0, r_max=0.5)
     with pytest.raises(ContourError):
         fraccalc.ContourSpec(nodes_per_ray=4)
-    with pytest.raises(DomainError):
-        fraccalc.FractionalIndex(-1.0, 0.5)
-    with pytest.raises(DomainError):
-        fraccalc.FractionalIndex(1.0, 0.5, eta=0.0)
+    for alpha, beta, eta in [(-1.0, 0.5, 1.0), (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                             (1.0, 0.5, 0.0), (1.0, 0.5, math.nan)]:
+        with pytest.raises(DomainError):
+            fraccalc.FractionalIndex(alpha, beta, eta)
+    one = operators.DenseMatrixModel([[1.0]])
+    for alpha, beta in [(math.nan, 1.0), (1.0, math.inf)]:
+        with pytest.raises(DomainError):
+            fraccalc.fractional_power_apply(one, alpha, beta, np.array([1.0 + 0j]))

@@ -227,16 +227,6 @@ def test_fit_power_law_errors():
         numcore.fit_power_law(g, np.ones(5))
 
 
-def test_fit_power_law_log_factor_mode():
-    g = numcore.geometric_grid(10.0, 1e6, 80)
-    vals = 2.0 * g**-1.5 * np.log(g) ** 2.0
-    fit = numcore.fit_power_law(g, vals, with_log_factor=True)
-    assert fit.exponent == pytest.approx(-1.5, abs=1e-8)
-    assert fit.log_coefficient == pytest.approx(2.0, abs=1e-6)
-    plain = numcore.fit_power_law(g, vals)
-    assert abs(plain.exponent + 1.5) > abs(fit.exponent + 1.5)
-
-
 def test_fit_exp_rate():
     t = np.linspace(0.0, 30.0, 40)
     fit = numcore.fit_exp_rate(t, 2.0 * np.exp(-0.7 * t))

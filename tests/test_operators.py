@@ -236,8 +236,10 @@ def test_empty_sweep_checks_indices(kind):
     # the indices are checked before the time loop, so an empty sweep
     # rejects them too
     model = _models()[kind]
-    with pytest.raises(DomainError):
-        model.fractional_norm(np.array([]), -1.0, 0.0)
+    bad = [(-1.0, 0.0), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)]
+    for sigma, tau in bad:
+        with pytest.raises(DomainError):
+            model.fractional_norm(np.array([]), sigma, tau)
     if kind == "opmatrix":  # integer sigma only
         with pytest.raises(DomainError):
             model.fractional_norm(np.array([]), 0.5, 0.0)
@@ -670,13 +672,12 @@ def test_semigroup_norm_is_fractional_norm_at_zero_indices():
 
 
 def test_opmatrix_resolvent_matches_direct_solve():
-    # sup over s of ||(lam + s I - N)^{-1}||, each inverse by a direct solve
-    model = operators.OperatorMatrixModel(2)
-    eye = np.eye(2)
-    for lam in (2.0 + 0.7j, -1.5 - 0.2j, 0.5j):
-        got = _resolvent_norm(model, lam)
-        want = _dense_sup(model, lambda s: np.linalg.solve((lam + s) * eye - _shift(model), eye))
+    # sup over s of ||(lam + s I - N)^{-1}||: the direct solve at the s nearest -lam;
+    # at n = 3 that s, 0.9804, lies in the grid's last cell, which golden section skips
+    for n, lam in [(2, 2.0 + 0.7j), (2, -1.5 - 0.2j), (2, 0.5j), (2, -0.3 + 0.1j), (3, -0.9804 + 0.2879j)]:
+        got, want, grid = _opmatrix_resolvent_norms(operators.OperatorMatrixModel(n), lam)
         assert got == pytest.approx(want, rel=1e-12)
+        assert grid <= want * (1.0 + 1e-12)
 
 
 def test_opmatrix_norm_growth():
@@ -749,15 +750,24 @@ def _dense_symbol_phi(model, alpha, beta, s):
     return base @ den
 
 
-def _dense_symbols(model, t, sigma, tau, lam):
+def _dense_symbols(model, t, sigma, tau):
     e = _dense_expm_tN(model, t)
     return {
         "semigroup": lambda s: math.exp(-t * s) * e,
         "fractional": lambda s: math.exp(-t * s) * e @ _dense_symbol_phi(model, sigma, tau, s),
-        "resolvent": lambda s: sum(
-            np.linalg.matrix_power(_shift(model), k) * (lam + s) ** (-(k + 1)) for k in range(model.n)
-        ),
     }
+
+
+def _opmatrix_resolvent_norms(model, lam):
+    """The model's resolvent norm at lam, the direct solve at s* = clip(-Re lam, 0, 1),
+    and the grid-and-golden supremum over s of the direct solves."""
+    eye = np.eye(model.n)
+
+    def inverse(s):
+        return np.linalg.solve((lam + s) * eye - _shift(model), eye)
+
+    want = float(np.linalg.norm(inverse(min(1.0, max(0.0, -lam.real))), 2))
+    return _resolvent_norm(model, lam), want, _dense_sup(model, inverse)
 
 
 def _dense_sup(model, mat, seeds=()):
@@ -783,7 +793,7 @@ def _dense_sup(model, mat, seeds=()):
 def test_opmatrix_norms_match_dense_symbols(n, t, sigma, tau, lam):
     model = operators.OperatorMatrixModel(n)
     assume(model.spectrum_distance(-lam) > 1e-2)
-    dense = _dense_symbols(model, t, sigma, tau, lam)
+    dense = _dense_symbols(model, t, sigma, tau)
     ss = model._sup_nodes
     semigroup = np.exp(-t * ss)[:, None] * operators._exp_series_coeffs(t, model.n)
     rows = {
@@ -798,13 +808,15 @@ def test_opmatrix_norms_match_dense_symbols(n, t, sigma, tau, lam):
     def seeds(count):
         return [min(1.0, max(1e-9, c / t)) if t > 0 else 0.5 for c in range(count)]
 
+    resolvent, exact, grid = _opmatrix_resolvent_norms(model, lam)
     sups = [
         (model.semigroup_norm([t])[0], _dense_sup(model, dense["semigroup"], seeds(n))),
         (model.fractional_norm([t], sigma, tau)[0], _dense_sup(model, dense["fractional"], seeds(2 * n))),
-        (_resolvent_norm(model, lam), _dense_sup(model, dense["resolvent"])),
+        (resolvent, exact),
     ]
     for got, want in sups:
         assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert grid <= exact * (1.0 + 1e-12)
 
 
 def test_diagonal_edge_domination_flagged():

@@ -1,5 +1,6 @@
 """Every public function and method of the package is reached from the
-package itself, or is listed in README's library-API section."""
+package itself, or is listed in README's library-API section, and every
+record field of the package is read."""
 
 import ast
 import collections
@@ -67,3 +68,20 @@ def test_library_api_entries_exist():
     listed = _library_api()
     assert listed
     assert listed <= defined
+
+
+def test_record_fields_are_read():
+    # a field counts as read when an attribute load anywhere in the package,
+    # its tests, tools or benchmark names it
+    read = set()
+    for d in ("src", "tests", "tools", "perfbench"):
+        for p in (_ROOT / d).rglob("*.py"):
+            read.update(n.attr for n in ast.walk(ast.parse(p.read_text()))
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    unread = []
+    for p in sorted(_SRC.glob("*.py")):
+        for cls in ast.parse(p.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                unread += [f"{p.stem}.{cls.name}.{f.target.id}" for f in cls.body
+                           if isinstance(f, ast.AnnAssign) and f.target.id not in read]
+    assert unread == [], "read these fields or delete them"
