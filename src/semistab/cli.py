@@ -5,10 +5,16 @@ the flags it reads.  Exit codes: 0 all checks pass, 1 an analysis or
 consistency check failed, 2 the configuration or a flag is invalid (the
 diagnostic names the offending field or flag).
 
-Runs are single-threaded.  --threads and the config key "threads" are
-accepted and validated for compatibility but have no effect.  Identical
-(config, seed) pairs produce byte-identical summary.json; wall-clock
-timings go to a separate run_meta.json.
+Runs are single-threaded: ``main`` sets every OpenBLAS the process has
+loaded to one thread for the run (``numcore.one_blas_thread``) and
+restores the earlier counts afterwards.  The libraries are looked up
+once, when this module is imported, so an OpenBLAS loaded later, such as
+the scipy one that the defective-matrix branch of ``DenseMatrixModel``
+loads mid-run, is not capped.  Library calls and other BLAS libraries are
+left alone.  --threads and the config key "threads" are accepted and
+validated for compatibility but have no effect.  Identical (config, seed)
+pairs produce byte-identical summary.json; wall-clock timings go to a
+separate run_meta.json.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ from .errors import ConfigError, DomainError, InsufficientDataError, Unsupported
 CSV_HEADER = battery_mod.CSV_HEADER
 
 DEFAULT_TOLERANCES = {"fit_tol": 0.1, "consistency_tol": 0.05}
+
+# main's one-thread cap looks its libraries up here, not inside the first run,
+# whose time the lookup (about 0.5 ms) would otherwise carry
+numcore.loaded_openblas()
 
 # seeds key Philox streams with the stream number above bit 64 (battery._rng)
 SEED_LIMIT = 2**64
@@ -624,7 +634,8 @@ def build_parser():
             p.add_argument("--config", required=config, help="JSON config path")
         p.add_argument("--out-dir", default=None, help="output directory")
         p.add_argument("--threads", type=_positive_int,
-                       help="accepted for compatibility; runs are single-threaded")
+                       help="accepted for compatibility; runs use one OpenBLAS thread, "
+                            "restored afterwards")
         if seed:
             p.add_argument("--seed", type=_seed, default=None, help=seed)
         if tol:
@@ -642,24 +653,26 @@ def build_parser():
 
 
 def main(argv=None):
-    try:
-        args = build_parser().parse_args(argv)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "decay":
-            return _cmd_analyze(args, measure_only=True)
-        if args.command == "frac":
-            return _cmd_frac(args)
-        if args.command == "mult":
-            return _cmd_mult(args)
-        if args.command == "verify-examples":
-            return _cmd_verify(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, InsufficientDataError, UnsupportedModelError) as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return 1
+    """Run one subcommand on one OpenBLAS thread and return its exit code."""
+    with numcore.one_blas_thread():
+        try:
+            args = build_parser().parse_args(argv)
+            if args.command == "analyze":
+                return _cmd_analyze(args)
+            if args.command == "decay":
+                return _cmd_analyze(args, measure_only=True)
+            if args.command == "frac":
+                return _cmd_frac(args)
+            if args.command == "mult":
+                return _cmd_mult(args)
+            if args.command == "verify-examples":
+                return _cmd_verify(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (DomainError, InsufficientDataError, UnsupportedModelError) as exc:
+            print(f"analysis error: {exc}", file=sys.stderr)
+            return 1
     return 2
 
 

@@ -1,15 +1,17 @@
 """Shared numerics: geometric grids, FFT convolution, log factorials,
-stable sums, and asymptotic-rate fits.
+stable sums, asymptotic-rate fits, and the one-thread BLAS cap of the CLI.
 
-Everything here is a pure function of its arguments; values are safe to
-share between threads.  The module imports no scipy: the FFT lengths, the
-log factorials and the log-sum-exp take scipy's steps on numpy and
-``math``, so their values equal scipy's bit for bit.
+Everything here but ``one_blas_thread`` is a pure function of its
+arguments; values are safe to share between threads.  The module imports
+no scipy: the FFT lengths, the log factorials and the log-sum-exp take
+scipy's steps on numpy and ``math``, so their values equal scipy's bit for
+bit.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,6 +26,60 @@ _LS2PI = 0.91893853320467274178
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
            -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 _log_factorial_table = np.zeros(1)  # log k! for k < len; replaced, never written, as it grows
+# thread-count entry points of numpy's and scipy's OpenBLAS wheels, then of a system build
+_OPENBLAS_THREAD_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                          ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+                          ("openblas_get_num_threads", "openblas_set_num_threads"))
+_openblas_handles = None  # (get, set) of each OpenBLAS loaded at the first lookup
+
+
+def loaded_openblas():
+    """(get, set) thread-count functions of every OpenBLAS the process had
+    loaded at the first call; looked up once per process."""
+    global _openblas_handles
+    if _openblas_handles is None:
+        import ctypes  # here, so that importing the package does not
+
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and ".so" in ln})
+        except OSError:  # no /proc: nothing to find
+            paths = []
+        handles = []
+        for path in paths:
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:  # the mapped file is gone
+                continue
+            for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+                if hasattr(lib, get_name) and hasattr(lib, set_name):
+                    get, set_threads = getattr(lib, get_name), getattr(lib, set_name)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    handles.append((get, set_threads))
+                    break
+        _openblas_handles = tuple(handles)
+    return _openblas_handles
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore each library's
+    earlier thread count, also when the block raises or exits.
+
+    It caps the libraries of ``loaded_openblas`` and does nothing where
+    there is none.  The thread count is global to the process, so the cap
+    applies to all its threads while it lasts.
+    """
+    handles = loaded_openblas()
+    before = [get() for get, _ in handles]
+    for _, set_threads in handles:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(handles, before):
+            set_threads(count)
 
 
 def geometric_grid(start, stop, count):

@@ -365,7 +365,8 @@ class DiagonalSymbolModel(OperatorModel):
             invertible=True,
             sectorial=True,
             sectorial_angle=angle,
-            known_growth_pair=(0.0, (b - 1.0 + 2.0 * a) / b),
+            # |R(i xi)| grows like |xi|^(a/b) on L^2, one order of g' more on the Sobolev space
+            known_growth_pair=(0.0, ((b - 1.0 + 2.0 * a) if self.sobolev else a) / b),
         )
 
     def symbol(self, s):

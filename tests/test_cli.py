@@ -233,6 +233,15 @@ def test_overflowing_norms_are_an_analysis_error(tmp_path, operator, grids):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("only", ["laplace", "jordan"])
+def test_one_blas_thread_changes_no_verify_row(tmp_path, only):
+    # cli.main runs on one OpenBLAS thread; direct calls keep the caller's count
+    assert cli.main(["verify-examples", "--only", only, "--out-dir", str(tmp_path / "cli")]) in (0, 1)
+    rows = [row for _, case in battery.matching_cases(only) for row in case(seed=0).rows]
+    cli._write_csv(str(tmp_path), "direct.csv", rows)
+    assert (tmp_path / "cli" / "verify.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
 def test_analyze_outputs_and_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_base_config(tmp_path / "o")))

@@ -191,8 +191,7 @@ def test_semigroup_convolution_identity_and_pulse():
     model = operators.DenseMatrixModel(m)
     grid = multiplier.FourierGridSpec(80.0, 2**12)
     f = _bump(grid, center=2.0, width=2.0)[:, None] * np.ones((1, 3))
-    for k in (0, 1):
-        conv = multiplier.semigroup_convolution(model, k, f, grid)
+    for k, conv in enumerate(multiplier.semigroup_convolution(model, (0, 1), f, grid)):
         sym = multiplier.resolvent_power_symbol(model, k + 1)
         via = math.factorial(k) * multiplier.apply_multiplier(sym, f, grid)
         assert np.linalg.norm(conv - via) / np.linalg.norm(via) < 1e-3
@@ -201,7 +200,7 @@ def test_semigroup_convolution_identity_and_pulse():
     i0 = int(np.argmin(np.abs(grid.times)))
     x = np.array([1.0, -0.5, 0.25], dtype=complex)
     pulse[i0] = x / grid.dt
-    out = multiplier.semigroup_convolution(model, 1, pulse, grid)
+    (out,) = multiplier.semigroup_convolution(model, [1], pulse, grid)
     for s in (2.0, 5.0):
         i = int(np.argmin(np.abs(grid.times - s)))
         want = grid.times[i] * (model._expm_neg(grid.times[i]) @ x)
@@ -213,17 +212,17 @@ def test_convolution_window_errors():
     grid = multiplier.FourierGridSpec(40.0, 2**10)
     f = _bump(grid)[:, None]
     with pytest.raises(WindowError):
-        multiplier.semigroup_convolution(growing, 0, f, grid)
+        multiplier.semigroup_convolution(growing, [0], f, grid)
     slow = operators.DenseMatrixModel([[0.05]])  # decays too slowly for the window
     with pytest.raises(WindowError):
-        multiplier.semigroup_convolution(slow, 0, f, grid)
+        multiplier.semigroup_convolution(slow, [0], f, grid)
 
 
 def test_laplace_identity_window_error():
     model = operators.DenseMatrixModel([[1.0]])
     x = np.array([1.0 + 0j])
     with pytest.raises(WindowError):
-        multiplier.verify_laplace_identity(model, 0, x, multiplier.FourierGridSpec(5.0, 2**10))
+        multiplier.verify_laplace_identity(model, [0], x, multiplier.FourierGridSpec(5.0, 2**10))
 
 
 def test_laplace_identity_scalar():
@@ -231,8 +230,27 @@ def test_laplace_identity_scalar():
     model = operators.DenseMatrixModel([[1.0]])
     x = np.array([1.0 + 0j])
     grid = multiplier.FourierGridSpec(100.0, 2**14)
-    for n in (0, 2):
-        assert multiplier.verify_laplace_identity(model, n, x, grid) < 1e-3
+    assert max(multiplier.verify_laplace_identity(model, (0, 2), x, grid)) < 1e-3
+
+
+def test_power_arrays_equal_one_power_calls():
+    # T(t), its norms and the resolvent powers are shared across the powers,
+    # and each entry is still its one-power call bit for bit
+    model = battery._stable_dense(battery._rng(0, 7), 4, 0.8)
+    x = np.arange(1.0, 5.0) + 1j
+    grid = multiplier.FourierGridSpec(100.0, 2**14)
+    ns = (2, 0, 1)
+    errs = multiplier.verify_laplace_identity(model, ns, x, grid)
+    assert errs == [multiplier.verify_laplace_identity(model, [n], x, grid)[0] for n in ns]
+    f = _bump(grid, center=5.0, width=3.0)[:, None] * np.exp(0.25j * grid.times)[:, None] * np.ones((1, 4))
+    convs = multiplier.semigroup_convolution(model, ns, f, grid)
+    for k, conv in zip(ns, convs):
+        assert conv.tobytes() == multiplier.semigroup_convolution(model, [k], f, grid)[0].tobytes()
+    for bad in ([0, -1], [1.5]):
+        with pytest.raises(DomainError):
+            multiplier.verify_laplace_identity(model, bad, x, grid)
+        with pytest.raises(DomainError):
+            multiplier.semigroup_convolution(model, bad, f, grid)
 
 
 def test_apply_multiplier_shape_errors(grid):
@@ -384,7 +402,7 @@ def test_semigroup_convolution_matches_direct(k, dim, seed):
     grid = multiplier.FourierGridSpec(80.0, 2**10)
     f = (rng.standard_normal((grid.samples, dim)) + 1j * rng.standard_normal((grid.samples, dim)))
     f *= np.exp(-0.5 * (grid.times / 5.0) ** 2)[:, None]
-    got = multiplier.semigroup_convolution(model, k, f, grid)
+    (got,) = multiplier.semigroup_convolution(model, [k], f, grid)
     tpos = grid.times[grid.times >= 0.0]
     w = np.full(len(tpos), grid.dt)
     w[0] *= 0.5

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistab import numcore
+from semistab import cli, numcore
 from semistab.errors import DomainError, InsufficientDataError
 
 
@@ -111,6 +111,37 @@ def test_package_paths_load_no_scipy():
     steps = json.loads(out.stdout.strip().splitlines()[-1])
     assert list(steps) == ["import semistab.cli", "load_config of every kind", "analyze JORDAN_CONFIG"]
     assert all(mods == [] for mods in steps.values()), steps
+
+
+def test_one_blas_thread_caps_every_openblas_and_restores_it():
+    handles = numcore.loaded_openblas()
+    if not handles:
+        pytest.skip("no OpenBLAS is loaded in this process")
+
+    def counts():
+        return [get() for get, _ in handles]
+
+    before = counts()
+    try:
+        # a known count above 1 to come back to
+        for _, set_threads in handles:
+            set_threads(2)
+        with numcore.one_blas_thread():
+            assert counts() == [1] * len(handles)
+        assert counts() == [2] * len(handles)
+        with pytest.raises(RuntimeError), numcore.one_blas_thread():
+            assert counts() == [1] * len(handles)
+            raise RuntimeError
+        assert counts() == [2] * len(handles)
+        # argparse exits through SystemExit on a bad flag
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-examples", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert counts() == [2] * len(handles)
+        assert numcore.loaded_openblas() is handles  # looked up once per process
+    finally:
+        for (_, set_threads), count in zip(handles, before):
+            set_threads(count)
 
 
 def test_next_fast_len_equals_scipy():

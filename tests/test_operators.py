@@ -915,6 +915,17 @@ def test_diagonal_factors_taken_once_per_sweep_keep_every_bit(sobolev, sigma, ta
     assert model.fractional_norm(ts, sigma, tau).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("a,b", [(1.0, 0.5), (2.0, 0.5), (0.6, 0.8)])
+def test_diagonal_known_growth_pair_follows_sobolev(a, b):
+    # on plain L^2 the resolvent grows like |xi|^(a/b), and the probes fit it
+    plain = operators.DiagonalSymbolModel(a, b, sobolev=False)
+    assert plain.info.known_growth_pair == (0.0, a / b)
+    table = resolvent.probe_resolvent_norms(plain, numcore.geometric_grid(1e-2, 1e3, 96))
+    assert abs(resolvent.fit_growth_profile(table).beta_hat - a / b) <= 0.05
+    sobolev = operators.DiagonalSymbolModel(a, b, grid_count=64)
+    assert sobolev.info.known_growth_pair == (0.0, (b - 1.0 + 2.0 * a) / b)
+
+
 def test_overflowing_norms_raise_domain_error():
     # LAPACK answers NaN, or fails to converge, on non-finite entries
     for row in ([1.0, np.inf], [np.nan, 0.0]):

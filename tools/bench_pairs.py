@@ -7,7 +7,14 @@
 with ``src/semistab`` and ``perfbench/``).  For each, the script records:
 
 - the duration of every battery case (``battery.ALL_CASES``) from direct
-  calls, one fresh process per seed in ``CASE_SEEDS``;
+  calls, one fresh process per seed in ``CASE_SEEDS``.  Direct calls
+  bypass ``cli.main``, so they run at the default OpenBLAS thread count
+  and cannot show the CLI's one-thread cap;
+- the jordan.rates first-call stall: the case timed through
+  ``cli.main(["verify-examples", "--only", "jordan.rates"])`` in
+  ``STALL_ROUNDS`` fresh processes per checkout, and the number of those
+  passes over ``STALL_S`` seconds (a pass takes 0.2-0.4 s without a
+  stall);
 - the block-sum worst case: ``JordanSumModel.fractional_norm`` at tau = 0,
   sigma in ``WORST_SIGMAS`` and t in ``WORST_TIMES`` on the models
   ``WORST_MODELS``, where every block has nearly the same norm, so the
@@ -25,7 +32,7 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
 
 Parent and change processes alternate, and the side that runs first in a
 round alternates too, so both see the host at similar times.  A full run
-takes about 45 minutes on a 2-CPU host.
+takes about 20 minutes on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -46,12 +53,25 @@ WORST_MODELS = ((0.5, 0.5, 10**4), (0.5, 0.9, 10**4))
 WORST_SIGMAS = (0.1, 2.0)
 WORST_TIMES = (0.0, 1.0, 20.0)
 WORST_ROUNDS = 5
+STALL_ROUNDS = 24
+STALL_S = 0.8
 
 CASE_TIMER = """
 import json, sys
 from semistab import battery
 seed = int(sys.argv[1])
 print(json.dumps({name: case(seed).duration for name, case in battery.ALL_CASES}))
+"""
+
+STALL_TIMER = """
+import contextlib, io, json, os, tempfile
+from semistab import cli
+with tempfile.TemporaryDirectory() as tmp:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["verify-examples", "--only", "jordan.rates", "--out-dir", tmp])
+    with open(os.path.join(tmp, "run_meta.json"), encoding="utf-8") as fh:
+        seconds = json.load(fh)["timings_s"]["jordan.rates"]
+print(json.dumps(seconds))
 """
 
 WORST_CASE = """
@@ -134,6 +154,15 @@ def main(argv=None):
             cases[name][str(seed)] = _child(trees[name], CASE_TIMER, str(seed))
             print(f"{name} seed {seed}: {cases[name][str(seed)]}", flush=True)
 
+    stalls = {name: [] for name in trees}
+    for i in range(STALL_ROUNDS):
+        for name in _alternating(i):
+            stalls[name].append(_child(trees[name], STALL_TIMER))
+    stall = {name: {"s": _summary(runs), "passes_over_stall_s": sum(s > STALL_S for s in runs)}
+             for name, runs in stalls.items()}
+    stall["stall_s"] = STALL_S
+    print(f"jordan.rates through cli.main: {stall}", flush=True)
+
     spec = json.dumps([WORST_MODELS, WORST_SIGMAS, WORST_TIMES])
     rounds = {name: [] for name in trees}
     for i in range(WORST_ROUNDS):
@@ -178,6 +207,7 @@ def main(argv=None):
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
         "case_seconds_direct_calls": cases,
+        "jordan_rates_stall_via_cli": stall,
         "block_sum_worst_case": worst,
         "traced_seed0": traced,
         "end_to_end": end_to_end,
