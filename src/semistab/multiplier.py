@@ -35,11 +35,12 @@ from .errors import (
     UnsupportedModelError,
     WindowError,
 )
-from .numcore import fftconvolve, fit_exp_rate
+from .numcore import fit_exp_rate, next_fast_len
 from .operators import DenseMatrixModel
 
 TRANSFORM_CONSTANT_P1 = 1.0
 TRANSFORM_CONSTANT_P2 = math.sqrt(2.0 * math.pi)
+_RESOLVENT_BLOCK = 2048  # nodes per batched inverse of resolvent_power_symbol
 
 
 @dataclass(frozen=True)
@@ -174,20 +175,31 @@ class SymbolSamples(NamedTuple):
 
 
 def resolvent_power_symbol(model, power=1):
-    """(i xi + A)^{-power} for a dense model, evaluated by batched inverses."""
+    """(i xi + A)^{-power} for a dense model, evaluated by batched inverses
+    over blocks of ``_RESOLVENT_BLOCK`` nodes: only the result is held at
+    full length, with the same bits as one batch over all nodes."""
     if not isinstance(model, DenseMatrixModel):
         raise UnsupportedModelError("resolvent symbols are built from dense models")
     a = model.matrix
     d = model.dim
-    eye = np.eye(d)
+    diag = np.arange(d)
 
     def fn(xis):
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        # no name holds i xi + A, which is freed before the powers are multiplied up
-        inv = np.linalg.inv(1j * xis[:, None, None] * eye[None] + a[None])
-        out = inv
-        for _ in range(power - 1):
-            out = out @ inv
+        out = np.empty((len(xis), d, d), dtype=complex)
+        for lo in range(0, len(xis), _RESOLVENT_BLOCK):
+            block = xis[lo : lo + _RESOLVENT_BLOCK]
+            # i xi + A in one buffer, written only on the diagonal, and freed
+            # before the powers are multiplied up
+            shifted = np.empty((len(block), d, d), dtype=complex)
+            shifted[:] = a
+            shifted[:, diag, diag] += 1j * block[:, None]
+            inv = np.linalg.inv(shifted)
+            del shifted
+            part = inv
+            for _ in range(power - 1):
+                part = part @ inv
+            out[lo : lo + _RESOLVENT_BLOCK] = part
         return out if d > 1 else out[:, 0, 0]
 
     return Symbol(fn, d, name=f"(i xi + A)^-{power}")
@@ -242,7 +254,15 @@ def _check_powers(powers, name):
 
 def semigroup_convolution(model, ks, f, grid):
     """S_k(f)(s) = integral_0^oo t^k T(t) f(s-t) dt by grid quadrature, one
-    array per k in ``ks``; T(t) and its norms on the grid are built once.
+    (N, d) array per k in ``ks`` (shape (N,) for d = 1); T(t) and its norms
+    on the grid are built once.
+
+    The convolution is summed over the columns of T(t) in the frequency
+    domain: f is transformed once, and for each k every column t^k T(t) e_c
+    is transformed, multiplied by the spectrum of f's component c and added
+    into one (size, d) spectrum, whose one inverse transform gives S_k(f).
+    Convolving each of the d^2 entries of T(t) would inverse-transform a
+    (size, d, d) array per k instead.
 
     Defined when t^k ||T(t)|| is integrable over the window; the tail
     beyond the window is estimated from an exponential fit of the sampled
@@ -252,46 +272,71 @@ def semigroup_convolution(model, ks, f, grid):
         raise UnsupportedModelError("time-domain convolution needs a dense model")
     ks = _check_powers(ks, "k")
     f = np.asarray(f, dtype=complex)
+    d = model.dim
+    if f.ndim not in (1, 2) or f.shape[0] != grid.samples:
+        raise ShapeError(f"expected samples of shape ({grid.samples}, {d}), got {f.shape}")
     if f.ndim == 1:
         f = f[:, None]
-    d = f.shape[1]
+    if f.shape[1] != d:
+        raise ShapeError(f"model dimension {d} vs samples dimension {f.shape[1]}")
     ts = grid.times
-    pos = ts >= 0.0
-    tpos = ts[pos]
+    tpos = ts[ts >= 0.0]
     kernels = model._expm_neg(tpos)
-    if kernels.shape[1] != d:
-        raise ShapeError(f"model dimension {kernels.shape[1]} vs samples dimension {d}")
     weights = np.full(len(tpos), grid.dt)
     weights[0] *= 0.5  # trapezoid across the t=0 boundary of the kernel
     norms = np.linalg.norm(kernels, 2, axis=(1, 2))
+    size = next_fast_len(len(tpos) + grid.samples - 1, False)
+    f_hat = np.fft.fft(f, size, axis=0)
+    spectrum = np.empty((size, d), dtype=complex)
     outs = []
     for k in ks:
         knorms = (tpos**k) * norms
         _check_window_tail(tpos, knorms, float(np.sum(weights * knorms)), f"kernel t^{k} ||T(t)||")
-        series = weights[:, None, None] * (tpos**k)[:, None, None] * kernels
-        # out[:, r] = sum_c series[:, r, c] * f[:, c], all d^2 convolutions in one;
-        # no name holds the full convolution, which is freed before the next k's
-        out = fftconvolve(series, f[:, None, :], axes=0)[: grid.samples].sum(axis=2)
+        scale = (weights * tpos**k)[:, None]
+        spectrum[:] = 0.0
+        for c in range(d):
+            column = np.fft.fft(scale * kernels[:, :, c], size, axis=0)
+            column *= f_hat[:, c, None]
+            spectrum += column
+            del column  # freed before the next column is transformed
+        # a copy, so the padded inverse transform is not kept alive by a view
+        out = np.fft.ifft(spectrum, axis=0)[: grid.samples].copy()
         outs.append(out if d > 1 else out[:, 0])
     return outs
+
+
+def _resolvent_chain(model, xis, x, count):
+    """[(i xi + A)^{-p-1} x for p < ``count``] at the nodes ``xis``, each of
+    shape (len(xis), d), by the vector chain v_0 = R x, v_p = R v_{p-1} with
+    R = (i xi + A)^{-1}; R is the only (len(xis), d, d) array, and no power
+    of it is formed."""
+    resolvent = resolvent_power_symbol(model).eval_all(xis).reshape(-1, model.dim, model.dim)
+    chain = [(resolvent @ x[:, None])[:, :, 0]]
+    while len(chain) < count:
+        chain.append((resolvent @ chain[-1][:, :, None])[:, :, 0])
+    return chain
 
 
 def verify_laplace_identity(model, ns, x, grid):
     """For each n in ``ns``, the max relative error between the transform
     of t -> t^n T(t) x and the closed form n! (i xi + A)^{-n-1} x over the
-    aliasing-safe band.  T(t) x and the resolvent powers are built once.
+    aliasing-safe band.  T(t) x is built once, and the closed forms come
+    from the vector chain v_0 = R x, v_p = R v_{p-1} with R = (i xi + A)^{-1}
+    sampled once on the band (``_resolvent_chain``); no power of R is formed.
+    ``x`` must have shape (d,) for the model dimension d (ShapeError).
 
     The orbit must decay inside the window (``_check_window_tail``).  The
     sampled orbit is jump-corrected: a reference t^n e^{-t} sum_{j<4} t^j w_j matching the
     orbit's Taylor coefficients at t = 0+ is subtracted before the DFT and
     its exact transform is added back, which removes the slowly decaying
     aliasing tail of the raw orbit transform.  Frequencies above half the
-    Nyquist band are excluded.
+    Nyquist band are excluded, and only the kept band of each transform is
+    held.
     """
     if not isinstance(model, DenseMatrixModel):
         raise UnsupportedModelError("the identity check needs a dense model")
     ns = _check_powers(ns, "n")
-    x = np.asarray(x, dtype=complex)
+    x = model._check_vec(x)
     ts = grid.times
     pos = ts >= 0.0
     tpos = ts[pos]
@@ -303,32 +348,32 @@ def verify_laplace_identity(model, ns, x, grid):
         ws.append(shift @ ws[-1] / j)
     decay = np.exp(-tpos)
     xis = grid.freqs
-    denom = 1j * xis + 1.0
     keep = np.abs(xis) <= (grid.samples / (4.0 * grid.period)) * 2.0 * math.pi
-    powers = []  # (i xi + A)^{-p} on the band for p = 1, 2, ...
+    denom = 1j * xis[keep] + 1.0
+    chain = []
     errs = []
     for n in ns:
         orbit = np.zeros((grid.samples, model.dim), dtype=complex)
         orbit[pos] = (tpos**n)[:, None] * path
         onorms = np.linalg.norm(orbit[pos], axis=1)
         _check_window_tail(tpos, onorms, float(np.sum(onorms) * grid.dt), "orbit")
+        if not chain:  # once an orbit is known to decay, for every n at once
+            chain = _resolvent_chain(model, xis[keep], x, max(ns) + 1)
         # the sampled difference from the reference t^n e^{-t} sum_j t^j w_j is
         # C^3 at t=0+, which kills the slowly decaying aliasing tail of the raw transform
-        ref = np.zeros_like(orbit)
+        ref = np.zeros((len(tpos), model.dim), dtype=complex)
         for j, wj in enumerate(ws):
-            ref[pos] += (tpos ** (n + j) * decay)[:, None] * wj[None, :]
-        F = fourier_forward(orbit - ref, grid)
+            ref += (tpos ** (n + j) * decay)[:, None] * wj[None, :]
+        orbit[pos] -= ref
+        del ref
+        F = fourier_forward(orbit, grid)[keep]
+        del orbit
         F_ref = np.zeros_like(F)
         for j, wj in enumerate(ws):
             F_ref += (math.factorial(n + j) / denom ** (n + j + 1))[:, None] * wj[None, :]
-        F_total = F + F_ref
-        if not powers:
-            first = resolvent_power_symbol(model).eval_all(xis[keep])
-            powers.append(first.reshape(-1, model.dim, model.dim))
-        while len(powers) <= n:  # multiplied up as resolvent_power_symbol does
-            powers.append(powers[-1] @ powers[0])
-        target = math.factorial(n) * np.einsum("kij,j->ki", powers[n], x)
-        err = np.linalg.norm(F_total[keep] - target, axis=1)
+        F += F_ref
+        target = math.factorial(n) * chain[n]
+        err = np.linalg.norm(F - target, axis=1)
         scale = np.linalg.norm(target, axis=1)
         errs.append(float(np.max(err / scale)))
     return errs

@@ -3,13 +3,14 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistab import battery, cli, multiplier, operators
+from semistab import battery, cli, multiplier, numcore, operators
 from semistab.errors import DomainError, ShapeError, SingularSymbolError, WindowError
 
 
@@ -251,6 +252,96 @@ def test_power_arrays_equal_one_power_calls():
             multiplier.verify_laplace_identity(model, bad, x, grid)
         with pytest.raises(DomainError):
             multiplier.semigroup_convolution(model, bad, f, grid)
+
+
+def _laplace_case_inputs():
+    """The model, vector, grid and convolution input of laplace.identity at seed 0."""
+    rng = battery._rng(0, 7)
+    model = battery._stable_dense(rng, 4, 0.8)
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    x /= np.linalg.norm(x)
+    grid = multiplier.FourierGridSpec(100.0, 2**14)
+    ts = grid.times
+    f = np.exp(-0.5 * ((ts - 5.0) / 3.0) ** 2)[:, None] * np.ones((1, 4)) * np.exp(0.25j * ts)[:, None]
+    return model, x, grid, f
+
+
+def test_laplace_identity_prints_its_pinned_values():
+    res = battery.case_laplace_identity(0)
+    assert [r["value"] for r in res.rows] == [
+        "7.813e-12", "4.415e-11", "2.816e-08", "2.560e-05", "5.534e-06", "2.996e-11"]
+
+
+def test_frequency_domain_sum_matches_entrywise_convolution():
+    # the d^2 route: convolve every entry of t^k T(t) with f, then sum over columns
+    model, _, grid, f = _laplace_case_inputs()
+    tpos = grid.times[grid.times >= 0.0]
+    weights = np.full(len(tpos), grid.dt)
+    weights[0] *= 0.5
+    kernels = model._expm_neg(tpos)
+    ks = (0, 1, 2)
+    for k, got in zip(ks, multiplier.semigroup_convolution(model, ks, f, grid)):
+        series = (weights * tpos**k)[:, None, None] * kernels
+        want = numcore.fftconvolve(series, f[:, None, :], axes=0)[: grid.samples].sum(axis=2)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_vector_chain_matches_matrix_powers():
+    model, x, grid, _ = _laplace_case_inputs()
+    band = grid.freqs[np.abs(grid.freqs) <= grid.samples / (4.0 * grid.period) * 2.0 * math.pi]
+    chain = multiplier._resolvent_chain(model, band, x, 3)
+    for p, got in enumerate(chain):
+        want = multiplier.resolvent_power_symbol(model, p + 1).eval_all(band) @ x
+        assert np.max(np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)) <= 1e-13
+
+
+def test_resolvent_symbol_blocks_keep_the_one_batch_bits():
+    # more nodes than one block, xi = 0 and both signs, real and complex A
+    xis = np.fft.fftfreq(5000, d=0.01) * 2.0 * math.pi
+    rng = np.random.default_rng(5)
+    for a in (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + 3.0 * np.eye(3),
+              np.diag([1.0, 2.0, 0.5])):
+        model = operators.DenseMatrixModel(a)
+        inv = np.linalg.inv(1j * xis[:, None, None] * np.eye(3)[None] + model.matrix[None])
+        assert multiplier.resolvent_power_symbol(model, 1).eval_all(xis).tobytes() == inv.tobytes()
+        cube = inv @ inv @ inv
+        assert multiplier.resolvent_power_symbol(model, 3).eval_all(xis).tobytes() == cube.tobytes()
+
+
+def _traced_peak(fn):
+    """The tracemalloc peak of ``fn()`` in MiB, after one untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_laplace_identity_memory_peaks():
+    # the entrywise convolution with full-grid resolvent powers reads 21.6 MiB
+    # (case) and 19.9 MiB (convolution)
+    model, _, grid, f = _laplace_case_inputs()
+    assert _traced_peak(lambda: battery.case_laplace_identity(seed=0)) <= 15.0
+    assert _traced_peak(lambda: multiplier.semigroup_convolution(model, (0, 1, 2), f, grid)) <= 12.0
+
+
+def test_convolution_and_identity_shape_errors():
+    # a small grid, so that a 3-D f broadcast to a (size, size, d, d)
+    # product instead of rejected stays small
+    model = operators.DenseMatrixModel(np.eye(3) + 0.1)
+    grid = multiplier.FourierGridSpec(80.0, 2**6)
+    with pytest.raises(ShapeError, match="64"):
+        multiplier.semigroup_convolution(model, [0], np.ones((10, 3)), grid)
+    with pytest.raises(ShapeError, match="64"):
+        multiplier.semigroup_convolution(model, [0], np.ones((grid.samples, 3, 1)), grid)
+    with pytest.raises(ShapeError, match="model dimension 3"):
+        multiplier.semigroup_convolution(model, [0], np.ones((grid.samples, 2)), grid)
+    with pytest.raises(ShapeError, match=r"\(3,\)"):
+        multiplier.verify_laplace_identity(model, [0], np.ones(4), grid)
+    with pytest.raises(ShapeError, match=r"\(3,\)"):
+        multiplier.verify_laplace_identity(model, [0], np.ones((3, 1)), grid)
 
 
 def test_apply_multiplier_shape_errors(grid):

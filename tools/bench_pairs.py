@@ -22,6 +22,11 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
   time and SVD count, in ``WORST_ROUNDS`` fresh processes per checkout;
   each timed call includes building the model's Phi rows for that
   sigma;
+- the peak resident set after each battery case of one
+  ``cli.main(["verify-examples"])`` pass (seed 0): ``ru_maxrss`` read as
+  each case returns, in ``RSS_ROUNDS`` fresh processes per checkout.
+  ``ru_maxrss`` is a high-water mark, so a case's value is the process
+  peak up to its end, and the case that raises it sets the pass's peak;
 - the per-layer metrics under ``TRACED_PREFIXES`` of one traced run of
   each workload (``perfbench/run.py --trace 1``, seed 0);
 - the end-to-end ``wall_s``, ``cpu_s``, ``peak_rss_mb``, ``setup_s`` and
@@ -55,6 +60,7 @@ WORST_TIMES = (0.0, 1.0, 20.0)
 WORST_ROUNDS = 5
 STALL_ROUNDS = 24
 STALL_S = 0.8
+RSS_ROUNDS = 6
 
 CASE_TIMER = """
 import json, sys
@@ -72,6 +78,25 @@ with tempfile.TemporaryDirectory() as tmp:
     with open(os.path.join(tmp, "run_meta.json"), encoding="utf-8") as fh:
         seconds = json.load(fh)["timings_s"]["jordan.rates"]
 print(json.dumps(seconds))
+"""
+
+CASE_RSS = """
+import contextlib, io, json, resource, tempfile
+from semistab import battery, cli
+def maxrss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+peaks = {"before": maxrss_mb()}
+def probed(name, case):
+    def run(seed=0):
+        result = case(seed=seed)
+        peaks[name] = maxrss_mb()
+        return result
+    return run
+# cli.main reads its cases from this list, so wrap the entries
+battery.ALL_CASES[:] = [(name, probed(name, case)) for name, case in battery.ALL_CASES]
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["verify-examples", "--out-dir", tmp])
+print(json.dumps(peaks))
 """
 
 WORST_CASE = """
@@ -163,6 +188,14 @@ def main(argv=None):
     stall["stall_s"] = STALL_S
     print(f"jordan.rates through cli.main: {stall}", flush=True)
 
+    rss_runs = {name: [] for name in trees}
+    for i in range(RSS_ROUNDS):
+        for name in _alternating(i):
+            rss_runs[name].append(_child(trees[name], CASE_RSS))
+    case_rss = {name: {case: _summary([r[case] for r in runs]) for case in runs[0]}
+                for name, runs in rss_runs.items()}
+    print(f"verify-examples peak RSS per case: {case_rss}", flush=True)
+
     spec = json.dumps([WORST_MODELS, WORST_SIGMAS, WORST_TIMES])
     rounds = {name: [] for name in trees}
     for i in range(WORST_ROUNDS):
@@ -209,6 +242,7 @@ def main(argv=None):
         "case_seconds_direct_calls": cases,
         "jordan_rates_stall_via_cli": stall,
         "block_sum_worst_case": worst,
+        "verify_examples_peak_rss_mb_per_case": case_rss,
         "traced_seed0": traced,
         "end_to_end": end_to_end,
     }
