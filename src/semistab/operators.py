@@ -51,7 +51,9 @@ _SING_TOL = 1e-11
 # branch and bound in JordanSumModel skips a block once its bound times
 # this factor is at most the best norm found
 _BOUND_MARGIN = 1.0 + 1e-10
-_LINE_ENTRIES = 2**20  # block-sum resolvent rows are built in chunks of about this many entries
+# block-sum resolvent rows are built in chunks of about this many entries, and
+# a sweep's convolved rows or stacked matrices in chunks of at most 1/32 of it
+_LINE_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -160,10 +162,14 @@ def _exp_series_coeffs(t, m):
     return _finite_at(out, t)
 
 
+def _overflow_at(t):
+    return DomainError(f"matrix entries overflow float64 at t={t:g}; the norm is out of range")
+
+
 def _finite_at(entries, t):
     """``entries`` if all are finite, else DomainError naming the time t."""
     if not np.isfinite(entries).all():
-        raise DomainError(f"matrix entries overflow float64 at t={t:g}; the norm is out of range")
+        raise _overflow_at(t)
     return entries
 
 
@@ -208,7 +214,11 @@ def _svdvals(mats):
 
 
 def _toeplitz_norm(coeffs):
-    return float(_svdvals(_toeplitz_stack(np.asarray(coeffs, dtype=complex)))[0])
+    """Norm of the upper-triangular Toeplitz matrix of a coefficient row, or
+    an array of one norm per row of a 2-D stack of equal-length rows; each
+    equals its row's own norm bit for bit (one LAPACK call per matrix)."""
+    top = _svdvals(_toeplitz_stack(np.asarray(coeffs, dtype=complex)))[..., 0]
+    return float(top) if top.ndim == 0 else top
 
 
 # ---------------------------------------------------------------------------
@@ -467,32 +477,42 @@ class DiagonalSymbolModel(OperatorModel):
 # direct sums of shifted Jordan blocks
 
 
-def _exp_convolve(rows, t):
-    """Rows of exp(t B_m) T(row): each row convolved with t^k/k!, truncated to
-    m terms; DomainError naming t if an entry overflows, since the branch and
-    bound would read NaN rows as 0."""
+def _exp_convolve(rows, coeffs):
+    """Rows of exp(t B_m) T(row), shape (times, len(rows), m): each of the
+    ``rows`` (of length m) convolved with each time's row of ``coeffs``
+    (t^k/k!, at least m of them), truncated to m terms, in one FFT call.
+    Overflowed entries stay inf or NaN; callers check the times they read.
+    A copy, since callers hold the rows and a view would hold the FFT output."""
     m = rows.shape[-1]
-    coeffs = _exp_series_coeffs(t, m)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_at(fftconvolve(rows, coeffs[None, :], axes=1)[:, :m], t)
+        return fftconvolve(rows[None], coeffs[:, None, :m], axes=2)[..., :m].copy()
 
 
-def _branch_and_bound(ub, norm_of):
-    """(best, at): the largest ``norm_of(i)`` over the candidates of the bounds ``ub``
-    (consumed) and the first candidate attaining it, or None.  The first of largest
-    bound goes next while that bound times ``_BOUND_MARGIN`` could beat the best;
-    ``norm_of`` may instead lower bounds in ``ub`` and return None."""
-    best, at = 0.0, None
+def _branch_and_bound(ub, visit):
+    """(best, at) per problem: the largest norm over the candidates of each
+    row of the bounds ``ub`` (problems x candidates, consumed) and the first
+    candidate attaining it, or -1.
+
+    The problems run in lockstep: each round, every open problem takes its
+    own next step, the first candidate of largest bound, and closes once
+    that bound times ``_BOUND_MARGIN`` cannot beat its best.  So each takes
+    the steps it would take alone, and only the work of a round is shared:
+    ``visit(ps, cs)`` answers the norms of candidates ``cs`` of problems
+    ``ps`` at once, or NaN where it lowered that problem's bounds instead."""
+    best, at = np.zeros(len(ub)), np.full(len(ub), -1)
+    ps = np.arange(len(ub))
     while True:
-        i = int(np.argmax(ub))
-        if not ub[i] * _BOUND_MARGIN > best:
+        cs = np.argmax(ub[ps], axis=1)
+        live = ub[ps, cs] * _BOUND_MARGIN > best[ps]
+        ps, cs = ps[live], cs[live]
+        if not len(ps):
             return best, at
-        val = norm_of(i)
-        if val is None:
-            continue
-        ub[i] = -np.inf
-        if val > best:
-            best, at = val, i
+        vals = visit(ps, cs)
+        done = ~np.isnan(vals)
+        ps_done, cs_done, vals = ps[done], cs[done], vals[done]
+        ub[ps_done, cs_done] = -np.inf
+        better = vals > best[ps_done]
+        best[ps_done[better]], at[ps_done[better]] = vals[better], cs_done[better]
 
 
 class _BlockRows(NamedTuple):
@@ -538,8 +558,13 @@ class JordanSumModel(OperatorModel):
       bounds.  At t = 0, T(0) Phi = Phi, so the Phi rows are exact.
 
     The rows of A^sigma (1+A)^{-sigma-tau} and their l1 norms do not
-    depend on t, so ``fractional_norm`` builds them once per call and runs
-    the branch and bound once per time.
+    depend on t, so ``fractional_norm`` builds them once per call.  Every
+    norm of a call is one problem of a lockstep ``_branch_and_bound`` (the
+    times of a sweep, the points of a line), in chunks that bound the rows
+    held: each round takes one stacked SVD per block size, and a group's
+    rows are convolved with every time's e(t) in one FFT call.
+    ``semigroup_norm`` needs only the largest block: one stacked SVD per
+    chunk of its times.
     """
 
     def __init__(self, gamma, delta, n_max=10**4, n_start=None):
@@ -616,41 +641,80 @@ class JordanSumModel(OperatorModel):
         return np.hypot(lams.real - self.gamma, lams.imag + n)
 
     def semigroup_norm(self, ts):
+        ts = self._check_times(ts)
         m = self._groups[-1][0]
         # exp(t B_m) norms are nondecreasing in m, so the largest block decides
-        return np.array([
-            math.exp(-self.gamma * t) * _toeplitz_norm(_exp_series_coeffs(t, m).astype(complex))
-            for t in self._check_times(ts)
-        ])
+        rows = np.array([_exp_series_coeffs(t, m) for t in ts]).reshape(len(ts), m)
+        norms = np.empty(len(ts))
+        # stacks of at most 512 KiB: all 28 of jordan.rates' 87 x 87 matrices at once
+        # raise the verify-examples peak RSS by 0.5 MB
+        step = max(1, _LINE_ENTRIES // (32 * m * m))
+        for i in range(0, len(ts), step):
+            norms[i : i + step] = _toeplitz_norm(rows[i : i + step])
+        return np.array([math.exp(-self.gamma * t) * norm for t, norm in zip(ts, norms)])
 
-    def _sup_over_blocks(self, blocks, t):
-        """Exact sup of the block norms of ``blocks`` (a ``_BlockRows``) and whether n_max attains it.
+    def _sup_over_blocks(self, blocks, ts):
+        """Exact sups of the block norms of ``blocks`` (a ``_BlockRows``), one
+        per time of ``ts``: (sups, whether n_max attains each, each time's
+        overflow DomainError or None).
 
-        The blocks' rows are e(t) * blocks.rows, truncated (see the class
-        docstring), and ``_branch_and_bound`` visits them.  Bounds start at
-        s_m(t) ||phi||_1; the first visit to a group (t > 0) convolves its
-        rows and caps their bounds at the rows' l1 norms.
+        The blocks' rows at t are e(t) * blocks.rows, truncated (see the
+        class docstring), and one lockstep ``_branch_and_bound`` visits
+        them for all times.  A time's bounds start at s_m(t) ||phi||_1; its
+        first visit to a group caps them at the l1 norms of the group's
+        convolved rows, which the group's first visit by any time convolves
+        for every time.  At t = 0 the rows are exact from the start.
         """
         starts, sizes = blocks.starts, blocks.sizes
-        ub = blocks.l1.copy()
-        exact = {} if t else dict(enumerate(blocks.rows))  # group -> e(t) * rows
-        if t:
-            coeffs = _exp_series_coeffs(t, int(sizes[-1]))
-            with np.errstate(over="ignore"):  # an infinite bound still bounds
-                gains = np.cumsum(coeffs)[sizes - 1]
-            ub *= np.repeat(gains, np.diff(starts))
+        counts = np.diff(starts)
+        group_of = np.repeat(np.arange(len(sizes)), counts)
+        ub = np.tile(blocks.l1, (len(ts), 1))
+        coeffs, errors = np.zeros((len(ts), int(sizes[-1]))), [None] * len(ts)
+        moving = ts > 0
 
-        def norm_of(i):
-            g = int(np.searchsorted(starts, i, side="right")) - 1
-            lo, hi = starts[g], starts[g + 1]
-            if g in exact:
-                return _toeplitz_norm(exact[g][i - lo])
-            exact[g] = _exp_convolve(blocks.rows[g], t)
-            np.minimum(ub[lo:hi], np.abs(exact[g]).sum(axis=1), out=ub[lo:hi])
-            return None
+        def fail(i, error):
+            # a sweep raises its first time's error, so the later times need no answer
+            errors[i], ub[i:], moving[i:] = error, -np.inf, False
 
-        best, at = _branch_and_bound(ub, norm_of)
-        return best, at is not None and bool(blocks.ns[at] == self.n_max)
+        for i, t in enumerate(ts):
+            try:
+                coeffs[i] = _exp_series_coeffs(t, int(sizes[-1]))
+            except DomainError as exc:
+                fail(i, exc)
+                break
+        with np.errstate(over="ignore"):  # an infinite bound still bounds
+            gains = np.cumsum(coeffs[moving], axis=1)[:, sizes - 1]
+        ub[moving] *= np.repeat(gains, counts, axis=1)
+        opened = np.zeros((len(ts), len(sizes)), dtype=bool)  # times holding a group's exact rows
+        opened[ts == 0] = True
+        exact = {}  # group -> its exact rows at every time
+        l1, finite = np.full_like(ub, np.inf), np.ones_like(opened)  # per candidate, per group
+
+        def visit(ps, cs):
+            gs, vals = group_of[cs], np.full(len(ps), np.nan)
+            first = ~opened[ps, gs]
+            if first.any():
+                # a first visit caps the visitor's bounds of the group, the rest take SVDs
+                for g in set(gs[first].tolist()) - exact.keys():
+                    exact[g] = rows = _exp_convolve(blocks.rows[g], coeffs)
+                    rows[ts == 0] = blocks.rows[g]
+                    with np.errstate(invalid="ignore"):
+                        l1[:, starts[g] : starts[g + 1]] = np.abs(rows).sum(axis=2)
+                    finite[:, g] = np.isfinite(rows).all(axis=(1, 2))
+                for q in ps[first & ~finite[ps, gs]]:
+                    fail(q, _overflow_at(ts[q]))
+                p, g = ps[first], gs[first]
+                ub[p] = np.where(group_of == g[:, None], np.minimum(ub[p], l1[p]), ub[p])
+                opened[p, g] = True
+            svd = ~first
+            for g in set(gs[svd].tolist()):
+                on = svd & (gs == g)
+                at = cs[on] - starts[g]
+                vals[on] = _toeplitz_norm(exact[g][ps[on], at] if g in exact else blocks.rows[g][at])
+            return vals
+
+        best, at = _branch_and_bound(ub, visit)
+        return best, (at >= 0) & (blocks.ns[at] == self.n_max), errors
 
     @_off_spectrum
     def shifted_resolvent_norm(self, lams):
@@ -673,11 +737,22 @@ class JordanSumModel(OperatorModel):
                 rows = w[:, None] ** (-(ks[None, :] + 1.0))
             rows[np.isnan(rows) & (np.abs(w) > 1.0)[:, None]] = 0.0
             rows[ks[None, :] >= sizes[:, None]] = 0.0
-            l1 = np.abs(rows).sum(axis=1)
-            starts = np.searchsorted(point, np.arange(len(chunk) + 1))
-            for j, (a, b) in enumerate(zip(starts[:-1], starts[1:]), start=first):
-                best, at = _branch_and_bound(l1[a:b], lambda i: _toeplitz_norm(rows[a + i, : sizes[a + i]]))
-                norms[j], edges[j] = best, at is not None and ns[a + at] == self.n_max
+            # a point's candidates are its (group, neighbour) pairs; a pair not taken has bound -inf
+            take = take.reshape(len(chunk), -1)
+            row_of, ub = np.zeros(take.shape, dtype=int), np.full(take.shape, -np.inf)
+            row_of[take], ub[take] = np.arange(len(point)), np.abs(rows).sum(axis=1)
+
+            def visit(ps, cs):
+                # one stacked SVD per block size
+                idx, vals = row_of[ps, cs], np.empty(len(ps))
+                for m in set(sizes[idx].tolist()):
+                    on = sizes[idx] == m
+                    vals[on] = _toeplitz_norm(rows[idx[on], :m])
+                return vals
+
+            best, at = _branch_and_bound(ub, visit)
+            hit = ns[row_of[np.arange(len(chunk)), at]] == self.n_max
+            norms[first : first + step], edges[first : first + step] = best, (at >= 0) & hit
         return norms, edges
 
     def _phi_block_rows(self, sigma, tau, ns, m):
@@ -714,14 +789,21 @@ class JordanSumModel(OperatorModel):
             return self.semigroup_norm(ts)
         blocks = self._phi_rows(sigma, tau)
         norms = np.empty(len(ts))
-        # a loop, not a comprehension, so the warning's stacklevel names the caller
-        for i, t in enumerate(ts):
-            best, edge = self._sup_over_blocks(blocks, t)
-            norms[i] = math.exp(-self.gamma * t) * best
-            if edge:
-                warnings.warn(f"supremum of T({t})Phi^{sigma}_{tau} attained at the truncation block "
-                              f"n={self.n_max}; value is a lower estimate",
-                              EdgeDominatedWarning, stacklevel=2)
+        # at most 512 KiB of convolved rows per chunk: jordan.rates' band sweep reads a
+        # tracemalloc peak of 0.47 MiB, 1.55 MiB with its 20 times in one chunk
+        step = max(1, _LINE_ENTRIES // (32 * int(blocks.sizes @ np.diff(blocks.starts))))
+        for first in range(0, len(ts), step):
+            chunk = ts[first : first + step]
+            bests, edges, errors = self._sup_over_blocks(blocks, chunk)
+            # a loop, not a comprehension, so the warning's stacklevel names the caller
+            for i, (t, best, edge, error) in enumerate(zip(chunk, bests, edges, errors), start=first):
+                if error is not None:
+                    raise error
+                norms[i] = math.exp(-self.gamma * t) * best
+                if edge:
+                    warnings.warn(f"supremum of T({t})Phi^{sigma}_{tau} attained at the truncation block "
+                                  f"n={self.n_max}; value is a lower estimate",
+                                  EdgeDominatedWarning, stacklevel=2)
         return norms
 
     def spectral_abscissa_neg(self):

@@ -143,16 +143,16 @@ class SpectralBounds:
     omega0_hat: float = math.nan
 
 
-def _line_is_tame(model, eta, beta, xi_grid):
-    """Probe the vertical line Re lam = eta: True when the tempered norms
-    (1+|lam|)^{-beta} ||(lam+A)^{-1}|| look bounded.
+def _line_is_tame(table, beta):
+    """Whether the probes ``table`` of a vertical line Re lam = eta look tame:
+    True when the tempered norms (1+|lam|)^{-beta} ||(lam+A)^{-1}|| look
+    bounded.
 
     Untame lines show singular probes, edge-dominated suprema, or a
     tempered envelope whose outer-half maximum clearly exceeds the
     inner-half maximum (growth along the line); a saturating envelope
     stays within a factor 1.08.
     """
-    table = probe_resolvent_norms(model, xi_grid, eta)
     if any(e.status != "ok" for e in table.entries):
         return False
     xs, vs = _mirror_max(table.entries, [e.norm * (1.0 + abs(complex(e.eta, e.xi))) ** (-beta)
@@ -178,28 +178,36 @@ def spectral_bounds(model, t_grid, eta_grid, betas, xi_grid):
     s_beta is the smallest eta whose vertical line, probed at +/- xi in
     ``xi_grid``, is tame: first the smallest tame node of ``eta_grid``,
     then bisection down toward s(-A) to width 0.01; inf when even the
-    largest node of ``eta_grid`` is not tame.
+    largest node of ``eta_grid`` is not tame.  Each distinct eta is probed
+    once, whichever betas ask about its line.
     """
     s = model.spectral_abscissa_neg()
     omega0 = fit_exp_rate(t_grid, model.semigroup_norm(t_grid)).rate
     eta_nodes = np.asarray(eta_grid, dtype=float)
+    tables = {}
+
+    def tame(eta, beta):
+        if eta not in tables:
+            tables[eta] = probe_resolvent_norms(model, xi_grid, eta)
+        return _line_is_tame(tables[eta], beta)
+
     s_beta = {}
     for beta in betas:
         lo = float(s)  # tame fails at/below the spectral abscissa
         hi = float(np.max(eta_nodes))
-        if not _line_is_tame(model, hi, beta, xi_grid):
+        if not tame(hi, beta):
             s_beta[float(beta)] = math.inf
             continue
         # shrink hi toward the smallest tame eta on the given grid first
         for eta in sorted(eta_nodes):
             if eta <= lo:
                 continue
-            if _line_is_tame(model, float(eta), beta, xi_grid):
+            if tame(float(eta), beta):
                 hi = float(eta)
                 break
         while hi - lo > 1e-2:
             mid = 0.5 * (lo + hi)
-            if _line_is_tame(model, mid, beta, xi_grid):
+            if tame(mid, beta):
                 hi = mid
             else:
                 lo = mid

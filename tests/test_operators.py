@@ -2,6 +2,7 @@
 diagonal kinds."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -464,9 +465,14 @@ def test_jordan_end_blocks_bound_their_group(gamma, delta, n_max, t, sigma, tau)
     for m, a, b in model.groups:
         rows = model._phi_block_rows(sigma, tau, np.arange(a, b + 1).astype(float), m)
         if t:
-            rows = operators._exp_convolve(rows, t)
+            rows = _convolved(rows, t)
         norms = [operators._toeplitz_norm(row) for row in rows]
         assert max(norms) <= max(norms[0], norms[-1]) * (1.0 + 1e-12), (m, a, b)
+
+
+def _convolved(rows, t):
+    """The rows of exp(t B_m) T(row) for the rows (of length m) at one time t."""
+    return operators._exp_convolve(rows, operators._exp_series_coeffs(t, rows.shape[-1])[None])[0]
 
 
 def _block_rows(groups):
@@ -494,9 +500,9 @@ def test_jordan_branch_and_bound_on_random_rows(seed, spread, t):
         base = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         noise = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
         groups.append((np.arange(20 * g, 20 * g + 20), base + spread * noise))
-    blocks = [operators._exp_convolve(rows, t) if t else rows for _, rows in groups]
+    blocks = [_convolved(rows, t) if t else rows for _, rows in groups]
     want = max(operators._toeplitz_norm(row) for rows in blocks for row in rows)
-    assert model._sup_over_blocks(_block_rows(groups), t)[0] == want
+    assert model._sup_over_blocks(_block_rows(groups), np.array([t]))[0][0] == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -510,7 +516,7 @@ def test_jordan_factored_bounds_on_random_rows(seed, m, t):
     decay = np.exp(-rng.uniform(0.0, 3.0) * np.arange(m))
     phi = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * decay
     gain = math.fsum(t**k / math.factorial(k) for k in range(m))
-    row = operators._exp_convolve(phi[None], t)[0]
+    row = _convolved(phi[None], t)[0]
     assert operators._toeplitz_norm(row) <= operators._BOUND_MARGIN * gain * np.abs(phi).sum()
 
 
@@ -577,6 +583,73 @@ def test_jordan_resolvent_line_in_chunks_equals_the_whole_line(entries, monkeypa
     got = model.shifted_resolvent_norm(lams)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert want[1][-2] and not want[1].all()
+
+
+def test_stacked_toeplitz_norms_equal_their_one_row_calls():
+    # one LAPACK call per matrix of a stack, so stacking changes no bit
+    rng = np.random.default_rng(5)
+    for m in (2, 5, 8, 13, 40, 87):
+        rows = rng.standard_normal((30, m)) + 1j * rng.standard_normal((30, m))
+        rows *= np.exp(-rng.uniform(0.0, 3.0, (30, 1)) * np.arange(m))
+        want = np.array([operators._toeplitz_norm(row) for row in rows])
+        assert operators._toeplitz_norm(rows).tobytes() == want.tobytes()
+
+
+def _sweep_with_warnings(model, ts, sigma, tau):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EdgeDominatedWarning)
+        norms = model.fractional_norm(ts, sigma, tau)
+    return norms, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("times_per_chunk", [None, 3])
+@pytest.mark.parametrize("sigma,tau", [(0.0, 1.0), (0.1, 0.0), (2.0, 0.0), (0.5, 2.0)])
+def test_jordan_fractional_sweep_in_chunks_equals_the_whole_sweep(times_per_chunk, sigma, tau, monkeypatch):
+    # a sweep run one time at a time (budget 1) or three at a time answers,
+    # and warns, as the sweep run at once; t = 0 and repeated times included
+    model = operators.JordanSumModel(0.5, 0.5, 500)
+    ts = np.concatenate([[0.0], np.linspace(0.5, 30.0, 11), [1.0, 0.0, 20.0]])
+    want = _sweep_with_warnings(model, ts, sigma, tau)
+    per_time = sum(m * len({a, b}) for m, a, b in model.groups)
+    monkeypatch.setattr(operators, "_LINE_ENTRIES", 1 if times_per_chunk is None else 32 * 3 * per_time)
+    got = _sweep_with_warnings(model, ts, sigma, tau)
+    assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+
+def test_jordan_semigroup_sweep_equals_its_one_time_calls():
+    # the largest block is 87 x 87, so the sweep takes stacks of four
+    model = operators.JordanSumModel(0.5, 0.9, 10**4)
+    ts = np.linspace(0.0, 86.0, 9)
+    assert model.semigroup_norm(ts).tolist() == [model.semigroup_norm([t])[0] for t in ts]
+
+
+def test_jordan_sweep_overflow_names_its_first_time(monkeypatch):
+    # each t^k/k! up to m = 680 is finite below t = 800, but from t = 712 the
+    # convolved rows overflow.  The sweep 700, 700.5, ..., 715.5 raises at
+    # t = 712 after about 8 s per earlier time, so only its tail runs, in
+    # one chunk: t = 711.5 is still open when t = 712 fails
+    monkeypatch.setattr(operators, "_LINE_ENTRIES", 2**40)
+    model = operators.JordanSumModel(0.5, 0.97, 10**9)
+    with pytest.raises(DomainError, match="overflow float64 at t=712"):
+        model.fractional_norm(np.arange(711.5, 716.0, 0.5), 0.0, 1.0)
+
+
+def test_jordan_band_sweep_memory_peak():
+    # jordan.rates' band sweep; holding every time's convolved rows at once
+    # reads 1.55 MiB
+    gamma, delta = 0.5, 0.9
+    model = operators.JordanSumModel(gamma, delta, 10**4)
+    ts = np.linspace(5.0, float(model.groups[-1][0] - 1), 20)
+    tau = (1.0 - gamma) / math.log(1.0 / delta)
+    fn = lambda: model.fractional_norm(ts, 0.0, tau)  # noqa: E731
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0
 
 
 def _spectral_point(kind, model):

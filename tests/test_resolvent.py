@@ -81,6 +81,24 @@ def test_spectral_bounds_dense_diag():
     assert bounds.s_beta[0.0] == pytest.approx(-1.0, abs=0.05)
 
 
+def test_spectral_bounds_probe_each_line_once(monkeypatch):
+    # betas 1 and 2 test the lines at eta = 1.2, 0.05, -0.0875 and -0.225
+    # both; each line is probed once and keeps both verdicts
+    probed = []
+    probe = resolvent.probe_resolvent_norms
+
+    def counted(model, xi_grid, eta=0.0):
+        probed.append(eta)
+        return probe(model, xi_grid, eta)
+
+    monkeypatch.setattr(resolvent, "probe_resolvent_norms", counted)
+    model = operators.JordanSumModel(0.5, 0.5, 10**4)
+    bounds = resolvent.spectral_bounds(model, numcore.geometric_grid(1.0, 12.0, 10), np.linspace(0.05, 1.2, 8),
+                                       betas=(1.0, 2.0), xi_grid=np.geomspace(1.0, 5e3, 112))
+    assert len(probed) == len(set(probed)) == 12
+    assert bounds.s_beta == {1.0: 0.024218750000000004, 2.0: -0.2078125}
+
+
 def test_spectral_bounds_defective_dense():
     # identity plus nilpotent: decay rate -1 with a polynomial transient
     model = operators.DenseMatrixModel(np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -19,7 +19,8 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
   sigma in ``WORST_SIGMAS`` and t in ``WORST_TIMES`` on the models
   ``WORST_MODELS``, where every block has nearly the same norm, so the
   bounds of the branch and bound prune little.  Each one-time call's
-  time and SVD count, in ``WORST_ROUNDS`` fresh processes per checkout;
+  time and SVD count (matrices, whether or not a call stacks several),
+  in ``WORST_ROUNDS`` fresh processes per checkout;
   each timed call includes building the model's Phi rows for that
   sigma;
 - the peak resident set after each battery case of one
@@ -101,12 +102,13 @@ print(json.dumps(peaks))
 
 WORST_CASE = """
 import json, sys, time, warnings
+import numpy as np
 from semistab import operators
 models, sigmas, times = json.loads(sys.argv[1])
 svds = [0]
 svd = operators._toeplitz_norm
 def counted(coeffs):
-    svds[0] += 1
+    svds[0] += len(np.atleast_2d(coeffs))  # one SVD per row of a stack
     return svd(coeffs)
 operators._toeplitz_norm = counted
 warnings.simplefilter("ignore")
