@@ -1,11 +1,14 @@
 """Shared numerics: geometric grids, FFT convolution, log factorials,
 stable sums, asymptotic-rate fits, and the one-thread BLAS cap of the CLI.
 
-Everything here but ``one_blas_thread`` is a pure function of its
-arguments; values are safe to share between threads.  The module imports
-no scipy: the FFT lengths, the log factorials and the log-sum-exp take
-scipy's steps on numpy and ``math``, so their values equal scipy's bit for
-bit.
+Everything here is a pure function of its arguments but three:
+``one_blas_thread`` sets the thread count of the process's OpenBLAS,
+``loaded_openblas`` caches the libraries the process had loaded at its
+first call, and ``log_factorials`` grows a module-level table (replaced
+whole, never written in place).  Values are safe to share between
+threads.  The module imports no scipy: the FFT lengths, the log
+factorials and the log-sum-exp take scipy's steps on numpy and ``math``,
+so their values equal scipy's bit for bit.
 """
 
 from __future__ import annotations

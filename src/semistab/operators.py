@@ -270,16 +270,20 @@ class DenseMatrixModel(OperatorModel):
 
     def _expm_neg(self, t):
         """exp(-t A) for a time or an array of times (stacked on the leading
-        axes); eigen route when safely diagonalizable, else Pade."""
-        t = np.asarray(t, dtype=float)[..., None, None]
-        if self._diagonalizable:
-            out = (self._eigvecs * np.exp(-t * self._eigvals)) @ self._eigvecs_inv
-        else:
-            from scipy.linalg import expm  # about 0.3 s to import, so only this branch does
+        axes); eigen route when safely diagonalizable, else Pade.  DomainError
+        naming the first time whose matrix is not finite."""
+        ts = np.asarray(t, dtype=float)
+        t = ts[..., None, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+            if self._diagonalizable:
+                out = (self._eigvecs * np.exp(-t * self._eigvals)) @ self._eigvecs_inv
+            else:
+                from scipy.linalg import expm  # about 0.3 s to import, so only this branch does
 
-            out = expm(-t * self.matrix)
-        if not np.all(np.isfinite(out)):
-            raise DomainError("exp(-t A) overflows at the requested time")
+                out = expm(-t * self.matrix)
+        finite = np.isfinite(out).all(axis=(-2, -1))
+        if not finite.all():
+            raise _overflow_at(ts[~finite][0])
         return out
 
     # -- operations
@@ -493,12 +497,11 @@ def _branch_and_bound(ub, visit):
     row of the bounds ``ub`` (problems x candidates, consumed) and the first
     candidate attaining it, or -1.
 
-    The problems run in lockstep: each round, every open problem takes its
-    own next step, the first candidate of largest bound, and closes once
-    that bound times ``_BOUND_MARGIN`` cannot beat its best.  So each takes
-    the steps it would take alone, and only the work of a round is shared:
-    ``visit(ps, cs)`` answers the norms of candidates ``cs`` of problems
-    ``ps`` at once, or NaN where it lowered that problem's bounds instead."""
+    The problems run in lockstep: each round, every open problem visits
+    its first candidate of largest bound, and closes once that bound times
+    ``_BOUND_MARGIN`` cannot beat its best.  ``visit(ps, cs)`` answers the
+    norms of candidates ``cs`` of problems ``ps`` at once, and it may lower
+    any bound not yet visited."""
     best, at = np.zeros(len(ub)), np.full(len(ub), -1)
     ps = np.arange(len(ub))
     while True:
@@ -508,11 +511,9 @@ def _branch_and_bound(ub, visit):
         if not len(ps):
             return best, at
         vals = visit(ps, cs)
-        done = ~np.isnan(vals)
-        ps_done, cs_done, vals = ps[done], cs[done], vals[done]
-        ub[ps_done, cs_done] = -np.inf
-        better = vals > best[ps_done]
-        best[ps_done[better]], at[ps_done[better]] = vals[better], cs_done[better]
+        ub[ps, cs] = -np.inf
+        better = vals > best[ps]
+        best[ps[better]], at[ps[better]] = vals[better], cs[better]
 
 
 class _BlockRows(NamedTuple):
@@ -561,8 +562,9 @@ class JordanSumModel(OperatorModel):
     depend on t, so ``fractional_norm`` builds them once per call.  Every
     norm of a call is one problem of a lockstep ``_branch_and_bound`` (the
     times of a sweep, the points of a line), in chunks that bound the rows
-    held: each round takes one stacked SVD per block size, and a group's
-    rows are convolved with every time's e(t) in one FFT call.
+    held: each round takes one stacked SVD per block size, and the first
+    visit to a group by any time convolves its rows with every time's e(t)
+    in one FFT call and lowers every time's bounds of the group.
     ``semigroup_norm`` needs only the largest block: one stacked SVD per
     chunk of its times.
     """
@@ -660,57 +662,45 @@ class JordanSumModel(OperatorModel):
 
         The blocks' rows at t are e(t) * blocks.rows, truncated (see the
         class docstring), and one lockstep ``_branch_and_bound`` visits
-        them for all times.  A time's bounds start at s_m(t) ||phi||_1; its
-        first visit to a group caps them at the l1 norms of the group's
-        convolved rows, which the group's first visit by any time convolves
-        for every time.  At t = 0 the rows are exact from the start.
+        them for all times.  A time's bounds start at s_m(t) ||phi||_1.  The
+        first visit to a group by any time convolves the group's rows for
+        every time and lowers every time's bounds of the group to the l1
+        norms of its rows; an open time whose rows overflow fails there.
+        At t = 0 the rows are exact, so a chunk of times 0 convolves nothing.
         """
         starts, sizes = blocks.starts, blocks.sizes
         counts = np.diff(starts)
-        group_of = np.repeat(np.arange(len(sizes)), counts)
-        ub = np.tile(blocks.l1, (len(ts), 1))
         coeffs, errors = np.zeros((len(ts), int(sizes[-1]))), [None] * len(ts)
-        moving = ts > 0
-
-        def fail(i, error):
-            # a sweep raises its first time's error, so the later times need no answer
-            errors[i], ub[i:], moving[i:] = error, -np.inf, False
-
         for i, t in enumerate(ts):
             try:
                 coeffs[i] = _exp_series_coeffs(t, int(sizes[-1]))
             except DomainError as exc:
-                fail(i, exc)
+                # a sweep raises its first time's error, so the later times need
+                # no answer: their zero series give zero bounds
+                errors[i] = exc
                 break
         with np.errstate(over="ignore"):  # an infinite bound still bounds
-            gains = np.cumsum(coeffs[moving], axis=1)[:, sizes - 1]
-        ub[moving] *= np.repeat(gains, counts, axis=1)
-        opened = np.zeros((len(ts), len(sizes)), dtype=bool)  # times holding a group's exact rows
-        opened[ts == 0] = True
-        exact = {}  # group -> its exact rows at every time
-        l1, finite = np.full_like(ub, np.inf), np.ones_like(opened)  # per candidate, per group
+            ub = blocks.l1 * np.repeat(np.cumsum(coeffs, axis=1)[:, sizes - 1], counts, axis=1)
+        group_of = np.repeat(np.arange(len(sizes)), counts)
+        rows = {}  # group -> its rows at every time, from the group's first visit
 
         def visit(ps, cs):
-            gs, vals = group_of[cs], np.full(len(ps), np.nan)
-            first = ~opened[ps, gs]
-            if first.any():
-                # a first visit caps the visitor's bounds of the group, the rest take SVDs
-                for g in set(gs[first].tolist()) - exact.keys():
-                    exact[g] = rows = _exp_convolve(blocks.rows[g], coeffs)
-                    rows[ts == 0] = blocks.rows[g]
-                    with np.errstate(invalid="ignore"):
-                        l1[:, starts[g] : starts[g + 1]] = np.abs(rows).sum(axis=2)
-                    finite[:, g] = np.isfinite(rows).all(axis=(1, 2))
-                for q in ps[first & ~finite[ps, gs]]:
-                    fail(q, _overflow_at(ts[q]))
-                p, g = ps[first], gs[first]
-                ub[p] = np.where(group_of == g[:, None], np.minimum(ub[p], l1[p]), ub[p])
-                opened[p, g] = True
-            svd = ~first
-            for g in set(gs[svd].tolist()):
-                on = svd & (gs == g)
-                at = cs[on] - starts[g]
-                vals[on] = _toeplitz_norm(exact[g][ps[on], at] if g in exact else blocks.rows[g][at])
+            gs, vals = group_of[cs], np.zeros(len(ps))
+            for g in set(gs.tolist()) - rows.keys():
+                phi, cols = blocks.rows[g], slice(starts[g], starts[g + 1])
+                exact = rows[g] = (_exp_convolve(phi, coeffs) if ts.any()
+                                   else np.empty((len(ts),) + phi.shape, complex))
+                exact[ts == 0] = phi
+                with np.errstate(invalid="ignore"):
+                    ub[:, cols] = np.minimum(ub[:, cols], np.abs(exact).sum(axis=2))
+                bad = ps[~np.isfinite(exact).all(axis=(1, 2))[ps]]
+                if len(bad):
+                    # as above, the first failing time closes every later one
+                    errors[bad[0]], ub[bad[0] :] = _overflow_at(ts[bad[0]]), -np.inf
+            ok = ub[ps, cs] > -np.inf  # a failed time's bounds are all -inf
+            for g in set(gs[ok].tolist()):
+                on = ok & (gs == g)
+                vals[on] = _toeplitz_norm(rows[g][ps[on], cs[on] - starts[g]])
             return vals
 
         best, at = _branch_and_bound(ub, visit)

@@ -220,7 +220,12 @@ def test_block_size_beyond_the_cap_exits_2(tmp_path):
       "xi_grid": {"start": 0.01, "stop": 1e3, "count": 24}}),
     # t^2/2 overflows beyond t ~ 1.9e154
     ({"kind": "operator-matrix", "n": 3}, {"t_grid": {"start": 10.0, "stop": 1e200, "count": 32}}),
-], ids=["jordan-sum", "operator-matrix"])
+    # e^{t/2} overflows beyond t ~ 1420, so from the grid node t = 1681.92
+    ({"kind": "dense-matrix", "entries": [[-0.5]]}, {"t_grid": {"start": 10.0, "stop": 1e4, "count": 32}}),
+    # a Jordan block takes the Pade route, and overflows there too
+    ({"kind": "dense-matrix", "entries": [[-0.5, 1.0], [0.0, -0.5]]},
+     {"t_grid": {"start": 10.0, "stop": 1e4, "count": 32}}),
+], ids=["jordan-sum", "operator-matrix", "dense-matrix", "dense-defective"])
 def test_overflowing_norms_are_an_analysis_error(tmp_path, operator, grids):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"operator": operator, "grids": grids}))
@@ -229,8 +234,8 @@ def test_overflowing_norms_are_an_analysis_error(tmp_path, operator, grids):
                            "--out-dir", str(tmp_path / "o")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
-    assert "analysis error: matrix entries overflow float64" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "analysis error: matrix entries overflow float64 at t=" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("only", ["laplace", "jordan"])

@@ -492,7 +492,9 @@ def _block_rows(groups):
 def test_jordan_branch_and_bound_on_random_rows(seed, spread, t):
     # rows scattered around a common row, so many blocks have nearly the
     # same norm and the l1 bounds leave most of them open; at t > 0 the
-    # rows are Phi factors and the blocks e(t) * phi
+    # rows are Phi factors and the blocks e(t) * phi.  The times 0, t, 2t
+    # and t share one call, so a time also meets bounds of a group that
+    # another time's first visit lowered
     rng = np.random.default_rng(seed)
     model = operators.JordanSumModel(0.5, 0.5, 100)
     groups = []
@@ -500,9 +502,10 @@ def test_jordan_branch_and_bound_on_random_rows(seed, spread, t):
         base = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         noise = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
         groups.append((np.arange(20 * g, 20 * g + 20), base + spread * noise))
-    blocks = [_convolved(rows, t) if t else rows for _, rows in groups]
-    want = max(operators._toeplitz_norm(row) for rows in blocks for row in rows)
-    assert model._sup_over_blocks(_block_rows(groups), np.array([t]))[0][0] == want
+    ts = np.array([0.0, t, 2.0 * t, t])
+    blocks = [[_convolved(rows, s) if s else rows for _, rows in groups] for s in ts]
+    want = [max(operators._toeplitz_norm(row) for rows in at_s for row in rows) for at_s in blocks]
+    assert model._sup_over_blocks(_block_rows(groups), ts)[0].tolist() == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

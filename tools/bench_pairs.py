@@ -19,7 +19,8 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
   sigma in ``WORST_SIGMAS`` and t in ``WORST_TIMES`` on the models
   ``WORST_MODELS``, where every block has nearly the same norm, so the
   bounds of the branch and bound prune little.  Each one-time call's
-  time and SVD count (matrices, whether or not a call stacks several),
+  time, SVD count (matrices, whether or not a call stacks several) and
+  count of ``_exp_convolve`` calls (one FFT call per convolved group),
   in ``WORST_ROUNDS`` fresh processes per checkout;
   each timed call includes building the model's Phi rows for that
   sigma;
@@ -105,22 +106,26 @@ import json, sys, time, warnings
 import numpy as np
 from semistab import operators
 models, sigmas, times = json.loads(sys.argv[1])
-svds = [0]
-svd = operators._toeplitz_norm
+svds, convs = [0], [0]
+svd, convolve = operators._toeplitz_norm, operators._exp_convolve
 def counted(coeffs):
     svds[0] += len(np.atleast_2d(coeffs))  # one SVD per row of a stack
     return svd(coeffs)
-operators._toeplitz_norm = counted
+def counted_convolve(rows, coeffs):
+    convs[0] += 1
+    return convolve(rows, coeffs)
+operators._toeplitz_norm, operators._exp_convolve = counted, counted_convolve
 warnings.simplefilter("ignore")
 out = {}
 for params in models:
     model = operators.JordanSumModel(*params)
     for sigma in sigmas:
         for t in times:
-            before = svds[0]
+            before = svds[0], convs[0]
             start = time.perf_counter()
             model.fractional_norm([t], sigma, 0.0)
-            out[f"{params} sigma={sigma} t={t}"] = [time.perf_counter() - start, svds[0] - before]
+            out[f"{params} sigma={sigma} t={t}"] = [time.perf_counter() - start, svds[0] - before[0],
+                                                    convs[0] - before[1]]
 print(json.dumps(out))
 """
 
@@ -138,7 +143,6 @@ END_TO_END_KEYS = ["wall_s", "cpu_s", "peak_rss_mb", "setup_s", "pass_frac"]
 def _env(tree):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(tree, "src")
-    env.pop("SEMISTAB_THREADS", None)
     return env
 
 
@@ -209,7 +213,8 @@ def main(argv=None):
         row = {}
         for name in trees:
             row[name] = {"s": _summary([r[key][0] for r in rounds[name]]),
-                         "svds": sorted({r[key][1] for r in rounds[name]})}
+                         "svds": sorted({r[key][1] for r in rounds[name]}),
+                         "convolutions": sorted({r[key][2] for r in rounds[name]})}
         row["time_ratio_of_medians"] = row["change"]["s"]["median"] / row["parent"]["s"]["median"]
         worst[key] = row
 
