@@ -20,14 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import decaylab, fraccalc, multiplier, numcore, operators, resolvent
+from . import CSV_HEADER, decaylab, fraccalc, multiplier, numcore, operators, resolvent
 from .errors import WindowError
 
 TOL_EXPONENT = 0.05
 TOL_BETA = 0.1
-
-# the columns of every CSV table the package writes
-CSV_HEADER = ["case", "t_or_xi", "value", "fit_exponent", "predicted", "source", "verdict"]
 
 
 @dataclass(frozen=True)

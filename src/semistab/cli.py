@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import inspect
 import json
 import math
@@ -31,11 +30,21 @@ import time
 
 import numpy as np
 
-from . import battery as battery_mod
-from . import decaylab, fraccalc, multiplier, numcore, operators, resolvent
+# the subcommands that run the battery import it; fraccalc and multiplier
+# stay imported here, since perfbench/tracer.py finds the modules it wraps
+# in sys.modules once cli is imported
+from . import CSV_HEADER, decaylab, fraccalc, multiplier, numcore, operators, resolvent
 from .errors import ConfigError, DomainError, InsufficientDataError, UnsupportedModelError
 
-CSV_HEADER = battery_mod.CSV_HEADER
+# CPython's built-in SHA-256: hashlib maps OpenSSL's libcrypto (several MB)
+# for the one digest a run takes
+try:
+    from _sha2 import sha256
+except ImportError:  # before Python 3.12
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build without the built-in module
+        from hashlib import sha256
 
 DEFAULT_TOLERANCES = {"fit_tol": 0.1, "consistency_tol": 0.05}
 
@@ -284,7 +293,7 @@ def validate_config(raw):
 
 def _digest(raw):
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def _jsonable(x):
@@ -483,11 +492,13 @@ def _cmd_analyze(args, measure_only=False):
 
 
 def _cmd_frac(args):
+    from . import battery
+
     quad_tol = args.tol if args.tol is not None else 1e-6
     out_dir = _make_out_dir(args)
     rows = []
     worst = 0.0
-    for alpha, beta, eta, lam in battery_mod.contour_identity_battery():
+    for alpha, beta, eta, lam in battery.contour_identity_battery():
         chk = fraccalc.verify_contour_identity(alpha, beta, eta, lam)
         worst = max(worst, chk.rel_error)
         rows.append(
@@ -507,6 +518,8 @@ def _cmd_frac(args):
 
 
 def _cmd_mult(args):
+    from . import battery
+
     # the battery reads only the seed and the Fourier grid, so only those
     # are validated beyond the known-key checks
     raw = _read_json(args.config) if args.config else {}
@@ -518,10 +531,10 @@ def _cmd_mult(args):
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = []
     ok = True
-    for name, sym in battery_mod._mult_battery(rng):
+    for name, sym in battery._mult_battery(rng):
         samples = sym.on(grid)
         exact2 = multiplier.exact_l2_norm(samples)
-        for p, q, lower, upper, good in battery_mod.pq_bounds(samples):
+        for p, q, lower, upper, good in battery.pq_bounds(samples):
             ok &= good
             rows.append(
                 {
@@ -547,8 +560,10 @@ def _cmd_mult(args):
 
 
 def _cmd_verify(args):
+    from . import battery
+
     seed = args.seed if args.seed is not None else 0
-    cases = battery_mod.matching_cases(args.only)
+    cases = battery.matching_cases(args.only)
     if not cases:
         print(f"no cases match --only {args.only!r}", file=sys.stderr)
         return 2

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .numcore import PowerFit, default_window, fit_exp_rate, fit_power_law
+from .errors import DomainError, InsufficientDataError
+from .numcore import MIN_FIT_POINTS, PowerFit, default_window, fit_exp_rate, fit_power_law
 
 INF = math.inf
 
@@ -329,7 +329,9 @@ def measure_decay(model, sigma, tau, t_grid, with_growth=False):
     the same window for the growth-aware predictors.  A norm that
     underflows to exactly 0 lies below the smallest double, a decay no
     power of t on the grid reaches: the fit window ends before the first
-    such norm and the measurement is classified super-polynomial.
+    such norm and the measurement is classified super-polynomial.  If that
+    leaves too few norms to fit, InsufficientDataError names the indices
+    and the time of that norm.
     """
     norms = model.fractional_norm(t_grid, sigma, tau)
     gnorms = model.semigroup_norm(t_grid) if with_growth else None
@@ -338,6 +340,11 @@ def measure_decay(model, sigma, tau, t_grid, with_growth=False):
     underflow = np.flatnonzero(zero[lo:hi])
     if underflow.size:
         hi = lo + int(underflow[0])
+        if hi - lo < MIN_FIT_POINTS:
+            raise InsufficientDataError(
+                f"sigma={sigma:g}, tau={tau:g}: the norms underflow to 0 at t={t_grid[hi]:.12g}, "
+                f"leaving {hi - lo} nonzero norms in the fit window; need >= {MIN_FIT_POINTS}"
+            )
     fit = fit_power_law(t_grid, norms, window=(lo, hi))
     exp_fit = fit_exp_rate(t_grid, norms, window=(lo, hi))
     growth = None if gnorms is None else fit_power_law(t_grid, gnorms, window=(lo, hi)).exponent

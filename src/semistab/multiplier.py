@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedModelError,
     WindowError,
 )
-from .numcore import fit_exp_rate, next_fast_len
+from .numcore import MAX_ARRAY_BYTES, fit_exp_rate, next_fast_len
 from .operators import DenseMatrixModel
 
 TRANSFORM_CONSTANT_P1 = 1.0
@@ -57,6 +57,9 @@ class FourierGridSpec:
         n = self.samples
         if n < 2 or (n & (n - 1)) != 0:
             raise DomainError(f"samples must be a power of two >= 2, got {n}")
+        # the transforms hold complex arrays of n samples
+        if n > MAX_ARRAY_BYTES // 16:
+            raise DomainError(f"{n} samples exceed numpy's largest complex array")
 
     @property
     def dt(self):

@@ -34,6 +34,8 @@ _OPENBLAS_THREAD_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_
                           ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
                           ("openblas_get_num_threads", "openblas_set_num_threads"))
 _openblas_handles = None  # (get, set) of each OpenBLAS loaded at the first lookup
+# numpy refuses, before allocating, an array of more bytes than this
+MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 def loaded_openblas():
@@ -91,13 +93,19 @@ def geometric_grid(start, stop, count):
 
     The endpoints are exact and the node ratio is constant to relative
     1e-12.  A range too narrow for ``count`` distinct floats raises
-    DomainError, as do non-finite endpoints.
+    DomainError, as do non-finite endpoints and a ``count`` whose array
+    numpy refuses to allocate.
     """
     if not (0.0 < start < stop < math.inf):
         raise DomainError(f"need 0 < start < stop < inf, got start={start}, stop={stop}")
     if count < 2:
         raise DomainError(f"need count >= 2, got {count}")
-    nodes = np.geomspace(start, stop, count)
+    if count > MAX_ARRAY_BYTES // 8:
+        raise DomainError(f"{count} nodes exceed numpy's largest array")
+    try:
+        nodes = np.geomspace(start, stop, count)
+    except MemoryError as exc:
+        raise DomainError(f"cannot allocate {count} nodes: {exc}") from None
     nodes[0] = start
     nodes[-1] = stop
     if not np.all(np.diff(nodes) > 0.0):
@@ -203,6 +211,9 @@ class PowerFit:
     residual: float
 
 
+MIN_FIT_POINTS = 3  # the fewest nodes a log-linear fit takes
+
+
 def default_window(count):
     """Index window dropping the first and last 10% of nodes."""
     k = int(round(0.1 * count))
@@ -223,8 +234,8 @@ def _log_fit(nodes, values, window, design, what):
     lo, hi = int(window[0]), int(window[1])
     t = nodes[lo:hi]
     v = values[lo:hi]
-    if len(t) < 3:
-        raise InsufficientDataError(f"window {window} leaves {len(t)} points; need >= 3")
+    if len(t) < MIN_FIT_POINTS:
+        raise InsufficientDataError(f"window {window} leaves {len(t)} points; need >= {MIN_FIT_POINTS}")
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
         raise DomainError(f"{what} fit requires finite positive values")
     cols = design(t)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -484,6 +485,81 @@ def test_grid_with_repeated_nodes_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli.main(["decay", "--config", str(path)]) == 2
     assert "config error: grids.t_grid:" in capsys.readouterr().err
+
+
+# size fields at counts whose arrays numpy refuses before allocating them;
+# each sets the count where a config puts it and names the reported path
+_OVERSIZED = {
+    "grids.t_grid": lambda c, n: c["grids"]["t_grid"].update(count=n),
+    "grids.xi_grid": lambda c, n: c["grids"]["xi_grid"].update(count=n),
+    "operator": lambda c, n: c["operator"].update(grid_count=n),
+    "grids.fourier_grid": lambda c, n: c["grids"].update(fourier_grid={"period": 200.0, "samples": n}),
+}
+
+
+@pytest.mark.parametrize("count", [2**60, 2**62, 2**63, 2**64], ids=lambda n: f"2**{n.bit_length() - 1}")
+@pytest.mark.parametrize("field", list(_OVERSIZED))
+def test_sizes_numpy_refuses_exit_2(tmp_path, capsys, field, count):
+    cfg = _base_config(tmp_path / "o")
+    _OVERSIZED[field](cfg, count)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    command = "mult" if field == "grids.fourier_grid" else "decay"
+    assert cli.main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {field}: {count} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("operator,tau", [
+    ({"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 10**4}, 1e6),
+    ({"kind": "dense-matrix", "entries": [[1.0, 1.0], [0.0, 1.0]]}, 1e308),
+    ({"kind": "operator-matrix", "n": 3}, 1e308),
+], ids=["jordan-sum", "dense-matrix", "operator-matrix"])
+def test_norms_that_underflow_before_the_fit_window_name_the_indices(tmp_path, capsys, operator, tau):
+    # (1 + A)^-tau underflows to 0 from the first node of the fit window on
+    cfg = _base_config(tmp_path / "o")
+    cfg.update(operator=operator, indices=[[0, tau]])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["analyze", "--config", str(path)]) == 1
+    first = cli.validate_config(cfg)["t_grid"][2]  # the window drops 2 of the 24 nodes
+    assert capsys.readouterr().err == (
+        f"analysis error: sigma=0, tau={tau:g}: the norms underflow to 0 at t={first:.12g}, "
+        "leaving 0 nonzero norms in the fit window; need >= 3\n")
+
+
+def _digest_configs():
+    """The base, README and huge-number configs, and one with non-ASCII strings."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = json.loads(re.search(r"### Config reference\n\n```json\n(.*?)```", text, re.S).group(1))
+    huge = _base_config("o")
+    for put in _HUGE_FIELDS.values():
+        put(huge)
+    unicode = dict(_base_config("résultats/σ-τ/出力"), note="∞ ≠ 1e308 😀")
+    return [_base_config("o"), readme, huge, unicode]
+
+
+def test_digest_is_the_sha256_of_the_canonical_config():
+    for raw in _digest_configs():
+        canonical = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+        assert cli._digest(raw) == hashlib.sha256(canonical).hexdigest()
+
+
+_DIGEST_FALLBACK = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # no built-in SHA-256
+import hashlib
+from semistab import cli
+assert cli.sha256 is hashlib.sha256
+print(json.dumps([cli._digest(raw) for raw in json.loads(sys.argv[1])]))
+"""
+
+
+def test_digest_falls_back_to_hashlib():
+    configs = _digest_configs()
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _DIGEST_FALLBACK, json.dumps(configs)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [cli._digest(raw) for raw in configs]
 
 
 # random configs for the fuzz test: each field is mostly a sensible value,

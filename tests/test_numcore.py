@@ -69,16 +69,17 @@ def test_fftconvolve_equals_scipy_signal():
 
 
 _NO_SCIPY_STEPS = """
-import json, os, sys, tempfile
+import contextlib, io, json, os, sys, tempfile
 sys.path.insert(0, sys.argv[1])
 import workloads
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def heavy_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "_hashlib") or m == "semistab.battery")
 
 steps = {}
 from semistab import cli
-steps["import semistab.cli"] = scipy_modules()
+steps["import semistab.cli"] = heavy_modules()
 operators = [
     {"kind": "dense-matrix", "entries": [[1.0, 1.0], [0.0, 1.0]]},
     {"kind": "diagonal-symbol", "a": 1.0, "b": 0.5, "grid_count": 64},
@@ -92,25 +93,34 @@ with tempfile.TemporaryDirectory() as tmp:
         with open(path, "w") as fh:
             json.dump({"operator": op}, fh)
         cli.load_config(path)
-    steps["load_config of every kind"] = scipy_modules()
+    steps["load_config of every kind"] = heavy_modules()
     with open(path, "w") as fh:
         json.dump(workloads.JORDAN_CONFIG, fh)
-    code = cli.main(["analyze", "--config", path, "--out-dir", os.path.join(tmp, "out")])
-    steps["analyze JORDAN_CONFIG"] = scipy_modules() if code == 0 else f"exit {code}"
+    for command in ("analyze", "decay"):
+        code = cli.main([command, "--config", path, "--out-dir", os.path.join(tmp, command)])
+        steps[f"{command} JORDAN_CONFIG"] = heavy_modules() if code == 0 else f"exit {code}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify-examples", "--only", "appendix.exp-sum"])
+    steps["verify-examples --only appendix.exp-sum"] = ["semistab.battery" in sys.modules, code]
 print(json.dumps(steps))
 """
 
 
 def test_package_paths_load_no_scipy():
     # importing any scipy module costs more than the rest of the start-up;
-    # only the defective-matrix exponential imports scipy.linalg
+    # only the defective-matrix exponential imports scipy.linalg.  analyze
+    # and decay also load neither OpenSSL (_hashlib) nor the battery, which
+    # verify-examples imports when it runs
     root = Path(numcore.__file__).parents[2]
     env = {**os.environ, "PYTHONPATH": str(Path(numcore.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_STEPS, str(root / "perfbench")], env=env,
                          capture_output=True, text=True, check=True, cwd=root)
     steps = json.loads(out.stdout.strip().splitlines()[-1])
-    assert list(steps) == ["import semistab.cli", "load_config of every kind", "analyze JORDAN_CONFIG"]
+    on_demand = steps.pop("verify-examples --only appendix.exp-sum")
+    assert list(steps) == ["import semistab.cli", "load_config of every kind", "analyze JORDAN_CONFIG",
+                           "decay JORDAN_CONFIG"]
     assert all(mods == [] for mods in steps.values()), steps
+    assert on_demand == [True, 0]  # the battery loaded, and the case passed
 
 
 def test_one_blas_thread_caps_every_openblas_and_restores_it():

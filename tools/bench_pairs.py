@@ -29,6 +29,13 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
   each case returns, in ``RSS_ROUNDS`` fresh processes per checkout.
   ``ru_maxrss`` is a high-water mark, so a case's value is the process
   peak up to its end, and the case that raises it sets the pass's peak;
+- the start-up footprint of ``analyze``, in ``STARTUP_ROUNDS`` fresh
+  processes per checkout: the set-up time as perfbench's worker times it
+  (``from semistab import cli`` and ``cli.load_config`` on
+  ``JORDAN_CONFIG``, after importing perfbench's ``reference`` and
+  ``workloads`` as the worker does), ``ru_maxrss`` after the import and
+  after one ``analyze`` pass, and the ``semistab.*``, ``_hashlib`` and
+  ``scipy*`` modules loaded by then;
 - the per-layer metrics under ``TRACED_PREFIXES`` of one traced run of
   each workload (``perfbench/run.py --trace 1``, seed 0);
 - the end-to-end ``wall_s``, ``cpu_s``, ``peak_rss_mb``, ``setup_s`` and
@@ -39,7 +46,7 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
 
 Parent and change processes alternate, and the side that runs first in a
 round alternates too, so both see the host at similar times.  A full run
-takes about 20 minutes on a 2-CPU host.
+takes about 25 minutes on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ WORST_ROUNDS = 5
 STALL_ROUNDS = 24
 STALL_S = 0.8
 RSS_ROUNDS = 6
+STARTUP_ROUNDS = 20
 
 CASE_TIMER = """
 import json, sys
@@ -99,6 +107,29 @@ battery.ALL_CASES[:] = [(name, probed(name, case)) for name, case in battery.ALL
 with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
     cli.main(["verify-examples", "--out-dir", tmp])
 print(json.dumps(peaks))
+"""
+
+STARTUP = """
+import contextlib, io, json, os, resource, sys, tempfile, time
+sys.path.insert(0, sys.argv[1])
+import reference, workloads
+def maxrss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(workloads.config_for("analyze-jordan", 0), fh)
+    t0 = time.perf_counter()
+    from semistab import cli
+    import_rss_mb = maxrss_mb()
+    cli.load_config(path)
+    out = {"setup_s": time.perf_counter() - t0, "import_rss_mb": import_rss_mb}
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(workloads.pass_argv("analyze-jordan", 0, path, os.path.join(tmp, "out")))
+out["analyze_rss_mb"] = maxrss_mb()
+out["modules"] = sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("semistab", "_hashlib", "scipy"))
+print(json.dumps(out))
 """
 
 WORST_CASE = """
@@ -202,6 +233,17 @@ def main(argv=None):
                 for name, runs in rss_runs.items()}
     print(f"verify-examples peak RSS per case: {case_rss}", flush=True)
 
+    startup_runs = {name: [] for name in trees}
+    for i in range(STARTUP_ROUNDS):
+        for name in _alternating(i):
+            startup_runs[name].append(_child(trees[name], STARTUP, os.path.join(trees[name], "perfbench")))
+    startup = {}
+    for name, runs in startup_runs.items():
+        startup[name] = {key: _summary([r[key] for r in runs])
+                         for key in ("setup_s", "import_rss_mb", "analyze_rss_mb")}
+        startup[name]["modules"] = sorted({tuple(r["modules"]) for r in runs})
+    print(f"analyze start-up footprint: {startup}", flush=True)
+
     spec = json.dumps([WORST_MODELS, WORST_SIGMAS, WORST_TIMES])
     rounds = {name: [] for name in trees}
     for i in range(WORST_ROUNDS):
@@ -250,6 +292,7 @@ def main(argv=None):
         "jordan_rates_stall_via_cli": stall,
         "block_sum_worst_case": worst,
         "verify_examples_peak_rss_mb_per_case": case_rss,
+        "analyze_startup": startup,
         "traced_seed0": traced,
         "end_to_end": end_to_end,
     }
