@@ -40,7 +40,8 @@ from .operators import DenseMatrixModel
 
 TRANSFORM_CONSTANT_P1 = 1.0
 TRANSFORM_CONSTANT_P2 = math.sqrt(2.0 * math.pi)
-_RESOLVENT_BLOCK = 2048  # nodes per batched inverse of resolvent_power_symbol
+_RESOLVENT_BLOCK = 2048  # nodes per batched inverse, and per block a matrix symbol is applied on
+_ORBIT_BLOCK = 1024  # times per block of T(t) x in verify_laplace_identity
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,19 @@ def fourier_forward(f, grid):
     """Discretization of integral e^{-i xi t} f(t) dt on the grid."""
     f = np.asarray(f, dtype=complex)
     shape = (-1,) + (1,) * (f.ndim - 1)
-    return grid.dt * grid._phases[0].reshape(shape) * np.fft.fft(f, axis=0)
+    F = np.fft.fft(f, axis=0)
+    # scaled in place, weight first: a complex product is not bitwise commutative
+    return np.multiply(grid.dt * grid._phases[0].reshape(shape), F, out=F)
 
 
 def fourier_inverse(F, grid):
     """Inverse of fourier_forward (exact on the discrete grid)."""
     F = np.asarray(F, dtype=complex)
     shape = (-1,) + (1,) * (F.ndim - 1)
-    return np.fft.ifft(F * grid._phases[1].reshape(shape), axis=0) / grid.dt
+    G = F * grid._phases[1].reshape(shape)
+    np.fft.ifft(G, axis=0, out=G)
+    G /= grid.dt
+    return G
 
 
 def lebesgue_norm(f, p, grid):
@@ -209,13 +215,22 @@ def resolvent_power_symbol(model, power=1):
 
 
 def apply_multiplier(symbol, f, grid):
-    """T_m f = inverse transform of m . (transform of f)."""
+    """T_m f = inverse transform of m . (transform of f).  A matrix symbol
+    is evaluated and applied one block of ``_RESOLVENT_BLOCK`` nodes at a
+    time, so its (N, dim, dim) values are never held."""
     f = np.asarray(f, dtype=complex)
     if f.shape[0] != grid.samples:
         raise ShapeError(f"expected {grid.samples} time samples, got {f.shape[0]}")
-    if symbol.dim > 1 and (f.ndim != 2 or f.shape[1] != symbol.dim):
+    if symbol.dim == 1:
+        return _apply_values(symbol.eval_all(grid.freqs), f, grid)
+    if f.ndim != 2 or f.shape[1] != symbol.dim:
         raise ShapeError(f"symbol of dim {symbol.dim} needs samples of shape (N, {symbol.dim})")
-    return _apply_values(symbol.eval_all(grid.freqs), f, grid)
+    F = fourier_forward(f, grid)
+    xis = grid.freqs
+    for lo in range(0, grid.samples, _RESOLVENT_BLOCK):
+        block = slice(lo, lo + _RESOLVENT_BLOCK)
+        F[block] = np.einsum("nij,nj->ni", symbol.eval_all(xis[block]), F[block])
+    return fourier_inverse(F, grid)
 
 
 def _apply_values(vals, f, grid):
@@ -226,6 +241,7 @@ def _apply_values(vals, f, grid):
         G = vals.reshape(shape) * F
     else:
         G = np.einsum("nij,nj->ni", vals, F)
+    del F
     return fourier_inverse(G, grid)
 
 
@@ -260,11 +276,13 @@ def semigroup_convolution(model, ks, f, grid):
     (N, d) array per k in ``ks`` (shape (N,) for d = 1); T(t) and its norms
     on the grid are built once.
 
-    The convolution is summed over the columns of T(t) in the frequency
-    domain: f is transformed once, and for each k every column t^k T(t) e_c
-    is transformed, multiplied by the spectrum of f's component c and added
-    into one (size, d) spectrum, whose one inverse transform gives S_k(f).
-    Convolving each of the d^2 entries of T(t) would inverse-transform a
+    The convolution is summed over the entries of T(t) in the frequency
+    domain: for each k and column c, f's component c is transformed, and
+    each entry t^k T(t)_{ic} is transformed on its own, multiplied by it and
+    added into row i of one (size, d) spectrum, whose inverse transform, in
+    place, gives S_k(f).  Only one padded transform of length size is held
+    beside that spectrum, and T(t) is released after the last k's forward
+    transforms.  Convolving each entry on its own would inverse-transform a
     (size, d, d) array per k instead.
 
     Defined when t^k ||T(t)|| is integrable over the window; the tail
@@ -289,21 +307,26 @@ def semigroup_convolution(model, ks, f, grid):
     weights[0] *= 0.5  # trapezoid across the t=0 boundary of the kernel
     norms = np.linalg.norm(kernels, 2, axis=(1, 2))
     size = next_fast_len(len(tpos) + grid.samples - 1, False)
-    f_hat = np.fft.fft(f, size, axis=0)
     spectrum = np.empty((size, d), dtype=complex)
     outs = []
-    for k in ks:
+    for pos, k in enumerate(ks):
         knorms = (tpos**k) * norms
         _check_window_tail(tpos, knorms, float(np.sum(weights * knorms)), f"kernel t^{k} ||T(t)||")
-        scale = (weights * tpos**k)[:, None]
+        scale = weights * tpos**k
         spectrum[:] = 0.0
         for c in range(d):
-            column = np.fft.fft(scale * kernels[:, :, c], size, axis=0)
-            column *= f_hat[:, c, None]
-            spectrum += column
-            del column  # freed before the next column is transformed
-        # a copy, so the padded inverse transform is not kept alive by a view
-        out = np.fft.ifft(spectrum, axis=0)[: grid.samples].copy()
+            f_hat = np.fft.fft(f[:, c], size)
+            for i in range(d):
+                entry = np.fft.fft(scale * kernels[:, i, c], size)
+                entry *= f_hat
+                spectrum[:, i] += entry
+                del entry  # freed before the next entry is transformed
+            del f_hat
+        if pos == len(ks) - 1:  # by position: ks may repeat the last power
+            del kernels
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        # a copy, so the padded spectrum is not kept alive by a view
+        out = spectrum[: grid.samples].copy()
         outs.append(out if d > 1 else out[:, 0])
     return outs
 
@@ -343,7 +366,12 @@ def verify_laplace_identity(model, ns, x, grid):
     ts = grid.times
     pos = ts >= 0.0
     tpos = ts[pos]
-    path = np.einsum("kij,j->ki", model._expm_neg(tpos), x)
+    # T(t) x over blocks of times, so no (len(tpos), d, d) stack is held; an
+    # overflow still names the first time whose matrix is not finite
+    path = np.empty((len(tpos), model.dim), dtype=complex)
+    for lo in range(0, len(tpos), _ORBIT_BLOCK):
+        block = slice(lo, lo + _ORBIT_BLOCK)
+        path[block] = np.einsum("kij,j->ki", model._expm_neg(tpos[block]), x)
     # Taylor coefficients w_j of e^{(1-A)t} x, for the jump-matched reference
     shift = np.eye(model.dim) - model.matrix
     ws = [x]

@@ -435,7 +435,9 @@ class DiagonalSymbolModel(OperatorModel):
         def parts(s):
             # the t-independent factors of g and the terms of g'/g at the nodes s
             ph, dph = self.symbol(s), self.symbol_derivative(s)
-            return (ph, ph**sigma, (1.0 + ph) ** (-(sigma + tau)), dph,
+            with np.errstate(over="ignore"):  # a huge sigma + tau gives exactly 0 here
+                inverse = (1.0 + ph) ** (-(sigma + tau))
+            return (ph, ph**sigma, inverse, dph,
                     (sigma + tau) * dph / (1.0 + ph), sigma * dph / ph if sigma else None)
 
         on_grid = parts(self.grid)

@@ -513,7 +513,8 @@ def test_sizes_numpy_refuses_exit_2(tmp_path, capsys, field, count):
     ({"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 10**4}, 1e6),
     ({"kind": "dense-matrix", "entries": [[1.0, 1.0], [0.0, 1.0]]}, 1e308),
     ({"kind": "operator-matrix", "n": 3}, 1e308),
-], ids=["jordan-sum", "dense-matrix", "operator-matrix"])
+    ({"kind": "diagonal-symbol", "a": 1.0, "b": 0.5, "grid_count": 64}, 1e308),
+], ids=["jordan-sum", "dense-matrix", "operator-matrix", "diagonal-symbol"])
 def test_norms_that_underflow_before_the_fit_window_name_the_indices(tmp_path, capsys, operator, tau):
     # (1 + A)^-tau underflows to 0 from the first node of the fit window on
     cfg = _base_config(tmp_path / "o")

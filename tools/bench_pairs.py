@@ -1,7 +1,8 @@
 """Parent-versus-change benchmark record, written to a BENCH_*.json file.
 
     python3 tools/bench_pairs.py --parent ../semistab-parent --change . \
-        --out BENCH_block_sum.json
+        --out BENCH_block_sum.json [--first-seed 801] \
+        [--second-pair ../parent-at-a-longer-path ../change-at-a-longer-path]
 
 ``--parent`` and ``--change`` are two checkouts of this repository (each
 with ``src/semistab`` and ``perfbench/``).  For each, the script records:
@@ -29,6 +30,11 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
   each case returns, in ``RSS_ROUNDS`` fresh processes per checkout.
   ``ru_maxrss`` is a high-water mark, so a case's value is the process
   peak up to its end, and the case that raises it sets the pass's peak;
+- the tracemalloc peak of every battery case (seed 0), in MiB: each case
+  is called once untraced as a warm-up and then once under tracemalloc,
+  in one fresh process per checkout and round (``TRACED_ROUNDS``).  It
+  counts the arrays a case holds, whatever the heap layout, which moves
+  ``ru_maxrss`` by up to about 1 %;
 - the start-up footprint of ``analyze``, in ``STARTUP_ROUNDS`` fresh
   processes per checkout: the set-up time as perfbench's worker times it
   (``from semistab import cli`` and ``cli.load_config`` on
@@ -40,13 +46,15 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
   each workload (``perfbench/run.py --trace 1``, seed 0);
 - the end-to-end ``wall_s``, ``cpu_s``, ``peak_rss_mb``, ``setup_s`` and
   ``pass_frac`` of ``PAIRS`` untraced parent/change run pairs of each
-  workload (``perfbench/run.py --trace 0``, seeds ``FIRST_SEED``
+  workload (``perfbench/run.py --trace 0``, seeds ``--first-seed``
   onwards), with the quartiles of each side and the number of pairs in
-  which the change reads lower.
+  which the change reads lower.  ``--second-pair`` names two more
+  checkouts of the same parent and change, at paths of another length,
+  whose pairs are recorded the same way on the seeds after those.
 
 Parent and change processes alternate, and the side that runs first in a
 round alternates too, so both see the host at similar times.  A full run
-takes about 25 minutes on a 2-CPU host.
+takes about 25 minutes on a 2-CPU host, and ``--second-pair`` adds about 15.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ WORST_ROUNDS = 5
 STALL_ROUNDS = 24
 STALL_S = 0.8
 RSS_ROUNDS = 6
+TRACED_ROUNDS = 2
 STARTUP_ROUNDS = 20
 
 CASE_TIMER = """
@@ -106,6 +115,21 @@ def probed(name, case):
 battery.ALL_CASES[:] = [(name, probed(name, case)) for name, case in battery.ALL_CASES]
 with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
     cli.main(["verify-examples", "--out-dir", tmp])
+print(json.dumps(peaks))
+"""
+
+CASE_TRACED = """
+import json, tracemalloc
+from semistab import battery
+peaks = {}
+for name, case in battery.ALL_CASES:
+    case(seed=0)  # warm-up: caches and lazy imports are not counted
+    tracemalloc.start()
+    try:
+        case(seed=0)
+        peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 print(json.dumps(peaks))
 """
 
@@ -202,11 +226,39 @@ def _alternating(i):
     return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
+def _end_to_end(trees, first_seed):
+    """``PAIRS`` alternating perfbench run pairs of each workload, seeds
+    ``first_seed`` onwards."""
+    end_to_end = {}
+    for workload in WORKLOADS:
+        runs = {name: {key: [] for key in END_TO_END_KEYS} for name in trees}
+        for i in range(PAIRS):
+            for name in _alternating(i):
+                metrics = _perfbench(trees[name], workload, first_seed + i, 0)
+                for key in END_TO_END_KEYS:
+                    runs[name][key].append(metrics[key])
+                print(f"{workload} {name} seed {first_seed + i}: {metrics}", flush=True)
+        record = {name: {key: _summary(vals) for key, vals in runs[name].items()} for name in trees}
+        record["change_lower_in_pairs"] = {
+            key: sum(c < p for p, c in zip(runs["parent"][key], runs["change"][key]))
+            for key in END_TO_END_KEYS
+        }
+        record["seeds"] = [first_seed, first_seed + PAIRS - 1]
+        end_to_end[workload] = record
+    # heap layout, and with it ru_maxrss, moves with the length of a checkout's path
+    end_to_end["checkout_path_chars"] = {name: len(tree) for name, tree in trees.items()}
+    return end_to_end
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--out", required=True, help="the BENCH_*.json file to write")
+    ap.add_argument("--first-seed", type=int, default=FIRST_SEED,
+                    help="seed of the first end-to-end pair")
+    ap.add_argument("--second-pair", nargs=2, metavar=("PARENT", "CHANGE"),
+                    help="checkouts of the same parent and change at paths of another length")
     args = ap.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
@@ -232,6 +284,14 @@ def main(argv=None):
     case_rss = {name: {case: _summary([r[case] for r in runs]) for case in runs[0]}
                 for name, runs in rss_runs.items()}
     print(f"verify-examples peak RSS per case: {case_rss}", flush=True)
+
+    traced_runs = {name: [] for name in trees}
+    for i in range(TRACED_ROUNDS):
+        for name in _alternating(i):
+            traced_runs[name].append(_child(trees[name], CASE_TRACED))
+    case_traced = {name: {case: _summary([r[case] for r in runs]) for case in runs[0]}
+                   for name, runs in traced_runs.items()}
+    print(f"battery tracemalloc peak per case: {case_traced}", flush=True)
 
     startup_runs = {name: [] for name in trees}
     for i in range(STARTUP_ROUNDS):
@@ -269,21 +329,7 @@ def main(argv=None):
                                       if key.startswith(TRACED_PREFIXES)}
             print(f"{name} traced {workload}: {traced[workload][name]}", flush=True)
 
-    end_to_end = {}
-    for workload in WORKLOADS:
-        runs = {name: {key: [] for key in END_TO_END_KEYS} for name in trees}
-        for i in range(PAIRS):
-            for name in _alternating(i):
-                metrics = _perfbench(trees[name], workload, FIRST_SEED + i, 0)
-                for key in END_TO_END_KEYS:
-                    runs[name][key].append(metrics[key])
-                print(f"{workload} {name} seed {FIRST_SEED + i}: {metrics}", flush=True)
-        record = {name: {key: _summary(vals) for key, vals in runs[name].items()} for name in trees}
-        record["change_lower_in_pairs"] = {
-            key: sum(c < p for p, c in zip(runs["parent"][key], runs["change"][key]))
-            for key in END_TO_END_KEYS
-        }
-        end_to_end[workload] = record
+    end_to_end = _end_to_end(trees, args.first_seed)
 
     record = {
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
@@ -292,10 +338,14 @@ def main(argv=None):
         "jordan_rates_stall_via_cli": stall,
         "block_sum_worst_case": worst,
         "verify_examples_peak_rss_mb_per_case": case_rss,
+        "battery_traced_peak_mib_per_case": case_traced,
         "analyze_startup": startup,
         "traced_seed0": traced,
         "end_to_end": end_to_end,
     }
+    if args.second_pair:
+        second = dict(zip(("parent", "change"), map(os.path.abspath, args.second_pair)))
+        record["end_to_end_second_pair"] = _end_to_end(second, args.first_seed + PAIRS)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
