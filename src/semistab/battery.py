@@ -242,9 +242,9 @@ def case_sobolev_rates(out, seed):
     )
 
     t_grid = numcore.geometric_grid(10.0, 1e5, 48)
-    measurements = {}
-    for tau in (0.0, 1.0, 2.0, 3.0, 4.0, 6.0):
-        measurements[tau] = decaylab.measure_decay(model, 0.0, tau, t_grid, with_growth=(tau == 0.0))
+    taus = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0)
+    measurements = dict(zip(taus, decaylab.measure_decay(model, [(0.0, tau) for tau in taus], t_grid,
+                                                         with_growth=True)))
     mu_hat = measurements[0.0].growth_mu_hat
     for tau in (0.0, 1.0, 2.0):
         want = (1.0 - b + b * tau) / a - 1.0
@@ -291,10 +291,8 @@ def case_matrix_rates(out, seed):
     n = 3
     model = operators.OperatorMatrixModel(n)
     t_grid = numcore.geometric_grid(10.0, 1e4, 24)
-    fits = {}
-    for m in (0, 1, 2):
-        meas = decaylab.measure_decay(model, float(m), 0.0, t_grid)
-        fits[m] = meas
+    fits = dict(enumerate(decaylab.measure_decay(model, [(float(m), 0.0) for m in range(n)], t_grid)))
+    for m, meas in fits.items():
         want = float(n - 1 - m)
         got = meas.fit.exponent
         out.add(
@@ -313,7 +311,7 @@ def case_matrix_rates(out, seed):
     )
     # the tau-free analytic-regime rate applies (bounded generator)
     pred = decaylab.predict_rate_asymptotically_analytic(float(n), 3.0, zeta_negative_asserted=True)
-    meas = decaylab.measure_decay(model, 3.0, 0.0, t_grid)
+    [meas] = decaylab.measure_decay(model, [(3.0, 0.0)], t_grid)
     rep = decaylab.check_consistency(meas, pred, TOL_EXPONENT)
     out.add(
         "tau-free rate at sigma=3 consistent",
@@ -382,8 +380,10 @@ def case_jordan_rates(out, seed):
     )
 
     tau_taylor = (1.0 - gamma) / math.log(1.0 / delta)
+    # the band and the growth-index norms sweep the same times, so one call takes both
+    beta0_full = math.log(1.0 / gamma) / math.log(1.0 / delta)
     band_ts = np.linspace(t_lo, t_hi, 20)
-    band_vals = model.fractional_norm(band_ts, 0.0, tau_taylor)
+    band_vals, b0_vals = model.fractional_norm(band_ts, 0.0, [tau_taylor, beta0_full])
     band = band_vals.max() / band_vals.min()
     out.add(
         f"factor-10 band at tau=(1-gamma)/log(1/delta)={tau_taylor:.4f}",
@@ -408,8 +408,6 @@ def case_jordan_rates(out, seed):
     # informative: the operator norm stays in a band exactly at the
     # resolvent-growth index, and the block model's orbit witness is the
     # quantity controlled by the Taylor-approximate index
-    beta0_full = math.log(1.0 / gamma) / math.log(1.0 / delta)
-    b0_vals = model.fractional_norm(band_ts, 0.0, beta0_full)
     b0_band = b0_vals.max() / b0_vals.min()
     out.add(
         f"norm band at the growth index tau=log(1/gamma)/log(1/delta)={beta0_full:.4f}",
@@ -603,9 +601,7 @@ def case_predict_algebra(out, seed):
 
     model = operators.DiagonalSymbolModel(1.0, 0.5)
     t_grid = numcore.geometric_grid(10.0, 1e5, 40)
-    m1 = decaylab.measure_decay(model, 0.0, 1.0, t_grid)
-    m3 = decaylab.measure_decay(model, 0.0, 3.0, t_grid)
-    m2 = decaylab.measure_decay(model, 0.0, 2.0, t_grid)
+    m1, m3, m2 = decaylab.measure_decay(model, [(0.0, 1.0), (0.0, 3.0), (0.0, 2.0)], t_grid)
     _, tau_mid, rho_mid = decaylab.interpolate_rates(
         (0.0, 3.0, m3.rho_hat), (0.0, 1.0, m1.rho_hat), 0.5
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -68,6 +69,11 @@ _OPERATORS = {
                    {"gamma": float, "delta": float, "n_max": int, "n_start": int}),
     "operator-matrix": (operators.OperatorMatrixModel, {"n": int}),
 }
+
+# each kind's constructor parameters without a default, which a config must give
+_REQUIRED = {kind: [name for name, param in inspect.signature(model).parameters.items()
+                    if param.default is param.empty]
+             for kind, (model, _) in _OPERATORS.items()}
 
 _GEOMETRY_FIELDS = {"hilbert": bool, "fourier_type": float, "type_p": float, "cotype_q": float,
                     "positive_semigroup": bool, "r_resolvent_growth_asserted": bool,
@@ -148,8 +154,8 @@ def _validate_operator(op):
         json_type = fields[key]
         kwargs[key] = (_validate_entries(val) if json_type is list
                        else _check(val, f"operator.{key}", json_type))
-    for name, param in inspect.signature(model).parameters.items():
-        if param.default is param.empty and name not in kwargs:
+    for name in _REQUIRED[kind]:
+        if name not in kwargs:
             _fail(f"operator.{name}", "missing")
     try:
         return model(**kwargs)
@@ -319,22 +325,25 @@ def _make_out_dir(args, default="semistab-out", source="--out-dir"):
     return path
 
 
-def _write_csv(out_dir, name, rows):
-    """Write ``rows`` under ``CSV_HEADER`` to out_dir/name."""
+def _write_file(out_dir, name, text):
+    """Write ``text`` to out_dir/name in one write, newlines as given."""
     with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in CSV_HEADER})
+        fh.write(text)
+
+
+def _write_csv(out_dir, name, rows):
+    """Write ``rows`` (dicts; a missing column is empty, other keys are
+    dropped) under ``CSV_HEADER`` to out_dir/name."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    writer.writerows([row.get(k, "") for k in CSV_HEADER] for row in rows)
+    _write_file(out_dir, name, buf.getvalue())
 
 
 def _write_summary(out_dir, summary, timings):
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
-        json.dump({"timings_s": timings}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    for name, record in (("summary.json", summary), ("run_meta.json", {"timings_s": timings})):
+        _write_file(out_dir, name, json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def run_analyze(config, measure_only=False):
@@ -385,10 +394,7 @@ def run_analyze(config, measure_only=False):
 
     t0 = time.perf_counter()
     t_grid = config["t_grid"]
-    measurements = [
-        decaylab.measure_decay(model, sigma, tau, t_grid, with_growth=(i == 0))
-        for i, (sigma, tau) in enumerate(config["indices"])
-    ]
+    measurements = decaylab.measure_decay(model, config["indices"], t_grid, with_growth=True)
     mu_hat = measurements[0].growth_mu_hat
     summary["growth_mu_hat"] = mu_hat
     fit_tol = config["tolerances"]["fit_tol"]
@@ -667,11 +673,16 @@ def build_parser():
     return parser
 
 
+# built once, at import: parsing leaves the parser unchanged, so in-process
+# callers that run many passes do not pay for it again
+_PARSER = build_parser()
+
+
 def main(argv=None):
     """Run one subcommand on one OpenBLAS thread and return its exit code."""
     with numcore.one_blas_thread():
         try:
-            args = build_parser().parse_args(argv)
+            args = _PARSER.parse_args(argv)
             if args.command == "analyze":
                 return _cmd_analyze(args)
             if args.command == "decay":

@@ -320,43 +320,51 @@ def _classify_super_polynomial(power_fit, exp_fit):
     )
 
 
-def measure_decay(model, sigma, tau, t_grid, with_growth=False):
-    """Norms of T(t) Phi^sigma_tau(A) over the grid with a power-law fit
-    over ``default_window`` (the first and last 10% of nodes dropped).
+def measure_decay(model, pairs, t_grid, with_growth=False):
+    """One ``DecayMeasurement`` per (sigma, tau) of ``pairs``: the norms of
+    T(t) Phi^sigma_tau(A) over the grid, all from one ``fractional_norm``
+    call, with a power-law fit over ``default_window`` (the first and last
+    10% of nodes dropped).
 
     ``rho_hat`` is the fitted decay exponent (positive = decay).  With
     ``with_growth`` the growth exponent of ||T(t)|| on X is fitted over
-    the same window for the growth-aware predictors.  A norm that
+    the first pair's window for the growth-aware predictors.  A norm that
     underflows to exactly 0 lies below the smallest double, a decay no
     power of t on the grid reaches: the fit window ends before the first
     such norm and the measurement is classified super-polynomial.  If that
     leaves too few norms to fit, InsufficientDataError names the indices
     and the time of that norm.
     """
-    norms = model.fractional_norm(t_grid, sigma, tau)
+    sigmas, taus = zip(*pairs)
+    rows = model.fractional_norm(t_grid, list(sigmas), list(taus))
     gnorms = model.semigroup_norm(t_grid) if with_growth else None
-    lo, hi = default_window(len(norms))
-    zero = norms == 0.0 if gnorms is None else (norms == 0.0) | (gnorms == 0.0)
-    underflow = np.flatnonzero(zero[lo:hi])
-    if underflow.size:
-        hi = lo + int(underflow[0])
-        if hi - lo < MIN_FIT_POINTS:
-            raise InsufficientDataError(
-                f"sigma={sigma:g}, tau={tau:g}: the norms underflow to 0 at t={t_grid[hi]:.12g}, "
-                f"leaving {hi - lo} nonzero norms in the fit window; need >= {MIN_FIT_POINTS}"
-            )
-    fit = fit_power_law(t_grid, norms, window=(lo, hi))
-    exp_fit = fit_exp_rate(t_grid, norms, window=(lo, hi))
-    growth = None if gnorms is None else fit_power_law(t_grid, gnorms, window=(lo, hi)).exponent
-    return DecayMeasurement(
-        float(sigma),
-        float(tau),
-        norms,
-        fit,
-        -fit.exponent,
-        bool(underflow.size) or _classify_super_polynomial(fit, exp_fit),
-        growth,
-    )
+    out = []
+    for (sigma, tau), norms in zip(pairs, rows):
+        if out:  # only the first pair's window fits the growth
+            gnorms = None
+        lo, hi = default_window(len(norms))
+        zero = norms == 0.0 if gnorms is None else (norms == 0.0) | (gnorms == 0.0)
+        underflow = np.flatnonzero(zero[lo:hi])
+        if underflow.size:
+            hi = lo + int(underflow[0])
+            if hi - lo < MIN_FIT_POINTS:
+                raise InsufficientDataError(
+                    f"sigma={sigma:g}, tau={tau:g}: the norms underflow to 0 at t={t_grid[hi]:.12g}, "
+                    f"leaving {hi - lo} nonzero norms in the fit window; need >= {MIN_FIT_POINTS}"
+                )
+        fit = fit_power_law(t_grid, norms, window=(lo, hi))
+        exp_fit = fit_exp_rate(t_grid, norms, window=(lo, hi))
+        growth = None if gnorms is None else fit_power_law(t_grid, gnorms, window=(lo, hi)).exponent
+        out.append(DecayMeasurement(
+            float(sigma),
+            float(tau),
+            norms,
+            fit,
+            -fit.exponent,
+            bool(underflow.size) or _classify_super_polynomial(fit, exp_fit),
+            growth,
+        ))
+    return out
 
 
 @dataclass(frozen=True)

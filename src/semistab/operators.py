@@ -19,11 +19,13 @@ Every model answers the norms the analyses measure: ||T(t)||,
 time-indexed norms take a 1-D array of times and return one norm per
 time, so a sweep is one call and t-independent work is done once per
 call; ||T(t)|| is the second at sigma = tau = 0, except in the block sum,
-where the largest block decides it.  The resolvent norm takes a line, a
-1-D complex array of points, and returns one norm and one edge flag per
-point, inf on the spectrum of -A.  The diagonal kind takes each sweep's
-or line's suprema over s in one stacked ``sup_on_grid``, the
-operator-matrix kind each sweep's.
+where the largest block decides it.  The fractional norm also takes
+several (sigma, tau) pairs at once, one row of norms per pair: the block
+sum runs them in one lockstep, the other kinds one after another.  The
+resolvent norm takes a line, a 1-D complex array of points, and returns
+one norm and one edge flag per point, inf on the spectrum of -A.  The
+diagonal kind takes each sweep's or line's suprema over s in one stacked
+``sup_on_grid``, the operator-matrix kind each sweep's.
 Conventions: the semigroup is T(t) = exp(-t A); resolvent norms are
 reported for (lam + A)^{-1} because stability analysis probes the closed
 right half-plane.  State-space actions, (lam - A)^{-1} x and closed-form
@@ -93,7 +95,10 @@ class OperatorModel(ABC):
     def fractional_norm(self, ts, sigma, tau):
         """Norms of T(t) A^sigma (1+A)^{-sigma-tau}, one per time in the 1-D
         array ``ts``: the computable surrogate for the norm of T(t) from the
-        smoothness-(sigma, tau) domain to X."""
+        smoothness-(sigma, tau) domain to X.  ``sigma`` and ``tau`` are
+        numbers, or 1-D arrays that broadcast to a list of pairs; then the
+        answer has one row per pair, and its warnings and its error are
+        those of one call per pair in turn."""
 
     @abstractmethod
     def spectral_abscissa_neg(self):
@@ -146,31 +151,70 @@ def _off_spectrum(norms_of):
     return shifted_resolvent_norm
 
 
+def _index_pairs(sigma, tau):
+    """The (sigma, tau) pairs of a fractional-norm call and the leading shape
+    of its answer: the two numbers as given and (), or the pairs of two
+    1-D arrays that broadcast to length k, as Python numbers, and (k,)."""
+    sigmas, taus = np.broadcast_arrays(sigma, tau)
+    if sigmas.ndim == 0:
+        return [(sigma, tau)], ()
+    if sigmas.ndim > 1:
+        raise DomainError(f"fractional indices must be numbers or 1-D arrays, got shape {sigmas.shape}")
+    return list(zip(sigmas.tolist(), taus.tolist())), sigmas.shape
+
+
+def _each_pair(norms_of):
+    """Make a kind's one-pair computation ``norms_of(self, ts, sigma, tau)``
+    its ``fractional_norm``: the times checked once, then each pair's
+    indices checked and its norms taken in turn.  A warning ``norms_of``
+    raises with stacklevel=3 names the caller of ``fractional_norm``."""
+
+    def fractional_norm(self, ts, sigma, tau):
+        ts = self._check_times(ts)
+        pairs, shape = _index_pairs(sigma, tau)
+        norms = np.empty((len(pairs), len(ts)))
+        for i, (s, t) in enumerate(pairs):
+            self._check_fractional_indices(s, t)
+            norms[i] = norms_of(self, ts, s, t)
+        return norms.reshape(shape + ts.shape)
+
+    return fractional_norm
+
+
 # ---------------------------------------------------------------------------
 # helpers shared by the block-structured models
 
 
-def _exp_series_coeffs(t, m):
-    """Coefficients t^k/k! for k < m, the polynomial exp(t B_m); DomainError
-    naming t if one overflows, since every norm built on them would too."""
-    if t == 0.0:
-        out = np.zeros(m)
-        out[0] = 1.0
-        return out
+def _exp_series_rows(ts, m):
+    """Coefficient rows t^k/k! for k < m, the polynomials exp(t B_m), one
+    per time of the 1-D array ``ts``, and the index of the first time whose
+    row overflows, or None; the rows from that time on are 0."""
+    rows = np.zeros((len(ts), m))
+    rows[:, 0] = 1.0  # t = 0 keeps this row
+    on = np.flatnonzero(ts)
+    # math.log, time by time: np.log may differ in the last bit
+    logs = np.array([math.log(t) for t in ts[on]])
     with np.errstate(over="ignore"):
-        out = np.exp(np.arange(m) * math.log(t) - log_factorials(m))
-    return _finite_at(out, t)
+        rows[on] = np.exp(np.arange(m) * logs[:, None] - log_factorials(m))
+    finite = np.isfinite(rows).all(axis=1)
+    if finite.all():
+        return rows, None
+    bad = int(np.argmin(finite))
+    rows[bad:] = 0.0
+    return rows, bad
+
+
+def _exp_series_coeffs(t, m):
+    """The row t^k/k! for k < m of one time t; DomainError naming t if an
+    entry overflows, since every norm built on them would too."""
+    rows, bad = _exp_series_rows(np.array([t], dtype=float), m)
+    if bad is not None:
+        raise _overflow_at(t)
+    return rows[0]
 
 
 def _overflow_at(t):
     return DomainError(f"matrix entries overflow float64 at t={t:g}; the norm is out of range")
-
-
-def _finite_at(entries, t):
-    """``entries`` if all are finite, else DomainError naming the time t."""
-    if not np.isfinite(entries).all():
-        raise _overflow_at(t)
-    return entries
 
 
 def _shifted_power_rows(zetas, p, m):
@@ -329,8 +373,8 @@ class DenseMatrixModel(OperatorModel):
         x = self._check_vec(x)
         return self.phi_matrix(alpha, beta) @ x
 
+    @_each_pair
     def fractional_norm(self, ts, sigma, tau):
-        ts = self._check_times(ts)
         phi = self.phi_matrix(sigma, tau)
         return _svdvals(self._expm_neg(ts) @ phi)[:, 0]
 
@@ -428,10 +472,8 @@ class DiagonalSymbolModel(OperatorModel):
         norms, edges = self._sup_norm(lambda i, s: 1.0 / (lams[i] + self.symbol(s)), gprime, len(lams))
         return norms, edges.any(axis=0)
 
+    @_each_pair
     def fractional_norm(self, ts, sigma, tau):
-        ts = self._check_times(ts)
-        self._check_fractional_indices(sigma, tau)
-
         def parts(s):
             # the t-independent factors of g and the terms of g'/g at the nodes s
             ph, dph = self.symbol(s), self.symbol_derivative(s)
@@ -467,7 +509,7 @@ class DiagonalSymbolModel(OperatorModel):
             label = f"T(t)Phi^{sigma}_{tau} symbol" + "'" * row
             warnings.warn(f"supremum of {label} attained at the right domain edge {self.grid[-1]:g}; "
                           "truncated domain may not contain the supremum",
-                          EdgeDominatedWarning, stacklevel=2)
+                          EdgeDominatedWarning, stacklevel=3)
         return norms
 
     def phi_closed_apply(self, alpha, beta, x):
@@ -519,15 +561,20 @@ def _branch_and_bound(ub, visit):
 
 
 class _BlockRows(NamedTuple):
-    """Coefficient rows of a set of blocks, grouped by block size: group g
-    owns the numbers starts[g]:starts[g+1] and rows[g] holds their rows, of
-    length sizes[g].  Number i is block ns[i], and l1[i] its row's l1 norm."""
+    """Coefficient rows of a set of blocks for each of a list of pairs,
+    grouped by block size: group g owns the numbers starts[g]:starts[g+1]
+    and rows[g][p] holds their rows for pair p, of length sizes[g].  Number
+    i is block ns[i], and l1[p, i] its row's l1 norm for pair p."""
 
     ns: np.ndarray
     rows: tuple
     l1: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
+
+    def of_pairs(self, block):
+        """The rows of the pairs of the slice ``block``."""
+        return self._replace(rows=tuple(r[block] for r in self.rows), l1=self.l1[block])
 
 
 class JordanSumModel(OperatorModel):
@@ -561,12 +608,14 @@ class JordanSumModel(OperatorModel):
       bounds.  At t = 0, T(0) Phi = Phi, so the Phi rows are exact.
 
     The rows of A^sigma (1+A)^{-sigma-tau} and their l1 norms do not
-    depend on t, so ``fractional_norm`` builds them once per call.  Every
-    norm of a call is one problem of a lockstep ``_branch_and_bound`` (the
-    times of a sweep, the points of a line), in chunks that bound the rows
-    held: each round takes one stacked SVD per block size, and the first
-    visit to a group by any time convolves its rows with every time's e(t)
-    in one FFT call and lowers every time's bounds of the group.
+    depend on t, so ``fractional_norm`` builds them once per call and pair.
+    Every norm of a call is one problem of a lockstep ``_branch_and_bound``
+    (each (pair, time) of a sweep, the points of a line), in chunks that
+    bound the rows held: each round takes one stacked SVD per block size,
+    and the first visit to a group by any problem convolves the group's
+    rows of every pair with every time's e(t) in one FFT call.  A pair's
+    first visit to a group lowers the bounds of every time of that pair, so
+    each pair takes the steps it takes alone.
     ``semigroup_norm`` needs only the largest block: one stacked SVD per
     chunk of its times.
     """
@@ -596,6 +645,10 @@ class JordanSumModel(OperatorModel):
         self.n_start = n0
         self._groups = self._build_groups()
         self._sizes = np.array([m for m, _, _ in self._groups])
+        # the end blocks of each group: its first and last, or its one block
+        ends = [[a] if a == b else [a, b] for _, a, b in self._groups]
+        self._ends = np.array([n for pair in ends for n in pair], dtype=float)
+        self._end_starts = np.cumsum([0] + [len(pair) for pair in ends])
         self._firsts = np.array([a for _, a, _ in self._groups], dtype=float)
         self._lasts = np.array([b for _, _, b in self._groups], dtype=float)
         angle = math.atan2(self.n_max, self.gamma)
@@ -613,6 +666,15 @@ class JordanSumModel(OperatorModel):
 
     def _last_of_size(self, n, m):
         """The last block in [n, n_max] of size <= m, given that n is one."""
+        # the last is near (1/delta)^(m+1) - 1, and a guess its neighbour confirms
+        # is exact, since m(n) is nondecreasing; else bisection finds it
+        try:
+            guess = min(self.n_max, math.ceil((1.0 / self.delta) ** (m + 1)) - 1)
+        except OverflowError:
+            guess = self.n_max
+        confirmed = guess == self.n_max or self.block_size(guess + 1) > m
+        if n <= guess and self.block_size(guess) <= m and confirmed:
+            return guess
         hi = self.n_max
         while n < hi:
             mid = (n + hi + 1) // 2
@@ -648,7 +710,9 @@ class JordanSumModel(OperatorModel):
         ts = self._check_times(ts)
         m = self._groups[-1][0]
         # exp(t B_m) norms are nondecreasing in m, so the largest block decides
-        rows = np.array([_exp_series_coeffs(t, m) for t in ts]).reshape(len(ts), m)
+        rows, bad = _exp_series_rows(ts, m)
+        if bad is not None:
+            raise _overflow_at(ts[bad])
         norms = np.empty(len(ts))
         # stacks of at most 512 KiB: all 28 of jordan.rates' 87 x 87 matrices at once
         # raise the verify-examples peak RSS by 0.5 MB
@@ -659,54 +723,74 @@ class JordanSumModel(OperatorModel):
 
     def _sup_over_blocks(self, blocks, ts):
         """Exact sups of the block norms of ``blocks`` (a ``_BlockRows``), one
-        per time of ``ts``: (sups, whether n_max attains each, each time's
-        overflow DomainError or None).
+        per pair of its rows and time of ``ts``: (sups, whether n_max attains
+        each, each time's overflow DomainError or None), each with one row per
+        pair.
 
         The blocks' rows at t are e(t) * blocks.rows, truncated (see the
         class docstring), and one lockstep ``_branch_and_bound`` visits
-        them for all times.  A time's bounds start at s_m(t) ||phi||_1.  The
-        first visit to a group by any time convolves the group's rows for
-        every time and lowers every time's bounds of the group to the l1
-        norms of its rows; an open time whose rows overflow fails there.
-        At t = 0 the rows are exact, so a chunk of times 0 convolves nothing.
+        them for every (pair, time).  A time's bounds start at s_m(t)
+        ||phi||_1.  The first visit to a group by any problem convolves the
+        group's rows for every pair and time; the first visit by a pair
+        lowers every time's bounds of that pair and group to the l1 norms
+        of its rows, and that pair's first visiting time whose rows overflow
+        fails there.  At t = 0 the rows are exact, so a chunk of times 0
+        convolves nothing.
         """
         starts, sizes = blocks.starts, blocks.sizes
-        counts = np.diff(starts)
-        coeffs, errors = np.zeros((len(ts), int(sizes[-1]))), [None] * len(ts)
-        for i, t in enumerate(ts):
-            try:
-                coeffs[i] = _exp_series_coeffs(t, int(sizes[-1]))
-            except DomainError as exc:
-                # a sweep raises its first time's error, so the later times need
-                # no answer: their zero series give zero bounds
-                errors[i] = exc
-                break
+        counts, npairs, nts = np.diff(starts), len(blocks.l1), len(ts)
+        # a sweep raises its first time's error, so the later times need no
+        # answer: their zero series give zero bounds
+        coeffs, bad = _exp_series_rows(ts, int(sizes[-1]))
+        errors = [[None] * nts for _ in range(npairs)]
+        if bad is not None:
+            for pair_errors in errors:
+                pair_errors[bad] = _overflow_at(ts[bad])
         with np.errstate(over="ignore"):  # an infinite bound still bounds
-            ub = blocks.l1 * np.repeat(np.cumsum(coeffs, axis=1)[:, sizes - 1], counts, axis=1)
+            gains = np.repeat(np.cumsum(coeffs, axis=1)[:, sizes - 1], counts, axis=1)
+            ub = (blocks.l1[:, None, :] * gains).reshape(npairs * nts, -1)
         group_of = np.repeat(np.arange(len(sizes)), counts)
-        rows = {}  # group -> its rows at every time, from the group's first visit
+        pair_of, time_of = np.divmod(np.arange(npairs * nts), nts)
+        rows = {}  # group -> its rows at every (time, pair), from the group's first visit
+        # per problem, the l1 norms of its convolved rows and whether each group's are finite
+        l1, finite = np.empty_like(ub), np.empty((len(ub), len(sizes)), dtype=bool)
+        seen = np.zeros((npairs, len(sizes)), dtype=bool)  # the groups each pair visited
 
         def visit(ps, cs):
             gs, vals = group_of[cs], np.zeros(len(ps))
             for g in set(gs.tolist()) - rows.keys():
-                phi, cols = blocks.rows[g], slice(starts[g], starts[g + 1])
-                exact = rows[g] = (_exp_convolve(phi, coeffs) if ts.any()
-                                   else np.empty((len(ts),) + phi.shape, complex))
+                phi = blocks.rows[g]
+                if ts.any():
+                    exact = _exp_convolve(phi.reshape(-1, phi.shape[-1]), coeffs).reshape(nts, *phi.shape)
+                else:
+                    exact = np.empty((nts, *phi.shape), complex)
                 exact[ts == 0] = phi
+                rows[g] = exact
                 with np.errstate(invalid="ignore"):
-                    ub[:, cols] = np.minimum(ub[:, cols], np.abs(exact).sum(axis=2))
-                bad = ps[~np.isfinite(exact).all(axis=(1, 2))[ps]]
-                if len(bad):
-                    # as above, the first failing time closes every later one
-                    errors[bad[0]], ub[bad[0] :] = _overflow_at(ts[bad[0]]), -np.inf
+                    sums = np.abs(exact).sum(axis=3)
+                # from (time, pair) to the problems' (pair, time) order
+                l1[:, starts[g] : starts[g + 1]] = sums.transpose(1, 0, 2).reshape(len(ub), -1)
+                finite[:, g] = np.isfinite(exact).all(axis=(2, 3)).T.ravel()
+            # the groups each visiting pair visits for the first time
+            first = np.zeros_like(seen)
+            first[pair_of[ps], gs] = ~seen[pair_of[ps], gs]
+            seen[first] = True
+            with np.errstate(invalid="ignore"):
+                np.minimum(ub, l1, out=ub, where=first[pair_of][:, group_of])
+            failing = ps[(first[pair_of[ps]] & ~finite[ps]).any(axis=1)]
+            for p in set(pair_of[failing].tolist()):
+                # as above, the pair's first failing time closes its every later one
+                q = failing[pair_of[failing] == p][0]
+                errors[p][time_of[q]], ub[q : (p + 1) * nts] = _overflow_at(ts[time_of[q]]), -np.inf
             ok = ub[ps, cs] > -np.inf  # a failed time's bounds are all -inf
             for g in set(gs[ok].tolist()):
                 on = ok & (gs == g)
-                vals[on] = _toeplitz_norm(rows[g][ps[on], cs[on] - starts[g]])
+                vals[on] = _toeplitz_norm(rows[g][time_of[ps[on]], pair_of[ps[on]], cs[on] - starts[g]])
             return vals
 
         best, at = _branch_and_bound(ub, visit)
-        return best, (at >= 0) & (blocks.ns[at] == self.n_max), errors
+        edges = (at >= 0) & (blocks.ns[at] == self.n_max)
+        return best.reshape(npairs, nts), edges.reshape(npairs, nts), errors
 
     @_off_spectrum
     def shifted_resolvent_norm(self, lams):
@@ -757,46 +841,71 @@ class JordanSumModel(OperatorModel):
         phi = _shifted_power_rows(1.0 + self.gamma - 1j * ns, -(sigma + tau), width)
         if sigma:
             num = _shifted_power_rows(self.gamma - 1j * ns, float(sigma), width)
-            for size in np.unique(sizes):
+            for size in set(sizes.tolist()):
                 on = sizes == size
                 phi[on, :size] = fftconvolve(phi[on, :size], num[on, :size], axes=1)[:, :size]
         phi[np.arange(width) >= sizes[:, None]] = 0.0
         return phi
 
-    def _phi_rows(self, sigma, tau):
+    def _phi_rows(self, pairs):
         """``_BlockRows`` of A^sigma (1+A)^{-sigma-tau} over the end blocks
-        of each group: its first and last, or its one block."""
-        ends = [np.unique([a, b]).astype(float) for _, a, b in self._groups]
-        counts = [len(ns) for ns in ends]
-        ns = np.concatenate(ends)
-        phi = self._phi_block_rows(sigma, tau, ns, np.repeat(self._sizes, counts))
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        rows = tuple(phi[a:b, :m] for a, b, m in zip(starts[:-1], starts[1:], self._sizes))
-        return _BlockRows(ns, rows, np.abs(phi).sum(axis=1), starts, self._sizes)
+        of each group, for each (sigma, tau) of ``pairs``."""
+        sizes = np.repeat(self._sizes, np.diff(self._end_starts))
+        phi = np.stack([self._phi_block_rows(sigma, tau, self._ends, sizes) for sigma, tau in pairs])
+        bounds = zip(self._end_starts[:-1], self._end_starts[1:], self._sizes)
+        rows = tuple(phi[:, a:b, :m] for a, b, m in bounds)
+        return _BlockRows(self._ends, rows, np.abs(phi).sum(axis=2), self._end_starts, self._sizes)
 
     def fractional_norm(self, ts, sigma, tau):
         ts = self._check_times(ts)
-        self._check_fractional_indices(sigma, tau)
-        if sigma == 0 and tau == 0:
-            return self.semigroup_norm(ts)
-        blocks = self._phi_rows(sigma, tau)
-        norms = np.empty(len(ts))
-        # at most 512 KiB of convolved rows per chunk: jordan.rates' band sweep reads a
-        # tracemalloc peak of 0.47 MiB, 1.55 MiB with its 20 times in one chunk
-        step = max(1, _LINE_ENTRIES // (32 * int(blocks.sizes @ np.diff(blocks.starts))))
-        for first in range(0, len(ts), step):
-            chunk = ts[first : first + step]
-            bests, edges, errors = self._sup_over_blocks(blocks, chunk)
+        pairs, shape = _index_pairs(sigma, tau)
+        # the lockstep runs the pairs before the first with invalid indices, but
+        # not (0, 0), whose norms are the semigroup's; each raises in its turn
+        runs = []
+        for i, (s, t) in enumerate(pairs):
+            try:
+                self._check_fractional_indices(s, t)
+            except DomainError:
+                break
+            if not (s == 0 and t == 0):
+                runs.append(i)
+        sups, edges = np.empty((len(runs), len(ts))), np.empty((len(runs), len(ts)), dtype=bool)
+        errors = [[None] * len(ts) for _ in runs]
+        if runs:
+            blocks = self._phi_rows([pairs[i] for i in runs])
+            # at most 512 KiB of convolved rows per chunk, over all its pairs:
+            # jordan.rates' band sweep reads a tracemalloc peak of 0.47 MiB, 1.55 MiB
+            # with its 20 times in one chunk
+            budget, entries = _LINE_ENTRIES // 32, int(blocks.sizes @ np.diff(blocks.starts))
+            pair_step = max(1, min(len(runs), budget // entries))
+            step = max(1, budget // (pair_step * entries))
+            live = len(runs)  # the pairs before the first that failed
+            for first in range(0, len(ts), step):
+                chunk = slice(first, first + step)
+                for p in range(0, live, pair_step):
+                    block = slice(p, min(p + pair_step, live))
+                    got = self._sup_over_blocks(blocks.of_pairs(block), ts[chunk])
+                    sups[block, chunk], edges[block, chunk] = got[:2]
+                    for q, pair_errors in enumerate(got[2], start=p):
+                        errors[q][chunk] = pair_errors
+                live = next((q for q in range(live) if any(errors[q])), live)
+        norms = np.empty((len(pairs), len(ts)))
+        for i, (s, t) in enumerate(pairs):
+            self._check_fractional_indices(s, t)
+            if s == 0 and t == 0:
+                norms[i] = self.semigroup_norm(ts)
+                continue
+            j = runs.index(i)
             # a loop, not a comprehension, so the warning's stacklevel names the caller
-            for i, (t, best, edge, error) in enumerate(zip(chunk, bests, edges, errors), start=first):
+            for k, (time, best, edge, error) in enumerate(zip(ts, sups[j], edges[j], errors[j])):
                 if error is not None:
                     raise error
-                norms[i] = math.exp(-self.gamma * t) * best
+                norms[i, k] = math.exp(-self.gamma * time) * best
                 if edge:
-                    warnings.warn(f"supremum of T({t})Phi^{sigma}_{tau} attained at the truncation block "
+                    warnings.warn(f"supremum of T({time})Phi^{s}_{t} attained at the truncation block "
                                   f"n={self.n_max}; value is a lower estimate",
                                   EdgeDominatedWarning, stacklevel=2)
-        return norms
+        return norms.reshape(shape + ts.shape)
 
     def spectral_abscissa_neg(self):
         return -self.gamma
@@ -862,15 +971,16 @@ class OperatorMatrixModel(OperatorModel):
         rows = self.spectrum_distance(-lams)[:, None] ** -(np.arange(self.n) + 1.0)
         return _svdvals(_toeplitz_stack(rows))[:, 0], np.zeros(len(lams), bool)
 
+    @_each_pair
     def fractional_norm(self, ts, sigma, tau):
-        ts = self._check_times(ts)
-        self._check_fractional_indices(sigma, tau)
         if not float(sigma).is_integer():
             raise DomainError(
                 "operator-matrix models support integer smoothing powers only "
                 "(fractional powers are unbounded at the spectral origin)"
             )
-        coeffs = np.array([_exp_series_coeffs(t, self.n) for t in ts])
+        coeffs, bad = _exp_series_rows(ts, self.n)
+        if bad is not None:
+            raise _overflow_at(ts[bad])
 
         def norms_at(i, ss):
             # the rows e^{-ts} t^k/k! of exp(-t M(s)), times the Phi rows

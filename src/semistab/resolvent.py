@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .numcore import fit_exp_rate, fit_power_law
 _SNAP_TOL = 0.05
 
 
-@dataclass(frozen=True)
-class ProbeEntry:
+class ProbeEntry(NamedTuple):
+    # a tuple, not a frozen dataclass: a probe line builds one per point
     xi: float
     eta: float
     norm: float | None
@@ -90,15 +91,11 @@ def _envelope_fit(xis, norms):
     if hi > lo * (1.0 + 1e-12):
         n_bins = max(3, int(math.ceil(math.log10(hi / lo) * 6)))
         edges = np.geomspace(lo, hi * (1.0 + 1e-12), n_bins + 1)
-        bx, bv = [], []
-        for i in range(n_bins):
-            sel = (xis >= edges[i]) & (xis < edges[i + 1])
-            if np.any(sel):
-                j = int(np.argmax(norms[sel]))
-                bx.append(xis[sel][j])
-                bv.append(norms[sel][j])
-        # the bins run upward, so bx stays increasing
-        xis, norms = np.asarray(bx), np.asarray(bv)
+        # xis increase, so bin i is the slice of those in [edges[i], edges[i+1]),
+        # and the picks, one per nonempty bin, stay increasing
+        cuts = np.searchsorted(xis, edges).tolist()
+        picks = [a + int(np.argmax(norms[a:b])) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+        xis, norms = xis[picks], norms[picks]
     return fit_power_law(xis, norms, window=(0, len(xis)) if len(xis) < 3 else None)
 
 

@@ -734,3 +734,55 @@ def test_mult_config_needs_only_seed_and_fourier_grid(tmp_path, capsys):
         path.write_text(json.dumps(cfg))
         assert cli.main(["mult", "--config", str(path), "--out-dir", str(tmp_path / "m")]) == code
     assert "config error: grids.fourier_grid.samples:" in capsys.readouterr().err
+
+
+def test_main_does_not_rebuild_the_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built once, when cli is imported, and parsing leaves it as it was
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    for _ in range(2):
+        assert cli.main(["verify-examples", "--only", "no-such-case"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decay", "--tol", "1.0"])  # decay reads no tolerance
+        assert exc.value.code == 2
+    assert "no cases match --only 'no-such-case'" in capsys.readouterr().err
+
+
+def _dict_writer_csv(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=cli.CSV_HEADER)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: row.get(k, "") for k in cli.CSV_HEADER})
+
+
+def _json_dump_summary(out_dir, summary, timings):
+    for name, record in (("summary.json", summary), ("run_meta.json", {"timings_s": timings})):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            json.dump(record, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+
+
+def test_writers_write_the_bytes_of_dict_writer_and_json_dump(tmp_path):
+    # missing and extra keys, quoting, line breaks and non-ASCII text
+    rows = [
+        {"case": "sigma=0.5;tau=σ²", "value": "1.5", "source": "décroissance"},
+        {"case": 'a,b "quoted"', "t_or_xi": "line\nbreak", "verdict": "PASS", "extra": "dropped"},
+        {},
+        {"predicted": "", "fit_exponent": " spaced ", "case": "⌀ 🙂"},
+    ]
+    for rows_ in (rows, []):
+        cli._write_csv(str(tmp_path), "new.csv", rows_)
+        _dict_writer_csv(tmp_path / "old.csv", rows_)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    summary = {"overall": "PASS", "name": "σ-décroissance 🙂", "rho": math.inf, "margin": -0.0, "nan": math.nan,
+               "nested": {"b": [1, 2.5, None], "a": [], "c": {}, "d": [{"z": True, "y": False}]}}
+    timings = {"probe": 0.0012, "measure": 1e-7}
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old").mkdir()
+    cli._write_summary(str(tmp_path / "new"), summary, timings)
+    _json_dump_summary(str(tmp_path / "old"), summary, timings)
+    for name in ("summary.json", "run_meta.json"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()

@@ -152,7 +152,7 @@ def test_smoothness_index_is_the_calculator_index(p):
 
 def test_measure_decay_exponential_flagged_super_polynomial():
     model = operators.DenseMatrixModel([[1.0]])
-    meas = decaylab.measure_decay(model, 0.0, 1.0, numcore.geometric_grid(1.0, 40.0, 24))
+    [meas] = decaylab.measure_decay(model, [(0.0, 1.0)], numcore.geometric_grid(1.0, 40.0, 24))
     assert meas.super_polynomial
     pred = decaylab.predict_rate_general(0.0, 0.0, 0.0, 2.0)
     assert pred.rho == INF
@@ -162,14 +162,14 @@ def test_measure_decay_exponential_flagged_super_polynomial():
 
 def test_measure_decay_power_law_not_flagged():
     model = operators.OperatorMatrixModel(2)
-    meas = decaylab.measure_decay(model, 0.0, 0.0, numcore.geometric_grid(10.0, 1e3, 20))
+    [meas] = decaylab.measure_decay(model, [(0.0, 0.0)], numcore.geometric_grid(10.0, 1e3, 20))
     assert not meas.super_polynomial
     assert meas.rho_hat == pytest.approx(-1.0, abs=0.05)  # ||T(t)|| ~ t
 
 
 def test_check_consistency_orderings():
     model = operators.OperatorMatrixModel(2)
-    meas = decaylab.measure_decay(model, 1.0, 0.0, numcore.geometric_grid(10.0, 1e3, 20))
+    [meas] = decaylab.measure_decay(model, [(1.0, 0.0)], numcore.geometric_grid(10.0, 1e3, 20))
     good = decaylab.RatePrediction(0.0, True, 1.0, "stub", ())
     assert decaylab.check_consistency(meas, good, 0.05).passed
     strong = decaylab.RatePrediction(2.0, True, 1.0, "stub", ())

@@ -75,7 +75,8 @@ import workloads
 
 def heavy_modules():
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("scipy", "_hashlib") or m == "semistab.battery")
+                  if m.split(".")[0] in ("scipy", "_hashlib") or m == "semistab.battery"
+                  or m.split(".")[:2] == ["numpy", "ma"])
 
 steps = {}
 from semistab import cli
@@ -94,9 +95,10 @@ with tempfile.TemporaryDirectory() as tmp:
             json.dump({"operator": op}, fh)
         cli.load_config(path)
     steps["load_config of every kind"] = heavy_modules()
-    with open(path, "w") as fh:
-        json.dump(workloads.JORDAN_CONFIG, fh)
-    for command in ("analyze", "decay"):
+    # decay also takes a pair with sigma > 0, whose Phi rows convolve per block size
+    for command, indices in (("analyze", None), ("decay", [[0.0, 1.0], [0.5, 1.0]])):
+        with open(path, "w") as fh:
+            json.dump({**workloads.JORDAN_CONFIG, **({"indices": indices} if indices else {})}, fh)
         code = cli.main([command, "--config", path, "--out-dir", os.path.join(tmp, command)])
         steps[f"{command} JORDAN_CONFIG"] = heavy_modules() if code == 0 else f"exit {code}"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -110,7 +112,8 @@ def test_package_paths_load_no_scipy():
     # importing any scipy module costs more than the rest of the start-up;
     # only the defective-matrix exponential imports scipy.linalg.  analyze
     # and decay also load neither OpenSSL (_hashlib) nor the battery, which
-    # verify-examples imports when it runs
+    # verify-examples imports when it runs, nor numpy.ma (about 8 ms), which
+    # np.unique loads
     root = Path(numcore.__file__).parents[2]
     env = {**os.environ, "PYTHONPATH": str(Path(numcore.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_STEPS, str(root / "perfbench")], env=env,

@@ -476,12 +476,12 @@ def _convolved(rows, t):
 
 
 def _block_rows(groups):
-    """_BlockRows of [(ns, rows)] groups."""
-    rows = tuple(rows for _, rows in groups)
-    starts = np.cumsum([0] + [len(r) for r in rows])
-    sizes = np.array([r.shape[1] for r in rows])
+    """_BlockRows of one pair's [(ns, rows)] groups."""
+    rows = tuple(rows[None] for _, rows in groups)
+    starts = np.cumsum([0] + [r.shape[1] for r in rows])
+    sizes = np.array([r.shape[2] for r in rows])
     ns = np.concatenate([ns for ns, _ in groups])
-    l1 = np.concatenate([np.abs(r).sum(axis=1) for r in rows])
+    l1 = np.concatenate([np.abs(r).sum(axis=2) for r in rows], axis=1)
     return operators._BlockRows(ns, rows, l1, starts, sizes)
 
 
@@ -505,7 +505,7 @@ def test_jordan_branch_and_bound_on_random_rows(seed, spread, t):
     ts = np.array([0.0, t, 2.0 * t, t])
     blocks = [[_convolved(rows, s) if s else rows for _, rows in groups] for s in ts]
     want = [max(operators._toeplitz_norm(row) for rows in at_s for row in rows) for at_s in blocks]
-    assert model._sup_over_blocks(_block_rows(groups), ts)[0].tolist() == want
+    assert model._sup_over_blocks(_block_rows(groups), ts)[0][0].tolist() == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -635,6 +635,127 @@ def test_jordan_sweep_overflow_names_its_first_time(monkeypatch):
     model = operators.JordanSumModel(0.5, 0.97, 10**9)
     with pytest.raises(DomainError, match="overflow float64 at t=712"):
         model.fractional_norm(np.arange(711.5, 716.0, 0.5), 0.0, 1.0)
+
+
+def _pair_calls(model, ts, pairs):
+    """The norms (pairs x times; None after an error), warning texts and
+    error of one call per pair in turn, and of one call with every pair."""
+    out = []
+    for calls in ([([s], [t]) for s, t in pairs], [([s for s, _ in pairs], [t for _, t in pairs])]):
+        norms, error = [], None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", EdgeDominatedWarning)
+            try:
+                for sigmas, taus in calls:
+                    norms.extend(model.fractional_norm(ts, sigmas, taus))
+            except DomainError as exc:
+                norms, error = None, str(exc)
+        out.append((norms and np.array(norms).tobytes(), [str(w.message) for w in caught], error))
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    gamma=st.floats(0.05, 0.95),
+    delta=st.floats(0.2, 0.85),
+    n_max=st.integers(10, 10**5),
+    pairs=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 3.0)),
+                   min_size=1, max_size=4),
+    times=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=6),
+)
+@example(gamma=0.5, delta=0.5, n_max=10**4, pairs=[(0.0, 1.0), (0.0, 2.0)], times=[0.0, 1.0, 40.0])
+@example(gamma=0.5, delta=0.5, n_max=10**4, pairs=[(2.0, 0.0), (0.0, 0.0), (0.0, 1.0), (2.0, 0.0)],
+         times=[0.0, 3.0, 0.0])
+def test_jordan_pairs_in_one_call_equal_their_one_pair_calls(gamma, delta, n_max, pairs, times):
+    # every pair's norms, its warnings in order and the error equal those of
+    # one call per pair, bit for bit; t = 0 and the pair (0, 0) included
+    assume(math.log(n_max) / math.log(1.0 / delta) >= 2.0)
+    model = operators.JordanSumModel(gamma, delta, n_max)
+    one_by_one, together = _pair_calls(model, np.array([0.0] + times), pairs)
+    assert together == one_by_one
+
+
+@pytest.mark.parametrize("problems", [1, 3, 8])
+def test_jordan_pairs_in_chunks_keep_the_memory_budget(problems, monkeypatch):
+    # a chunk holds at most the budget's worth of convolved rows over all its
+    # (pair, time) problems: with room for fewer than one time of every pair
+    # it takes the pairs in blocks, one time at a time
+    model = operators.JordanSumModel(0.5, 0.5, 500)
+    ts = np.concatenate([[0.0], np.linspace(0.5, 30.0, 7)])
+    pairs = [(0.0, 1.0), (2.0, 0.0), (0.5, 2.0)]
+    want = _pair_calls(model, ts, pairs)[0]
+    per_problem = sum(m * len({a, b}) for m, a, b in model.groups)
+    monkeypatch.setattr(operators, "_LINE_ENTRIES", 32 * per_problem * problems)
+    chunks = []
+    sup_over_blocks = operators.JordanSumModel._sup_over_blocks
+
+    def counted(self, blocks, chunk):
+        chunks.append((len(blocks.l1), len(chunk)))
+        return sup_over_blocks(self, blocks, chunk)
+
+    monkeypatch.setattr(operators.JordanSumModel, "_sup_over_blocks", counted)
+    assert _pair_calls(model, ts, pairs)[1] == want
+    chunks.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EdgeDominatedWarning)
+        model.fractional_norm(ts, [s for s, _ in pairs], [t for _, t in pairs])
+    assert max(p * t for p, t in chunks) <= problems
+    assert sum(p * t for p, t in chunks) == len(pairs) * len(ts)
+
+
+def test_jordan_two_pair_overflow_raises_the_first_pairs_error():
+    # t^12/12! overflows beyond t ~ 2.4e26, so both pairs fail at t = 1e27;
+    # the call warns for the first pair's earlier times only, as its one-pair
+    # call does, and raises that pair's error
+    model = operators.JordanSumModel(0.5, 0.5, 10**4)
+    ts = np.array([1.0, 5.0, 1e27, 2.0])
+    _, first_warnings, first_error = _pair_calls(model, ts, [(2.0, 0.0)])[0]
+    one_by_one, together = _pair_calls(model, ts, [(2.0, 0.0), (1.0, 0.5)])
+    assert together == one_by_one
+    assert together[1] == first_warnings and len(first_warnings) == 2
+    assert together[2] == first_error == "matrix entries overflow float64 at t=1e+27; the norm is out of range"
+
+
+def test_jordan_pair_whose_rows_overflow_leaves_the_pairs_before_it(monkeypatch):
+    # at t = 2.2e26 the convolved rows overflow for (2, 0) but not for (0, 3):
+    # the later chunks, one time each, run only the pairs before the failed one
+    model = operators.JordanSumModel(0.5, 0.5, 10**4)
+    per_problem = sum(m * len({a, b}) for m, a, b in model.groups)
+    monkeypatch.setattr(operators, "_LINE_ENTRIES", 32 * per_problem * 3)
+    ts = np.array([1.0, 2.2e26, 2.0, 3.0])
+    one_by_one, together = _pair_calls(model, ts, [(0.0, 3.0), (0.0, 2.5), (2.0, 0.0)])
+    assert together == one_by_one
+    assert together[2] == "matrix entries overflow float64 at t=2.2e+26; the norm is out of range"
+
+
+def test_pairs_in_one_call_equal_their_one_pair_calls_on_every_kind():
+    ts = np.array([0.0, 0.5, 3.0, 20.0])
+    pairs = [(0.0, 1.0), (1.0, 0.5), (0.0, 0.0), (2.0, 1.0)]
+    for kind, model in _models().items():
+        one_by_one, together = _pair_calls(model, ts, pairs)
+        assert together == one_by_one, kind
+        assert model.fractional_norm(ts, 1.0, [0.5, 2.0]).shape == (2, len(ts)), kind
+        # an invalid pair, or indices that are not numbers or 1-D arrays, raise
+        with pytest.raises(DomainError, match="indices must be finite"):
+            model.fractional_norm(ts, [0.0, -1.0], [1.0, 1.0])
+        with pytest.raises(DomainError, match="numbers or 1-D arrays"):
+            model.fractional_norm(ts, [[0.0]], 1.0)
+
+
+def test_exp_series_rows_equal_their_one_time_rows():
+    # one exp call for all times changes no bit of the one-time rows
+    # exp(k log t - log k!) (the unit row at t = 0); a row that overflows,
+    # and every row after it, is 0, and its index is returned
+    rng = np.random.default_rng(8)
+    for m in (2, 13, 87, 680):
+        ts = np.concatenate([[0.0], np.exp(rng.uniform(-20.0, 6.5, 30)), [0.0]])
+        rows, bad = operators._exp_series_rows(ts, m)
+        assert bad is None
+        want = [np.exp(np.arange(m) * math.log(t) - numcore.log_factorials(m)) if t else np.eye(m)[0] for t in ts]
+        assert rows.tobytes() == np.array(want).tobytes()
+    rows, bad = operators._exp_series_rows(np.array([1.0, 800.0, 2.0]), 680)
+    assert bad == 1 and not rows[1:].any()
+    assert rows[0].tobytes() == operators._exp_series_coeffs(1.0, 680).tobytes()
 
 
 def test_jordan_band_sweep_memory_peak():

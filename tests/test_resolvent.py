@@ -122,3 +122,19 @@ def test_jordan_growth_rate_matches_gamma():
     norms = model.semigroup_norm(ts)
     rate = numcore.fit_exp_rate(ts, norms, window=(0, len(ts))).rate
     assert rate == pytest.approx(1.0 - model.gamma, abs=0.05)
+
+
+def test_envelope_fit_takes_each_bins_first_maximum():
+    # the bins are slices of the increasing nodes; each keeps the first node
+    # of its largest value, as a mask per bin does, ties and empty bins included
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        xis = np.unique(np.exp(rng.uniform(-5.0, 7.0, int(rng.integers(3, 80)))))
+        norms = np.round(rng.uniform(0.5, 3.0, len(xis)), 1)  # ties within bins
+        lo, hi = xis.min(), xis.max()
+        edges = np.geomspace(lo, hi * (1.0 + 1e-12), max(3, int(math.ceil(math.log10(hi / lo) * 6))) + 1)
+        picks = [np.flatnonzero(sel)[np.argmax(norms[sel])] for sel in
+                 ((xis >= a) & (xis < b) for a, b in zip(edges[:-1], edges[1:])) if sel.any()]
+        window = (0, len(picks)) if len(picks) < 3 else None
+        want = numcore.fit_power_law(xis[picks], norms[picks], window=window)
+        assert resolvent._envelope_fit(xis, norms) == want

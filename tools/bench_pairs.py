@@ -42,6 +42,11 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
   ``workloads`` as the worker does), ``ru_maxrss`` after the import and
   after one ``analyze`` pass, and the ``semistab.*``, ``_hashlib`` and
   ``scipy*`` modules loaded by then;
+- the work and stages of an ``analyze`` pass on ``JORDAN_CONFIG``, in
+  ``ANALYZE_ROUNDS`` fresh processes per checkout: the SVD calls
+  (``_toeplitz_norm``) and the rows they take, the ``fftconvolve`` calls
+  of ``operators`` in one pass, and the median over ``ANALYZE_PASSES``
+  passes of each stage timing that ``run_meta.json`` records;
 - the per-layer metrics under ``TRACED_PREFIXES`` of one traced run of
   each workload (``perfbench/run.py --trace 1``, seed 0);
 - the end-to-end ``wall_s``, ``cpu_s``, ``peak_rss_mb``, ``setup_s`` and
@@ -80,6 +85,8 @@ STALL_S = 0.8
 RSS_ROUNDS = 6
 TRACED_ROUNDS = 2
 STARTUP_ROUNDS = 20
+ANALYZE_ROUNDS = 6
+ANALYZE_PASSES = 100
 
 CASE_TIMER = """
 import json, sys
@@ -154,6 +161,39 @@ out["analyze_rss_mb"] = maxrss_mb()
 out["modules"] = sorted(m for m in sys.modules
                         if m.split(".")[0] in ("semistab", "_hashlib", "scipy"))
 print(json.dumps(out))
+"""
+
+ANALYZE_WORK = """
+import contextlib, io, json, os, statistics, sys, tempfile
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import workloads
+from semistab import cli, operators
+passes = int(sys.argv[2])
+work = {"svd_calls": 0, "svd_rows": 0, "fftconvolve_calls": 0}
+svd, fft = operators._toeplitz_norm, operators.fftconvolve
+def counted_svd(coeffs):
+    work["svd_calls"] += 1
+    work["svd_rows"] += len(np.atleast_2d(coeffs))  # one SVD per row of a stack
+    return svd(coeffs)
+def counted_fft(*args, **kwargs):
+    work["fftconvolve_calls"] += 1
+    return fft(*args, **kwargs)
+stages = {}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    path = os.path.join(tmp, "config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(workloads.config_for("analyze-jordan", 0), fh)
+    argv = workloads.pass_argv("analyze-jordan", 0, path, os.path.join(tmp, "out"))
+    cli.main(argv)  # warm-up
+    for _ in range(passes):
+        cli.main(argv)
+        with open(os.path.join(tmp, "out", "run_meta.json"), encoding="utf-8") as fh:
+            for stage, seconds in json.load(fh)["timings_s"].items():
+                stages.setdefault(stage, []).append(seconds)
+    operators._toeplitz_norm, operators.fftconvolve = counted_svd, counted_fft
+    cli.main(argv)
+print(json.dumps({"work": work, "stage_s": {k: statistics.median(v) for k, v in stages.items()}}))
 """
 
 WORST_CASE = """
@@ -304,6 +344,18 @@ def main(argv=None):
         startup[name]["modules"] = sorted({tuple(r["modules"]) for r in runs})
     print(f"analyze start-up footprint: {startup}", flush=True)
 
+    analyze_runs = {name: [] for name in trees}
+    for i in range(ANALYZE_ROUNDS):
+        for name in _alternating(i):
+            analyze_runs[name].append(_child(trees[name], ANALYZE_WORK, os.path.join(trees[name], "perfbench"),
+                                             str(ANALYZE_PASSES)))
+    analyze_work = {}
+    for name, runs in analyze_runs.items():
+        analyze_work[name] = {"work_per_pass": sorted({json.dumps(r["work"], sort_keys=True) for r in runs}),
+                              "stage_s": {stage: _summary([r["stage_s"][stage] for r in runs])
+                                          for stage in runs[0]["stage_s"]}}
+    print(f"analyze-jordan work and stages: {analyze_work}", flush=True)
+
     spec = json.dumps([WORST_MODELS, WORST_SIGMAS, WORST_TIMES])
     rounds = {name: [] for name in trees}
     for i in range(WORST_ROUNDS):
@@ -340,6 +392,7 @@ def main(argv=None):
         "verify_examples_peak_rss_mb_per_case": case_rss,
         "battery_traced_peak_mib_per_case": case_traced,
         "analyze_startup": startup,
+        "analyze_jordan_work": analyze_work,
         "traced_seed0": traced,
         "end_to_end": end_to_end,
     }
