@@ -204,15 +204,6 @@ def _exp_series_rows(ts, m):
     return rows, bad
 
 
-def _exp_series_coeffs(t, m):
-    """The row t^k/k! for k < m of one time t; DomainError naming t if an
-    entry overflows, since every norm built on them would too."""
-    rows, bad = _exp_series_rows(np.array([t], dtype=float), m)
-    if bad is not None:
-        raise _overflow_at(t)
-    return rows[0]
-
-
 def _overflow_at(t):
     return DomainError(f"matrix entries overflow float64 at t={t:g}; the norm is out of range")
 
@@ -526,14 +517,14 @@ class DiagonalSymbolModel(OperatorModel):
 
 
 def _exp_convolve(rows, coeffs):
-    """Rows of exp(t B_m) T(row), shape (times, len(rows), m): each of the
-    ``rows`` (of length m) convolved with each time's row of ``coeffs``
-    (t^k/k!, at least m of them), truncated to m terms, in one FFT call.
-    Overflowed entries stay inf or NaN; callers check the times they read.
-    A copy, since callers hold the rows and a view would hold the FFT output."""
+    """Rows of exp(t B_m) T(row), the shape of ``rows`` (problems, rows, m):
+    problem i's rows convolved with its own row ``coeffs[i]`` (t^k/k!, at
+    least m of them), truncated to m terms, in one FFT call.  Overflowed
+    entries stay inf or NaN; callers check the problems they read.  A copy,
+    since callers hold the rows and a view would hold the FFT output."""
     m = rows.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        return fftconvolve(rows[None], coeffs[:, None, :m], axes=2)[..., :m].copy()
+        return fftconvolve(rows, coeffs[:, None, :m], axes=2)[..., :m].copy()
 
 
 def _branch_and_bound(ub, visit):
@@ -572,10 +563,6 @@ class _BlockRows(NamedTuple):
     starts: np.ndarray
     sizes: np.ndarray
 
-    def of_pairs(self, block):
-        """The rows of the pairs of the slice ``block``."""
-        return self._replace(rows=tuple(r[block] for r in self.rows), l1=self.l1[block])
-
 
 class JordanSumModel(OperatorModel):
     """Truncated direct sum over n of (-i n + gamma - B_{m(n)}).
@@ -610,12 +597,14 @@ class JordanSumModel(OperatorModel):
     The rows of A^sigma (1+A)^{-sigma-tau} and their l1 norms do not
     depend on t, so ``fractional_norm`` builds them once per call and pair.
     Every norm of a call is one problem of a lockstep ``_branch_and_bound``
-    (each (pair, time) of a sweep, the points of a line), in chunks that
+    (each (time, pair) of a sweep, the points of a line), in chunks that
     bound the rows held: each round takes one stacked SVD per block size,
-    and the first visit to a group by any problem convolves the group's
-    rows of every pair with every time's e(t) in one FFT call.  A pair's
-    first visit to a group lowers the bounds of every time of that pair, so
-    each pair takes the steps it takes alone.
+    and the first visit to a group by any problem of a chunk convolves the
+    group's rows of every problem with its own e(t) in one FFT call and
+    lowers every problem's bounds of the group.  Which problem lowers a
+    bound changes the steps, not the norms: a problem closes only when no
+    bound it has not visited can beat its best, so its norm is the largest
+    over its candidates in whatever order its bounds fall.
     ``semigroup_norm`` needs only the largest block: one stacked SVD per
     chunk of its times.
     """
@@ -721,76 +710,55 @@ class JordanSumModel(OperatorModel):
             norms[i : i + step] = _toeplitz_norm(rows[i : i + step])
         return np.array([math.exp(-self.gamma * t) * norm for t, norm in zip(ts, norms)])
 
-    def _sup_over_blocks(self, blocks, ts):
-        """Exact sups of the block norms of ``blocks`` (a ``_BlockRows``), one
-        per pair of its rows and time of ``ts``: (sups, whether n_max attains
-        each, each time's overflow DomainError or None), each with one row per
-        pair.
+    def _sup_over_blocks(self, blocks, pair_of, ts):
+        """Exact sups of the block norms of ``blocks`` (a ``_BlockRows``) for a
+        list of problems, problem i the rows of pair ``pair_of[i]`` at time
+        ``ts[i]``: (sups, whether n_max attains each, whether each failed
+        because its rows overflow), one entry per problem.
 
         The blocks' rows at t are e(t) * blocks.rows, truncated (see the
         class docstring), and one lockstep ``_branch_and_bound`` visits
-        them for every (pair, time).  A time's bounds start at s_m(t)
+        them for every problem.  A problem's bounds start at s_m(t)
         ||phi||_1.  The first visit to a group by any problem convolves the
-        group's rows for every pair and time; the first visit by a pair
-        lowers every time's bounds of that pair and group to the l1 norms
-        of its rows, and that pair's first visiting time whose rows overflow
-        fails there.  At t = 0 the rows are exact, so a chunk of times 0
-        convolves nothing.
+        group's rows of every problem, lowers every problem's bounds of the
+        group to the l1 norms of its rows, and fails every open problem
+        whose rows there are not finite.  At t = 0 the rows are exact, so a
+        chunk of times 0 convolves nothing.
         """
         starts, sizes = blocks.starts, blocks.sizes
-        counts, npairs, nts = np.diff(starts), len(blocks.l1), len(ts)
-        # a sweep raises its first time's error, so the later times need no
-        # answer: their zero series give zero bounds
+        counts = np.diff(starts)
+        # a sweep raises at its first failed time, so the problems from the
+        # first whose series overflows fail, and their zero series close them
         coeffs, bad = _exp_series_rows(ts, int(sizes[-1]))
-        errors = [[None] * nts for _ in range(npairs)]
+        failed = np.zeros(len(ts), dtype=bool)
         if bad is not None:
-            for pair_errors in errors:
-                pair_errors[bad] = _overflow_at(ts[bad])
+            failed[bad:] = True
         with np.errstate(over="ignore"):  # an infinite bound still bounds
             gains = np.repeat(np.cumsum(coeffs, axis=1)[:, sizes - 1], counts, axis=1)
-            ub = (blocks.l1[:, None, :] * gains).reshape(npairs * nts, -1)
+            ub = blocks.l1[pair_of] * gains
         group_of = np.repeat(np.arange(len(sizes)), counts)
-        pair_of, time_of = np.divmod(np.arange(npairs * nts), nts)
-        rows = {}  # group -> its rows at every (time, pair), from the group's first visit
-        # per problem, the l1 norms of its convolved rows and whether each group's are finite
-        l1, finite = np.empty_like(ub), np.empty((len(ub), len(sizes)), dtype=bool)
-        seen = np.zeros((npairs, len(sizes)), dtype=bool)  # the groups each pair visited
+        rows = {}  # group -> every problem's rows there, from the group's first visit
 
         def visit(ps, cs):
             gs, vals = group_of[cs], np.zeros(len(ps))
             for g in set(gs.tolist()) - rows.keys():
-                phi = blocks.rows[g]
-                if ts.any():
-                    exact = _exp_convolve(phi.reshape(-1, phi.shape[-1]), coeffs).reshape(nts, *phi.shape)
-                else:
-                    exact = np.empty((nts, *phi.shape), complex)
-                exact[ts == 0] = phi
-                rows[g] = exact
+                phi = blocks.rows[g][pair_of]
+                rows[g] = _exp_convolve(phi, coeffs) if ts.any() else phi
+                rows[g][ts == 0] = phi[ts == 0]
+                own = ub[:, starts[g] : starts[g + 1]]
                 with np.errstate(invalid="ignore"):
-                    sums = np.abs(exact).sum(axis=3)
-                # from (time, pair) to the problems' (pair, time) order
-                l1[:, starts[g] : starts[g + 1]] = sums.transpose(1, 0, 2).reshape(len(ub), -1)
-                finite[:, g] = np.isfinite(exact).all(axis=(2, 3)).T.ravel()
-            # the groups each visiting pair visits for the first time
-            first = np.zeros_like(seen)
-            first[pair_of[ps], gs] = ~seen[pair_of[ps], gs]
-            seen[first] = True
-            with np.errstate(invalid="ignore"):
-                np.minimum(ub, l1, out=ub, where=first[pair_of][:, group_of])
-            failing = ps[(first[pair_of[ps]] & ~finite[ps]).any(axis=1)]
-            for p in set(pair_of[failing].tolist()):
-                # as above, the pair's first failing time closes its every later one
-                q = failing[pair_of[failing] == p][0]
-                errors[p][time_of[q]], ub[q : (p + 1) * nts] = _overflow_at(ts[time_of[q]]), -np.inf
-            ok = ub[ps, cs] > -np.inf  # a failed time's bounds are all -inf
+                    np.minimum(own, np.abs(rows[g]).sum(axis=2), out=own)
+                # ps are the open problems
+                failing = ps[~np.isfinite(rows[g][ps]).all(axis=(1, 2))]
+                failed[failing], ub[failing] = True, -np.inf
+            ok = ~failed[ps]
             for g in set(gs[ok].tolist()):
                 on = ok & (gs == g)
-                vals[on] = _toeplitz_norm(rows[g][time_of[ps[on]], pair_of[ps[on]], cs[on] - starts[g]])
+                vals[on] = _toeplitz_norm(rows[g][ps[on], cs[on] - starts[g]])
             return vals
 
         best, at = _branch_and_bound(ub, visit)
-        edges = (at >= 0) & (blocks.ns[at] == self.n_max)
-        return best.reshape(npairs, nts), edges.reshape(npairs, nts), errors
+        return best, (at >= 0) & (blocks.ns[at] == self.n_max), failed
 
     @_off_spectrum
     def shifted_resolvent_norm(self, lams):
@@ -869,26 +837,20 @@ class JordanSumModel(OperatorModel):
                 break
             if not (s == 0 and t == 0):
                 runs.append(i)
-        sups, edges = np.empty((len(runs), len(ts))), np.empty((len(runs), len(ts)), dtype=bool)
-        errors = [[None] * len(ts) for _ in runs]
+        # one problem per (time, pair), in that order
+        sups = np.empty((len(ts), len(runs)))
+        edges, failed = np.empty((2, *sups.shape), dtype=bool)
         if runs:
             blocks = self._phi_rows([pairs[i] for i in runs])
-            # at most 512 KiB of convolved rows per chunk, over all its pairs:
+            # at most 512 KiB of convolved rows per chunk, or one problem:
             # jordan.rates' band sweep reads a tracemalloc peak of 0.47 MiB, 1.55 MiB
             # with its 20 times in one chunk
-            budget, entries = _LINE_ENTRIES // 32, int(blocks.sizes @ np.diff(blocks.starts))
-            pair_step = max(1, min(len(runs), budget // entries))
-            step = max(1, budget // (pair_step * entries))
-            live = len(runs)  # the pairs before the first that failed
-            for first in range(0, len(ts), step):
+            step = max(1, _LINE_ENTRIES // 32 // int(blocks.sizes @ np.diff(blocks.starts)))
+            time_of, pair_of = np.divmod(np.arange(sups.size), len(runs))
+            for first in range(0, sups.size, step):
                 chunk = slice(first, first + step)
-                for p in range(0, live, pair_step):
-                    block = slice(p, min(p + pair_step, live))
-                    got = self._sup_over_blocks(blocks.of_pairs(block), ts[chunk])
-                    sups[block, chunk], edges[block, chunk] = got[:2]
-                    for q, pair_errors in enumerate(got[2], start=p):
-                        errors[q][chunk] = pair_errors
-                live = next((q for q in range(live) if any(errors[q])), live)
+                got = self._sup_over_blocks(blocks, pair_of[chunk], ts[time_of[chunk]])
+                sups.flat[chunk], edges.flat[chunk], failed.flat[chunk] = got
         norms = np.empty((len(pairs), len(ts)))
         for i, (s, t) in enumerate(pairs):
             self._check_fractional_indices(s, t)
@@ -897,11 +859,11 @@ class JordanSumModel(OperatorModel):
                 continue
             j = runs.index(i)
             # a loop, not a comprehension, so the warning's stacklevel names the caller
-            for k, (time, best, edge, error) in enumerate(zip(ts, sups[j], edges[j], errors[j])):
-                if error is not None:
-                    raise error
-                norms[i, k] = math.exp(-self.gamma * time) * best
-                if edge:
+            for k, time in enumerate(ts):
+                if failed[k, j]:
+                    raise _overflow_at(time)
+                norms[i, k] = math.exp(-self.gamma * time) * sups[k, j]
+                if edges[k, j]:
                     warnings.warn(f"supremum of T({time})Phi^{s}_{t} attained at the truncation block "
                                   f"n={self.n_max}; value is a lower estimate",
                                   EdgeDominatedWarning, stacklevel=2)

@@ -278,12 +278,17 @@ def test_dense_lower_resolvent_bound():
         assert _resolvent_norm(model, lam) >= 1.0 / d - 1e-8
 
 
+def _series(t, m):
+    """The row t^k/k!, k < m, of one time t."""
+    return operators._exp_series_rows(np.array([t]), m)[0][0]
+
+
 def test_jordan_exponential_polynomial_matches_dense_expm():
     model = operators.JordanSumModel(0.5, 0.5, 500)
     n = 130
     m = model.block_size(n)
     t = 2.7
-    coeffs = operators._exp_series_coeffs(t, m)
+    coeffs = _series(t, m)
     explicit = toeplitz(
         np.concatenate([[coeffs[0]], np.zeros(m - 1)]), coeffs.astype(complex)
     )
@@ -353,7 +358,7 @@ def _jordan_fractional_brute_force(model, t, sigma, tau):
                     np.array([model.gamma - 1j * n]), float(sigma), m
                 )[0]
                 coeffs = np.convolve(coeffs, num)[:m]
-            coeffs = np.convolve(coeffs, operators._exp_series_coeffs(t, m))[:m]
+            coeffs = np.convolve(coeffs, _series(t, m))[:m]
             best = max(best, operators._toeplitz_norm(coeffs))
     return best * math.exp(-model.gamma * t)
 
@@ -472,7 +477,7 @@ def test_jordan_end_blocks_bound_their_group(gamma, delta, n_max, t, sigma, tau)
 
 def _convolved(rows, t):
     """The rows of exp(t B_m) T(row) for the rows (of length m) at one time t."""
-    return operators._exp_convolve(rows, operators._exp_series_coeffs(t, rows.shape[-1])[None])[0]
+    return operators._exp_convolve(rows[None], _series(t, rows.shape[-1])[None])[0]
 
 
 def _block_rows(groups):
@@ -505,7 +510,47 @@ def test_jordan_branch_and_bound_on_random_rows(seed, spread, t):
     ts = np.array([0.0, t, 2.0 * t, t])
     blocks = [[_convolved(rows, s) if s else rows for _, rows in groups] for s in ts]
     want = [max(operators._toeplitz_norm(row) for rows in at_s for row in rows) for at_s in blocks]
-    assert model._sup_over_blocks(_block_rows(groups), ts)[0][0].tolist() == want
+    assert model._sup_over_blocks(_block_rows(groups), np.zeros(len(ts), dtype=int), ts)[0].tolist() == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    problems=st.integers(1, 6),
+    candidates=st.integers(1, 12),
+    ties=st.booleans(),
+    lowering=st.floats(0.0, 1.0),
+)
+@example(seed=0, problems=3, candidates=5, ties=True, lowering=1.0)
+def test_branch_and_bound_answers_each_largest_norm_whatever_the_bounds_fall_to(
+    seed, problems, candidates, ties, lowering
+):
+    # bounds at or above the norms (some infinite), and each visit lowers a
+    # random share of the bounds not yet visited, of any problem, to any value
+    # still at or above their norms, down to the norm itself: whatever order
+    # the bounds fall in, each problem's best is its largest norm, bit for
+    # bit, and the candidate it names attains it
+    rng = np.random.default_rng(seed)
+    norms = rng.uniform(0.0, 1.0, (problems, candidates))
+    if ties:
+        norms = np.round(norms, 1)
+    ub = norms + rng.exponential(1.0, norms.shape)
+    ub[rng.random(norms.shape) < 0.1] = np.inf
+    visited = np.zeros(norms.shape, dtype=bool)
+
+    def visit(ps, cs):
+        assert not visited[ps, cs].any()
+        visited[ps, cs] = True
+        lower = ~visited & (rng.random(norms.shape) < lowering)
+        share = rng.choice([0.0, 0.5, 1.0], norms.shape) * rng.random(norms.shape)
+        with np.errstate(invalid="ignore"):
+            lowered = np.where(share == 0.0, norms, norms + (ub - norms) * share)
+        ub[lower] = lowered[lower]
+        return norms[ps, cs]
+
+    best, at = operators._branch_and_bound(ub, visit)
+    assert best.tobytes() == norms.max(axis=1).tobytes()
+    assert (norms[np.arange(problems), at] == best).all()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -678,8 +723,8 @@ def test_jordan_pairs_in_one_call_equal_their_one_pair_calls(gamma, delta, n_max
 @pytest.mark.parametrize("problems", [1, 3, 8])
 def test_jordan_pairs_in_chunks_keep_the_memory_budget(problems, monkeypatch):
     # a chunk holds at most the budget's worth of convolved rows over all its
-    # (pair, time) problems: with room for fewer than one time of every pair
-    # it takes the pairs in blocks, one time at a time
+    # (time, pair) problems, so with room for fewer than one time of every
+    # pair a time's pairs straddle two chunks
     model = operators.JordanSumModel(0.5, 0.5, 500)
     ts = np.concatenate([[0.0], np.linspace(0.5, 30.0, 7)])
     pairs = [(0.0, 1.0), (2.0, 0.0), (0.5, 2.0)]
@@ -689,9 +734,9 @@ def test_jordan_pairs_in_chunks_keep_the_memory_budget(problems, monkeypatch):
     chunks = []
     sup_over_blocks = operators.JordanSumModel._sup_over_blocks
 
-    def counted(self, blocks, chunk):
-        chunks.append((len(blocks.l1), len(chunk)))
-        return sup_over_blocks(self, blocks, chunk)
+    def counted(self, blocks, pair_of, chunk):
+        chunks.append(len(chunk))
+        return sup_over_blocks(self, blocks, pair_of, chunk)
 
     monkeypatch.setattr(operators.JordanSumModel, "_sup_over_blocks", counted)
     assert _pair_calls(model, ts, pairs)[1] == want
@@ -699,8 +744,8 @@ def test_jordan_pairs_in_chunks_keep_the_memory_budget(problems, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EdgeDominatedWarning)
         model.fractional_norm(ts, [s for s, _ in pairs], [t for _, t in pairs])
-    assert max(p * t for p, t in chunks) <= problems
-    assert sum(p * t for p, t in chunks) == len(pairs) * len(ts)
+    assert max(chunks) <= problems
+    assert sum(chunks) == len(pairs) * len(ts)
 
 
 def test_jordan_two_pair_overflow_raises_the_first_pairs_error():
@@ -716,12 +761,15 @@ def test_jordan_two_pair_overflow_raises_the_first_pairs_error():
     assert together[2] == first_error == "matrix entries overflow float64 at t=1e+27; the norm is out of range"
 
 
-def test_jordan_pair_whose_rows_overflow_leaves_the_pairs_before_it(monkeypatch):
+@pytest.mark.parametrize("problems", [2, 3])
+def test_jordan_pair_whose_rows_overflow_raises_after_the_pairs_before_it(problems, monkeypatch):
     # at t = 2.2e26 the convolved rows overflow for (2, 0) but not for (0, 3):
-    # the later chunks, one time each, run only the pairs before the failed one
+    # the call answers and warns for the pairs before (2, 0), then raises its
+    # error, whether a chunk holds one time (3 problems) or a time's pairs
+    # straddle two chunks (2 problems)
     model = operators.JordanSumModel(0.5, 0.5, 10**4)
     per_problem = sum(m * len({a, b}) for m, a, b in model.groups)
-    monkeypatch.setattr(operators, "_LINE_ENTRIES", 32 * per_problem * 3)
+    monkeypatch.setattr(operators, "_LINE_ENTRIES", 32 * per_problem * problems)
     ts = np.array([1.0, 2.2e26, 2.0, 3.0])
     one_by_one, together = _pair_calls(model, ts, [(0.0, 3.0), (0.0, 2.5), (2.0, 0.0)])
     assert together == one_by_one
@@ -755,7 +803,7 @@ def test_exp_series_rows_equal_their_one_time_rows():
         assert rows.tobytes() == np.array(want).tobytes()
     rows, bad = operators._exp_series_rows(np.array([1.0, 800.0, 2.0]), 680)
     assert bad == 1 and not rows[1:].any()
-    assert rows[0].tobytes() == operators._exp_series_coeffs(1.0, 680).tobytes()
+    assert rows[0].tobytes() == _series(1.0, 680).tobytes()
 
 
 def test_jordan_band_sweep_memory_peak():
@@ -992,7 +1040,7 @@ def test_opmatrix_norms_match_dense_symbols(n, t, sigma, tau, lam):
     assume(model.spectrum_distance(-lam) > 1e-2)
     dense = _dense_symbols(model, t, sigma, tau)
     ss = model._sup_nodes
-    semigroup = np.exp(-t * ss)[:, None] * operators._exp_series_coeffs(t, model.n)
+    semigroup = np.exp(-t * ss)[:, None] * _series(t, model.n)
     rows = {
         "semigroup": semigroup,
         "fractional": operators._row_product(semigroup, model._phi_rows(sigma, tau, ss)),
