@@ -230,7 +230,7 @@ def case_frac_oracle(out, seed):
 def case_sobolev_rates(out, seed):
     a, b = 1.0, 0.5
     model = operators.DiagonalSymbolModel(a, b)
-    beta_known = (b - 1.0 + 2.0 * a) / b
+    beta_known = model.info.known_growth_pair[1]
     table = resolvent.probe_resolvent_norms(model, numcore.geometric_grid(1e-2, 1e3, 96))
     profile = resolvent.fit_growth_profile(table)
     out.add(
@@ -381,7 +381,7 @@ def case_jordan_rates(out, seed):
 
     tau_taylor = (1.0 - gamma) / math.log(1.0 / delta)
     # the band and the growth-index norms sweep the same times, so one call takes both
-    beta0_full = math.log(1.0 / gamma) / math.log(1.0 / delta)
+    beta0_full = model.info.known_growth_pair[1]
     band_ts = np.linspace(t_lo, t_hi, 20)
     band_vals, b0_vals = model.fractional_norm(band_ts, 0.0, [tau_taylor, beta0_full])
     band = band_vals.max() / band_vals.min()

@@ -306,7 +306,7 @@ def semigroup_convolution(model, ks, f, grid):
     weights = np.full(len(tpos), grid.dt)
     weights[0] *= 0.5  # trapezoid across the t=0 boundary of the kernel
     norms = np.linalg.norm(kernels, 2, axis=(1, 2))
-    size = next_fast_len(len(tpos) + grid.samples - 1, False)
+    size = next_fast_len(len(tpos) + grid.samples - 1)
     spectrum = np.empty((size, d), dtype=complex)
     outs = []
     for pos, k in enumerate(ks):

@@ -106,18 +106,16 @@ def geometric_grid(start, stop, count):
         nodes = np.geomspace(start, stop, count)
     except MemoryError as exc:
         raise DomainError(f"cannot allocate {count} nodes: {exc}") from None
-    nodes[0] = start
-    nodes[-1] = stop
     if not np.all(np.diff(nodes) > 0.0):
         raise DomainError(f"[{start}, {stop}] holds no {count} strictly increasing nodes")
     return nodes
 
 
 @lru_cache(maxsize=None)
-def _smooth_numbers(primes, bits):
-    """The sorted numbers below 2**bits whose prime factors are in ``primes``."""
+def _smooth_numbers(bits):
+    """The sorted numbers below 2**bits whose prime factors are 2, 3, 5, 7 and 11."""
     nums = [1]
-    for p in primes:
+    for p in (2, 3, 5, 7, 11):
         grown = []
         for v in nums:
             while v < 1 << bits:
@@ -127,11 +125,11 @@ def _smooth_numbers(primes, bits):
     return sorted(nums)
 
 
-def next_fast_len(target, real):
-    """The smallest n >= ``target`` (>= 1) whose prime factors are 2, 3 and 5
-    (``real``) or 2, 3, 5, 7 and 11: ``scipy.fft.next_fast_len``."""
+def next_fast_len(target):
+    """The smallest n >= ``target`` (>= 1) whose prime factors are 2, 3, 5, 7
+    and 11: ``scipy.fft.next_fast_len`` for complex transforms."""
     # the power of two at or above target lies below 2**bits
-    table = _smooth_numbers((2, 3, 5) if real else (2, 3, 5, 7, 11), (target - 1).bit_length() + 1)
+    table = _smooth_numbers((target - 1).bit_length() + 1)
     return table[bisect.bisect_left(table, target)]
 
 
@@ -147,20 +145,16 @@ def _fft(x, n, axis):
 
 
 def fftconvolve(a, b, axes):
-    """Full linear convolution of ``a`` and ``b`` along the one axis
-    ``axes`` (>= 0), broadcasting the others.
+    """Full linear convolution of ``a`` and ``b``, at least one of them
+    complex, along the one axis ``axes`` (>= 0), broadcasting the others.
 
     The steps of ``scipy.signal.fftconvolve`` for one axis, on ``numpy.fft``,
     so the values are the same bit for bit.
     """
     a, b = np.asarray(a), np.asarray(b)
     n = a.shape[axes] + b.shape[axes] - 1
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        size = next_fast_len(n, False)
-        out = np.fft.ifft(_fft(a, size, axes) * _fft(b, size, axes), size, axes)
-    else:
-        size = next_fast_len(n, True)
-        out = np.fft.irfft(np.fft.rfft(a, size, axes) * np.fft.rfft(b, size, axes), size, axes)
+    size = next_fast_len(n)
+    out = np.fft.ifft(_fft(a, size, axes) * _fft(b, size, axes), size, axes)
     return out[(slice(None),) * axes + (slice(n),)]
 
 
@@ -168,7 +162,8 @@ def log_factorial(k):
     """log k! for an array of integers 0 <= k < 2^53, bit for bit
     ``scipy.special.gammaln(k + 1)``: the steps of cephes ``lgam`` at
     x = k + 1, with the C library's log (``math.log``; ``np.log`` differs
-    from it in the last bit from k = 9170 on)."""
+    from it in the last bit from k = 9170 on).  cephes drops the 1/x term
+    above x = 1e8; it is below half an ulp of the sum there, so it is kept."""
     x = (np.asarray(k, dtype=np.int64) + 1).astype(float)
     logs = np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
     stirling = (x - 0.5) * logs - x + _LS2PI
@@ -177,8 +172,7 @@ def log_factorial(k):
     for c in _LGAM_A[1:]:
         series = series * p + c
     short = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
-    out = np.where(x > 1e8, stirling,
-                   np.where(x >= 1000.0, stirling + short / x, stirling + series / x))
+    out = np.where(x >= 1000.0, stirling + short / x, stirling + series / x)
     # below 13, cephes takes the log of the product (x - 1)!, exact in floats
     small = x < 13.0
     out[small] = [math.log(math.factorial(int(v) - 1)) for v in x[small]]
@@ -330,26 +324,27 @@ def golden_max(f, lo, hi):
     return best
 
 
-def sup_on_grid(f, nodes):
-    """Suprema of a stack of functions over their grid nodes, refined by
-    golden section, and the mask of the edge-dominated functions.
+def sup_on_grid(f, grid, count):
+    """Suprema of a stack of ``count`` functions over the nodes ``grid``,
+    refined by golden section, and the mask of the edge-dominated functions.
 
-    ``nodes`` holds one node array per function, and ``f(i, s)`` evaluates
-    function ``i`` at the nodes ``s``: an index with a node array, or an
-    index array with a node array of the same shape.  The grid pass takes
-    one function at a time; then one lockstep ``golden_max`` refines, in
-    log-node space, every function whose grid argmax is interior.  A
-    function is edge-dominated when its grid maximum lies in the outer 10%
-    at the right and clearly exceeds the interior values.
+    ``f(i, s)`` evaluates function ``i`` at the nodes ``s``: an index with
+    the grid, or an index array with a node array of the same shape.  The
+    grid pass takes one function at a time; then one lockstep
+    ``golden_max`` refines, in log-node space, every function whose grid
+    argmax is interior.  A function is edge-dominated when its grid maximum
+    lies in the outer 10% at the right and clearly exceeds the interior
+    values.
     """
-    best, edge = np.empty(len(nodes)), np.zeros(len(nodes), dtype=bool)
+    grid = np.asarray(grid, dtype=float)
+    n = len(grid)
+    cut = n - max(1, n // 10)
+    best, edge = np.empty(count), np.zeros(count, dtype=bool)
     refined = []  # (function, log lo, log hi) of each interior argmax
-    for k, grid in enumerate(nodes):
-        grid = np.asarray(grid, dtype=float)
+    for k in range(count):
         vals = np.asarray(f(k, grid), dtype=float)
-        i, n = int(np.argmax(vals)), len(grid)
+        i = int(np.argmax(vals))
         best[k] = vals[i]
-        cut = n - max(1, n // 10)
         edge[k] = n >= 4 and i >= cut and best[k] > 1.05 * np.max(vals[:cut])
         if 0 < i < n - 1:
             refined.append((k, math.log(grid[i - 1]), math.log(grid[i + 1])))

@@ -433,10 +433,10 @@ class DiagonalSymbolModel(OperatorModel):
     def _sup_norm(self, g, gprime, count):
         """Norms of ``count`` stacked symbols g(i, s) with derivatives
         gprime(i, s), and edge masks: a row for g and, if used, one for g'."""
-        val, edge = sup_on_grid(lambda i, s: np.abs(g(i, s)), [self.grid] * count)
+        val, edge = sup_on_grid(lambda i, s: np.abs(g(i, s)), self.grid, count)
         if not self.sobolev:
             return val, edge[None]
-        dval, dedge = sup_on_grid(lambda i, s: np.abs(gprime(i, s)), [self.grid] * count)
+        dval, dedge = sup_on_grid(lambda i, s: np.abs(gprime(i, s)), self.grid, count)
         return np.where(dval > val, dval, val), np.stack([edge, dedge])
 
     # -- operations
@@ -466,11 +466,12 @@ class DiagonalSymbolModel(OperatorModel):
     @_each_pair
     def fractional_norm(self, ts, sigma, tau):
         def parts(s):
-            # the t-independent factors of g and the terms of g'/g at the nodes s
+            # the t-independent factors of g and the terms of g'/g at the nodes s;
+            # (ph/(1+ph))^sigma and (1+ph)^-tau are at most 1 in modulus (Re ph > 0)
             ph, dph = self.symbol(s), self.symbol_derivative(s)
-            with np.errstate(over="ignore"):  # a huge sigma + tau gives exactly 0 here
-                inverse = (1.0 + ph) ** (-(sigma + tau))
-            return (ph, ph**sigma, inverse, dph,
+            with np.errstate(over="ignore"):  # a huge tau gives exactly 0 here
+                inverse = (1.0 + ph) ** -tau
+            return (ph, (ph / (1.0 + ph)) ** sigma if sigma else None, inverse, dph,
                     (sigma + tau) * dph / (1.0 + ph), sigma * dph / ph if sigma else None)
 
         on_grid = parts(self.grid)
@@ -479,10 +480,10 @@ class DiagonalSymbolModel(OperatorModel):
             # the grid pass hands over the grid itself; golden-section nodes are new
             ph, power, inverse, dph, shift, lift = on_grid if s is self.grid else parts(s)
             out = np.exp(-ts[i] * ph)
+            if tau:
+                out = out * inverse
             if sigma:
                 out = out * power
-            if sigma or tau:
-                out = out * inverse
             return out, dph, shift, lift
 
         def gp(i, s):
@@ -877,12 +878,6 @@ class JordanSumModel(OperatorModel):
 # operator matrices: multiplication by s minus a nilpotent shift
 
 
-def _bump_seeds(t, count):
-    """Maximisers s* = min(1, c/t) of exp(-t s) s^c for c < count."""
-    # c >= t gives 1 without dividing, which overflows at subnormal t
-    return [0.5 if t <= 0 else 1.0 if c >= t else max(1e-9, c / t) for c in range(count)]
-
-
 class OperatorMatrixModel(OperatorModel):
     """A = (mult by s) I - N on n copies of L^2(0,1), N the unit upper shift.
 
@@ -892,9 +887,9 @@ class OperatorMatrixModel(OperatorModel):
     (lam + M(s))^{-1} the Taylor row of 1/z at lam + s, and Phi^sigma_tau
     the row product of z^sigma at s and z^{-sigma-tau} at 1 + s.  Rows are
     built for a whole array of s at once.  Time-indexed norms are suprema
-    over s in (0,1) of batched spectral norms, seeded at the critical
-    points s* = min(1, c/t) of exp(-t s) s^c and refined by golden
-    section; the resolvent norm is exact, the norm at the s nearest -lam.
+    over s in (0,1) of batched spectral norms, maxima on the nodes
+    ``_sup_nodes`` (the same for every t) refined by golden section; the
+    resolvent norm is exact, the norm at the s nearest -lam.
     Not sectorial: the resolvent blows up like |lam|^{-n} at the origin.
     """
 
@@ -949,9 +944,8 @@ class OperatorMatrixModel(OperatorModel):
             decay = np.exp(-ts[i] * ss)[:, None] * coeffs[i]
             return _svdvals(_toeplitz_stack(_row_product(decay, self._phi_rows(sigma, tau, ss))))[:, 0]
 
-        nodes = [np.unique(np.concatenate([self._sup_nodes, _bump_seeds(t, 2 * self.n)])) for t in ts]
         # s = 1 ends the domain itself, so no supremum there is a truncation edge
-        return sup_on_grid(norms_at, nodes)[0]
+        return sup_on_grid(norms_at, self._sup_nodes, len(ts))[0]
 
     def spectral_abscissa_neg(self):
         return 0.0

@@ -60,7 +60,7 @@ def test_fftconvolve_equals_scipy_signal():
             rows, other = (rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
                            for _ in range(2))
             kernel = rng.standard_normal((1, m))
-            calls += [(rows, kernel, 1), (rows, other, 1), (kernel.T, kernel.T, 0)]
+            calls += [(rows, kernel, 1), (rows, other, 1)]
     f = rng.standard_normal((128, 4)) + 1j * rng.standard_normal((128, 4))
     calls.append((rng.standard_normal((64, 4, 4)), f[:, None, :], 0))
     for a, b, axis in calls:
@@ -160,9 +160,8 @@ def test_one_blas_thread_caps_every_openblas_and_restores_it():
 def test_next_fast_len_equals_scipy():
     from scipy.fft import next_fast_len
 
-    for real in (True, False):
-        got = [numcore.next_fast_len(n, real) for n in range(1, 2**16)]
-        assert got == [next_fast_len(n, real) for n in range(1, 2**16)]
+    got = [numcore.next_fast_len(n) for n in range(1, 2**16)]
+    assert got == [next_fast_len(n) for n in range(1, 2**16)]
 
 
 def test_log_factorial_equals_scipy_gammaln():
@@ -316,16 +315,16 @@ def test_sup_on_grid_refines_peak():
     def f(i, s):
         return 1.0 / (1.0 + (np.log(np.asarray(s)) - 0.337) ** 2)
 
-    best, _ = numcore.sup_on_grid(f, [nodes])
+    best, _ = numcore.sup_on_grid(f, nodes, 1)
     assert best.shape == (1,)
     assert best[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sup_on_grid_edge_mask():
     nodes = np.geomspace(1.0, 100.0, 32)
-    assert numcore.sup_on_grid(lambda i, s: np.asarray(s, dtype=float), [nodes])[1].tolist() == [True]
+    assert numcore.sup_on_grid(lambda i, s: np.asarray(s, dtype=float), nodes, 1)[1].tolist() == [True]
     # flat functions and interior peaks are not edge-dominated
-    assert numcore.sup_on_grid(lambda i, s: np.ones_like(np.asarray(s)), [nodes])[1].tolist() == [False]
+    assert numcore.sup_on_grid(lambda i, s: np.ones_like(np.asarray(s)), nodes, 1)[1].tolist() == [False]
 
 
 def _scalar_golden_max(f, lo, hi):
@@ -381,39 +380,38 @@ def test_lockstep_golden_max_matches_scalar_search(brackets):
         assert got[k] == want
 
 
-def _stacked(calls):
-    """Three bumps in log s with different peaks, heights and grids; the
-    third peaks beyond its grid's right edge.  Each call is counted."""
-    centre, height = np.array([0.3, 1.7, 9.0]), np.array([1.0, 2.5, 0.5])
-    nodes = [np.geomspace(0.1, 10.0, 41), np.geomspace(1.0, 50.0, 29), np.geomspace(0.5, 20.0, 64)]
+def _stacked(calls, centres=(0.3, 1.7, 9.0)):
+    """Three bumps in log s with different peaks and heights on one grid;
+    the third peaks beyond its right edge.  Each call is counted."""
+    centre, height = np.array(centres), np.array([1.0, 2.5, 0.5])
+    grid = np.geomspace(0.1, 50.0, 64)
 
     def f(i, s):
         calls.append(np.shape(i))
         return height[i] / (1.0 + (np.log(s) - centre[i]) ** 2)
 
-    return f, nodes
+    return f, grid
 
 
 def test_stacked_sup_on_grid_matches_single_calls():
     calls = []
-    f, nodes = _stacked(calls)
-    got, _ = numcore.sup_on_grid(f, nodes)
+    f, grid = _stacked(calls)
+    got, _ = numcore.sup_on_grid(f, grid, 3)
     # one grid evaluation per function, then one per golden step for all
-    assert len(calls) == len(nodes) + 62
-    assert calls[len(nodes):] == [(2,)] * 62  # the third function is not refined
-    for k, grid in enumerate(nodes):
-        single, _ = numcore.sup_on_grid(lambda i, s: f(np.asarray(i) + k, s), [grid])
+    assert len(calls) == 3 + 62
+    assert calls[3:] == [(2,)] * 62  # the third function is not refined
+    for k in range(3):
+        single, _ = numcore.sup_on_grid(lambda i, s: f(np.asarray(i) + k, s), grid, 1)
         assert single[0] == got[k]
     assert got[:2] == pytest.approx([1.0, 2.5], rel=1e-12)
 
     # no interior argmax: the grid pass alone
     calls.clear()
-    numcore.sup_on_grid(lambda i, s: f(2, s), nodes[2:] * 2)
+    numcore.sup_on_grid(lambda i, s: f(2, s), grid, 2)
     assert len(calls) == 2
 
 
 def test_stacked_sup_on_grid_flags_each_edge_dominated_function():
-    f, nodes = _stacked([])
-    # the second bump now peaks beyond its grid too
-    nodes[1] = np.geomspace(0.1, 3.0, 32)
-    assert numcore.sup_on_grid(f, nodes)[1].tolist() == [False, True, True]
+    # the second bump now peaks beyond the grid too
+    f, grid = _stacked([], centres=(0.3, 5.0, 9.0))
+    assert numcore.sup_on_grid(f, grid, 3)[1].tolist() == [False, True, True]

@@ -247,11 +247,10 @@ def test_empty_sweep_checks_indices(kind):
 
 
 def test_opmatrix_subnormal_time():
-    # c / t overflows at a subnormal t; every seed with c >= t is 1
+    # nothing divides by a subnormal t, so nothing overflows
     t = 2.225073858507e-311
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert operators._bump_seeds(t, 4) == [1e-9, 1.0, 1.0, 1.0]
         model = operators.OperatorMatrixModel(3)
         norms = model.semigroup_norm([t]), model.fractional_norm([t], 1.0, 0.5)
     assert all(np.isfinite(n).all() for n in norms)
@@ -1022,7 +1021,7 @@ def _dense_sup(model, mat, seeds=()):
     nodes = model._sup_nodes
     if len(seeds):
         nodes = np.unique(np.concatenate([nodes, np.asarray(seeds, dtype=float)]))
-    return numcore.sup_on_grid(f, [nodes])[0][0]
+    return numcore.sup_on_grid(f, nodes, 1)[0][0]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1135,10 +1134,10 @@ def _diagonal_norms_per_time(model, ts, sigma, tau):
     def g(i, s):
         ph = model.symbol(s)
         out = np.exp(-ts[i] * ph)
+        if tau:
+            out = out * (1.0 + ph) ** -tau
         if sigma:
-            out = out * ph**sigma
-        if sigma or tau:
-            out = out * (1.0 + ph) ** (-(sigma + tau))
+            out = out * (ph / (1.0 + ph)) ** sigma
         return out
 
     def gp(i, s):
@@ -1158,6 +1157,36 @@ def test_diagonal_factors_taken_once_per_sweep_keep_every_bit(sobolev, sigma, ta
     ts = np.geomspace(1.0, 1e4, 9)
     want = _diagonal_norms_per_time(model, ts, sigma, tau)
     assert model.fractional_norm(ts, sigma, tau).tobytes() == want.tobytes()
+
+
+def _diagonal_brute_sup(model, t, sigma, tau, count=2 * 10**6, chunk=2 * 10**5):
+    """The diagonal kind's fractional norm as a maximum over ``count``
+    geometric nodes of its domain, taken in the log domain: log|g| =
+    -t Re ph + sigma log|ph/(1+ph)| - tau log|1+ph|, plus log|g'/g|."""
+    nodes = np.geomspace(model.grid[0], model.grid[-1], count)
+    best = -np.inf
+    for first in range(0, count, chunk):
+        s = nodes[first : first + chunk]
+        ph, dph = model.symbol(s), model.symbol_derivative(s)
+        log_g = (-t * ph.real + sigma * (np.log(np.abs(ph)) - np.log(np.abs(1.0 + ph)))
+                 - tau * np.log(np.abs(1.0 + ph)))
+        if model.sobolev:
+            ratio = -t * dph - (sigma + tau) * dph / (1.0 + ph) + sigma * dph / ph
+            log_g = np.maximum(log_g, log_g + np.log(np.abs(ratio)))
+        best = max(best, float(log_g.max()))
+    return math.exp(best)
+
+
+@pytest.mark.parametrize("sobolev", [True, False])
+def test_diagonal_fractional_norm_at_large_sigma_is_finite(sobolev):
+    # ph^400 overflows where (1+ph)^-401 underflows; their ratio does neither
+    model = operators.DiagonalSymbolModel(1.0, 0.5, grid_count=64, sobolev=sobolev)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.fractional_norm([10.0, 100.0], 400.0, 1.0)
+    assert np.all(np.isfinite(got))
+    want = [_diagonal_brute_sup(model, t, 400.0, 1.0) for t in (10.0, 100.0)]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 0.5), (2.0, 0.5), (0.6, 0.8)])

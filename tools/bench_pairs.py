@@ -11,11 +11,6 @@ with ``src/semistab`` and ``perfbench/``).  For each, the script records:
   calls, one fresh process per seed in ``CASE_SEEDS``.  Direct calls
   bypass ``cli.main``, so they run at the default OpenBLAS thread count
   and cannot show the CLI's one-thread cap;
-- the jordan.rates first-call stall: the case timed through
-  ``cli.main(["verify-examples", "--only", "jordan.rates"])`` in
-  ``STALL_ROUNDS`` fresh processes per checkout, and the number of those
-  passes over ``STALL_S`` seconds (a pass takes 0.2-0.4 s without a
-  stall);
 - the block-sum worst case: ``JordanSumModel.fractional_norm`` at tau = 0,
   sigma in ``WORST_SIGMAS`` and t in ``WORST_TIMES`` on the models
   ``WORST_MODELS``, where every block has nearly the same norm, so the
@@ -80,8 +75,6 @@ WORST_MODELS = ((0.5, 0.5, 10**4), (0.5, 0.9, 10**4))
 WORST_SIGMAS = (0.1, 2.0)
 WORST_TIMES = (0.0, 1.0, 20.0)
 WORST_ROUNDS = 5
-STALL_ROUNDS = 24
-STALL_S = 0.8
 RSS_ROUNDS = 6
 TRACED_ROUNDS = 2
 STARTUP_ROUNDS = 20
@@ -93,17 +86,6 @@ import json, sys
 from semistab import battery
 seed = int(sys.argv[1])
 print(json.dumps({name: case(seed).duration for name, case in battery.ALL_CASES}))
-"""
-
-STALL_TIMER = """
-import contextlib, io, json, os, tempfile
-from semistab import cli
-with tempfile.TemporaryDirectory() as tmp:
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli.main(["verify-examples", "--only", "jordan.rates", "--out-dir", tmp])
-    with open(os.path.join(tmp, "run_meta.json"), encoding="utf-8") as fh:
-        seconds = json.load(fh)["timings_s"]["jordan.rates"]
-print(json.dumps(seconds))
 """
 
 CASE_RSS = """
@@ -308,15 +290,6 @@ def main(argv=None):
             cases[name][str(seed)] = _child(trees[name], CASE_TIMER, str(seed))
             print(f"{name} seed {seed}: {cases[name][str(seed)]}", flush=True)
 
-    stalls = {name: [] for name in trees}
-    for i in range(STALL_ROUNDS):
-        for name in _alternating(i):
-            stalls[name].append(_child(trees[name], STALL_TIMER))
-    stall = {name: {"s": _summary(runs), "passes_over_stall_s": sum(s > STALL_S for s in runs)}
-             for name, runs in stalls.items()}
-    stall["stall_s"] = STALL_S
-    print(f"jordan.rates through cli.main: {stall}", flush=True)
-
     rss_runs = {name: [] for name in trees}
     for i in range(RSS_ROUNDS):
         for name in _alternating(i):
@@ -387,7 +360,6 @@ def main(argv=None):
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
         "case_seconds_direct_calls": cases,
-        "jordan_rates_stall_via_cli": stall,
         "block_sum_worst_case": worst,
         "verify_examples_peak_rss_mb_per_case": case_rss,
         "battery_traced_peak_mib_per_case": case_traced,
