@@ -25,7 +25,7 @@ sum runs them in one lockstep, the other kinds one after another.  The
 resolvent norm takes a line, a 1-D complex array of points, and returns
 one norm and one edge flag per point, inf on the spectrum of -A.  The
 diagonal kind takes each sweep's or line's suprema over s in one stacked
-``sup_on_grid``, the operator-matrix kind each sweep's.
+``sup_on_grid`` (|g| and |g'| as two rows), the operator matrix each sweep's.
 Conventions: the semigroup is T(t) = exp(-t A); resolvent norms are
 reported for (lam + A)^{-1} because stability analysis probes the closed
 right half-plane.  State-space actions, (lam - A)^{-1} x and closed-form
@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EdgeDominatedWarning, ShapeError, UnsupportedModelError
-from .numcore import fftconvolve, geometric_grid, log_factorials, sup_on_grid
+from .numcore import _larger, fftconvolve, geometric_grid, log_factorials, sup_on_grid
 
 _SING_TOL = 1e-11
 # branch and bound in JordanSumModel skips a block once its bound times
@@ -383,8 +383,10 @@ class DiagonalSymbolModel(OperatorModel):
     With ``sobolev=True`` operator norms use the first-order surrogate
     max(sup |g|, sup |g'|), which reproduces the multiplication-operator
     norm on the Sobolev space up to two-sided constants; otherwise plain
-    sup |g|.  Suprema are grid maxima refined by golden section; one at the
-    s_max edge is flagged (EdgeDominatedWarning in ``fractional_norm``).
+    sup |g|.  Suprema are grid maxima refined by golden section, taken per
+    sweep or line in one stacked ``sup_on_grid`` whose functions return |g|
+    and, if used, |g'| as two rows; one at the s_max edge is flagged
+    (EdgeDominatedWarning in ``fractional_norm``).
     ``grid`` (read-only) holds ``grid_count`` geometric nodes on
     [s_start, s_max], with s_start > 1, and ``_values`` (read-only) the
     symbol on them.
@@ -430,15 +432,6 @@ class DiagonalSymbolModel(OperatorModel):
             raise ShapeError(f"expected vector of shape {self.grid.shape}, got {x.shape}")
         return x
 
-    def _sup_norm(self, g, gprime, count):
-        """Norms of ``count`` stacked symbols g(i, s) with derivatives
-        gprime(i, s), and edge masks: a row for g and, if used, one for g'."""
-        val, edge = sup_on_grid(lambda i, s: np.abs(g(i, s)), self.grid, count)
-        if not self.sobolev:
-            return val, edge[None]
-        dval, dedge = sup_on_grid(lambda i, s: np.abs(gprime(i, s)), self.grid, count)
-        return np.where(dval > val, dval, val), np.stack([edge, dedge])
-
     # -- operations
 
     def resolvent_apply_many(self, lams, x):
@@ -452,16 +445,20 @@ class DiagonalSymbolModel(OperatorModel):
 
     @_off_spectrum
     def shifted_resolvent_norm(self, lams):
-        def gprime(i, s):
-            # -g'/d**2 with d = lam + g(s), or (-g'/d)/d where d**2 overflows
+        def rows(i, s):
+            # |1/d| and |g'(s)/d**2| with d = lam + g(s), or |(g'(s)/d)/d| where d**2 overflows
             d = lams[i] + self.symbol(s)
+            if not self.sobolev:
+                return np.abs(1.0 / d)[None]
             with np.errstate(over="ignore", invalid="ignore"):
                 d2 = d**2
             fits = np.isfinite(d2)
-            return -self.symbol_derivative(s) / np.where(fits, d2, d) / np.where(fits, 1.0, d)
+            gp = -self.symbol_derivative(s) / np.where(fits, d2, d) / np.where(fits, 1.0, d)
+            return np.stack([np.abs(1.0 / d), np.abs(gp)])
 
-        norms, edges = self._sup_norm(lambda i, s: 1.0 / (lams[i] + self.symbol(s)), gprime, len(lams))
-        return norms, edges.any(axis=0)
+        norms, edges = sup_on_grid(rows, self.grid, len(lams), 1 + self.sobolev)
+        # g' only where strictly larger; with one row, _larger(g, g) is g
+        return _larger(norms[0], norms[-1]), edges.any(axis=0)
 
     @_each_pair
     def fractional_norm(self, ts, sigma, tau):
@@ -476,33 +473,29 @@ class DiagonalSymbolModel(OperatorModel):
 
         on_grid = parts(self.grid)
 
-        def g_and_parts(i, s):
-            # the grid pass hands over the grid itself; golden-section nodes are new
+        def rows(i, s):
+            # |g| and, if used, |g'| = |g (-t ph' - shift + lift)|; the grid pass
+            # hands over the grid itself, golden-section nodes are new
             ph, power, inverse, dph, shift, lift = on_grid if s is self.grid else parts(s)
             out = np.exp(-ts[i] * ph)
             if tau:
                 out = out * inverse
             if sigma:
                 out = out * power
-            return out, dph, shift, lift
-
-        def gp(i, s):
-            out, dph, shift, lift = g_and_parts(i, s)
+            if not self.sobolev:
+                return np.abs(out)[None]
             factor = -ts[i] * dph - shift
             if sigma:
                 factor = factor + lift
-            return out * factor
+            return np.stack([np.abs(out), np.abs(out * factor)])
 
-        def g(i, s):
-            return g_and_parts(i, s)[0]
-
-        norms, edges = self._sup_norm(g, gp, len(ts))
+        norms, edges = sup_on_grid(rows, self.grid, len(ts), 1 + self.sobolev)
         for row in np.nonzero(edges)[0]:  # g's edges, then g''s
             label = f"T(t)Phi^{sigma}_{tau} symbol" + "'" * row
             warnings.warn(f"supremum of {label} attained at the right domain edge {self.grid[-1]:g}; "
                           "truncated domain may not contain the supremum",
                           EdgeDominatedWarning, stacklevel=3)
-        return norms
+        return _larger(norms[0], norms[-1])
 
     def phi_closed_apply(self, alpha, beta, x):
         x = self._check_vec(x)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semistab import cli, numcore
@@ -415,3 +415,37 @@ def test_stacked_sup_on_grid_flags_each_edge_dominated_function():
     # the second bump now peaks beyond the grid too
     f, grid = _stacked([], centres=(0.3, 5.0, 9.0))
     assert numcore.sup_on_grid(f, grid, 3)[1].tolist() == [False, True, True]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    bumps=st.lists(
+        st.tuples(st.floats(-3.0, 9.0), st.floats(0.1, 3.0), st.floats(-3.0, 9.0), st.floats(0.1, 3.0)),
+        max_size=5,
+    )
+)
+@example(bumps=[])  # an empty stack
+@example(bumps=[(0.3, 1.0, 9.0, 0.5), (1.7, 2.5, 5.0, 2.0)])  # interior row 0, edge-dominated row 1
+@example(bumps=[(9.0, 1.0, 0.3, 1.0), (1.7, 2.5, 1.7, 2.5)])  # edge row 0; equal rows
+def test_sup_on_grid_rows_equal_their_one_row_calls(bumps):
+    # a bump in log s per row and function; the grid ends at log 50 = 3.9,
+    # so a centre beyond about 4 peaks past its right edge
+    count = len(bumps)
+    cols = np.array(bumps, dtype=float).reshape(count, 4).T
+    centre, height = cols[[0, 2]], cols[[1, 3]]
+    grid = np.geomspace(0.1, 50.0, 64)
+    calls = []
+
+    def f(i, s):
+        calls.append(np.shape(i))
+        c, h = (np.reshape(x[:, i], (2, -1)) for x in (centre, height))
+        return h / (1.0 + (np.log(s) - c) ** 2)
+
+    best, edge = numcore.sup_on_grid(f, grid, count, 2)
+    assert best.shape == edge.shape == (2, count)
+    # one grid evaluation per function, then at most one lockstep of 62 steps
+    assert len(calls) in (count, count + 62)
+    for r in range(2):
+        single, single_edge = numcore.sup_on_grid(lambda i, s, r=r: f(i, s)[r], grid, count)
+        assert best[r].tobytes() == single.tobytes()
+        assert edge[r].tolist() == single_edge.tolist()

@@ -1127,9 +1127,10 @@ def test_diagonal_fractional_edge_domination_warns():
     assert {w.filename for w in caught} == {__file__}
 
 
-def _diagonal_norms_per_time(model, ts, sigma, tau):
-    """The diagonal kind's fractional norms with every factor of g and g'
-    evaluated afresh at each time, in the model's order of operations."""
+def _diagonal_symbols(model, ts, sigma, tau):
+    """g(i, s) and g'(i, s) of the diagonal kind's fractional norms, with
+    every factor evaluated afresh at each time, in the model's order of
+    operations."""
 
     def g(i, s):
         ph = model.symbol(s)
@@ -1147,7 +1148,20 @@ def _diagonal_norms_per_time(model, ts, sigma, tau):
             factor = factor + sigma * dph / ph
         return g(i, s) * factor
 
-    return model._sup_norm(g, gp, len(ts))[0]
+    return g, gp
+
+
+def _diagonal_norms_per_time(model, ts, sigma, tau):
+    """The diagonal kind's fractional norms from ``_diagonal_symbols``: |g|
+    and, if used, |g'| as the rows of one ``sup_on_grid`` call, g' taken
+    where strictly larger."""
+    g, gp = _diagonal_symbols(model, ts, sigma, tau)
+
+    def rows(i, s):
+        return np.abs([g(i, s), gp(i, s)] if model.sobolev else [g(i, s)])
+
+    best, _ = numcore.sup_on_grid(rows, model.grid, len(ts), 1 + model.sobolev)
+    return np.where(best[-1] > best[0], best[-1], best[0])
 
 
 @pytest.mark.parametrize("sobolev", [True, False])
@@ -1157,6 +1171,82 @@ def test_diagonal_factors_taken_once_per_sweep_keep_every_bit(sobolev, sigma, ta
     ts = np.geomspace(1.0, 1e4, 9)
     want = _diagonal_norms_per_time(model, ts, sigma, tau)
     assert model.fractional_norm(ts, sigma, tau).tobytes() == want.tobytes()
+
+
+def _two_searches(model, g, gp, count):
+    """Norms and edge masks of ``count`` stacked diagonal symbols by the
+    rule of two searches: sup |g| over the stack in one ``sup_on_grid``
+    call, then, on the Sobolev space, sup |g'| in another, taken where
+    strictly larger; the masks are g's row, then g''s."""
+    val, edge = numcore.sup_on_grid(lambda i, s: np.abs(g(i, s)), model.grid, count)
+    if not model.sobolev:
+        return val, edge[None]
+    dval, dedge = numcore.sup_on_grid(lambda i, s: np.abs(gp(i, s)), model.grid, count)
+    return np.where(dval > val, dval, val), np.stack([edge, dedge])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(0.05, 3.0),
+    b=st.floats(0.05, 0.95),
+    s_max=st.floats(1e2, 1e8),
+    grid_count=st.sampled_from([64, 512, 4096]),
+    sobolev=st.booleans(),
+    sigma=st.one_of(st.sampled_from([0.0, 1.0, 400.0]), st.floats(0.0, 400.0)),
+    tau=st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
+    ts=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e5)), min_size=1, max_size=4),
+    lams=st.lists(st.complex_numbers(max_magnitude=1e4), max_size=4),
+)
+@example(a=1.0, b=0.5, s_max=1e4, grid_count=512, sobolev=True, sigma=0.0, tau=0.0,
+         ts=[0.0, 1e4], lams=[-105.0j, 1.0])
+@example(a=1.0, b=0.5, s_max=1e8, grid_count=64, sobolev=False, sigma=400.0, tau=1.0,
+         ts=[0.0, 10.0, 100.0], lams=[1e160j])
+def test_diagonal_rows_equal_two_searches(a, b, s_max, grid_count, sobolev, sigma, tau, ts, lams):
+    assume(a + b >= 1.0)
+    model = operators.DiagonalSymbolModel(a, b, s_max=s_max, grid_count=grid_count, sobolev=sobolev)
+    ts = np.array(ts)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = model.fractional_norm(ts, sigma, tau)
+    want, edges = _two_searches(model, *_diagonal_symbols(model, ts, sigma, tau), len(ts))
+    assert got.tobytes() == want.tobytes()
+    assert [str(w.message) for w in caught if w.category is EdgeDominatedWarning] == [
+        f"supremum of T(t)Phi^{sigma}_{tau} symbol" + "'" * row + " attained at the right domain edge "
+        f"{model.grid[-1]:g}; truncated domain may not contain the supremum" for row in np.nonzero(edges)[0]
+    ]
+
+    lams = np.array(lams, dtype=complex)
+    norms, flags = model.shifted_resolvent_norm(lams)
+    off = model.spectrum_distance(-lams) >= operators._SING_TOL
+    off_lams = lams[off]
+
+    def gp(i, s):
+        d = off_lams[i] + model.symbol(s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = d**2
+        fits = np.isfinite(d2)
+        return -model.symbol_derivative(s) / np.where(fits, d2, d) / np.where(fits, 1.0, d)
+
+    want, edges = _two_searches(model, lambda i, s: 1.0 / (off_lams[i] + model.symbol(s)), gp, len(off_lams))
+    assert norms[off].tobytes() == want.tobytes()
+    assert flags[off].tolist() == edges.any(axis=0).tolist()
+    assert np.all(np.isinf(norms[~off])) and not flags[~off].any()
+
+
+@pytest.mark.parametrize("sobolev", [True, False])
+def test_diagonal_norm_is_one_search(monkeypatch, sobolev):
+    # |g| and |g'| are two rows of one sup_on_grid call, per pair and per line
+    calls = []
+
+    def counted(f, grid, count, rows=None):
+        calls.append(rows)
+        return numcore.sup_on_grid(f, grid, count, rows)
+
+    monkeypatch.setattr(operators, "sup_on_grid", counted)
+    model = operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e6, grid_count=64, sobolev=sobolev)
+    model.fractional_norm([0.0, 10.0], [0.0, 1.0], [1.0, 2.0])
+    model.shifted_resolvent_norm([1.0, 2.0j])
+    assert calls == [1 + sobolev] * 3
 
 
 def _diagonal_brute_sup(model, t, sigma, tau, count=2 * 10**6, chunk=2 * 10**5):
