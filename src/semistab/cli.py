@@ -76,8 +76,7 @@ _REQUIRED = {kind: [name for name, param in inspect.signature(model).parameters.
              for kind, (model, _) in _OPERATORS.items()}
 
 _GEOMETRY_FIELDS = {"hilbert": bool, "fourier_type": float, "type_p": float, "cotype_q": float,
-                    "positive_semigroup": bool, "r_resolvent_growth_asserted": bool,
-                    "zeta_negative_asserted": bool}
+                    "r_resolvent_growth_asserted": bool, "zeta_negative_asserted": bool}
 
 
 def format_complex(z):

@@ -12,6 +12,10 @@ finite-dimensional inner-product space is sqrt(2 pi) at exponent 2 and
 Discrete Lebesgue norms use left-endpoint Riemann weights (max for the
 sup norm).  Time-domain samples live on t_k = -L/2 + k L/N.
 
+Every symbol, scalar or matrix, is applied by ``_apply_values``: one
+transform of f, multiplied in place by the symbol's values one block of
+``_RESOLVENT_BLOCK`` nodes at a time, and one inverse transform.
+
 A symbol is sampled once per grid (``Symbol.on``), and the exact (2,2)
 norm, the Fourier-type upper bound and the witness search all read those
 samples.  The witness search scores a whole list of (p, q) pairs on one
@@ -40,7 +44,7 @@ from .operators import DenseMatrixModel
 
 TRANSFORM_CONSTANT_P1 = 1.0
 TRANSFORM_CONSTANT_P2 = math.sqrt(2.0 * math.pi)
-_RESOLVENT_BLOCK = 2048  # nodes per batched inverse, and per block a matrix symbol is applied on
+_RESOLVENT_BLOCK = 2048  # nodes per batched inverse, and per block a symbol is applied on
 _ORBIT_BLOCK = 1024  # times per block of T(t) x in verify_laplace_identity
 
 
@@ -215,34 +219,29 @@ def resolvent_power_symbol(model, power=1):
 
 
 def apply_multiplier(symbol, f, grid):
-    """T_m f = inverse transform of m . (transform of f).  A matrix symbol
-    is evaluated and applied one block of ``_RESOLVENT_BLOCK`` nodes at a
-    time, so its (N, dim, dim) values are never held."""
+    """T_m f = inverse transform of m . (transform of f), the symbol evaluated
+    one block of nodes at a time, so its values on the whole grid are never held."""
     f = np.asarray(f, dtype=complex)
     if f.shape[0] != grid.samples:
         raise ShapeError(f"expected {grid.samples} time samples, got {f.shape[0]}")
-    if symbol.dim == 1:
-        return _apply_values(symbol.eval_all(grid.freqs), f, grid)
-    if f.ndim != 2 or f.shape[1] != symbol.dim:
+    if symbol.dim > 1 and (f.ndim != 2 or f.shape[1] != symbol.dim):
         raise ShapeError(f"symbol of dim {symbol.dim} needs samples of shape (N, {symbol.dim})")
+    return _apply_values(lambda block: symbol.eval_all(grid.freqs[block]), f, grid)
+
+
+def _apply_values(values_at, f, grid):
+    """T_m f with the symbol's values ``values_at(block)`` on each slice of
+    ``_RESOLVENT_BLOCK`` frequency nodes, multiplied into the transform of f
+    in place (values first: a complex product is not bitwise commutative)."""
     F = fourier_forward(f, grid)
-    xis = grid.freqs
     for lo in range(0, grid.samples, _RESOLVENT_BLOCK):
         block = slice(lo, lo + _RESOLVENT_BLOCK)
-        F[block] = np.einsum("nij,nj->ni", symbol.eval_all(xis[block]), F[block])
+        vals = values_at(block)
+        if vals.ndim == 1:
+            np.multiply(vals.reshape((-1,) + (1,) * (F.ndim - 1)), F[block], out=F[block])
+        else:
+            F[block] = np.einsum("nij,nj->ni", vals, F[block])
     return fourier_inverse(F, grid)
-
-
-def _apply_values(vals, f, grid):
-    """T_m f for symbol values ``vals`` already evaluated on the grid."""
-    F = fourier_forward(f, grid)
-    if vals.ndim == 1:
-        shape = (-1,) + (1,) * (F.ndim - 1)
-        G = vals.reshape(shape) * F
-    else:
-        G = np.einsum("nij,nj->ni", vals, F)
-    del F
-    return fourier_inverse(G, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +455,7 @@ def estimate_pq_norm_lower(samples, pairs):
     best = [0.0] * len(pairs)
     for f in _witness_bank(samples):
         denoms = _lebesgue_norms(f, ps, grid)
-        nums = _lebesgue_norms(_apply_values(samples.values, f, grid), qs, grid)
+        nums = _lebesgue_norms(_apply_values(lambda block: samples.values[block], f, grid), qs, grid)
         for i, (p, q) in enumerate(pairs):
             if denoms[p] != 0.0:
                 best[i] = max(best[i], nums[q] / denoms[p])

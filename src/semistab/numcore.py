@@ -324,28 +324,27 @@ def golden_max(f, lo, hi):
     return best
 
 
-def sup_on_grid(f, grid, count, rows=None):
+def sup_on_grid(f, grid, count, rows):
     """Suprema of a stack of ``count`` functions over the nodes ``grid``,
     refined by golden section, and the mask of the edge-dominated ones.
 
     ``f(i, s)`` evaluates function ``i`` at the nodes ``s``: an index with
     the grid, or an index array with a node array of the same shape.  It
-    returns one value per node or, when ``rows`` is given, an array of
-    ``rows`` rows of them, each its own function to maximise; the suprema
-    and the mask then have shape (rows, count), else (count,).  The grid
-    pass takes one function at a time, all its rows at once; then one
-    lockstep ``golden_max`` refines, in log-node space, every row whose
-    grid argmax is interior.  A row is edge-dominated when its grid
-    maximum lies in the outer 10% at the right and clearly exceeds the
-    interior values.
+    returns ``rows`` rows of values, each its own function to maximise
+    (one row may come as a 1-D array), and the suprema and the mask have
+    shape (rows, count).  The grid pass takes one function at a time, all
+    its rows at once; then one lockstep ``golden_max`` refines, in log-node
+    space, every row whose grid argmax is interior.  A row is
+    edge-dominated when its grid maximum lies in the outer 10% at the
+    right and clearly exceeds the interior values.
     """
     grid = np.asarray(grid, dtype=float)
     n = len(grid)
     cut = n - max(1, n // 10)
-    best, edge = np.empty((rows or 1, count)), np.zeros((rows or 1, count), dtype=bool)
+    best, edge = np.empty((rows, count)), np.zeros((rows, count), dtype=bool)
     refined = []  # (row, function, log lo, log hi) of each interior argmax
     for k in range(count):
-        for r, vals in enumerate(np.asarray(f(k, grid), dtype=float).reshape(-1, n)):
+        for r, vals in enumerate(np.asarray(f(k, grid), dtype=float).reshape(rows, n)):
             i = int(np.argmax(vals))
             best[r, k] = vals[i]
             edge[r, k] = n >= 4 and i >= cut and best[r, k] > 1.05 * np.max(vals[:cut])
@@ -357,7 +356,7 @@ def sup_on_grid(f, grid, count, rows=None):
         def at(u):
             # math.exp, not np.exp: the two differ in the last bit for some u
             vals = np.asarray(f(idx, np.array([math.exp(x) for x in u])), dtype=float)
-            return vals.reshape(-1, len(u))[row, np.arange(len(u))]
+            return vals.reshape(rows, len(u))[row, np.arange(len(u))]
 
         best[row, idx] = _larger(best[row, idx], golden_max(at, lo, hi))
-    return (best, edge) if rows else (best[0], edge[0])
+    return best, edge

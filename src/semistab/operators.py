@@ -23,9 +23,9 @@ where the largest block decides it.  The fractional norm also takes
 several (sigma, tau) pairs at once, one row of norms per pair: the block
 sum runs them in one lockstep, the other kinds one after another.  The
 resolvent norm takes a line, a 1-D complex array of points, and returns
-one norm and one edge flag per point, inf on the spectrum of -A.  The
-diagonal kind takes each sweep's or line's suprema over s in one stacked
-``sup_on_grid`` (|g| and |g'| as two rows), the operator matrix each sweep's.
+one norm and one edge flag per point, inf on the spectrum of -A.  Suprema
+over s take one ``sup_on_grid`` call per sweep or line, on the rows |g| and,
+if used, |g'| (diagonal kind) or one row of norms (operator matrix).
 Conventions: the semigroup is T(t) = exp(-t A); resolvent norms are
 reported for (lam + A)^{-1} because stability analysis probes the closed
 right half-plane.  State-space actions, (lam - A)^{-1} x and closed-form
@@ -881,8 +881,8 @@ class OperatorMatrixModel(OperatorModel):
     the row product of z^sigma at s and z^{-sigma-tau} at 1 + s.  Rows are
     built for a whole array of s at once.  Time-indexed norms are suprema
     over s in (0,1) of batched spectral norms, maxima on the nodes
-    ``_sup_nodes`` (the same for every t) refined by golden section; the
-    resolvent norm is exact, the norm at the s nearest -lam.
+    ``_sup_nodes`` (the same for every t) refined by golden section, one
+    ``sup_on_grid`` row per sweep; the resolvent norm is exact, at the s nearest -lam.
     Not sectorial: the resolvent blows up like |lam|^{-n} at the origin.
     """
 
@@ -938,7 +938,7 @@ class OperatorMatrixModel(OperatorModel):
             return _svdvals(_toeplitz_stack(_row_product(decay, self._phi_rows(sigma, tau, ss))))[:, 0]
 
         # s = 1 ends the domain itself, so no supremum there is a truncation edge
-        return sup_on_grid(norms_at, self._sup_nodes, len(ts))[0]
+        return sup_on_grid(norms_at, self._sup_nodes, len(ts), rows=1)[0][0]
 
     def spectral_abscissa_neg(self):
         return 0.0

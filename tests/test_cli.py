@@ -121,9 +121,7 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     assert "grids.t_grid.count" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flag", ["hilbert", "positive_semigroup", "r_resolvent_growth_asserted", "zeta_negative_asserted"]
-)
+@pytest.mark.parametrize("flag", ["hilbert", "r_resolvent_growth_asserted", "zeta_negative_asserted"])
 def test_geometry_flags_must_be_booleans(tmp_path, capsys, flag):
     # "no" is truthy in Python; it must not be read as true
     cfg = _base_config(tmp_path / "o")
@@ -132,6 +130,17 @@ def test_geometry_flags_must_be_booleans(tmp_path, capsys, flag):
     path.write_text(json.dumps(cfg))
     assert cli.main(["decay", "--config", str(path)]) == 2
     assert f"geometry.{flag}" in capsys.readouterr().err
+
+
+def test_unread_positive_semigroup_is_an_unknown_geometry_key(tmp_path, capsys):
+    # no subcommand's predictions read it, so a config may not set it
+    cfg = _base_config(tmp_path / "o")
+    cfg["geometry"] = {"positive_semigroup": True}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("analyze", "decay"):
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert "geometry.positive_semigroup: unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -473,8 +482,9 @@ def test_config_tables_match_constructors():
     # field, so a default can live only in the constructor
     for kind, (model, fields) in cli._OPERATORS.items():
         assert list(fields) == list(inspect.signature(model).parameters), kind
+    # positive_semigroup is read only by the library's exponential_smoothness_index
     geometry = [f.name for f in dataclasses.fields(decaylab.GeometryDescriptor)]
-    assert sorted([*cli._GEOMETRY_FIELDS, "lattice"]) == sorted(geometry)
+    assert sorted([*cli._GEOMETRY_FIELDS, "lattice", "positive_semigroup"]) == sorted(geometry)
 
 
 def test_grid_with_repeated_nodes_exits_2(tmp_path, capsys):
@@ -620,8 +630,7 @@ _GEOMETRY = _obj({}, {
     "hilbert": _field(st.booleans()), "fourier_type": _field(_NUM(1, 2)),
     "type_p": _field(_NUM(1, 2)), "cotype_q": _field(_NUM(2, 10)),
     "lattice": _field(st.tuples(_NUM(1, 2), _NUM(2, 10)).map(list)),
-    "positive_semigroup": _field(st.booleans()), "zeta_negative_asserted": _field(st.booleans()),
-    "r_resolvent_growth_asserted": _field(st.booleans()),
+    "zeta_negative_asserted": _field(st.booleans()), "r_resolvent_growth_asserted": _field(st.booleans()),
 })
 _CONFIG = _obj({"operator": _field(_OPERATOR)}, {
     "grids": _field(_GRIDS),

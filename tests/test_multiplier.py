@@ -176,11 +176,11 @@ def test_singular_symbol_modes(grid):
 
 
 def test_symbol_fn_is_vectorized():
-    # fn is called once on all nodes: a scalar result is a shape error, and
-    # an error of fn propagates instead of a retry node by node
+    # fn is called once on each block of nodes: a scalar result is a shape
+    # error, and an error of fn propagates instead of a retry node by node
     grid = multiplier.FourierGridSpec(200.0, 2**13)
     f = _bump(grid)
-    with pytest.raises(ShapeError, match=r"expected \(8192,\)"):
+    with pytest.raises(ShapeError, match=rf"expected \({multiplier._RESOLVENT_BLOCK},\)"):
         multiplier.apply_multiplier(multiplier.Symbol(lambda x: 0.7), f, grid)
     with pytest.raises(TypeError):
         multiplier.apply_multiplier(multiplier.Symbol(math.cos), f, grid)
@@ -358,6 +358,17 @@ def test_transforms_leave_their_inputs_unchanged(grid):
             assert f.tobytes() == kept.tobytes()
 
 
+def _one_batch_apply(vals, f, grid):
+    """T_m f from the symbol's values ``vals`` at all nodes at once: the
+    whole transform of f multiplied (values first) and transformed back."""
+    F = multiplier.fourier_forward(f, grid)
+    if vals.ndim == 1:
+        G = vals.reshape((-1,) + (1,) * (F.ndim - 1)) * F
+    else:
+        G = np.einsum("nij,nj->ni", vals, F)
+    return multiplier.fourier_inverse(G, grid)
+
+
 def test_matrix_symbol_blocks_keep_the_one_batch_bits():
     # four blocks of nodes; the reference evaluates and applies all nodes at once
     grid = multiplier.FourierGridSpec(64.0, 4 * multiplier._RESOLVENT_BLOCK)
@@ -366,22 +377,45 @@ def test_matrix_symbol_blocks_keep_the_one_batch_bits():
     f = _bump(grid, center=1.0, width=3.0, freq=0.5)[:, None] * (rng.standard_normal(3) + 1j)
     for power in (1, 2):
         sym = multiplier.resolvent_power_symbol(model, power)
-        want = multiplier._apply_values(sym.eval_all(grid.freqs), f, grid)
+        want = _one_batch_apply(sym.eval_all(grid.freqs), f, grid)
         assert multiplier.apply_multiplier(sym, f, grid).tobytes() == want.tobytes()
+    # scalar symbols, on one sample per node and broadcast over three
+    for sym in (multiplier.Symbol(lambda x: 1.0 / (1j * x + 0.7)),
+                multiplier.Symbol(lambda x: (1.0 + np.abs(x)) ** -2.0)):
+        for g in (f[:, 0], f):
+            want = _one_batch_apply(sym.eval_all(grid.freqs), g, grid)
+            assert multiplier.apply_multiplier(sym, g, grid).tobytes() == want.tobytes()
     # singular at two nodes of later blocks: the first in FFT order is named
     nodes = grid.freqs[[3 * multiplier._RESOLVENT_BLOCK + 7, multiplier._RESOLVENT_BLOCK + 5]]
 
-    def fn(xis):
-        poles = np.prod(xis[:, None] - nodes[None, :], axis=1)
-        return (np.eye(2)[None] / poles[:, None, None]).astype(complex)
+    def poles(xis):
+        return np.prod(xis[:, None] - nodes[None, :], axis=1)
 
-    sym = multiplier.Symbol(fn, dim=2, name="poles")
-    with pytest.raises(SingularSymbolError) as whole:
-        sym.eval_all(grid.freqs)
-    with pytest.raises(SingularSymbolError) as blocked:
-        multiplier.apply_multiplier(sym, np.ones((grid.samples, 2)), grid)
-    assert blocked.value.node == whole.value.node == grid.freqs[multiplier._RESOLVENT_BLOCK + 5]
-    assert str(blocked.value) == str(whole.value)
+    for sym, g in ((multiplier.Symbol(lambda x: 1.0 / poles(x), name="poles"), np.ones(grid.samples)),
+                   (multiplier.Symbol(lambda x: (np.eye(2)[None] / poles(x)[:, None, None]).astype(complex),
+                                      dim=2, name="poles"), np.ones((grid.samples, 2)))):
+        with pytest.raises(SingularSymbolError) as whole:
+            sym.eval_all(grid.freqs)
+        with pytest.raises(SingularSymbolError) as blocked:
+            multiplier.apply_multiplier(sym, g, grid)
+        assert blocked.value.node == whole.value.node == grid.freqs[multiplier._RESOLVENT_BLOCK + 5]
+        assert str(blocked.value) == str(whole.value)
+
+
+def test_witness_search_keeps_the_one_batch_bits():
+    # the four mult.norms symbols on their grid of four blocks, against a
+    # search that applies each symbol's samples at all nodes at once
+    grid = multiplier.FourierGridSpec(200.0, 2**13)
+    for _, sym in battery._mult_battery(battery._rng(0, 8)):
+        samples = sym.on(grid)
+        want = [0.0] * len(battery.PQ_PAIRS)
+        for f in multiplier._witness_bank(samples):
+            image = _one_batch_apply(samples.values, f, grid)
+            for i, (p, q) in enumerate(battery.PQ_PAIRS):
+                denom = multiplier.lebesgue_norm(f, p, grid)
+                if denom != 0.0:
+                    want[i] = max(want[i], multiplier.lebesgue_norm(image, q, grid) / denom)
+        assert multiplier.estimate_pq_norm_lower(samples, battery.PQ_PAIRS) == want
 
 
 def test_convolution_and_identity_shape_errors():

@@ -315,16 +315,16 @@ def test_sup_on_grid_refines_peak():
     def f(i, s):
         return 1.0 / (1.0 + (np.log(np.asarray(s)) - 0.337) ** 2)
 
-    best, _ = numcore.sup_on_grid(f, nodes, 1)
-    assert best.shape == (1,)
-    assert best[0] == pytest.approx(1.0, abs=1e-9)
+    best, _ = numcore.sup_on_grid(f, nodes, 1, 1)
+    assert best.shape == (1, 1)
+    assert best[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sup_on_grid_edge_mask():
     nodes = np.geomspace(1.0, 100.0, 32)
-    assert numcore.sup_on_grid(lambda i, s: np.asarray(s, dtype=float), nodes, 1)[1].tolist() == [True]
+    assert numcore.sup_on_grid(lambda i, s: np.asarray(s, dtype=float), nodes, 1, 1)[1].tolist() == [[True]]
     # flat functions and interior peaks are not edge-dominated
-    assert numcore.sup_on_grid(lambda i, s: np.ones_like(np.asarray(s)), nodes, 1)[1].tolist() == [False]
+    assert numcore.sup_on_grid(lambda i, s: np.ones_like(np.asarray(s)), nodes, 1, 1)[1].tolist() == [[False]]
 
 
 def _scalar_golden_max(f, lo, hi):
@@ -396,25 +396,25 @@ def _stacked(calls, centres=(0.3, 1.7, 9.0)):
 def test_stacked_sup_on_grid_matches_single_calls():
     calls = []
     f, grid = _stacked(calls)
-    got, _ = numcore.sup_on_grid(f, grid, 3)
+    got, _ = numcore.sup_on_grid(f, grid, 3, 1)
     # one grid evaluation per function, then one per golden step for all
     assert len(calls) == 3 + 62
     assert calls[3:] == [(2,)] * 62  # the third function is not refined
     for k in range(3):
-        single, _ = numcore.sup_on_grid(lambda i, s: f(np.asarray(i) + k, s), grid, 1)
-        assert single[0] == got[k]
-    assert got[:2] == pytest.approx([1.0, 2.5], rel=1e-12)
+        single, _ = numcore.sup_on_grid(lambda i, s: f(np.asarray(i) + k, s), grid, 1, 1)
+        assert single[0, 0] == got[0, k]
+    assert got[0, :2] == pytest.approx([1.0, 2.5], rel=1e-12)
 
     # no interior argmax: the grid pass alone
     calls.clear()
-    numcore.sup_on_grid(lambda i, s: f(2, s), grid, 2)
+    numcore.sup_on_grid(lambda i, s: f(2, s), grid, 2, 1)
     assert len(calls) == 2
 
 
 def test_stacked_sup_on_grid_flags_each_edge_dominated_function():
     # the second bump now peaks beyond the grid too
     f, grid = _stacked([], centres=(0.3, 5.0, 9.0))
-    assert numcore.sup_on_grid(f, grid, 3)[1].tolist() == [False, True, True]
+    assert numcore.sup_on_grid(f, grid, 3, 1)[1].tolist() == [[False, True, True]]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -446,6 +446,6 @@ def test_sup_on_grid_rows_equal_their_one_row_calls(bumps):
     # one grid evaluation per function, then at most one lockstep of 62 steps
     assert len(calls) in (count, count + 62)
     for r in range(2):
-        single, single_edge = numcore.sup_on_grid(lambda i, s, r=r: f(i, s)[r], grid, count)
-        assert best[r].tobytes() == single.tobytes()
-        assert edge[r].tolist() == single_edge.tolist()
+        single, single_edge = numcore.sup_on_grid(lambda i, s, r=r: f(i, s)[r], grid, count, 1)
+        assert best[r].tobytes() == single[0].tobytes()
+        assert edge[r].tolist() == single_edge[0].tolist()

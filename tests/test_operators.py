@@ -1021,7 +1021,7 @@ def _dense_sup(model, mat, seeds=()):
     nodes = model._sup_nodes
     if len(seeds):
         nodes = np.unique(np.concatenate([nodes, np.asarray(seeds, dtype=float)]))
-    return numcore.sup_on_grid(f, nodes, 1)[0][0]
+    return numcore.sup_on_grid(f, nodes, 1, 1)[0][0, 0]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1178,11 +1178,11 @@ def _two_searches(model, g, gp, count):
     rule of two searches: sup |g| over the stack in one ``sup_on_grid``
     call, then, on the Sobolev space, sup |g'| in another, taken where
     strictly larger; the masks are g's row, then g''s."""
-    val, edge = numcore.sup_on_grid(lambda i, s: np.abs(g(i, s)), model.grid, count)
+    val, edge = numcore.sup_on_grid(lambda i, s: np.abs(g(i, s)), model.grid, count, 1)
     if not model.sobolev:
-        return val, edge[None]
-    dval, dedge = numcore.sup_on_grid(lambda i, s: np.abs(gp(i, s)), model.grid, count)
-    return np.where(dval > val, dval, val), np.stack([edge, dedge])
+        return val[0], edge
+    dval, dedge = numcore.sup_on_grid(lambda i, s: np.abs(gp(i, s)), model.grid, count, 1)
+    return np.where(dval > val, dval, val)[0], np.concatenate([edge, dedge])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -1238,7 +1238,7 @@ def test_diagonal_norm_is_one_search(monkeypatch, sobolev):
     # |g| and |g'| are two rows of one sup_on_grid call, per pair and per line
     calls = []
 
-    def counted(f, grid, count, rows=None):
+    def counted(f, grid, count, rows):
         calls.append(rows)
         return numcore.sup_on_grid(f, grid, count, rows)
 

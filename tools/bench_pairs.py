@@ -209,7 +209,11 @@ print(json.dumps(out))
 TRACED_PREFIXES = (
     "battery.",
     "multiplier.",
+    "numcore.",
     "operators.jordan.",
+    "operators.diagonal.",
+    "operators.opmatrix.",
+    "operators.dense.",
     "operators.toeplitz_svd.",
     "operators.fftconvolve.",
 )
