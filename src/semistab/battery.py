@@ -330,9 +330,7 @@ def _block_witness(model, n, tau):
     ||T(t) x|| / ||(1+A)^tau x||, the quantity the optimality argument controls."""
     m = model.block_size(n)
     t = float(m - 1)
-    num = math.exp(-model.gamma * t) * float(
-        np.linalg.norm(operators._exp_series_rows(np.array([t]), m)[0][0])
-    )
+    num = float(np.linalg.norm(operators._exp_series_rows(np.array([t]), m, model.gamma)[0][0]))
     coeffs = operators._shifted_power_rows(
         np.array([1.0 + model.gamma - 1j * n]), float(tau), m
     )[0]

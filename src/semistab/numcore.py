@@ -6,9 +6,10 @@ Everything here is a pure function of its arguments but three:
 ``loaded_openblas`` caches the libraries the process had loaded at its
 first call, and ``log_factorials`` grows a module-level table (replaced
 whole, never written in place).  Values are safe to share between
-threads.  The module imports no scipy: the FFT lengths, the log
-factorials and the log-sum-exp take scipy's steps on numpy and ``math``,
-so their values equal scipy's bit for bit.
+threads.  The module imports no scipy: the FFT lengths are scipy's
+``next_fast_len``, and the convolution, the log factorials and the
+log-sum-exp are plain numpy and ``math``, equal to scipy's up to rounding
+(the tests state the bounds).
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# cephes lgam: 0.5 log(2 pi) and the Stirling-series coefficients below x = 1000
-_LS2PI = 0.91893853320467274178
-_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 _log_factorial_table = np.zeros(1)  # log k! for k < len; replaced, never written, as it grows
 # thread-count entry points of numpy's and scipy's OpenBLAS wheels, then of a system build
 _OPENBLAS_THREAD_CALLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -133,59 +130,27 @@ def next_fast_len(target):
     return table[bisect.bisect_left(table, target)]
 
 
-def _fft(x, n, axis):
-    """Complex FFT of length ``n`` along ``axis``; a real ``x`` goes through
-    ``rfft`` and its Hermitian half is filled in, as scipy's ``fftn`` does
-    (``np.fft.fft`` of a real array differs from it in the last bit)."""
-    if np.iscomplexobj(x):
-        return np.fft.fft(x, n, axis)
-    half = np.moveaxis(np.fft.rfft(x, n, axis), axis, -1)
-    rest = np.conj(half[..., 1 : n - n // 2][..., ::-1])
-    return np.moveaxis(np.concatenate([half, rest], axis=-1), -1, axis)
-
-
 def fftconvolve(a, b, axes):
     """Full linear convolution of ``a`` and ``b``, at least one of them
     complex, along the one axis ``axes`` (>= 0), broadcasting the others.
 
-    The steps of ``scipy.signal.fftconvolve`` for one axis, on ``numpy.fft``,
-    so the values are the same bit for bit.
+    Both operands are transformed with ``np.fft.fft`` at the padded length
+    ``next_fast_len``, as ``scipy.signal.fftconvolve`` pads them.
     """
     a, b = np.asarray(a), np.asarray(b)
     n = a.shape[axes] + b.shape[axes] - 1
     size = next_fast_len(n)
-    out = np.fft.ifft(_fft(a, size, axes) * _fft(b, size, axes), size, axes)
+    out = np.fft.ifft(np.fft.fft(a, size, axes) * np.fft.fft(b, size, axes), size, axes)
     return out[(slice(None),) * axes + (slice(n),)]
-
-
-def log_factorial(k):
-    """log k! for an array of integers 0 <= k < 2^53, bit for bit
-    ``scipy.special.gammaln(k + 1)``: the steps of cephes ``lgam`` at
-    x = k + 1, with the C library's log (``math.log``; ``np.log`` differs
-    from it in the last bit from k = 9170 on).  cephes drops the 1/x term
-    above x = 1e8; it is below half an ulp of the sum there, so it is kept."""
-    x = (np.asarray(k, dtype=np.int64) + 1).astype(float)
-    logs = np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    stirling = (x - 0.5) * logs - x + _LS2PI
-    p = 1.0 / (x * x)
-    series = np.full_like(x, _LGAM_A[0])
-    for c in _LGAM_A[1:]:
-        series = series * p + c
-    short = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
-    out = np.where(x >= 1000.0, stirling + short / x, stirling + series / x)
-    # below 13, cephes takes the log of the product (x - 1)!, exact in floats
-    small = x < 13.0
-    out[small] = [math.log(math.factorial(int(v) - 1)) for v in x[small]]
-    return out
 
 
 def log_factorials(count):
     """log k! for k < ``count``: a read-only view of a table of
-    ``log_factorial`` values that grows on demand."""
+    ``math.lgamma(k + 1)`` values that grows on demand."""
     global _log_factorial_table
     table = _log_factorial_table
     if count > len(table):
-        grown = log_factorial(np.arange(len(table), max(count, 2 * len(table))))
+        grown = [math.lgamma(k + 1.0) for k in range(len(table), max(count, 2 * len(table)))]
         table = np.concatenate([table, grown])
         table.setflags(write=False)
         _log_factorial_table = table
@@ -277,22 +242,19 @@ def stable_exp_sum_log(m):
         raise DomainError(f"m must be >= 1, got {m}")
     j = np.arange(m + 1)
     log_terms = 2.0 * (j * math.log(m) - log_factorials(m + 1))
-    # scipy.special.logsumexp in 1-D: the maxima are counted apart from the rest
-    top = log_terms.max(keepdims=True)
-    at_top = log_terms == top
-    count = at_top.sum(keepdims=True, dtype=float)
-    rest = np.exp(np.where(at_top, -np.inf, log_terms) - top).sum(keepdims=True)
-    rest = np.where(rest == 0, rest, rest / count)
-    return 0.5 * float((np.log1p(rest) + np.log(count) + top)[0])
+    top = float(log_terms.max())
+    return 0.5 * (top + math.log(np.exp(log_terms - top).sum()))
 
 
 def stable_exp_sum(m):
-    """(sum_{j<=m} (m^j/j!)^2)^(1/2); overflows float64 for m >= 710.
+    """(sum_{j<=m} (m^j/j!)^2)^(1/2); overflows float64 to inf for m >= 713.
 
     Use stable_exp_sum_log for bound checks at large m.
     """
-    log_value = stable_exp_sum_log(m)
-    return math.exp(log_value) if log_value < 709.0 else math.inf
+    try:
+        return math.exp(stable_exp_sum_log(m))
+    except OverflowError:
+        return math.inf
 
 
 def _larger(x, y):
@@ -354,8 +316,7 @@ def sup_on_grid(f, grid, count, rows):
         row, idx, lo, hi = (np.array(col) for col in zip(*refined))
 
         def at(u):
-            # math.exp, not np.exp: the two differ in the last bit for some u
-            vals = np.asarray(f(idx, np.array([math.exp(x) for x in u])), dtype=float)
+            vals = np.asarray(f(idx, np.exp(u)), dtype=float)
             return vals.reshape(rows, len(u))[row, np.arange(len(u))]
 
         best[row, idx] = _larger(best[row, idx], golden_max(at, lo, hi))

@@ -185,17 +185,18 @@ def _each_pair(norms_of):
 # helpers shared by the block-structured models
 
 
-def _exp_series_rows(ts, m):
-    """Coefficient rows t^k/k! for k < m, the polynomials exp(t B_m), one
-    per time of the 1-D array ``ts``, and the index of the first time whose
-    row overflows, or None; the rows from that time on are 0."""
+def _exp_series_rows(ts, m, rate):
+    """Coefficient rows e^{-rate t} t^k/k! for k < m, the polynomials
+    e^{-rate t} exp(t B_m), one per time of the 1-D array ``ts``, and the
+    index of the first time whose row overflows, or None; the rows from
+    that time on are 0.  The factor is taken in the log domain, so a row
+    overflows only where its entries do."""
     rows = np.zeros((len(ts), m))
     rows[:, 0] = 1.0  # t = 0 keeps this row
     on = np.flatnonzero(ts)
-    # math.log, time by time: np.log may differ in the last bit
-    logs = np.array([math.log(t) for t in ts[on]])
+    t = ts[on][:, None]
     with np.errstate(over="ignore"):
-        rows[on] = np.exp(np.arange(m) * logs[:, None] - log_factorials(m))
+        rows[on] = np.exp(np.arange(m) * np.log(t) - log_factorials(m) - rate * t)
     finite = np.isfinite(rows).all(axis=1)
     if finite.all():
         return rows, None
@@ -511,11 +512,12 @@ class DiagonalSymbolModel(OperatorModel):
 
 
 def _exp_convolve(rows, coeffs):
-    """Rows of exp(t B_m) T(row), the shape of ``rows`` (problems, rows, m):
-    problem i's rows convolved with its own row ``coeffs[i]`` (t^k/k!, at
-    least m of them), truncated to m terms, in one FFT call.  Overflowed
-    entries stay inf or NaN; callers check the problems they read.  A copy,
-    since callers hold the rows and a view would hold the FFT output."""
+    """Rows of e^{-rate t} exp(t B_m) T(row), the shape of ``rows``
+    (problems, rows, m): problem i's rows convolved with its own row
+    ``coeffs[i]`` (of ``_exp_series_rows``, at least m terms), truncated to
+    m terms, in one FFT call.  Overflowed entries stay inf or NaN; callers
+    check the problems they read.  A copy, since callers hold the rows and
+    a view would hold the FFT output."""
     m = rows.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         return fftconvolve(rows, coeffs[:, None, :m], axes=2)[..., :m].copy()
@@ -582,11 +584,12 @@ class JordanSumModel(OperatorModel):
       (1+A_n)^{-sigma-tau} is at most the larger of its values at the
       group's first and last block.  No proof is known; the property test
       ``test_jordan_end_blocks_bound_their_group`` checks it block by block.
-    * Semigroup factor: the row of T(t) Phi_n is the truncated convolution
-      e(t) * phi_n with e_k = t^k/k! >= 0, so ||T(t) Phi_n|| <=
-      ||e(t) * phi_n||_1 <= s_m(t) ||phi_n||_1 with s_m(t) = sum_{k<m}
-      t^k/k!; ``_sup_over_blocks`` runs a branch and bound on these
-      bounds.  At t = 0, T(0) Phi = Phi, so the Phi rows are exact.
+    * Semigroup factor: up to a unimodular phase, the row of T(t) Phi_n is
+      the truncated convolution e(t) * phi_n with e_k = e^{-gamma t}
+      t^k/k! >= 0, so ||T(t) Phi_n|| <= ||e(t) * phi_n||_1 <= s_m(t)
+      ||phi_n||_1 with s_m(t) = sum_{k<m} e_k; ``_sup_over_blocks`` runs
+      a branch and bound on these bounds.  At t = 0, T(0) Phi = Phi, so
+      the Phi rows are exact.
 
     The rows of A^sigma (1+A)^{-sigma-tau} and their l1 norms do not
     depend on t, so ``fractional_norm`` builds them once per call and pair.
@@ -693,7 +696,7 @@ class JordanSumModel(OperatorModel):
         ts = self._check_times(ts)
         m = self._groups[-1][0]
         # exp(t B_m) norms are nondecreasing in m, so the largest block decides
-        rows, bad = _exp_series_rows(ts, m)
+        rows, bad = _exp_series_rows(ts, m, self.gamma)
         if bad is not None:
             raise _overflow_at(ts[bad])
         norms = np.empty(len(ts))
@@ -702,7 +705,7 @@ class JordanSumModel(OperatorModel):
         step = max(1, _LINE_ENTRIES // (32 * m * m))
         for i in range(0, len(ts), step):
             norms[i : i + step] = _toeplitz_norm(rows[i : i + step])
-        return np.array([math.exp(-self.gamma * t) * norm for t, norm in zip(ts, norms)])
+        return norms
 
     def _sup_over_blocks(self, blocks, pair_of, ts):
         """Exact sups of the block norms of ``blocks`` (a ``_BlockRows``) for a
@@ -723,7 +726,7 @@ class JordanSumModel(OperatorModel):
         counts = np.diff(starts)
         # a sweep raises at its first failed time, so the problems from the
         # first whose series overflows fail, and their zero series close them
-        coeffs, bad = _exp_series_rows(ts, int(sizes[-1]))
+        coeffs, bad = _exp_series_rows(ts, int(sizes[-1]), self.gamma)
         failed = np.zeros(len(ts), dtype=bool)
         if bad is not None:
             failed[bad:] = True
@@ -856,7 +859,7 @@ class JordanSumModel(OperatorModel):
             for k, time in enumerate(ts):
                 if failed[k, j]:
                     raise _overflow_at(time)
-                norms[i, k] = math.exp(-self.gamma * time) * sups[k, j]
+                norms[i, k] = sups[k, j]
                 if edges[k, j]:
                     warnings.warn(f"supremum of T({time})Phi^{s}_{t} attained at the truncation block "
                                   f"n={self.n_max}; value is a lower estimate",
@@ -928,7 +931,7 @@ class OperatorMatrixModel(OperatorModel):
                 "operator-matrix models support integer smoothing powers only "
                 "(fractional powers are unbounded at the spectral origin)"
             )
-        coeffs, bad = _exp_series_rows(ts, self.n)
+        coeffs, bad = _exp_series_rows(ts, self.n, 0.0)
         if bad is not None:
             raise _overflow_at(ts[bad])
 

@@ -224,9 +224,10 @@ def test_block_size_beyond_the_cap_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("operator,grids", [
-    # at t = 800, 800^k/k! overflows in the largest block (m = 680)
-    ({"kind": "jordan-sum", "gamma": 0.5, "delta": 0.97, "n_max": 10**9},
-     {"t_grid": {"start": 1.0, "stop": 800.0, "count": 8},
+    # e^{-t/1000} t^k/k! overflows in the largest block (m = 127) from
+    # t ~ 14986.75, so at the grid node t = 19306.98
+    ({"kind": "jordan-sum", "gamma": 0.001, "delta": 0.85, "n_max": 10**9},
+     {"t_grid": {"start": 1.0, "stop": 1e5, "count": 8},
       "xi_grid": {"start": 0.01, "stop": 1e3, "count": 24}}),
     # t^2/2 overflows beyond t ~ 1.9e154
     ({"kind": "operator-matrix", "n": 3}, {"t_grid": {"start": 10.0, "stop": 1e200, "count": 32}}),

@@ -277,9 +277,9 @@ def test_dense_lower_resolvent_bound():
         assert _resolvent_norm(model, lam) >= 1.0 / d - 1e-8
 
 
-def _series(t, m):
-    """The row t^k/k!, k < m, of one time t."""
-    return operators._exp_series_rows(np.array([t]), m)[0][0]
+def _series(t, m, rate):
+    """The row e^{-rate t} t^k/k!, k < m, of one time t."""
+    return operators._exp_series_rows(np.array([t]), m, rate)[0][0]
 
 
 def test_jordan_exponential_polynomial_matches_dense_expm():
@@ -287,11 +287,11 @@ def test_jordan_exponential_polynomial_matches_dense_expm():
     n = 130
     m = model.block_size(n)
     t = 2.7
-    coeffs = _series(t, m)
+    coeffs = _series(t, m, model.gamma)
     explicit = toeplitz(
         np.concatenate([[coeffs[0]], np.zeros(m - 1)]), coeffs.astype(complex)
     )
-    b = np.eye(m, k=1)
+    b = np.eye(m, k=1) - model.gamma * np.eye(m)
     assert np.linalg.norm(explicit - expm(t * b), 2) / np.linalg.norm(explicit, 2) < 1e-10
 
 
@@ -357,7 +357,7 @@ def _jordan_fractional_brute_force(model, t, sigma, tau):
                     np.array([model.gamma - 1j * n]), float(sigma), m
                 )[0]
                 coeffs = np.convolve(coeffs, num)[:m]
-            coeffs = np.convolve(coeffs, _series(t, m))[:m]
+            coeffs = np.convolve(coeffs, _series(t, m, 0.0))[:m]
             best = max(best, operators._toeplitz_norm(coeffs))
     return best * math.exp(-model.gamma * t)
 
@@ -469,14 +469,15 @@ def test_jordan_end_blocks_bound_their_group(gamma, delta, n_max, t, sigma, tau)
     for m, a, b in model.groups:
         rows = model._phi_block_rows(sigma, tau, np.arange(a, b + 1).astype(float), m)
         if t:
-            rows = _convolved(rows, t)
+            rows = _convolved(rows, t, model.gamma)
         norms = [operators._toeplitz_norm(row) for row in rows]
         assert max(norms) <= max(norms[0], norms[-1]) * (1.0 + 1e-12), (m, a, b)
 
 
-def _convolved(rows, t):
-    """The rows of exp(t B_m) T(row) for the rows (of length m) at one time t."""
-    return operators._exp_convolve(rows[None], _series(t, rows.shape[-1])[None])[0]
+def _convolved(rows, t, rate):
+    """The rows of e^{-rate t} exp(t B_m) T(row) for the rows (of length m)
+    at one time t."""
+    return operators._exp_convolve(rows[None], _series(t, rows.shape[-1], rate)[None])[0]
 
 
 def _block_rows(groups):
@@ -507,7 +508,7 @@ def test_jordan_branch_and_bound_on_random_rows(seed, spread, t):
         noise = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
         groups.append((np.arange(20 * g, 20 * g + 20), base + spread * noise))
     ts = np.array([0.0, t, 2.0 * t, t])
-    blocks = [[_convolved(rows, s) if s else rows for _, rows in groups] for s in ts]
+    blocks = [[_convolved(rows, s, model.gamma) if s else rows for _, rows in groups] for s in ts]
     want = [max(operators._toeplitz_norm(row) for rows in at_s for row in rows) for at_s in blocks]
     assert model._sup_over_blocks(_block_rows(groups), np.zeros(len(ts), dtype=int), ts)[0].tolist() == want
 
@@ -563,7 +564,7 @@ def test_jordan_factored_bounds_on_random_rows(seed, m, t):
     decay = np.exp(-rng.uniform(0.0, 3.0) * np.arange(m))
     phi = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * decay
     gain = math.fsum(t**k / math.factorial(k) for k in range(m))
-    row = _convolved(phi[None], t)[0]
+    row = _convolved(phi[None], t, 0.0)[0]
     assert operators._toeplitz_norm(row) <= operators._BOUND_MARGIN * gain * np.abs(phi).sum()
 
 
@@ -671,14 +672,13 @@ def test_jordan_semigroup_sweep_equals_its_one_time_calls():
 
 
 def test_jordan_sweep_overflow_names_its_first_time(monkeypatch):
-    # each t^k/k! up to m = 680 is finite below t = 800, but from t = 712 the
-    # convolved rows overflow.  The sweep 700, 700.5, ..., 715.5 raises at
-    # t = 712 after about 8 s per earlier time, so only its tail runs, in
-    # one chunk: t = 711.5 is still open when t = 712 fails
+    # each e^{-t/1000} t^k/k! up to m = 127 is finite below t = 14986.75,
+    # but at t = 14986 their sum, and so the convolved rows, overflow.  The
+    # sweep runs in one chunk: t = 14900 is still open when t = 14986 fails
     monkeypatch.setattr(operators, "_LINE_ENTRIES", 2**40)
-    model = operators.JordanSumModel(0.5, 0.97, 10**9)
-    with pytest.raises(DomainError, match="overflow float64 at t=712"):
-        model.fractional_norm(np.arange(711.5, 716.0, 0.5), 0.0, 1.0)
+    model = operators.JordanSumModel(0.001, 0.85, 10**9)
+    with pytest.raises(DomainError, match="overflow float64 at t=14986"):
+        model.fractional_norm(np.array([14900.0, 14986.0, 14987.0, 14988.0]), 0.0, 1.0)
 
 
 def _pair_calls(model, ts, pairs):
@@ -748,31 +748,31 @@ def test_jordan_pairs_in_chunks_keep_the_memory_budget(problems, monkeypatch):
 
 
 def test_jordan_two_pair_overflow_raises_the_first_pairs_error():
-    # t^12/12! overflows beyond t ~ 2.4e26, so both pairs fail at t = 1e27;
+    # e^{-t/10^6} t^57/57! overflows at t = 1e7, so both pairs fail there;
     # the call warns for the first pair's earlier times only, as its one-pair
     # call does, and raises that pair's error
-    model = operators.JordanSumModel(0.5, 0.5, 10**4)
-    ts = np.array([1.0, 5.0, 1e27, 2.0])
+    model = operators.JordanSumModel(1e-6, 0.7, 10**9)
+    ts = np.array([1.0, 2.0, 1e7, 5.0])
     _, first_warnings, first_error = _pair_calls(model, ts, [(2.0, 0.0)])[0]
     one_by_one, together = _pair_calls(model, ts, [(2.0, 0.0), (1.0, 0.5)])
     assert together == one_by_one
     assert together[1] == first_warnings and len(first_warnings) == 2
-    assert together[2] == first_error == "matrix entries overflow float64 at t=1e+27; the norm is out of range"
+    assert together[2] == first_error == "matrix entries overflow float64 at t=1e+07; the norm is out of range"
 
 
 @pytest.mark.parametrize("problems", [2, 3])
 def test_jordan_pair_whose_rows_overflow_raises_after_the_pairs_before_it(problems, monkeypatch):
-    # at t = 2.2e26 the convolved rows overflow for (2, 0) but not for (0, 3):
-    # the call answers and warns for the pairs before (2, 0), then raises its
-    # error, whether a chunk holds one time (3 problems) or a time's pairs
-    # straddle two chunks (2 problems)
-    model = operators.JordanSumModel(0.5, 0.5, 10**4)
+    # at t = 6e6 the rows e^{-t/10^6} t^k/k! are finite, and the convolved
+    # rows overflow for (2, 0) but not for (0, 3): the call answers and warns
+    # for the pairs before (2, 0), then raises its error, whether a chunk
+    # holds one time (3 problems) or a time's pairs straddle two chunks (2 problems)
+    model = operators.JordanSumModel(1e-6, 0.7, 10**9)
     per_problem = sum(m * len({a, b}) for m, a, b in model.groups)
     monkeypatch.setattr(operators, "_LINE_ENTRIES", 32 * per_problem * problems)
-    ts = np.array([1.0, 2.2e26, 2.0, 3.0])
+    ts = np.array([1.0, 6e6, 2.0, 3.0])
     one_by_one, together = _pair_calls(model, ts, [(0.0, 3.0), (0.0, 2.5), (2.0, 0.0)])
     assert together == one_by_one
-    assert together[2] == "matrix entries overflow float64 at t=2.2e+26; the norm is out of range"
+    assert together[2] == "matrix entries overflow float64 at t=6e+06; the norm is out of range"
 
 
 def test_pairs_in_one_call_equal_their_one_pair_calls_on_every_kind():
@@ -791,18 +791,22 @@ def test_pairs_in_one_call_equal_their_one_pair_calls_on_every_kind():
 
 def test_exp_series_rows_equal_their_one_time_rows():
     # one exp call for all times changes no bit of the one-time rows
-    # exp(k log t - log k!) (the unit row at t = 0); a row that overflows,
-    # and every row after it, is 0, and its index is returned
+    # exp(k log t - log k! - rate t) (the unit row at t = 0); a row that
+    # overflows, and every row after it, is 0, and its index is returned
     rng = np.random.default_rng(8)
     for m in (2, 13, 87, 680):
-        ts = np.concatenate([[0.0], np.exp(rng.uniform(-20.0, 6.5, 30)), [0.0]])
-        rows, bad = operators._exp_series_rows(ts, m)
-        assert bad is None
-        want = [np.exp(np.arange(m) * math.log(t) - numcore.log_factorials(m)) if t else np.eye(m)[0] for t in ts]
-        assert rows.tobytes() == np.array(want).tobytes()
-    rows, bad = operators._exp_series_rows(np.array([1.0, 800.0, 2.0]), 680)
+        for rate in (0.0, 0.5):
+            ts = np.concatenate([[0.0], np.exp(rng.uniform(-20.0, 6.5, 30)), [0.0]])
+            rows, bad = operators._exp_series_rows(ts, m, rate)
+            assert bad is None
+            want = [np.exp(np.arange(m) * np.log(t) - numcore.log_factorials(m) - rate * t) if t else np.eye(m)[0]
+                    for t in ts]
+            assert rows.tobytes() == np.array(want).tobytes()
+    rows, bad = operators._exp_series_rows(np.array([1.0, 800.0, 2.0]), 680, 0.0)
     assert bad == 1 and not rows[1:].any()
-    assert rows[0].tobytes() == _series(1.0, 680).tobytes()
+    assert rows[0].tobytes() == _series(1.0, 680, 0.0).tobytes()
+    # e^{-t/2} taken in the log domain keeps the row at t = 800 finite
+    assert operators._exp_series_rows(np.array([1.0, 800.0, 2.0]), 680, 0.5)[1] is None
 
 
 def test_jordan_band_sweep_memory_peak():
@@ -1039,7 +1043,7 @@ def test_opmatrix_norms_match_dense_symbols(n, t, sigma, tau, lam):
     assume(model.spectrum_distance(-lam) > 1e-2)
     dense = _dense_symbols(model, t, sigma, tau)
     ss = model._sup_nodes
-    semigroup = np.exp(-t * ss)[:, None] * _series(t, model.n)
+    semigroup = np.exp(-t * ss)[:, None] * _series(t, model.n, 0.0)
     rows = {
         "semigroup": semigroup,
         "fractional": operators._row_product(semigroup, model._phi_rows(sigma, tau, ss)),
@@ -1298,17 +1302,33 @@ def test_overflowing_norms_raise_domain_error():
     # t^2/2 overflows beyond t ~ 1.9e154
     with pytest.raises(DomainError, match="overflow"):
         operators.OperatorMatrixModel(3).fractional_norm([1e155], 1.0, 0.0)
-    # 800^k/k! overflows at the largest block, m = 680, in both block-sum norms,
-    # whose branch and bound would otherwise read the NaN rows as 0
-    jordan = operators.JordanSumModel(0.5, 0.97, 10**9)
-    with pytest.raises(DomainError, match="overflow float64 at t=800"):
-        jordan.semigroup_norm([800.0])
-    with pytest.raises(DomainError, match="overflow float64 at t=800"):
-        jordan.fractional_norm([100.0, 800.0], 0.0, 1.0)
-    # at t = 712 each t^k/k! is finite, but their sum and the FFT of the
+    # e^{-t/1000} t^k/k! overflows at the largest block, m = 127, from
+    # t ~ 14986.75 to beyond 1e5, in both block-sum norms, whose branch and
+    # bound would otherwise read the NaN rows as 0
+    jordan = operators.JordanSumModel(0.001, 0.85, 10**9)
+    with pytest.raises(DomainError, match="overflow float64 at t=100000"):
+        jordan.semigroup_norm([1e5])
+    with pytest.raises(DomainError, match="overflow float64 at t=100000"):
+        jordan.fractional_norm([100.0, 1e5], 0.0, 1.0)
+    # at t = 14986 each entry is finite, but their sum and the FFT of the
     # convolved rows overflow
-    with pytest.raises(DomainError, match="overflow float64 at t=712"):
-        jordan.fractional_norm([712.0], 0.0, 1.0)
+    with pytest.raises(DomainError, match="overflow float64 at t=14986"):
+        jordan.fractional_norm([14986.0], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("gamma,delta,t", [(0.5, 0.97, 800.0), (0.05, 0.85, 14000.0)])
+def test_block_sum_norm_is_finite_where_only_t_k_over_k_factorial_overflows(gamma, delta, t):
+    # t^k/k! overflows in the largest block at these times, e^{-gamma t} t^k/k!
+    # does not: the norm of its Toeplitz matrix lies between the largest entry
+    # of the row and the row's l1 norm, both taken in the log domain
+    from scipy.special import gammaln, logsumexp
+
+    model = operators.JordanSumModel(gamma, delta, 10**9)
+    k = np.arange(model.groups[-1][0])
+    log_terms = k * math.log(t) - gammaln(k + 1)
+    assert log_terms.max() > math.log(np.finfo(float).max)
+    log_row = log_terms - gamma * t
+    assert log_row.max() <= math.log(model.semigroup_norm([t])[0]) <= logsumexp(log_row)
 
 
 def test_metadata_flags():
