@@ -12,15 +12,16 @@ finite-dimensional inner-product space is sqrt(2 pi) at exponent 2 and
 Discrete Lebesgue norms use left-endpoint Riemann weights (max for the
 sup norm).  Time-domain samples live on t_k = -L/2 + k L/N.
 
-Every symbol, scalar or matrix, is applied by ``_apply_values``: one
+``apply_multiplier`` applies every symbol, scalar or matrix: one
 transform of f, multiplied in place by the symbol's values one block of
 ``_RESOLVENT_BLOCK`` nodes at a time, and one inverse transform.
 
 A symbol is sampled once per grid (``Symbol.on``), and the exact (2,2)
 norm, the Fourier-type upper bound and the witness search all read those
 samples.  The witness search scores a whole list of (p, q) pairs on one
-streamed pass over a fixed bank of 64 bumps, holding only one witness and
-its image; it draws no random numbers.
+streamed pass over a fixed bank of 64 modulated bumps, transforming each
+of the 8 bumps once and shifting its spectrum for each modulation, and
+holds only one spectrum and one image; it draws no random numbers.
 """
 
 from __future__ import annotations
@@ -220,23 +221,18 @@ def resolvent_power_symbol(model, power=1):
 
 def apply_multiplier(symbol, f, grid):
     """T_m f = inverse transform of m . (transform of f), the symbol evaluated
-    one block of nodes at a time, so its values on the whole grid are never held."""
+    and multiplied in place one block of nodes at a time (values first: a
+    complex product is not bitwise commutative), so its values on the whole
+    grid are never held."""
     f = np.asarray(f, dtype=complex)
     if f.shape[0] != grid.samples:
         raise ShapeError(f"expected {grid.samples} time samples, got {f.shape[0]}")
     if symbol.dim > 1 and (f.ndim != 2 or f.shape[1] != symbol.dim):
         raise ShapeError(f"symbol of dim {symbol.dim} needs samples of shape (N, {symbol.dim})")
-    return _apply_values(lambda block: symbol.eval_all(grid.freqs[block]), f, grid)
-
-
-def _apply_values(values_at, f, grid):
-    """T_m f with the symbol's values ``values_at(block)`` on each slice of
-    ``_RESOLVENT_BLOCK`` frequency nodes, multiplied into the transform of f
-    in place (values first: a complex product is not bitwise commutative)."""
     F = fourier_forward(f, grid)
     for lo in range(0, grid.samples, _RESOLVENT_BLOCK):
         block = slice(lo, lo + _RESOLVENT_BLOCK)
-        vals = values_at(block)
+        vals = symbol.eval_all(grid.freqs[block])
         if vals.ndim == 1:
             np.multiply(vals.reshape((-1,) + (1,) * (F.ndim - 1)), F[block], out=F[block])
         else:
@@ -414,37 +410,45 @@ def verify_laplace_identity(model, ns, x, grid):
 
 
 def _witness_bank(samples):
-    """Yield the fixed witness family one at a time: bumps at 8 scales x
-    8 modulations, the first at the peak frequency of the symbol norms.
-    A matrix symbol takes each bump along the top right singular vector
-    of its value at the peak."""
+    """Yield the fixed witness family one bump at a time: ``(bump, images)``
+    for Gaussian bumps at 8 scales, ``images`` yielding one at a time the
+    symbol's images of the bump's 8 modulations, the first at the peak of
+    the symbol norms, the others at the bins N(k+1)/32, k < 7, rounded
+    down where 32 does not divide N.
+
+    Each bump is transformed once: a modulation by a grid frequency shifts
+    its spectrum by the frequency's bin (exactly, since N is even, so
+    e^{i pi N} = 1), and each image is that shifted spectrum times the
+    symbol's samples, transformed back.  A matrix symbol takes every
+    witness along the top right singular vector of its value at the peak,
+    so it meets ``values @ direction``, formed once."""
     grid = samples.grid
-    ts = grid.times
-    L = grid.period
-    xis = grid.freqs
     peak = int(np.argmax(samples.norms))
-    direction = None
+    values = samples.values
     if samples.symbol.dim > 1:
-        direction = np.linalg.svd(samples.values[peak])[2][0].conj()
-    scales = [L / 2.0** (j + 3) for j in range(8)]
-    xi_max = float(np.max(np.abs(xis)))
-    mods = [float(xis[peak])] + [xi_max / 2.0 * (k + 1) / 8.0 for k in range(7)]
-    for s in scales:
-        bump = np.exp(-0.5 * (ts / s) ** 2)
-        for wfreq in mods:
-            profile = bump * np.exp(1j * wfreq * ts)
-            yield profile if direction is None else profile[:, None] * direction[None, :]
+        values = values @ np.linalg.svd(values[peak])[2][0].conj()
+    shape = (-1,) + (1,) * (values.ndim - 1)
+    bins = [peak] + [grid.samples * (k + 1) // 32 for k in range(7)]
+
+    def images(spectrum):
+        for m in bins:
+            yield fourier_inverse(values * np.roll(spectrum, m).reshape(shape), grid)
+
+    for j in range(8):
+        bump = np.exp(-0.5 * (grid.times / (grid.period / 2.0 ** (j + 3))) ** 2)
+        yield bump, images(fourier_forward(bump, grid))
 
 
 def estimate_pq_norm_lower(samples, pairs):
     """Witness-search lower bounds of the sampled symbol's (L^p, L^q)
     multiplier norm, one float per ``(p, q)`` in ``pairs``.
 
-    One streamed pass over the bank scores every pair: each witness is
-    transformed, hit by the symbol samples and transformed back once, and
-    normed at each p and q from magnitudes taken once.  Only the current
-    witness and its image are held.  The true norm may exceed the result
-    by an unquantified gap, so each value is a lower bound.
+    One streamed pass over the bank scores every pair: each image is
+    normed at each q from magnitudes taken once, and each bump at each p
+    once, since a modulation and a unit direction leave its magnitudes as
+    they are.  Only one bump's spectrum and one image are held.  The true
+    norm may exceed the result by an unquantified gap, so each value is a
+    lower bound.
     """
     pairs = [(float(p), float(q)) for p, q in pairs]
     for p, q in pairs:
@@ -453,12 +457,12 @@ def estimate_pq_norm_lower(samples, pairs):
     qs = {q for _, q in pairs}
     grid = samples.grid
     best = [0.0] * len(pairs)
-    for f in _witness_bank(samples):
-        denoms = _lebesgue_norms(f, ps, grid)
-        nums = _lebesgue_norms(_apply_values(lambda block: samples.values[block], f, grid), qs, grid)
-        for i, (p, q) in enumerate(pairs):
-            if denoms[p] != 0.0:
-                best[i] = max(best[i], nums[q] / denoms[p])
+    for bump, images in _witness_bank(samples):
+        denoms = _lebesgue_norms(bump, ps, grid)
+        for image in images:
+            nums = _lebesgue_norms(image, qs, grid)
+            del image  # freed before the next image is formed
+            best = [max(b, nums[q] / denoms[p]) for b, (p, q) in zip(best, pairs)]
     return best
 
 

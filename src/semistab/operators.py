@@ -213,10 +213,10 @@ def _shifted_power_rows(zetas, p, m):
     """Rows of coefficients c_k with (zeta I - B_m)^p = sum_k c_k B_m^k.
 
     Finite Taylor expansion of z^p (principal branch) around each zeta;
-    vectorized over an array of zetas.
+    vectorized over an array of zetas, and real for real zetas > 0.
     """
-    zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
-    out = np.zeros((len(zetas), m), dtype=complex)
+    zetas = np.atleast_1d(np.asarray(zetas))
+    out = np.zeros((len(zetas), m), dtype=zetas.dtype)
     out[:, 0] = zetas**p
     for k in range(1, m):
         out[:, k] = out[:, k - 1] * (-(p - (k - 1))) / (k * zetas)
@@ -252,8 +252,9 @@ def _svdvals(mats):
 def _toeplitz_norm(coeffs):
     """Norm of the upper-triangular Toeplitz matrix of a coefficient row, or
     an array of one norm per row of a 2-D stack of equal-length rows; each
-    equals its row's own norm bit for bit (one LAPACK call per matrix)."""
-    top = _svdvals(_toeplitz_stack(np.asarray(coeffs, dtype=complex)))[..., 0]
+    equals its row's own norm bit for bit (one LAPACK call per matrix), and
+    real rows take a real SVD."""
+    top = _svdvals(_toeplitz_stack(coeffs))[..., 0]
     return float(top) if top.ndim == 0 else top
 
 
@@ -387,7 +388,9 @@ class DiagonalSymbolModel(OperatorModel):
     sup |g|.  Suprema are grid maxima refined by golden section, taken per
     sweep or line in one stacked ``sup_on_grid`` whose functions return |g|
     and, if used, |g'| as two rows; one at the s_max edge is flagged
-    (EdgeDominatedWarning in ``fractional_norm``).
+    (EdgeDominatedWarning in ``fractional_norm``).  The rows are real:
+    they read only Re g, Im g and |g'| (``_moduli``), so e^{-tg} is taken
+    as e^{-t Re g} and |lam + g| by ``np.hypot``, never squared.
     ``grid`` (read-only) holds ``grid_count`` geometric nodes on
     [s_start, s_max], with s_start > 1, and ``_values`` (read-only) the
     symbol on them.
@@ -424,9 +427,6 @@ class DiagonalSymbolModel(OperatorModel):
     def symbol(self, s):
         return s ** (-self.a) + 1j * s**self.b
 
-    def symbol_derivative(self, s):
-        return -self.a * s ** (-self.a - 1.0) + 1j * self.b * s ** (self.b - 1.0)
-
     def _check_vec(self, x):
         x = np.asarray(x, dtype=complex)
         if x.shape != self.grid.shape:
@@ -444,18 +444,19 @@ class DiagonalSymbolModel(OperatorModel):
         # a point at a time: a (points x grid) temporary would take gigabytes on fine grids
         return np.array([np.abs(lam - self._values).min() for lam in np.asarray(lams, dtype=complex)])
 
+    def _moduli(self, s):
+        """Re g, Im g and |g'| at the nodes s: the real numbers every norm reads."""
+        return s**-self.a, s**self.b, np.hypot(self.a * s ** (-self.a - 1.0), self.b * s ** (self.b - 1.0))
+
     @_off_spectrum
     def shifted_resolvent_norm(self, lams):
+        on_grid = self._moduli(self.grid)
+
         def rows(i, s):
-            # |1/d| and |g'(s)/d**2| with d = lam + g(s), or |(g'(s)/d)/d| where d**2 overflows
-            d = lams[i] + self.symbol(s)
-            if not self.sobolev:
-                return np.abs(1.0 / d)[None]
-            with np.errstate(over="ignore", invalid="ignore"):
-                d2 = d**2
-            fits = np.isfinite(d2)
-            gp = -self.symbol_derivative(s) / np.where(fits, d2, d) / np.where(fits, 1.0, d)
-            return np.stack([np.abs(1.0 / d), np.abs(gp)])
+            # 1/|d| and |g'|/|d|/|d| with d = lam + g(s); |d| by hypot, never squared
+            re, im, dmod = on_grid if s is self.grid else self._moduli(s)
+            d = np.hypot(lams[i].real + re, lams[i].imag + im)
+            return np.stack([1.0 / d, dmod / d / d]) if self.sobolev else (1.0 / d)[None]
 
         norms, edges = sup_on_grid(rows, self.grid, len(lams), 1 + self.sobolev)
         # g' only where strictly larger; with one row, _larger(g, g) is g
@@ -464,31 +465,23 @@ class DiagonalSymbolModel(OperatorModel):
     @_each_pair
     def fractional_norm(self, ts, sigma, tau):
         def parts(s):
-            # the t-independent factors of g and the terms of g'/g at the nodes s;
-            # (ph/(1+ph))^sigma and (1+ph)^-tau are at most 1 in modulus (Re ph > 0)
-            ph, dph = self.symbol(s), self.symbol_derivative(s)
-            with np.errstate(over="ignore"):  # a huge tau gives exactly 0 here
-                inverse = (1.0 + ph) ** -tau
-            return (ph, (ph / (1.0 + ph)) ** sigma if sigma else None, inverse, dph,
-                    (sigma + tau) * dph / (1.0 + ph), sigma * dph / ph if sigma else None)
+            # the t-independent real factors at the nodes s: Re g, |(1+g)^-tau (g/(1+g))^sigma|
+            # (at most 1, since Re g > 0), |g'| and c with |g'/g| = |g'| |t + c|
+            re, im, dmod = self._moduli(s)
+            ph, shifted = re + 1j * im, np.hypot(1.0 + re, im)  # g and |1 + g|
+            c = (sigma + tau) / (1.0 + ph) - (sigma / ph if sigma else 0.0)
+            return re, shifted**-tau * (np.hypot(re, im) / shifted) ** sigma, dmod, c.real, c.imag
 
         on_grid = parts(self.grid)
 
         def rows(i, s):
-            # |g| and, if used, |g'| = |g (-t ph' - shift + lift)|; the grid pass
-            # hands over the grid itself, golden-section nodes are new
-            ph, power, inverse, dph, shift, lift = on_grid if s is self.grid else parts(s)
-            out = np.exp(-ts[i] * ph)
-            if tau:
-                out = out * inverse
-            if sigma:
-                out = out * power
+            # |g| = e^{-t Re g} times the factors and, if used, |g'| = |g| |g'| |t + c|; the
+            # grid pass hands over the grid itself, golden-section nodes are new
+            re, scale, dmod, c_re, c_im = on_grid if s is self.grid else parts(s)
+            out = np.exp(-ts[i] * re) * scale
             if not self.sobolev:
-                return np.abs(out)[None]
-            factor = -ts[i] * dph - shift
-            if sigma:
-                factor = factor + lift
-            return np.stack([np.abs(out), np.abs(out * factor)])
+                return out[None]
+            return np.stack([out, out * dmod * np.hypot(ts[i] + c_re, c_im)])
 
         norms, edges = sup_on_grid(rows, self.grid, len(ts), 1 + self.sobolev)
         for row in np.nonzero(edges)[0]:  # g's edges, then g''s
@@ -579,7 +572,8 @@ class JordanSumModel(OperatorModel):
       maps it to the row |w|^{-(k+1)}; that matrix is entrywise
       non-negative and its entries fall as |w| grows.  So within a group
       of constant m the norm is largest at the block nearest Im lam, and
-      one row per group decides the supremum.
+      one row per group decides the supremum.  So resolvent rows are built
+      real, as |w|^{-(k+1)}, which underflow to 0 far from a block.
     * End blocks: within a group, the norm of T(t) A_n^sigma
       (1+A_n)^{-sigma-tau} is at most the larger of its values at the
       group's first and last block.  No proof is known; the property test
@@ -603,7 +597,8 @@ class JordanSumModel(OperatorModel):
     bound it has not visited can beat its best, so its norm is the largest
     over its candidates in whatever order its bounds fall.
     ``semigroup_norm`` needs only the largest block: one stacked SVD per
-    chunk of its times.
+    chunk of its times, of the real rows e(t).  Only the Phi rows, and with
+    them the rows of T(t) Phi_n, are complex.
     """
 
     def __init__(self, gamma, delta, n_max=10**4, n_start=None):
@@ -772,16 +767,14 @@ class JordanSumModel(OperatorModel):
             take = np.stack([(lo == hi) | (d_lo <= d_hi), (lo != hi) & (d_hi <= d_lo)], axis=2)
             point, group, _ = np.nonzero(take)  # point by point, in group order
             ns, sizes = np.stack([lo, hi], axis=2)[take], self._sizes[group]
-            w = chunk[point] - 1j * ns + self.gamma
-            # w^(k+1) overflows at large |w|: nan where the entry underflows to 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                rows = w[:, None] ** (-(ks[None, :] + 1.0))
-            rows[np.isnan(rows) & (np.abs(w) > 1.0)[:, None]] = 0.0
+            # the phase change of the class docstring: the row |w|^-(k+1), w = lam + gamma - i n
+            with np.errstate(over="ignore"):  # an entry past float64 fails the SVD check
+                rows = np.hypot(chunk.real[point] + self.gamma, chunk.imag[point] - ns)[:, None] ** -(ks + 1.0)
             rows[ks[None, :] >= sizes[:, None]] = 0.0
             # a point's candidates are its (group, neighbour) pairs; a pair not taken has bound -inf
             take = take.reshape(len(chunk), -1)
             row_of, ub = np.zeros(take.shape, dtype=int), np.full(take.shape, -np.inf)
-            row_of[take], ub[take] = np.arange(len(point)), np.abs(rows).sum(axis=1)
+            row_of[take], ub[take] = np.arange(len(point)), rows.sum(axis=1)
 
             def visit(ps, cs):
                 # one stacked SVD per block size
@@ -886,6 +879,8 @@ class OperatorMatrixModel(OperatorModel):
     over s in (0,1) of batched spectral norms, maxima on the nodes
     ``_sup_nodes`` (the same for every t) refined by golden section, one
     ``sup_on_grid`` row per sweep; the resolvent norm is exact, at the s nearest -lam.
+    For s in (0, 1] every row is real (powers of s > 0 and 1 + s > 0), so
+    every norm takes a real SVD.
     Not sectorial: the resolvent blows up like |lam|^{-n} at the origin.
     """
 

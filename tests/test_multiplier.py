@@ -403,19 +403,20 @@ def test_matrix_symbol_blocks_keep_the_one_batch_bits():
 
 
 def test_witness_search_keeps_the_one_batch_bits():
-    # the four mult.norms symbols on their grid of four blocks, against a
-    # search that applies each symbol's samples at all nodes at once
+    # the four mult.norms symbols on their grid of four blocks, against the
+    # search in the time domain: each modulated bump transformed forward, hit
+    # by all the symbol's samples at once and transformed back
     grid = multiplier.FourierGridSpec(200.0, 2**13)
     for _, sym in battery._mult_battery(battery._rng(0, 8)):
         samples = sym.on(grid)
         want = [0.0] * len(battery.PQ_PAIRS)
-        for f in multiplier._witness_bank(samples):
+        for f in _time_domain_bank(samples):
             image = _one_batch_apply(samples.values, f, grid)
             for i, (p, q) in enumerate(battery.PQ_PAIRS):
                 denom = multiplier.lebesgue_norm(f, p, grid)
-                if denom != 0.0:
-                    want[i] = max(want[i], multiplier.lebesgue_norm(image, q, grid) / denom)
-        assert multiplier.estimate_pq_norm_lower(samples, battery.PQ_PAIRS) == want
+                want[i] = max(want[i], multiplier.lebesgue_norm(image, q, grid) / denom)
+        got = multiplier.estimate_pq_norm_lower(samples, battery.PQ_PAIRS)
+        np.testing.assert_allclose(got, want, rtol=_WITNESS_RTOL, atol=0)
 
 
 def test_convolution_and_identity_shape_errors():
@@ -449,14 +450,42 @@ def test_apply_multiplier_shape_errors(grid):
 # the streamed many-pairs witness search against the one-pair brute force
 
 
+# the witness search, which shifts each bump's spectrum, against the witnesses
+# modulated and transformed in the time domain: a relative bound, since the two
+# round differently
+_WITNESS_RTOL = 1e-13
+
+
+def _time_domain_bank(samples):
+    """The 64 witnesses in the time domain: bumps at the 8 scales L/2^(j+3),
+    each times e^{i w t} at the peak frequency of the symbol norms and at
+    w = (k+1)/8 of half the largest |xi|, k < 7, which are grid frequencies
+    when 32 divides N (else the grid frequencies of the bins N(k+1)/32,
+    rounded down); a matrix symbol's along the top right singular vector of
+    its value at the peak."""
+    grid = samples.grid
+    xis, ts = grid.freqs, grid.times
+    peak = int(np.argmax(samples.norms))
+    if grid.samples % 32 == 0:
+        mods = [xis[peak]] + [np.max(np.abs(xis)) / 2.0 * (k + 1) / 8.0 for k in range(7)]
+    else:
+        mods = [xis[peak]] + [xis[grid.samples * (k + 1) // 32] for k in range(7)]
+    direction = None
+    if samples.symbol.dim > 1:
+        direction = np.linalg.svd(samples.values[peak])[2][0].conj()
+    for j in range(8):
+        bump = np.exp(-0.5 * (ts / (grid.period / 2.0 ** (j + 3))) ** 2)
+        for w in mods:
+            f = bump * np.exp(1j * w * ts)
+            yield f if direction is None else f[:, None] * direction[None, :]
+
+
 def _brute_force_lower(sym, p, q, grid):
-    """The witness search as one loop per pair: the symbol is re-evaluated
-    by apply_multiplier for every witness."""
+    """The witness search as one loop per pair over the time-domain bank:
+    the symbol is re-evaluated by apply_multiplier for every witness."""
     best = 0.0
-    for f in multiplier._witness_bank(sym.on(grid)):
+    for f in _time_domain_bank(sym.on(grid)):
         denom = multiplier.lebesgue_norm(f, p, grid)
-        if denom == 0.0:
-            continue
         val = multiplier.lebesgue_norm(multiplier.apply_multiplier(sym, f, grid), q, grid) / denom
         best = max(best, val)
     return best
@@ -482,7 +511,7 @@ symbols = st.one_of(
     st.builds(_dense_resolvent_symbol, st.integers(2, 4), st.integers(0, 2**32 - 1)),
 )
 grids = st.builds(multiplier.FourierGridSpec, st.floats(20.0, 200.0),
-                  st.sampled_from([2**7, 2**8, 2**9, 2**10]))
+                  st.sampled_from([2**k for k in range(4, 11)]))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -497,19 +526,41 @@ def test_many_pairs_search_equals_brute_force(sym, grid, pairs):
     got = multiplier.estimate_pq_norm_lower(samples, pairs)
     assert len(got) == len(pairs)
     for (p, q), lower in zip(pairs, got):
-        assert lower == _brute_force_lower(sym, p, q, grid)
+        np.testing.assert_allclose(lower, _brute_force_lower(sym, p, q, grid), rtol=_WITNESS_RTOL, atol=0)
         assert multiplier.estimate_pq_norm_lower(samples, [(p, q)]) == [lower]
 
 
 @pytest.mark.parametrize("sym", [_scalar_symbol("resolvent", 1.0), _dense_resolvent_symbol(3, 0)],
                          ids=["scalar", "dense"])
 def test_witness_bank_is_64_fixed_bumps(grid, sym):
-    # 8 scales x 8 modulations, a matrix symbol's along one direction only
+    # 8 bumps x 8 modulations, a matrix symbol's along one direction only
     samples = sym.on(grid)
-    bank = list(multiplier._witness_bank(samples))
-    assert len(bank) == 64
-    assert all(f.shape == ((grid.samples,) if sym.dim == 1 else (grid.samples, sym.dim)) for f in bank)
-    assert all(np.array_equal(f, g) for f, g in zip(bank, multiplier._witness_bank(samples)))
+    bank = [(bump, list(images)) for bump, images in multiplier._witness_bank(samples)]
+    assert len(bank) == 8 and all(len(images) == 8 for _, images in bank)
+    shape = (grid.samples,) if sym.dim == 1 else (grid.samples, sym.dim)
+    assert all(image.shape == shape for _, images in bank for image in images)
+    again = multiplier._witness_bank(samples)
+    assert all(np.array_equal(bump, b) and all(map(np.array_equal, images, i))
+               for (bump, images), (b, i) in zip(bank, again))
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(4, 11)])
+@pytest.mark.parametrize("sym", [_scalar_symbol("resolvent", 1.0), _dense_resolvent_symbol(3, 0)],
+                         ids=["scalar", "dense"])
+def test_witness_images_are_shifted_bump_spectra(sym, n):
+    # each image is the symbol applied to its witness built in the time
+    # domain, modulated at (k+1)/8 of half the largest |xi| when 32 divides n;
+    # the time-domain phases e^{iwt} round at |wt| up to 15 pi n / 32, so the
+    # bound grows with n (a wrong bin would miss by the spectrum's own size)
+    grid = multiplier.FourierGridSpec(50.0, n)
+    atol = 16 * np.finfo(float).eps * n
+    samples = sym.on(grid)
+    images = [image for _, bump_images in multiplier._witness_bank(samples) for image in bump_images]
+    witnesses = list(_time_domain_bank(samples))
+    assert len(images) == len(witnesses) == 64
+    for image, f in zip(images, witnesses):
+        want = _one_batch_apply(samples.values, f, grid)
+        np.testing.assert_allclose(image, want, rtol=0, atol=atol * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("pairs", [[(2.0, 1.0)], [(1.0, 2.0), (math.inf, 2.0)]])

@@ -618,6 +618,32 @@ def test_jordan_resolvent_far_from_large_blocks_is_finite():
     assert got == pytest.approx(best, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    gamma=st.floats(0.05, 0.95),
+    delta=st.floats(0.2, 0.9),
+    n_max=st.integers(30, 10**4),
+    re_w=st.floats(0.02, 3.0),
+    im_lam=st.floats(-100.0, 2e4),
+)
+@example(gamma=0.5, delta=0.9, n_max=10**4, re_w=0.8, im_lam=4352.7)
+@example(gamma=0.5, delta=0.9, n_max=10**4, re_w=0.05, im_lam=1.5e4)
+def test_jordan_resolvent_rows_lose_their_phase(gamma, delta, n_max, re_w, im_lam):
+    # the phase change diag(e^{ik arg w}) maps the row w^-(k+1) to |w|^-(k+1):
+    # the model's real rows give the norms of the complex rows of the blocks
+    # nearest Im lam, also where |w|^(k+1) overflows and the entries underflow
+    model = operators.JordanSumModel(gamma, delta, n_max)
+    lam = complex(re_w - gamma, im_lam)
+    (got,), _ = model.shifted_resolvent_norm([lam])
+    want = 0.0
+    for m, a, b in model.groups:
+        for n in {min(max(math.floor(im_lam) + j, a), b) for j in (0, 1)}:
+            # w^-(k+1) as a running product, which underflows to 0 far from the block
+            row = np.cumprod(np.full(m, 1.0 / (lam + gamma - 1j * n)))
+            want = max(want, operators._toeplitz_norm(row))
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("entries", [1, 300])
 def test_jordan_resolvent_line_in_chunks_equals_the_whole_line(entries, monkeypatch):
     # a line whose rows are built a few points at a time (one point, or
@@ -1131,10 +1157,19 @@ def test_diagonal_fractional_edge_domination_warns():
     assert {w.filename for w in caught} == {__file__}
 
 
+# the diagonal kind's norms, taken from real moduli, against the complex
+# formulas g and g' below: a relative bound, since the two round differently
+_DIAGONAL_RTOL = 1e-13
+
+
+def _symbol_derivative(model, s):
+    """g'(s) of the diagonal kind's symbol g(s) = s^-a + i s^b."""
+    return -model.a * s ** (-model.a - 1.0) + 1j * model.b * s ** (model.b - 1.0)
+
+
 def _diagonal_symbols(model, ts, sigma, tau):
-    """g(i, s) and g'(i, s) of the diagonal kind's fractional norms, with
-    every factor evaluated afresh at each time, in the model's order of
-    operations."""
+    """g(i, s) and g'(i, s) of the diagonal kind's fractional norms in
+    complex arithmetic, with every factor evaluated afresh at each time."""
 
     def g(i, s):
         ph = model.symbol(s)
@@ -1146,7 +1181,7 @@ def _diagonal_symbols(model, ts, sigma, tau):
         return out
 
     def gp(i, s):
-        ph, dph = model.symbol(s), model.symbol_derivative(s)
+        ph, dph = model.symbol(s), _symbol_derivative(model, s)
         factor = -ts[i] * dph - (sigma + tau) * dph / (1.0 + ph)
         if sigma:
             factor = factor + sigma * dph / ph
@@ -1170,11 +1205,22 @@ def _diagonal_norms_per_time(model, ts, sigma, tau):
 
 @pytest.mark.parametrize("sobolev", [True, False])
 @pytest.mark.parametrize("sigma,tau", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.5, 2.0), (3.0, 6.0)])
-def test_diagonal_factors_taken_once_per_sweep_keep_every_bit(sobolev, sigma, tau):
+def test_diagonal_factors_taken_once_per_sweep_keep_every_bit(monkeypatch, sobolev, sigma, tau):
+    # the symbol's factors on the grid are taken once per sweep, not once per
+    # time, and the norms are those of the complex formulas taken per time
     model = operators.DiagonalSymbolModel(1.0, 0.5, s_max=1e6, grid_count=512, sobolev=sobolev)
     ts = np.geomspace(1.0, 1e4, 9)
+    on_grid, moduli = [], operators.DiagonalSymbolModel._moduli
+
+    def counted(self, s):
+        on_grid.append(s is self.grid)
+        return moduli(self, s)
+
+    monkeypatch.setattr(operators.DiagonalSymbolModel, "_moduli", counted)
+    got = model.fractional_norm(ts, sigma, tau)
+    assert on_grid.count(True) == 1
     want = _diagonal_norms_per_time(model, ts, sigma, tau)
-    assert model.fractional_norm(ts, sigma, tau).tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, want, rtol=_DIAGONAL_RTOL, atol=0)
 
 
 def _two_searches(model, g, gp, count):
@@ -1199,12 +1245,16 @@ def _two_searches(model, g, gp, count):
     sigma=st.one_of(st.sampled_from([0.0, 1.0, 400.0]), st.floats(0.0, 400.0)),
     tau=st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
     ts=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e5)), min_size=1, max_size=4),
-    lams=st.lists(st.complex_numbers(max_magnitude=1e4), max_size=4),
+    # |lam + g|^2 overflows float64 beyond about 1.3e154
+    lams=st.lists(st.one_of(st.complex_numbers(max_magnitude=1e4),
+                            st.complex_numbers(min_magnitude=1e154, max_magnitude=1e300)), max_size=4),
 )
 @example(a=1.0, b=0.5, s_max=1e4, grid_count=512, sobolev=True, sigma=0.0, tau=0.0,
          ts=[0.0, 1e4], lams=[-105.0j, 1.0])
 @example(a=1.0, b=0.5, s_max=1e8, grid_count=64, sobolev=False, sigma=400.0, tau=1.0,
          ts=[0.0, 10.0, 100.0], lams=[1e160j])
+@example(a=2.0, b=0.5, s_max=1e6, grid_count=512, sobolev=True, sigma=400.0, tau=0.0,
+         ts=[1.0, 1e3], lams=[1e160j, -1e200 + 1e200j, 3.0 - 7.0j])
 def test_diagonal_rows_equal_two_searches(a, b, s_max, grid_count, sobolev, sigma, tau, ts, lams):
     assume(a + b >= 1.0)
     model = operators.DiagonalSymbolModel(a, b, s_max=s_max, grid_count=grid_count, sobolev=sobolev)
@@ -1213,7 +1263,7 @@ def test_diagonal_rows_equal_two_searches(a, b, s_max, grid_count, sobolev, sigm
         warnings.simplefilter("always")
         got = model.fractional_norm(ts, sigma, tau)
     want, edges = _two_searches(model, *_diagonal_symbols(model, ts, sigma, tau), len(ts))
-    assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, want, rtol=_DIAGONAL_RTOL, atol=0)
     assert [str(w.message) for w in caught if w.category is EdgeDominatedWarning] == [
         f"supremum of T(t)Phi^{sigma}_{tau} symbol" + "'" * row + " attained at the right domain edge "
         f"{model.grid[-1]:g}; truncated domain may not contain the supremum" for row in np.nonzero(edges)[0]
@@ -1229,10 +1279,10 @@ def test_diagonal_rows_equal_two_searches(a, b, s_max, grid_count, sobolev, sigm
         with np.errstate(over="ignore", invalid="ignore"):
             d2 = d**2
         fits = np.isfinite(d2)
-        return -model.symbol_derivative(s) / np.where(fits, d2, d) / np.where(fits, 1.0, d)
+        return -_symbol_derivative(model, s) / np.where(fits, d2, d) / np.where(fits, 1.0, d)
 
     want, edges = _two_searches(model, lambda i, s: 1.0 / (off_lams[i] + model.symbol(s)), gp, len(off_lams))
-    assert norms[off].tobytes() == want.tobytes()
+    np.testing.assert_allclose(norms[off], want, rtol=_DIAGONAL_RTOL, atol=0)
     assert flags[off].tolist() == edges.any(axis=0).tolist()
     assert np.all(np.isinf(norms[~off])) and not flags[~off].any()
 
@@ -1261,7 +1311,7 @@ def _diagonal_brute_sup(model, t, sigma, tau, count=2 * 10**6, chunk=2 * 10**5):
     best = -np.inf
     for first in range(0, count, chunk):
         s = nodes[first : first + chunk]
-        ph, dph = model.symbol(s), model.symbol_derivative(s)
+        ph, dph = model.symbol(s), _symbol_derivative(model, s)
         log_g = (-t * ph.real + sigma * (np.log(np.abs(ph)) - np.log(np.abs(1.0 + ph)))
                  - tau * np.log(np.abs(1.0 + ph)))
         if model.sobolev:
