@@ -491,7 +491,7 @@ def run_analyze(config, measure_only=False):
                     "case": f"sigma={meas.sigma:g};tau={meas.tau:g}",
                     "value": f"{meas.rho_hat:.12g}",
                     "fit_exponent": f"{-meas.rho_hat:.12g}",
-                    "predicted": "" if pred.rho is None else str(_jsonable(pred.rho)),
+                    "predicted": "" if pred.rho is None else f"{pred.rho:.12g}",
                     "source": pred.source,
                     "verdict": verdict,
                 }

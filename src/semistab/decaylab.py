@@ -14,7 +14,7 @@ and tau > beta + 1/r.  The geometry enters only through the smoothing
 index 1/r: 1 on a general Banach space, 1/p - 1/p'
 for Fourier type p (``_fourier_index``), 1/p - 1/q for type p and cotype
 q or a p-convex, q-concave lattice (``_pq_index``), and 0 on a Hilbert
-space.  The same map gives ``exponential_smoothness_index``.
+space.
 
 Geometry parameters are user inputs and are never inferred; hypotheses
 the artifact cannot check numerically (R-boundedness of the tempered
@@ -50,7 +50,6 @@ class GeometryDescriptor:
     type_p: float | None = None
     cotype_q: float | None = None
     lattice: tuple[float, float] | None = None  # (p-convex, q-concave)
-    positive_semigroup: bool = False
     r_resolvent_growth_asserted: bool = False
     zeta_negative_asserted: bool = False
 
@@ -264,33 +263,6 @@ def interpolate_rates(rate1, rate2, theta):
             theta * r1 + (1.0 - theta) * r2,
         )
     return (theta * s1, theta * t1, theta * r1)
-
-
-@dataclass(frozen=True)
-class SmoothnessIndex:
-    value: float
-    source: str
-
-
-def exponential_smoothness_index(geometry):
-    """Smallest fractional-domain index at which the applicable spectral
-    bound controls exponential decay of orbits, with its source."""
-    candidates = []
-    if geometry.hilbert:
-        candidates.append((0.0, "hilbert"))
-    if geometry.fourier_type is not None:
-        candidates.append((_fourier_index(geometry.fourier_type), "fourier-type"))
-    if geometry.type_p is not None and geometry.cotype_q is not None:
-        r_index = _pq_index(geometry.type_p, geometry.cotype_q)
-        if geometry.r_resolvent_growth_asserted:
-            candidates.append((r_index, "type-cotype"))
-        candidates.append((2.0 * r_index, "type-cotype-unconditional"))
-    if geometry.lattice is not None and geometry.positive_semigroup:
-        candidates.append((_pq_index(*geometry.lattice), "positive-lattice"))
-    if not candidates:
-        raise DomainError("geometry carries no usable parameters")
-    value, source = min(candidates, key=lambda c: c[0])
-    return SmoothnessIndex(value, source)
 
 
 # ---------------------------------------------------------------------------

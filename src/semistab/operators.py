@@ -760,32 +760,26 @@ class JordanSumModel(OperatorModel):
         for first in range(0, len(lams), step):
             chunk = lams[first : first + step]
             x = chunk.imag[:, None]
-            # the block of each group nearest x, or both neighbours on an exact tie
+            # the block of each group nearest x, the lower on an exact tie: there
+            # x - lo = -(x - hi) exactly and hypot is even, so both rows are the same bits
             lo = np.minimum(np.maximum(np.floor(x), self._firsts), self._lasts)
             hi = np.minimum(lo + 1.0, self._lasts)
-            d_lo, d_hi = np.abs(x - lo), np.abs(x - hi)
-            take = np.stack([(lo == hi) | (d_lo <= d_hi), (lo != hi) & (d_hi <= d_lo)], axis=2)
-            point, group, _ = np.nonzero(take)  # point by point, in group order
-            ns, sizes = np.stack([lo, hi], axis=2)[take], self._sizes[group]
+            ns = np.where(np.abs(x - hi) < np.abs(x - lo), hi, lo)
             # the phase change of the class docstring: the row |w|^-(k+1), w = lam + gamma - i n
             with np.errstate(over="ignore"):  # an entry past float64 fails the SVD check
-                rows = np.hypot(chunk.real[point] + self.gamma, chunk.imag[point] - ns)[:, None] ** -(ks + 1.0)
-            rows[ks[None, :] >= sizes[:, None]] = 0.0
-            # a point's candidates are its (group, neighbour) pairs; a pair not taken has bound -inf
-            take = take.reshape(len(chunk), -1)
-            row_of, ub = np.zeros(take.shape, dtype=int), np.full(take.shape, -np.inf)
-            row_of[take], ub[take] = np.arange(len(point)), rows.sum(axis=1)
+                rows = np.hypot(chunk.real[:, None] + self.gamma, x - ns)[:, :, None] ** -(ks + 1.0)
+            rows[:, ks[None, :] >= self._sizes[:, None]] = 0.0
 
             def visit(ps, cs):
                 # one stacked SVD per block size
-                idx, vals = row_of[ps, cs], np.empty(len(ps))
-                for m in set(sizes[idx].tolist()):
-                    on = sizes[idx] == m
-                    vals[on] = _toeplitz_norm(rows[idx[on], :m])
+                sizes, vals = self._sizes[cs], np.empty(len(ps))
+                for m in set(sizes.tolist()):
+                    on = sizes == m
+                    vals[on] = _toeplitz_norm(rows[ps[on], cs[on], :m])
                 return vals
 
-            best, at = _branch_and_bound(ub, visit)
-            hit = ns[row_of[np.arange(len(chunk)), at]] == self.n_max
+            best, at = _branch_and_bound(rows.sum(axis=2), visit)
+            hit = ns[np.arange(len(chunk)), at] == self.n_max
             norms[first : first + step], edges[first : first + step] = best, (at >= 0) & hit
         return norms, edges
 

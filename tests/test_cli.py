@@ -281,6 +281,18 @@ def test_analyze_outputs_and_determinism(tmp_path):
         assert len(rows) > 1
 
 
+def test_predicted_column_uses_the_csv_precision(tmp_path):
+    # the fitted growth pair makes rho a full-precision float, so a 17-digit
+    # repr would show one-ulp moves that the other .12g columns hide
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(tmp_path / "o")))
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 0
+    with open(tmp_path / "o" / "predictions.csv", newline="") as fh:
+        predicted = [row["predicted"] for row in csv.DictReader(fh) if row["predicted"]]
+    assert predicted
+    assert predicted == [format(float(field), ".12g") for field in predicted]
+
+
 def test_analyze_jordan_sum_thread_determinism(tmp_path):
     # --threads is accepted for compatibility; the run is single-threaded and
     # the indices replace the block-sum model's cached Phi rows in turn
@@ -510,9 +522,8 @@ def test_config_tables_match_constructors():
     # field, so a default can live only in the constructor
     for kind, (model, fields) in cli._OPERATORS.items():
         assert list(fields) == list(inspect.signature(model).parameters), kind
-    # positive_semigroup is read only by the library's exponential_smoothness_index
     geometry = [f.name for f in dataclasses.fields(decaylab.GeometryDescriptor)]
-    assert sorted([*cli._GEOMETRY_FIELDS, "lattice", "positive_semigroup"]) == sorted(geometry)
+    assert sorted([*cli._GEOMETRY_FIELDS, "lattice"]) == sorted(geometry)
 
 
 def test_grid_with_repeated_nodes_exits_2(tmp_path, capsys):

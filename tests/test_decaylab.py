@@ -119,37 +119,6 @@ def test_interpolation():
         decaylab.interpolate_rates((1.0, 1.0, 1.0), (2.0, 2.0, 0.0), 0.5)
 
 
-def test_smoothness_index():
-    assert decaylab.exponential_smoothness_index(
-        decaylab.GeometryDescriptor(hilbert=True)
-    ).value == pytest.approx(0.0)
-    idx = decaylab.exponential_smoothness_index(
-        decaylab.GeometryDescriptor(fourier_type=1.0)
-    )
-    assert idx.value == pytest.approx(1.0)
-    lat = decaylab.exponential_smoothness_index(
-        decaylab.GeometryDescriptor(
-            fourier_type=1.0, lattice=(1.0, 3.0), positive_semigroup=True
-        )
-    )
-    assert lat.value == pytest.approx(1.0 - 1.0 / 3.0)
-    assert lat.source == "positive-lattice"
-    # unconditional double index is available without the R-growth assertion
-    tc = decaylab.exponential_smoothness_index(
-        decaylab.GeometryDescriptor(type_p=2.0, cotype_q=4.0)
-    )
-    assert tc.value == pytest.approx(0.5)
-    assert tc.source == "type-cotype-unconditional"
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(p=st.one_of(st.just(1.0), st.just(1.5), st.just(2.0), st.floats(1.0, 2.0)))
-def test_smoothness_index_is_the_calculator_index(p):
-    geo = decaylab.GeometryDescriptor(fourier_type=p)
-    pred = decaylab.predict_rate_fourier_type(0.0, 0.0, 0.0, 0.0, geo)
-    assert decaylab.exponential_smoothness_index(geo).value == pred.r_index
-
-
 def test_measure_decay_exponential_flagged_super_polynomial():
     model = operators.DenseMatrixModel([[1.0]])
     [meas] = decaylab.measure_decay(model, [(0.0, 1.0)], numcore.geometric_grid(1.0, 40.0, 24))

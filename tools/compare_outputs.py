@@ -7,17 +7,22 @@
 Both run the same commands, each into its own output directory:
 
 - ``verify-examples --seed 0``, ``1`` and ``2``;
-- ``analyze`` and ``decay`` on perfbench's ``JORDAN_CONFIG`` and on the
-  README's config reference (both read from the change checkout);
+- ``analyze`` and ``decay`` on perfbench's ``JORDAN_CONFIG``, on the
+  README's config reference (both read from the change checkout) and on
+  three variants of the latter: an operator matrix (n = 3, t on [1, 1e3],
+  three index pairs), the diagonal kind with ``sobolev`` false, and a
+  dense 2 x 2 Jordan block;
 - ``mult --seed 0`` and ``frac``.
 
-For each command the report gives the two exit codes and, for every file
-either side wrote but ``run_meta.json`` (wall-clock timings), whether the
-two files are byte-identical.  For each ``summary.json`` it lists every
-numeric field whose value differs, with both values and the relative drift
+For each command the report gives the two exit codes and, for its stdout
+and every file either side wrote but ``run_meta.json`` (wall-clock
+timings), whether the two sides are byte-identical; stdout is compared
+with the output directory and verify-examples' ``(N.Ns)`` case durations
+masked.  For each ``summary.json`` it lists every numeric field whose
+value differs, with both values and the relative drift
 |new - old| / max(|old|, |new|), and the largest drift of the command.
-The script exits 0 when every file is byte-identical and every exit code
-agrees, else 1.  A full run takes about a minute on a 2-CPU host.
+The script exits 0 when every stdout and file is byte-identical and every
+exit code agrees, else 1.  A full run takes about 20 s on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -36,13 +41,25 @@ MAIN = "import sys; from semistab.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def _configs(change):
-    """{name: config} for perfbench's jordan-sum workload and the README config."""
+    """{name: config} for perfbench's jordan-sum workload, the README config
+    and its operator-matrix, plain diagonal and dense variants."""
     spec = importlib.util.spec_from_file_location("workloads", os.path.join(change, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     with open(os.path.join(change, "README.md"), encoding="utf-8") as fh:
         block = re.search(r"### Config reference\n\n```json\n(.*?)```", fh.read(), re.S).group(1)
-    return {"jordan": workloads.JORDAN_CONFIG, "readme": json.loads(block)}
+    readme = json.loads(block)
+    grids = readme["grids"]
+    return {
+        "jordan": workloads.JORDAN_CONFIG,
+        "readme": readme,
+        "opmatrix": {**readme, "operator": {"kind": "operator-matrix", "n": 3},
+                     "grids": {**grids, "t_grid": {"start": 1.0, "stop": 1e3, "count": 24}},
+                     "indices": [[0.0, 1.0], [1.0, 0.5], [2.0, 1.0]]},
+        "plain-diagonal": {**readme, "operator": {**readme["operator"], "sobolev": False}},
+        "dense": {**readme, "operator": {"kind": "dense-matrix", "entries": [[0.5, 1.0], [0.0, 0.5]]},
+                  "grids": {**grids, "t_grid": {"start": 1.0, "stop": 40.0, "count": 24}}},
+    }
 
 
 def _commands(config_paths):
@@ -54,10 +71,11 @@ def _commands(config_paths):
 
 
 def _run(tree, argv, out_dir):
+    """(exit code, stdout with ``out_dir`` and the case durations masked)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     proc = subprocess.run([sys.executable, "-c", MAIN, *argv, "--out-dir", out_dir], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False)
-    return proc.returncode
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, check=False)
+    return proc.returncode, re.sub(r"\(\d+\.\d+s\)", "(N.Ns)", proc.stdout.replace(out_dir, "<out-dir>"))
 
 
 def _numeric_leaves(value, path=""):
@@ -115,8 +133,9 @@ def main(argv=None):
     report, same = [], True
     for label, argv_ in _commands(config_paths):
         dirs = [os.path.join(work, side, label) for side in ("parent", "change")]
-        codes = [_run(tree, argv_, d) for tree, d in zip((args.parent, args.change), dirs)]
+        codes, outs = zip(*(_run(tree, argv_, d) for tree, d in zip((args.parent, args.change), dirs)))
         files, moved = _compare(*dirs)
+        files = {"stdout": outs[0] == outs[1], **files}
         same &= codes[0] == codes[1] and all(files.values())
         report.append({"command": label, "exit": codes, "identical": files, "moved": moved,
                        "max_drift": max((m["drift"] for m in moved), default=0.0)})
