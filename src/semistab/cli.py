@@ -340,37 +340,9 @@ def _write_csv(out_dir, name, rows):
     _write_file(out_dir, name, buf.getvalue())
 
 
-def _indented_json(value, pad="\n"):
-    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for a
-    value made of dicts with str keys, lists, tuples, str, float, int, bool
-    and None (TypeError on anything else); json writes an indented dump with
-    its pure-Python encoder, one call per value."""
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [json.encoder.encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
-                 for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [_indented_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _write_summary(out_dir, summary, timings):
     for name, record in (("summary.json", summary), ("run_meta.json", {"timings_s": timings})):
-        _write_file(out_dir, name, _indented_json(record) + "\n")
+        _write_file(out_dir, name, json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def run_analyze(config, measure_only=False):

@@ -257,11 +257,6 @@ def stable_exp_sum(m):
         return math.inf
 
 
-def _larger(x, y):
-    """Elementwise ``max(x, y)`` with Python's rule: y only where y > x."""
-    return np.where(y > x, y, x)
-
-
 def golden_max(f, lo, hi):
     """Golden-section maximization of unimodal functions, in lockstep on the
     brackets [lo[k], hi[k]]: 60 steps, the largest value seen per bracket.
@@ -273,7 +268,7 @@ def golden_max(f, lo, hi):
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c1, c2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     f1, f2 = f(c1), f(c2)
-    best = _larger(f1, f2)
+    best = np.maximum(f1, f2)
     for _ in range(60):
         # f1 < f2: keep [c1, b], c2 becomes c1 and a new c2 is probed; else the mirror
         up = f1 < f2
@@ -282,7 +277,7 @@ def golden_max(f, lo, hi):
         f_new = f(new)
         c1, c2 = np.where(up, c2, new), np.where(up, new, c1)
         f1, f2 = np.where(up, f2, f_new), np.where(up, f_new, f1)
-        best = _larger(_larger(best, f1), f2)
+        best = np.maximum(np.maximum(best, f1), f2)
     return best
 
 
@@ -319,5 +314,5 @@ def sup_on_grid(f, grid, count, rows):
             vals = np.asarray(f(idx, np.exp(u)), dtype=float)
             return vals.reshape(rows, len(u))[row, np.arange(len(u))]
 
-        best[row, idx] = _larger(best[row, idx], golden_max(at, lo, hi))
+        best[row, idx] = np.maximum(best[row, idx], golden_max(at, lo, hi))
     return best, edge

@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EdgeDominatedWarning, ShapeError, UnsupportedModelError
-from .numcore import _larger, fftconvolve, geometric_grid, log_factorials, sup_on_grid
+from .numcore import fftconvolve, geometric_grid, log_factorials, sup_on_grid
 
 _SING_TOL = 1e-11
 # branch and bound in JordanSumModel skips a block once its bound times
@@ -387,10 +387,12 @@ class DiagonalSymbolModel(OperatorModel):
     norm on the Sobolev space up to two-sided constants; otherwise plain
     sup |g|.  Suprema are grid maxima refined by golden section, taken per
     sweep or line in one stacked ``sup_on_grid`` whose functions return |g|
-    and, if used, |g'| as two rows; one at the s_max edge is flagged
-    (EdgeDominatedWarning in ``fractional_norm``).  The rows are real:
-    they read only Re g, Im g and |g'| (``_moduli``), so e^{-tg} is taken
-    as e^{-t Re g} and |lam + g| by ``np.hypot``, never squared.
+    and, if used, |g'| as two rows; a row whose grid maximum lies among
+    the last 10 % of nodes and exceeds every value before them by more
+    than 5 % is flagged (EdgeDominatedWarning in ``fractional_norm``).
+    The rows are real: they read only Re g, Im g and |g'| (``_moduli``),
+    so e^{-tg} is taken as e^{-t Re g} and |lam + g| by ``np.hypot``,
+    never squared.
     ``grid`` (read-only) holds ``grid_count`` geometric nodes on
     [s_start, s_max], with s_start > 1, and ``_values`` (read-only) the
     symbol on them.
@@ -459,8 +461,7 @@ class DiagonalSymbolModel(OperatorModel):
             return np.stack([1.0 / d, dmod / d / d]) if self.sobolev else (1.0 / d)[None]
 
         norms, edges = sup_on_grid(rows, self.grid, len(lams), 1 + self.sobolev)
-        # g' only where strictly larger; with one row, _larger(g, g) is g
-        return _larger(norms[0], norms[-1]), edges.any(axis=0)
+        return np.maximum(norms[0], norms[-1]), edges.any(axis=0)
 
     @_each_pair
     def fractional_norm(self, ts, sigma, tau):
@@ -489,7 +490,7 @@ class DiagonalSymbolModel(OperatorModel):
             warnings.warn(f"supremum of {label} attained at the right domain edge {self.grid[-1]:g}; "
                           "truncated domain may not contain the supremum",
                           EdgeDominatedWarning, stacklevel=3)
-        return _larger(norms[0], norms[-1])
+        return np.maximum(norms[0], norms[-1])
 
     def phi_closed_apply(self, alpha, beta, x):
         x = self._check_vec(x)

@@ -468,31 +468,17 @@ def test_jsonable_handles_inf():
     assert cli._jsonable(1.5) == 1.5
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(value=json_values)
-@example(value={"b": [math.inf, -math.inf, math.nan, -0.0, 1e300, 2**70], "a": {"\u00e9\n\"": [], "": {}}})
-def test_indented_summary_writes_the_bytes_of_json_dumps(value):
-    # the summary writer matches json's indented dump: sorted keys, ASCII
-    # escapes, float repr with NaN and Infinity, empty containers inline
-    assert cli._indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
-def test_indented_summary_rejects_what_json_rejects():
-    for value in (b"x", {"a": {1.5}}, [1j]):
-        with pytest.raises(TypeError):
-            json.dumps(value, sort_keys=True, indent=2)
-        with pytest.raises(TypeError):
-            cli._indented_json(value)
-    with pytest.raises(TypeError):  # json would write the key as "1"; a summary's keys are str
-        cli._indented_json({1: 2})
+def test_summaries_are_json_dumps_of_their_records(tmp_path):
+    # summary.json and run_meta.json of both writing subcommands hold json's
+    # sorted, indented dump of what they parse to, with a final newline
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(tmp_path / "analyze")))
+    assert cli.main(["analyze", "--config", str(cfg_path)]) == 0
+    assert cli.main(["verify-examples", "--only", "appendix.exp-sum", "--out-dir", str(tmp_path / "verify")]) == 0
+    for out in ("analyze", "verify"):
+        for name in ("summary.json", "run_meta.json"):
+            text = (tmp_path / out / name).read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_readme_config_is_valid():

@@ -1,10 +1,17 @@
 """Every public function and method of the package is reached from the
 package itself, or is listed in README's library-API section, and every
-record field of the package is read."""
+record field of the package is read, and every name the benchmark's
+tracer binds exists."""
 
 import ast
 import collections
+import dataclasses
+import importlib
+import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -85,3 +92,40 @@ def test_record_fields_are_read():
                 unread += [f"{p.stem}.{cls.name}.{f.target.id}" for f in cls.body
                            if isinstance(f, ast.AnnAssign) and f.target.id not in read]
     assert unread == [], "read these fields or delete them"
+
+
+def _trace_targets():
+    """``TARGETS`` of perfbench/tracer.py, loaded from its path without
+    entering ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location("_tracer", _ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+def test_trace_targets_resolve():
+    # trace mode raises on a missing name, so deleting or moving a target
+    # needs a change to the benchmark first.  The tracer wraps the modules
+    # loaded once semistab.cli is imported, a method from its class's own
+    # __dict__ and a function by getattr on its module.
+    targets = _trace_targets()
+    assert targets
+    env = dict(os.environ, PYTHONPATH=str(_SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", "import sys, semistab.cli; print(*sorted(sys.modules))"],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert {f"semistab.{modname}" for _, modname, _, _ in targets} <= set(proc.stdout.split())
+    missing = []
+    for _, modname, attr, _ in targets:
+        module = importlib.import_module(f"semistab.{modname}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(module, cls_name, object))
+        else:
+            found = hasattr(module, attr)
+        if not found:
+            missing.append(f"{modname}.{attr}")
+    assert missing == []
+    # the probe hook counts ``result.entries`` and each entry's ``status``
+    resolvent = importlib.import_module("semistab.resolvent")
+    assert "entries" in {f.name for f in dataclasses.fields(resolvent.ProbeTable)}
+    assert "status" in resolvent.ProbeEntry._fields
