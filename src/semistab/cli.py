@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -57,26 +58,6 @@ numcore.loaded_openblas()
 SEED_LIMIT = 2**64
 
 _TOP_LEVEL_KEYS = ("operator", "grids", "geometry", "indices", "tolerances", "seed", "threads", "out_dir")
-
-# each operator kind: its model and the JSON type of each constructor
-# parameter, whose defaults apply to fields not given; a list is a matrix
-_OPERATORS = {
-    "dense-matrix": (operators.DenseMatrixModel, {"entries": list}),
-    "diagonal-symbol": (operators.DiagonalSymbolModel,
-                        {"a": float, "b": float, "s_start": float, "s_max": float,
-                         "grid_count": int, "sobolev": bool}),
-    "jordan-sum": (operators.JordanSumModel,
-                   {"gamma": float, "delta": float, "n_max": int, "n_start": int}),
-    "operator-matrix": (operators.OperatorMatrixModel, {"n": int}),
-}
-
-# each kind's constructor parameters without a default, which a config must give
-_REQUIRED = {kind: [name for name, param in inspect.signature(model).parameters.items()
-                    if param.default is param.empty]
-             for kind, (model, _) in _OPERATORS.items()}
-
-_GEOMETRY_FIELDS = {"hilbert": bool, "fourier_type": float, "type_p": float, "cotype_q": float,
-                    "r_resolvent_growth_asserted": bool, "zeta_negative_asserted": bool}
 
 
 def format_complex(z):
@@ -122,84 +103,94 @@ def _need(cfg, field, path, kind=None):
     return cfg[field] if kind is None else _check(cfg[field], name, kind)
 
 
-def _validate_grid(g, path):
-    if not isinstance(g, dict):
-        _fail(path, "expected an object with start/stop/count")
-    _check_keys(g, ("start", "stop", "count"), path)
-    start = _need(g, "start", path, float)
-    stop = _need(g, "stop", path, float)
-    count = _need(g, "count", path, int)
-    if count < 2:
-        _fail(f"{path}.count", f"need at least 2 nodes, got {count}")
-    if not (0 < start < stop):
-        _fail(f"{path}.start", f"need 0 < start < stop, got [{start}, {stop}]")
-    try:
-        return numcore.geometric_grid(float(start), float(stop), int(count))
-    except DomainError as exc:
-        _fail(path, str(exc))
-
-
-def _validate_operator(op):
-    if not isinstance(op, dict):
-        _fail("operator", "expected an object")
-    kind = _need(op, "kind", "operator", str)
-    if kind not in _OPERATORS:
-        _fail("operator.kind", f"unknown kind {kind!r}; expected one of {tuple(_OPERATORS)}")
-    model, fields = _OPERATORS[kind]
-    _check_keys(op, ("kind", *fields), "operator")
-    # null means "not given", so the model's default applies
-    kwargs = {key: op[key] for key in fields if op.get(key) is not None}
-    for key, val in kwargs.items():
-        json_type = fields[key]
-        kwargs[key] = (_validate_entries(val) if json_type is list
-                       else _check(val, f"operator.{key}", json_type))
-    for name in _REQUIRED[kind]:
-        if name not in kwargs:
-            _fail(f"operator.{name}", "missing")
-    try:
-        return model(**kwargs)
-    except DomainError as exc:
-        _fail("operator", str(exc))
-
-
-def _validate_entries(entries):
+def _entries(entries, path):
     """The complex matrix of rows of equal length whose entries are numbers
     or [re, im] pairs."""
-    if not (
-        isinstance(entries, (list, tuple))
-        and entries
-        and all(isinstance(r, (list, tuple)) and len(r) == len(entries[0]) for r in entries)
-    ):
-        _fail("operator.entries", "expected a nonempty list of rows of equal length")
+    if not (isinstance(entries, (list, tuple)) and entries
+            and all(isinstance(r, (list, tuple)) and len(r) == len(entries[0]) for r in entries)):
+        _fail(path, "expected a nonempty list of rows of equal length")
     out = np.empty((len(entries), len(entries[0])), dtype=complex)
     for i, row in enumerate(entries):
         for j, e in enumerate(row):
             parts = e if isinstance(e, (list, tuple)) and len(e) == 2 else (e,)
-            out[i, j] = complex(*(_check(x, f"operator.entries[{i}][{j}]", float) for x in parts))
+            out[i, j] = complex(*(_check(x, f"{path}[{i}][{j}]", float) for x in parts))
     return out
 
 
-def _validate_geometry(geo):
-    if geo is None:
-        return decaylab.GeometryDescriptor(hilbert=True)
-    if not isinstance(geo, dict):
-        _fail("geometry", "expected an object")
-    _check_keys(geo, (*_GEOMETRY_FIELDS, "lattice"), "geometry")
+# a geometry exponent: a number, which may be infinite
+_exponent = partial(_check, kind=float, finite=False)
+
+
+def _lattice(val, path):
+    if not (isinstance(val, (list, tuple)) and len(val) == 2):
+        _fail(path, "expected a [p_convex, q_concave] pair")
+    return tuple(float(_exponent(x, path)) for x in val)
+
+
+def _table(build, rules, tag=()):
+    """(build, the rule of each of its parameters, the keys an object may
+    have, the parameters without a default); made at import, not per call."""
+    params = inspect.signature(build).parameters
+    return build, rules, (*tag, *rules), {name for name, p in params.items() if p.default is p.empty}
+
+
+# each operator kind's model and the rule of each constructor parameter
+_OPERATORS = {kind: _table(model, rules, ("kind",)) for kind, model, rules in [
+    ("dense-matrix", operators.DenseMatrixModel, {"entries": _entries}),
+    ("diagonal-symbol", operators.DiagonalSymbolModel,
+     {"a": float, "b": float, "s_start": float, "s_max": float, "grid_count": int, "sobolev": bool}),
+    ("jordan-sum", operators.JordanSumModel, {"gamma": float, "delta": float, "n_max": int, "n_start": int}),
+    ("operator-matrix", operators.OperatorMatrixModel, {"n": int}),
+]}
+
+_GEOMETRY_FIELDS = {"hilbert": bool, "fourier_type": _exponent, "type_p": _exponent, "cotype_q": _exponent,
+                    "r_resolvent_growth_asserted": bool, "zeta_negative_asserted": bool, "lattice": _lattice}
+_GEOMETRY = _table(decaylab.GeometryDescriptor, _GEOMETRY_FIELDS)
+_GRID = _table(numcore.geometric_grid, {"start": float, "stop": float, "count": int})
+_FOURIER_GRID = _table(multiplier.FourierGridSpec, {"period": float, "samples": int})
+
+
+def _object(raw, path, table, build=None):
+    """The JSON object ``raw`` at ``path`` built by its table (or by ``build``):
+    a null field is not given; a given one passes its rule, a JSON type for
+    ``_check`` or a function of (value, path); a DomainError names ``path``."""
+    make, rules, keys, required = table
+    if not isinstance(raw, dict):
+        _fail(path, "expected an object")
+    _check_keys(raw, keys, path)
     kwargs = {}
-    for key, kind in _GEOMETRY_FIELDS.items():
-        if geo.get(key) is not None:
-            kwargs[key] = _check(geo[key], f"geometry.{key}", kind, finite=False)
-    if "lattice" in geo and geo["lattice"] is not None:
-        lat = geo["lattice"]
-        if not (isinstance(lat, (list, tuple)) and len(lat) == 2):
-            _fail("geometry.lattice", "expected a [p_convex, q_concave] pair")
-        kwargs["lattice"] = tuple(
-            float(_check(x, "geometry.lattice", float, finite=False)) for x in lat
-        )
+    for name, rule in rules.items():
+        val = raw.get(name)
+        if val is not None:
+            field = f"{path}.{name}"
+            kwargs[name] = _check(val, field, rule) if isinstance(rule, type) else rule(val, field)
+        elif name in required:
+            _fail(f"{path}.{name}", "missing")
     try:
-        return decaylab.GeometryDescriptor(**kwargs)
+        return (build or make)(**kwargs)
     except DomainError as exc:
-        _fail("geometry", str(exc))
+        _fail(path, str(exc))
+
+
+def _validate_grid(g, path):
+    def nodes(start, stop, count):
+        if count < 2:
+            _fail(f"{path}.count", f"need at least 2 nodes, got {count}")
+        if not (0 < start < stop):
+            _fail(f"{path}.start", f"need 0 < start < stop, got [{start}, {stop}]")
+        return numcore.geometric_grid(float(start), float(stop), count)
+
+    return _object(g, path, _GRID, nodes)
+
+
+def _validate_operator(op, path):
+    """The model of the operator object at ``path``, built by its kind's table."""
+    if not isinstance(op, dict):
+        _fail(path, "expected an object")
+    kind = _need(op, "kind", path, str)
+    if kind not in _OPERATORS:
+        _fail(f"{path}.kind", f"unknown kind {kind!r}; expected one of {tuple(_OPERATORS)}")
+    return _object(op, path, _OPERATORS[kind])
 
 
 def _read_json(path):
@@ -230,17 +221,8 @@ def _check_top_level(raw):
 
 
 def _validate_fourier_grid(grids):
-    fg = grids.get("fourier_grid", {"period": 200.0, "samples": 2**13})
-    if not isinstance(fg, dict):
-        _fail("grids.fourier_grid", "expected an object")
-    _check_keys(fg, ("period", "samples"), "grids.fourier_grid")
-    try:
-        return multiplier.FourierGridSpec(
-            float(_need(fg, "period", "grids.fourier_grid", float)),
-            int(_need(fg, "samples", "grids.fourier_grid", int)),
-        )
-    except DomainError as exc:
-        _fail("grids.fourier_grid", str(exc))
+    return _object(grids.get("fourier_grid", {"period": 200.0, "samples": 2**13}), "grids.fourier_grid",
+                   _FOURIER_GRID, lambda period, samples: multiplier.FourierGridSpec(float(period), samples))
 
 
 def _validate_seed(raw):
@@ -254,15 +236,15 @@ def validate_config(raw):
     grids = _check_top_level(raw)
     cfg = {}
     cfg["raw"] = raw
-    cfg["model"] = _validate_operator(_need(raw, "operator", ""))
-    cfg["t_grid"] = _validate_grid(
-        grids.get("t_grid", {"start": 10.0, "stop": 1e4, "count": 32}), "grids.t_grid"
-    )
-    cfg["xi_grid"] = _validate_grid(
-        grids.get("xi_grid", {"start": 1e-2, "stop": 1e3, "count": 64}), "grids.xi_grid"
-    )
+    cfg["model"] = _validate_operator(_need(raw, "operator", ""), "operator")
+    cfg["t_grid"] = _validate_grid(grids.get("t_grid", {"start": 10.0, "stop": 1e4, "count": 32}),
+                                   "grids.t_grid")
+    cfg["xi_grid"] = _validate_grid(grids.get("xi_grid", {"start": 1e-2, "stop": 1e3, "count": 64}),
+                                    "grids.xi_grid")
     cfg["fourier_grid"] = _validate_fourier_grid(grids)
-    cfg["geometry"] = _validate_geometry(raw.get("geometry"))
+    # a missing or null geometry is a Hilbert space
+    geometry = raw.get("geometry")
+    cfg["geometry"] = _object({"hilbert": True} if geometry is None else geometry, "geometry", _GEOMETRY)
     indices = raw.get("indices", [[0.0, 1.0]])
     if not isinstance(indices, list) or not indices:
         _fail("indices", "expected a nonempty list of [sigma, tau] pairs")

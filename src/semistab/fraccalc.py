@@ -143,18 +143,15 @@ def contour_fractional_apply(model, idx, x, contour=None):
             "beta = 0 leaves a non-integrable contour tail (the symbol tends "
             "to 1 at infinity); use a closed form or compose exponents"
         )
+    # a sectorial model is injective and invertible, with an angle (ModelInfo)
     if not model.info.sectorial:
         raise ContourError(f"model kind {model.info.kind!r} is not sectorial")
     angle = model.info.sectorial_angle
-    if angle is not None and contour.theta <= angle:
+    if contour.theta <= angle:
         raise ContourError(
             f"contour angle {contour.theta:.4f} must exceed the model's "
             f"sectorial angle estimate {angle:.4f}"
         )
-    if idx.alpha == 0.0 and not model.info.invertible:
-        raise DomainError("alpha = 0 requires an invertible model")
-    if idx.alpha > 0.0 and not model.info.injective:
-        raise DomainError("alpha > 0 requires an injective model")
 
     def kernel(zs):
         return np.asarray(model.resolvent_apply_many(zs, x))
@@ -166,18 +163,16 @@ def contour_fractional_apply(model, idx, x, contour=None):
 
 def fractional_power_apply(model, alpha, beta, x, contour=None):
     """A^alpha (1+A)^{-alpha-beta} x: closed form if the model has one,
-    otherwise contour quadrature with eta = 1."""
-    if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
-        raise DomainError(f"need finite alpha, beta >= 0, got {alpha}, {beta}")
+    otherwise contour quadrature with eta = 1.  Of the kinds, only a dense
+    matrix may be non-injective, and its closed form rejects alpha > 0."""
+    idx = FractionalIndex(alpha, beta, 1.0)
     if alpha == 0.0 and beta == 0.0:
         return np.asarray(x, dtype=complex).copy()
-    if alpha > 0.0 and not model.info.injective:
-        raise DomainError("positive fractional powers require an injective model")
     try:
         return model.phi_closed_apply(alpha, beta, x)
     except UnsupportedModelError:
         pass
-    return contour_fractional_apply(model, FractionalIndex(alpha, beta, 1.0), x, contour)
+    return contour_fractional_apply(model, idx, x, contour)
 
 
 @dataclass(frozen=True)

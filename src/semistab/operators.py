@@ -60,7 +60,8 @@ _LINE_ENTRIES = 2**20
 
 @dataclass(frozen=True)
 class ModelInfo:
-    """Metadata every model carries."""
+    """Metadata every model carries.  A sectorial model is injective and
+    invertible and has a ``sectorial_angle``; ``fraccalc`` relies on it."""
 
     kind: str
     injective: bool

@@ -7,6 +7,7 @@ package's grids step over.  Nothing in ``src/`` imports this module.
 
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -56,3 +57,30 @@ def diagonal_resolvent_sup(a, b, lo, hi, lam, sobolev, count=20001):
                                       method="bounded", options={"xatol": 1e-14})
                 best = max(best, -float(res.fun))
     return best
+
+
+def _mp_matrix(matrix):
+    return mp.matrix([[mp.mpc(complex(z)) for z in row] for row in np.asarray(matrix)])
+
+
+def _mp_top_singular_value(m):
+    return float(max(mp.svd_c(m, compute_uv=False)))
+
+
+def dense_fractional_norm(matrix, t, sigma=0, tau=0):
+    """||e^{-tA} A^sigma (1 + A)^{-sigma-tau}|| for integers sigma, tau >= 0,
+    at 30 digits: ``mp.expm``, exact matrix powers, and the largest singular
+    value from ``mp.svd_c``.  sigma = tau = 0 gives ||e^{-tA}||."""
+    with mp.workdps(30):
+        a = _mp_matrix(matrix)
+        eye = mp.eye(a.rows)
+        phi = a**sigma * (eye + a) ** -(sigma + tau)
+        return _mp_top_singular_value(mp.expm(-mp.mpf(float(t)) * a) * phi)
+
+
+def dense_shifted_resolvent_norm(matrix, lam):
+    """||(lam + A)^{-1}|| at 30 digits: one over the smallest singular value
+    of lam + A from ``mp.svd_c``."""
+    with mp.workdps(30):
+        shifted = _mp_matrix(matrix) + mp.mpc(complex(lam)) * mp.eye(len(matrix))
+        return float(1 / min(mp.svd_c(shifted, compute_uv=False)))

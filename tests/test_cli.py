@@ -143,6 +143,68 @@ def test_unread_positive_semigroup_is_an_unknown_geometry_key(tmp_path, capsys):
         assert "geometry.positive_semigroup: unknown key" in capsys.readouterr().err
 
 
+# (id, the field path the error names, how a config is made invalid there)
+_INVALID_CONFIGS = [
+    ("no-operator", "operator", lambda c: c.pop("operator")),
+    ("no-kind", "operator.kind", lambda c: c["operator"].pop("kind")),
+    ("t_grid-not-an-object", "grids.t_grid", lambda c: c["grids"].update(t_grid=[10.0, 1e4, 24])),
+    ("t_grid-null", "grids.t_grid", lambda c: c["grids"].update(t_grid=None)),
+    ("t_grid-no-start", "grids.t_grid.start", lambda c: c["grids"]["t_grid"].pop("start")),
+    ("t_grid-null-start", "grids.t_grid.start", lambda c: c["grids"]["t_grid"].update(start=None)),
+    ("xi_grid-null-count", "grids.xi_grid.count", lambda c: c["grids"]["xi_grid"].update(count=None)),
+    ("geometry-not-an-object", "geometry", lambda c: c.update(geometry=[True])),
+    ("lattice-not-a-pair", "geometry.lattice", lambda c: c.update(geometry={"lattice": [1.5, 4.0, 2.0]})),
+    ("fourier-type-3", "geometry", lambda c: c.update(geometry={"fourier_type": 3})),
+    ("fourier_grid-not-an-object", "grids.fourier_grid", lambda c: c["grids"].update(fourier_grid=8192)),
+    ("fourier_grid-null-period", "grids.fourier_grid.period",
+     lambda c: c["grids"].update(fourier_grid={"period": None, "samples": 1024})),
+    ("fourier_grid-no-samples", "grids.fourier_grid.samples",
+     lambda c: c["grids"].update(fourier_grid={"period": 200.0})),
+    ("indices-empty", "indices", lambda c: c.update(indices=[])),
+    ("index-not-a-pair", "indices[0]", lambda c: c.update(indices=[[1]])),
+    ("index-negative", "indices[0]", lambda c: c.update(indices=[[-1, 0]])),
+    ("threads-0", "threads", lambda c: c.update(threads=0)),
+]
+
+
+@pytest.mark.parametrize("field, make_invalid", [pytest.param(f, m, id=i) for i, f, m in _INVALID_CONFIGS])
+def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, field, make_invalid):
+    cfg = _base_config(tmp_path / "o")
+    make_invalid(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["decay", "--config", str(path)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", [None, '{"operator": ', "[]"], ids=["no-file", "invalid-json", "a-list"])
+def test_unreadable_config_exits_2_naming_the_config(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["decay", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: config: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_analyze_seed_and_tol_flags_override_the_config(tmp_path, monkeypatch):
+    # the config says seed 3 and the default consistency_tol 0.05
+    tols = []
+    check = decaylab.check_consistency
+
+    def spy(measurement, prediction, tol):
+        tols.append(tol)
+        return check(measurement, prediction, tol)
+
+    monkeypatch.setattr(decaylab, "check_consistency", spy)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_base_config(tmp_path / "o")))
+    assert cli.main(["analyze", "--config", str(path), "--seed", "11", "--tol", "0.25"]) == 0
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["seed"] == 11
+    assert tols and set(tols) == {0.25}
+
+
 @pytest.mark.parametrize(
     "operator, field",
     [
@@ -499,17 +561,29 @@ def test_config_builds_each_operator_kind():
     assert diag.info.kind == "diagonal-symbol" and len(diag.grid) == 64
     jor = model({"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 100})
     assert jor.info.kind == "jordan-sum" and jor.n_start == 4
+    # a null field counts as not given, so the constructor's default applies
+    assert model({"kind": "jordan-sum", "gamma": 0.5, "delta": 0.5, "n_max": 100, "n_start": None}).n_start == 4
+    assert cli.validate_config({"operator": {"kind": "operator-matrix", "n": 2},
+                                "geometry": {"hilbert": None, "cotype_q": 4.0}})["geometry"].hilbert is False
     om = model({"kind": "operator-matrix", "n": 3})
     assert om.info.kind == "operator-matrix"
 
 
 def test_config_tables_match_constructors():
-    # each config field is a constructor parameter and each parameter a
-    # field, so a default can live only in the constructor
-    for kind, (model, fields) in cli._OPERATORS.items():
-        assert list(fields) == list(inspect.signature(model).parameters), kind
+    # each field of a config object is a parameter of the function that
+    # builds it and each parameter a field, so a default can live only there
+    tables = {**cli._OPERATORS, "geometry": cli._GEOMETRY, "grid": cli._GRID, "fourier_grid": cli._FOURIER_GRID}
+    for name, (build, rules, keys, required) in tables.items():
+        params = inspect.signature(build).parameters
+        order = list(params)
+        if name == "geometry":  # lattice last, where the unknown-key message lists it
+            order.append(order.pop(order.index("lattice")))
+        assert list(rules) == order, name
+        assert keys == ((("kind",) if name in cli._OPERATORS else ()) + tuple(rules)), name
+        assert required == {p for p in params if params[p].default is inspect.Parameter.empty}, name
+    assert cli._GEOMETRY[1] is cli._GEOMETRY_FIELDS
     geometry = [f.name for f in dataclasses.fields(decaylab.GeometryDescriptor)]
-    assert sorted([*cli._GEOMETRY_FIELDS, "lattice"]) == sorted(geometry)
+    assert sorted(cli._GEOMETRY_FIELDS) == sorted(geometry)
 
 
 def test_grid_with_repeated_nodes_exits_2(tmp_path, capsys):

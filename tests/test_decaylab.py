@@ -117,6 +117,8 @@ def test_interpolation():
     assert (sig, tau, rho) == (2.0, 4.0, 2.0)
     with pytest.raises(DomainError):
         decaylab.interpolate_rates((1.0, 1.0, 1.0), (2.0, 2.0, 0.0), 0.5)
+    with pytest.raises(DomainError):
+        decaylab.interpolate_rates((2.0, 3.0, 2.0), (1.0, 1.0, 0.0), -0.5)
 
 
 def test_measure_decay_exponential_flagged_super_polynomial():
@@ -147,6 +149,19 @@ def test_check_consistency_orderings():
     gated = decaylab.predict_rate_general(2.0, 1.0, 0.5, 3.0)
     with pytest.raises(DomainError):
         decaylab.check_consistency(meas, gated, 0.05)
+    # rho = oo asks for super-polynomial decay, which t^-rho_hat is not
+    assert not meas.super_polynomial
+    rep = decaylab.check_consistency(meas, decaylab.RatePrediction(INF, True, 1.0, "stub", ()), 0.05)
+    assert not rep.passed and rep.margin is None
+
+
+def test_geometry_rates_need_their_geometry_data():
+    bare = decaylab.GeometryDescriptor()
+    with pytest.raises(DomainError):
+        decaylab.predict_rate_fourier_type(0.0, 1.0, 0.0, 3.0, bare)
+    for geo in (bare, decaylab.GeometryDescriptor(type_p=1.5), decaylab.GeometryDescriptor(cotype_q=4.0)):
+        with pytest.raises(DomainError):
+            decaylab.predict_rate_type_cotype(0.0, 1.0, 0.0, 3.0, geo)
 
 
 def test_geometry_validation():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistab import battery, cli, multiplier, numcore, operators
-from semistab.errors import DomainError, ShapeError, SingularSymbolError, WindowError
+from semistab.errors import DomainError, ShapeError, SingularSymbolError, UnsupportedModelError, WindowError
 
 
 @pytest.fixture
@@ -417,6 +417,17 @@ def test_witness_search_keeps_the_one_batch_bits():
                 want[i] = max(want[i], multiplier.lebesgue_norm(image, q, grid) / denom)
         got = multiplier.estimate_pq_norm_lower(samples, battery.PQ_PAIRS)
         np.testing.assert_allclose(got, want, rtol=_WITNESS_RTOL, atol=0)
+
+
+def test_dense_only_routines_refuse_other_kinds():
+    grid = multiplier.FourierGridSpec(50.0, 256)
+    for model in (operators.DiagonalSymbolModel(1.0, 0.5, grid_count=64), operators.OperatorMatrixModel(2)):
+        with pytest.raises(UnsupportedModelError):
+            multiplier.resolvent_power_symbol(model)
+        with pytest.raises(UnsupportedModelError):
+            multiplier.semigroup_convolution(model, [0], np.zeros(256), grid)
+        with pytest.raises(UnsupportedModelError):
+            multiplier.verify_laplace_identity(model, [0], np.zeros(1), grid)
 
 
 def test_convolution_and_identity_shape_errors():

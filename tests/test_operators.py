@@ -1392,6 +1392,15 @@ def test_metadata_flags():
     assert not singular.info.injective
 
 
+def test_sectorial_models_are_injective_and_invertible():
+    # fraccalc's contour quadrature checks neither flag, nor a missing angle
+    models = {**_models_with_defective(), "singular": operators.DenseMatrixModel([[1.0, 0.0], [0.0, 0.0]])}
+    for name, model in models.items():
+        info = model.info
+        assert not info.sectorial or (info.injective and info.invertible and info.sectorial_angle is not None), name
+    assert [name for name, model in models.items() if not model.info.sectorial] == ["opmatrix", "singular"]
+
+
 _PARTS = st.floats(-1e3, 1e3, allow_subnormal=False)
 
 

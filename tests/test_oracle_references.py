@@ -1,14 +1,17 @@
-"""The structured kinds' norm oracles against the independent values of
-``_references``.  Where an oracle is known to under-read (ROADMAP item 2),
-the case is a strict xfail next to a passing case where it is right, so
-mending the defect turns the xfail into an error that asks to unmark it."""
+"""The norm oracles against the independent values of ``_references``.
+Where an oracle is known to under-read (ROADMAP item 2), the case is a
+strict xfail next to a passing case where it is right, so mending the
+defect turns the xfail into an error that asks to unmark it."""
 
 import numpy as np
 import pytest
-from _references import diagonal_resolvent_sup, exp_nilpotent_norm
+from _references import (dense_fractional_norm, dense_shifted_resolvent_norm, diagonal_resolvent_sup,
+                         exp_nilpotent_norm)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistab import numcore
-from semistab.operators import DiagonalSymbolModel, OperatorMatrixModel
+from semistab.operators import DenseMatrixModel, DiagonalSymbolModel, OperatorMatrixModel
 
 
 def _diagonal_reference(model, lams):
@@ -57,3 +60,38 @@ def test_diagonal_peak_in_the_last_grid_cell():
     lams = np.array([-99.75j])  # reads 4.00, flagged an edge; the peak at s* = 9950.06 is 9950.06
     norms, _ = model.shifted_resolvent_norm(lams)
     np.testing.assert_allclose(norms, _diagonal_reference(model, lams), rtol=1e-6, atol=0)
+
+
+# the dense kind against mpmath at 30 digits.  Its eigen route loses about
+# eps * cond(V) for eigenvectors V: about 1e-13 relative on the random draws
+# below, and far more on a nearly defective matrix (the xfail after them)
+_DENSE_RTOL = 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), coupling=st.floats(0.0, 10.0),
+       t=st.floats(0.0, 20.0), sigma=st.integers(0, 2), tau=st.integers(0, 2), xi=st.floats(-10.0, 10.0))
+def test_dense_norms_match_mpmath(dim, seed, coupling, t, sigma, tau, xi):
+    # a random stable matrix: complex Gaussian entries plus a real strictly
+    # upper part scaled by ``coupling`` (non-normal), shifted so that the
+    # spectrum lies in Re z >= margin for a margin in [0.05, 1]
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m += coupling * np.triu(rng.standard_normal((dim, dim)), 1)
+    m += (rng.uniform(0.05, 1.0) - np.linalg.eigvals(m).real.min()) * np.eye(dim)
+    model = DenseMatrixModel(m)
+    ts = np.array([t])
+    np.testing.assert_allclose(model.semigroup_norm(ts), [dense_fractional_norm(m, t)], rtol=_DENSE_RTOL, atol=0)
+    np.testing.assert_allclose(model.fractional_norm(ts, float(sigma), float(tau)),
+                               [dense_fractional_norm(m, t, sigma, tau)], rtol=_DENSE_RTOL, atol=0)
+    norms, _ = model.shifted_resolvent_norm(np.array([1j * xi]))
+    np.testing.assert_allclose(norms, [dense_shifted_resolvent_norm(m, 1j * xi)], rtol=_DENSE_RTOL, atol=0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2, nearly defective dense matrices: the eigen route of "
+                                       "_expm_neg passes its 1e-9 reconstruction check at an eigenvector "
+                                       "condition near 6e10 and loses about eps * cond of ||T(t)||")
+def test_dense_semigroup_norm_of_a_nearly_defective_matrix():
+    m = np.array([[1.0, 30.0], [0.0, 1.0 + 1e-9]])  # reads 1.6e-7 relative low at t = 0.5
+    np.testing.assert_allclose(DenseMatrixModel(m).semigroup_norm(np.array([0.5])), [dense_fractional_norm(m, 0.5)],
+                               rtol=_DENSE_RTOL, atol=0)

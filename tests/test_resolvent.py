@@ -99,6 +99,25 @@ def test_spectral_bounds_probe_each_line_once(monkeypatch):
     assert bounds.s_beta == {1.0: 0.024218750000000004, 2.0: -0.2078125}
 
 
+def test_spectral_bounds_inf_when_the_largest_eta_is_not_tame():
+    # the block sum's spectrum sits on Re lam = -gamma = -0.5; at eta = -0.2,
+    # 0.3 from it, the blocks' norms keep growing along the line unless a
+    # beta of 2 tempers them
+    model = operators.JordanSumModel(0.5, 0.5, 10**4)
+    bounds = resolvent.spectral_bounds(model, numcore.geometric_grid(1.0, 12.0, 10), np.linspace(-0.4, -0.2, 3),
+                                       betas=(0.0, 2.0), xi_grid=np.geomspace(1.0, 5e3, 112))
+    assert bounds.s_beta[0.0] == math.inf
+    assert -0.5 < bounds.s_beta[2.0] <= -0.2
+
+
+def test_a_line_with_a_singular_or_edge_probe_is_not_tame():
+    flat = [resolvent.ProbeEntry(float(xi), 0.5, 1.0, "ok") for xi in np.geomspace(0.1, 100.0, 16)]
+    assert resolvent._line_is_tame(resolvent.ProbeTable(flat), 0.0)
+    for status, norm in (("singular", None), ("edge", 1.0)):
+        entries = [*flat[:8], resolvent.ProbeEntry(flat[8].xi, 0.5, norm, status), *flat[9:]]
+        assert not resolvent._line_is_tame(resolvent.ProbeTable(entries), 0.0), status
+
+
 def test_spectral_bounds_defective_dense():
     # identity plus nilpotent: decay rate -1 with a polynomial transient
     model = operators.DenseMatrixModel(np.array([[1.0, 1.0], [0.0, 1.0]]))
